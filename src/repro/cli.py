@@ -396,9 +396,11 @@ def _load_transactions(path: str) -> list[TlsTransaction]:
     """Load ``[[start, end, ul, dl, sni], ...]`` rows, with friendly errors.
 
     Malformed input — unreadable file, invalid JSON, rows of the wrong
-    shape — raises :class:`ValueError` naming the file, which the
-    ``split``/``stream`` commands turn into an exit-2 message instead of
-    a traceback.  An empty list is valid and means "no transactions".
+    shape, values a transaction rejects (NaN or infinite times, reversed
+    times, negative bytes) — raises :class:`ValueError` naming the file,
+    which the ``split``/``stream`` commands turn into an exit-2 message
+    instead of a traceback.  An empty list is valid and means "no
+    transactions".
     """
     try:
         rows = json.loads(Path(path).read_text())
@@ -408,18 +410,20 @@ def _load_transactions(path: str) -> list[TlsTransaction]:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(rows, list):
         raise ValueError(f"{path}: expected a JSON array of transaction rows")
-    try:
-        return [
-            TlsTransaction(
-                start=float(r[0]), end=float(r[1]), uplink_bytes=int(r[2]),
-                downlink_bytes=int(r[3]), sni=r[4],
-            )
-            for r in rows
-        ]
-    except (TypeError, ValueError, IndexError, KeyError):
-        raise ValueError(
-            f"{path}: each row must be [start, end, uplink, downlink, sni]"
-        ) from None
+    transactions = []
+    for i, r in enumerate(rows):
+        try:
+            start, end, uplink, downlink = float(r[0]), float(r[1]), int(r[2]), int(r[3])
+            sni = r[4]
+        except (TypeError, ValueError, OverflowError, IndexError, KeyError):
+            raise ValueError(
+                f"{path}: each row must be [start, end, uplink, downlink, sni]"
+            ) from None
+        try:
+            transactions.append(TlsTransaction(start, end, uplink, downlink, sni))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
+    return transactions
 
 
 def _cmd_split(args: argparse.Namespace) -> int:

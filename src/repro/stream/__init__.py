@@ -7,10 +7,10 @@ concurrent ``(user, service)`` streams and must emit per-session QoE
 verdicts with bounded latency and memory.  This package is that
 engine:
 
-* :mod:`repro.stream.features` — :class:`SessionAccumulator`, the
-  incremental form of the 38 TLS features (the 16 temporal cumulative
-  features and the session-level sums are maintained per transaction;
-  order statistics close over compact per-session column buffers).
+* :mod:`repro.stream.features` — :class:`SessionAccumulator`, an open
+  session's row buffer, and :func:`~repro.stream.features.session_table`,
+  which stacks closed sessions into one table for the shared columnar
+  kernel of the 38 TLS features.
 * :mod:`repro.stream.engine` — :class:`StreamDetector`, the ingest
   engine: per-stream pending buffers, the W-lookahead online boundary
   heuristic, idle-timeout / capacity eviction, and a batched predict

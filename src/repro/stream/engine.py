@@ -16,10 +16,14 @@ stream's watermark (largest start time seen) strictly exceeds
 and decided left to right; the running ``current_servers`` set then
 evolves exactly as in :func:`detect_session_starts`.
 
-**Incremental features.**  Decided transactions flow into the open
-session's :class:`~repro.stream.features.SessionAccumulator`, which
-maintains the temporal/cumulative features per transaction and closes
-the order statistics only when the session ends.
+**Features at close, one columnar pass per score batch.**  Decided
+transactions are appended to the open session's
+:class:`~repro.stream.features.SessionAccumulator`, a row buffer that
+computes nothing per event.  Closed sessions queue for scoring, and
+each score batch is featurized by one
+:func:`~repro.features.tls_features.extract_tls_table` call over a
+table stacked from the batch's buffers — the kernel the batch
+pipeline's columnar path uses.
 
 **Deferred release for the undersized-tail rule.**  Batch
 ``split_sessions`` merges a trailing undersized group backwards.  To
@@ -37,16 +41,18 @@ Evicted sessions still emit a final verdict (reason ``"eviction"``),
 and re-ingesting an evicted stream key starts a fresh stream.
 
 Scoring is a batched predict loop: closed sessions queue up and are
-scored ``score_batch`` at a time through the model — for the tree
-ensembles that is the flattened node-table traversal
+featurized and scored ``score_batch`` at a time through the model —
+for the tree ensembles that is the flattened node-table traversal
 (:class:`repro.ml.tree.FlatEnsemble`), whose leaf gathers are
-bit-identical to walking each tree per row, so batching changes
-throughput, not verdicts.  Telemetry: ``stream.ingested`` / ``stream.scored`` /
+bit-identical to walking each tree per row, and every feature is a
+within-session reduction, so batching changes throughput, not
+verdicts.  Telemetry: ``stream.ingested`` / ``stream.scored`` /
 ``stream.evicted`` / ``stream.late_dropped`` counters, a
 ``stream.active`` gauge, a ``stream.decision_lag_s`` histogram
 (event-time lag between a session's last activity and its verdict),
 and ``stream.ingest`` / ``stream.score`` spans around the micro-batch
-hot paths.
+hot paths (``stream.score`` records the ``sessions`` and
+``transactions`` its batch featurized).
 
 Late data: an arrival with ``start`` strictly below its stream's
 watermark could retroactively change an already-emitted boundary
@@ -64,9 +70,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import telemetry
-from repro.features.tls_features import TEMPORAL_INTERVALS, feature_names
+from repro.features.tls_features import TEMPORAL_INTERVALS, extract_tls_table
 from repro.sessions.boundary import BoundaryConfig
-from repro.stream.features import SessionAccumulator
+from repro.stream.features import SessionAccumulator, session_table
 from repro.tlsproxy.records import TlsTransaction
 
 __all__ = ["StreamConfig", "StreamDetector", "StreamVerdict"]
@@ -229,7 +235,6 @@ class StreamDetector:
             "evicted": 0,
             "late_dropped": 0,
         }
-        self._feature_width = len(feature_names(self.config.intervals))
 
     # -- public surface -------------------------------------------------
     @property
@@ -477,10 +482,10 @@ class StreamDetector:
         while self._score_queue and (force or len(self._score_queue) >= batch):
             chunk = self._score_queue[:batch]
             del self._score_queue[:batch]
-            with telemetry.span("stream.score", sessions=len(chunk)):
-                X = np.empty((len(chunk), self._feature_width), dtype=np.float64)
-                for i, (_, _, group, _, _) in enumerate(chunk):
-                    X[i] = group.finalize()
+            with telemetry.span("stream.score", sessions=len(chunk)) as sp:
+                table = session_table([group for _, _, group, _, _ in chunk])
+                sp.set(transactions=table.n_rows)
+                X = extract_tls_table(table, self.config.intervals)
                 categories = (
                     self.model.predict(X) if self.model is not None else None
                 )
@@ -519,7 +524,11 @@ def batch_pipeline_verdicts(
     Runs ``split_sessions`` → per-session feature extraction → one
     ``model.predict`` per stream over the same transactions a
     :class:`StreamDetector` would ingest, returning per-stream session
-    summaries comparable with :class:`StreamVerdict` fields.
+    summaries comparable with :class:`StreamVerdict` fields.  Features
+    come from the per-session reference
+    :func:`~repro.features.tls_features.extract_tls_features`, not the
+    columnar kernel the detector uses, so an equivalence check compares
+    the stream against an independent implementation.
     """
     from repro.features.tls_features import extract_tls_features
     from repro.sessions.boundary import split_sessions

@@ -1,58 +1,53 @@
-"""Incremental per-session feature state for the streaming engine.
+"""Per-session row buffers for the streaming engine.
 
-:class:`SessionAccumulator` grows one session's 38-feature vector
-(:mod:`repro.features.tls_features`) one transaction at a time instead
-of recomputing the whole vector on every update:
+:class:`SessionAccumulator` is one open session's transaction rows,
+buffered as four columns (``start``, ``end``, ``uplink``,
+``downlink``) in the canonical order the engine decides them in, plus
+the count and event-time extent the engine reports on each verdict.
+Adding a transaction is four list appends; no feature is computed per
+event.
 
-* :meth:`SessionAccumulator.add` maintains the session-level
-  aggregates and the **16 temporal features** (cumulative pro-rata
-  bytes inside the growing ``[0, X]`` intervals) as running sums —
-  each transaction's contribution depends only on the fixed session
-  start and the transaction itself, so the per-update cost is
-  ``O(len(intervals))``, independent of session length;
-* :meth:`SessionAccumulator.snapshot` exposes those running values as
-  a *live* partial-session feature view at any moment, without
-  touching the buffered rows;
-* :meth:`SessionAccumulator.finalize` produces the closed session's
-  exact feature vector in one vectorized pass over the buffered
-  columns.
-
-Bit-identity with the batch extractor is a hard contract on
-``finalize()``, enforced by the golden tests: it evaluates the exact
-expressions of :func:`~repro.features.tls_features.extract_tls_features`
-(including ``ordered_sum``, whose ``np.add.reduceat`` kernel is SIMD
-partial-sum based and therefore *not* reproducible by a scalar running
-sum) over columns buffered in the same canonical order.  The running
-sums behind ``snapshot()`` accumulate left-to-right and may differ
-from the close-time sums in the last few ulps; they are a monitoring
-view, never a verdict input.  Total per-session work stays ``O(n)`` —
-one close-time pass — versus ``O(n^2)`` for recomputing the vector on
-every update.
+Features are computed when sessions close, by the shared columnar
+kernel :func:`~repro.features.tls_features.extract_tls_table`:
+:func:`session_table` stacks any number of buffers into one
+:class:`~repro.tlsproxy.table.TransactionTable` (one segment per
+session), so the engine featurizes a whole score batch in one kernel
+call, and :meth:`SessionAccumulator.finalize` /
+:meth:`SessionAccumulator.snapshot` are the one-session case of the
+same call.  The kernel is held bit-identical to the per-session
+reference :func:`~repro.features.tls_features.extract_tls_features` by
+the golden tests, and every feature is a within-session reduction, so
+the batch a session is featurized in cannot change its vector.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
-    _stat_triple,
+    extract_tls_table,
+    feature_groups,
     feature_names,
+    temporal_feature_names,
 )
-from repro.tlsproxy.table import ordered_sum
+from repro.tlsproxy.table import TransactionTable
 
-__all__ = ["SessionAccumulator"]
+__all__ = ["SessionAccumulator", "session_table"]
 
 
 class SessionAccumulator:
-    """One open session's incrementally maintained feature state.
+    """One open session's buffered transaction rows.
 
     Transactions must be added in the canonical sort order (ascending
     ``(start, end, uplink, downlink, sni)``); the engine guarantees
     this because online boundary decisions are emitted in exactly that
     order.  ``finalize()`` may be called at any time and does not
-    consume the accumulator, so an evicted session can still be scored
-    and a trailing undersized group can later be merged in.
+    consume the buffer, so an evicted session can still be scored and a
+    trailing undersized group can later be merged in.
     """
 
     __slots__ = (
@@ -60,9 +55,6 @@ class SessionAccumulator:
         "n",
         "session_start",
         "session_end",
-        "sum_downlink",
-        "sum_uplink",
-        "_temporal",
         "_starts",
         "_ends",
         "_uplinks",
@@ -74,20 +66,15 @@ class SessionAccumulator:
         self.n = 0
         self.session_start = 0.0
         self.session_end = 0.0
-        self.sum_downlink = 0.0
-        self.sum_uplink = 0.0
-        self._temporal = [0.0] * (2 * len(self.intervals))
         self._starts: list[float] = []
         self._ends: list[float] = []
         self._uplinks: list[float] = []
         self._downlinks: list[float] = []
 
     def add(self, start: float, end: float, uplink: float, downlink: float) -> None:
-        """Fold one transaction into the session (time-ordered)."""
+        """Append one transaction to the session (time-ordered)."""
         start = float(start)
         end = float(end)
-        uplink = float(uplink)
-        downlink = float(downlink)
         if self.n == 0:
             self.session_start = start
             self.session_end = end
@@ -99,31 +86,10 @@ class SessionAccumulator:
             if end > self.session_end:
                 self.session_end = end
         self.n += 1
-        self.sum_downlink += downlink
-        self.sum_uplink += uplink
         self._starts.append(start)
         self._ends.append(end)
-        self._uplinks.append(uplink)
-        self._downlinks.append(downlink)
-
-        # Temporal running sums: this transaction's pro-rata share of
-        # each [0, X] interval, relative to the (now fixed) session
-        # start — O(len(intervals)) per update.
-        rel_start = start - self.session_start
-        rel_end = end - self.session_start
-        span = rel_end - rel_start
-        if span < 1e-9:
-            span = 1e-9
-        temporal = self._temporal
-        for i, x in enumerate(self.intervals):
-            overlap = min(rel_end, float(x)) - rel_start
-            if overlap < 0.0:
-                overlap = 0.0
-            share = overlap / span
-            if share > 1.0:
-                share = 1.0
-            temporal[2 * i] += downlink * share
-            temporal[2 * i + 1] += uplink * share
+        self._uplinks.append(float(uplink))
+        self._downlinks.append(float(downlink))
 
     def rows(self) -> list[tuple[float, float, float, float]]:
         """The buffered ``(start, end, uplink, downlink)`` rows, in
@@ -131,72 +97,39 @@ class SessionAccumulator:
         backwards into its predecessor."""
         return list(zip(self._starts, self._ends, self._uplinks, self._downlinks))
 
-    def snapshot(self) -> dict[str, float]:
-        """The live partial-session view from the running aggregates.
-
-        ``O(len(intervals))`` — no buffered-row access.  Sums are
-        left-to-right accumulations and may differ from the exact
-        close-time values (:meth:`finalize`) in the last few ulps.
-        """
-        ses_dur = max(self.session_end - self.session_start, 1e-9)
-        view = {
-            "n_transactions": float(self.n),
-            "SDR_DL": self.sum_downlink / ses_dur,
-            "SDR_UL": self.sum_uplink / ses_dur,
-            "SES_DUR": ses_dur,
-            "TRANS_PER_SEC": self.n / ses_dur,
-        }
-        for i, x in enumerate(self.intervals):
-            view[f"CUM_DL_{x}s"] = self._temporal[2 * i]
-            view[f"CUM_UL_{x}s"] = self._temporal[2 * i + 1]
-        return view
-
     def finalize(self) -> np.ndarray:
-        """The closed session's feature vector, bit-identical to the
-        batch :func:`~repro.features.tls_features.extract_tls_features`.
-
-        One vectorized pass over the buffered columns, evaluating the
-        reference expressions verbatim (same numpy reduction kernels
-        on same-length arrays ⇒ identical floats).
-        """
+        """The session's feature vector (``feature_names(intervals)``
+        schema), bit-identical to the batch
+        :func:`~repro.features.tls_features.extract_tls_features`."""
         if self.n == 0:
             raise ValueError("a session needs at least one TLS transaction")
-        starts = np.asarray(self._starts, dtype=np.float64)
-        ends = np.asarray(self._ends, dtype=np.float64)
-        uplink = np.asarray(self._uplinks, dtype=np.float64)
-        downlink = np.asarray(self._downlinks, dtype=np.float64)
+        return extract_tls_table(session_table([self]), self.intervals)[0]
 
-        session_start = self.session_start
-        ses_dur = self.session_end - session_start
-        if ses_dur < 1e-9:
-            ses_dur = 1e-9
-        features = [
-            ordered_sum(downlink) / ses_dur,  # SDR_DL
-            ordered_sum(uplink) / ses_dur,  # SDR_UL
-            ses_dur,  # SES_DUR
-            self.n / ses_dur,  # TRANS_PER_SEC
-        ]
+    def snapshot(self) -> dict[str, float]:
+        """The partial session's transaction count, session-level and
+        temporal features, as they stand now.
 
-        durations = ends - starts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tdr = np.where(
-                durations > 0, downlink / np.maximum(durations, 1e-9), downlink
-            )
-            d2u = np.where(uplink > 0, downlink / np.maximum(uplink, 1e-9), downlink)
-        iat = np.diff(np.sort(starts))
-        for metric in (downlink, uplink, durations, tdr, d2u, iat):
-            features.extend(_stat_triple(np.asarray(metric, dtype=np.float64)))
+        Exact — the same values :meth:`finalize` gives for the rows
+        buffered so far — at ``O(n)`` per call; like :meth:`finalize`,
+        it rejects an empty session.
+        """
+        values = dict(zip(feature_names(self.intervals), self.finalize().tolist()))
+        keys = feature_groups()["session_level"] + temporal_feature_names(self.intervals)
+        return {"n_transactions": float(self.n), **{k: values[k] for k in keys}}
 
-        rel_start = starts - session_start
-        rel_end = ends - session_start
-        span = np.maximum(rel_end - rel_start, 1e-9)
-        for x in self.intervals:
-            overlap = np.clip(np.minimum(rel_end, x) - rel_start, 0.0, None)
-            share = np.minimum(overlap / span, 1.0)
-            features.append(ordered_sum(downlink * share))
-            features.append(ordered_sum(uplink * share))
 
-        vector = np.asarray(features, dtype=np.float64)
-        if vector.shape[0] != len(feature_names(self.intervals)):
-            raise AssertionError("feature vector length drifted from the schema")
-        return vector
+def session_table(groups: Sequence[SessionAccumulator]) -> TransactionTable:
+    """Stack session buffers into one table, one segment per buffer."""
+    offsets = np.cumsum([0] + [g.n for g in groups], dtype=np.int64)
+    n_rows = int(offsets[-1])
+
+    def column(lists) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(lists), dtype=np.float64, count=n_rows)
+
+    return TransactionTable(
+        start=column(g._starts for g in groups),
+        end=column(g._ends for g in groups),
+        uplink=column(g._uplinks for g in groups),
+        downlink=column(g._downlinks for g in groups),
+        offsets=offsets,
+    )

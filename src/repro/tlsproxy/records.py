@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -83,6 +84,9 @@ class HttpTransaction:
         return self.end - self.start
 
 
+_NUMERIC_FIELDS = ("start", "end", "uplink_bytes", "downlink_bytes")
+
+
 @dataclass(frozen=True)
 class TlsTransaction:
     """One TLS transaction as exported by the transparent proxy.
@@ -108,6 +112,17 @@ class TlsTransaction:
     sni: str
 
     def __post_init__(self) -> None:
+        # NaN compares false against everything, so it would slip past
+        # the ordering checks below and into every feature computed
+        # from this record.
+        if not (
+            isfinite(self.start)
+            and isfinite(self.end)
+            and isfinite(self.uplink_bytes)
+            and isfinite(self.downlink_bytes)
+        ):
+            name = next(n for n in _NUMERIC_FIELDS if not isfinite(getattr(self, n)))
+            raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.end < self.start:
             raise ValueError("transaction ends before it starts")
         if self.uplink_bytes < 0 or self.downlink_bytes < 0:

@@ -179,6 +179,12 @@ class TestSplitDegenerateInputs:
                      str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_nan_row_is_a_friendly_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('[[0.0, 1.0, 100, 1000, "www"], [NaN, 2.0, 100, 1000, "edge"]]')
+        assert main(["split", "--transactions", str(path)]) == 2
+        assert "row 1: start must be finite" in capsys.readouterr().err
+
 
 class TestStreamCommand:
     def test_requires_input(self, capsys):

@@ -64,6 +64,38 @@ class TestGoldenEquivalence:
             verdicts = replay(detector, interleave(streams), micro_batch=64)
             check_batch_equivalence(streams, verdicts, model)
 
+    @pytest.mark.parametrize(
+        "config,reasons",
+        [
+            (StreamConfig(score_batch=1), {"boundary", "flush"}),
+            (StreamConfig(score_batch=7), {"boundary", "flush"}),
+            (StreamConfig(score_batch=64), {"boundary", "flush"}),
+            (
+                StreamConfig(score_batch=64, min_transactions=1, idle_timeout_s=60.0),
+                {"boundary", "eviction", "flush"},
+            ),
+        ],
+        ids=["score1", "score7", "score64", "score64-evicting"],
+    )
+    def test_streaming_equals_batch_for_any_score_batch(self, config, reasons, model):
+        """A score batch is featurized in one columnar pass, so the batch
+        a session lands in must not change its vector.  The feed mixes
+        single-transaction sessions (empty IAT segments), an undersized
+        tail merged backwards and, under the short idle timeout,
+        evicted sessions into shared score batches."""
+        streams = demo_streams("svc1", 3, 3, seed=7)
+        streams["lone"] = [txn(5.0, "www")]
+        streams["tail"] = [
+            txn(0.0, "www"), txn(0.2, "edge1"), txn(0.4, "edge2"),
+            txn(5.0, "edge1"), txn(9.0, "edge2"),
+            txn(60.0, "edge8"), txn(60.5, "edge9"),
+        ]
+        detector = StreamDetector(model, config=config)
+        verdicts = replay(detector, interleave(streams), micro_batch=64)
+        assert {v.reason for v in verdicts} == reasons
+        assert min(v.n_transactions for v in verdicts) == 1
+        check_batch_equivalence(streams, verdicts, model, config=config)
+
     def test_single_event_ingest_equals_micro_batch(self, model):
         streams = demo_streams("svc3", 2, 2, seed=3)
         events = interleave(streams)
@@ -168,6 +200,17 @@ class TestSessionAccumulator:
         assert grown["n_transactions"] == 2.0
         assert grown["SES_DUR"] == pytest.approx(10.0)
         assert grown["CUM_DL_30s"] == pytest.approx(5000.0)
+
+    def test_snapshot_is_exact(self):
+        group = self._session(seed=3)
+        acc = SessionAccumulator()
+        for t in group[: len(group) // 2]:
+            acc.add(t.start, t.end, t.uplink_bytes, t.downlink_bytes)
+        view = acc.snapshot()
+        names = feature_names()
+        vector = acc.finalize()
+        assert view.pop("n_transactions") == float(len(group) // 2)
+        assert view == {name: vector[names.index(name)] for name in view}
 
     def test_vector_matches_schema_width(self):
         acc = SessionAccumulator()
@@ -281,6 +324,22 @@ class TestEviction:
         assert tracer.counters["stream.evicted"] == stats["evicted"]
         assert tracer.gauges["stream.active"] == 0.0
         assert tracer.hists["stream.decision_lag_s"][0] == stats["scored"]
+
+    def test_score_spans_featurize_every_transaction_once(self):
+        events, expected = synthetic_events(
+            n_streams=20,
+            sessions_per_stream=2,
+            transactions_per_session=8,
+            short_stream_every=5,
+        )
+        with telemetry.tracing() as tracer:
+            detector = StreamDetector(
+                config=StreamConfig(min_transactions=1, idle_timeout_s=50.0, score_batch=7)
+            )
+            replay(detector, events, micro_batch=64)
+        spans = [e["attrs"] for e in tracer.events if e.get("name") == "stream.score"]
+        assert sum(a["sessions"] for a in spans) == expected["sessions"]
+        assert sum(a["transactions"] for a in spans) == expected["events"]
 
 
 class TestLateData:

@@ -69,6 +69,14 @@ class TestTlsTransaction:
         with pytest.raises(ValueError):
             make_tls(start=10.0, end=5.0)
 
+    @pytest.mark.parametrize("field", ["start", "end", "up", "down"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        """NaN compares false, so it must not slip past the order checks."""
+        name = {"up": "uplink_bytes", "down": "downlink_bytes"}.get(field, field)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_tls(**{field: value})
+
     def test_rejects_empty_sni(self):
         with pytest.raises(ValueError):
             make_tls(sni="")
