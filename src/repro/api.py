@@ -17,11 +17,10 @@ signatures::
     verdicts = detector.ingest("user1/svc1", transaction)
 
 The deep module paths (``repro.collection.harness`` and friends)
-remain the implementation and keep working, but the *package-level*
-conveniences they used to be imported through
-(``from repro.collection import collect_corpus``, ...) are deprecated
-shims that warn once and point here.  This facade is the compatibility
-contract: its signatures only grow keyword arguments.
+remain the implementation and keep working; the packages above them
+no longer re-export these entry points.  This facade is the
+compatibility contract: its signatures only grow keyword arguments,
+and the ``repro`` CLI's data commands are thin argparse layers over it.
 
 Functions here accept plain data (arrays, transaction lists,
 datasets), honour the resolved :mod:`repro.config` (jobs, scale,
@@ -205,12 +204,13 @@ def list_workloads() -> "list[dict[str, object]]":
 
 
 def load_corpus(path: "str") -> Dataset:
-    """Load a stored corpus of any format (1-4).
+    """Load a stored corpus: a format-3 file or a format-4 directory.
 
-    Files (formats 1-3) return a :class:`Dataset`; format-4 shard
+    Format-3 files return a :class:`Dataset`; format-4 shard
     directories (or their ``manifest.json``) return a lazy
     :class:`~repro.collection.shards.ShardedDataset` that reads only
-    the manifest up front.  Malformed corpora raise
+    the manifest up front.  Malformed corpora, and files of the retired
+    formats 1 and 2, raise
     :class:`~repro.collection.dataset.DatasetFormatError`.
     """
     return Dataset.load(path)
@@ -229,7 +229,10 @@ def extract_features(
     Parameters
     ----------
     dataset:
-        A corpus from :func:`collect_corpus` (or ``Dataset.load``).
+        A corpus from :func:`collect_corpus` or :func:`load_corpus`
+        (for ``kind="tls"``, a
+        :class:`~repro.tlsproxy.table.TransactionTable` of sessions
+        also works).
     kind:
         ``"tls"`` — the paper's 38 coarse-grained features (default);
         ``"ml16"`` — the packet-trace baseline (Dimopoulos et al.);

@@ -410,8 +410,8 @@ class ArtifactStore:
         }
 
     def clear(self) -> int:
-        """Delete every artifact entry (payloads + metas); keep legacy
-        files and foreign content alone.  Returns files removed."""
+        """Delete every artifact entry (payloads + metas); leave
+        foreign content alone.  Returns files removed."""
         base = self.root / "artifacts"
         removed = 0
         if not base.is_dir():

@@ -19,8 +19,10 @@ library would run::
     python -m repro config   show
     python -m repro trace    report|validate PATH
 
-Models are pickled Random Forests together with their feature schema;
-corpora use the dataset JSON format of
+The data commands (``collect``, ``corpus``, ``train``, ``evaluate``,
+``split``, ``stream``) are thin argparse layers over the
+:mod:`repro.api` facade.  Models are pickled Random Forests together
+with their feature schema; corpora use the dataset formats of
 :mod:`repro.collection.dataset`.  Experiments resolve through the
 declarative registry (:mod:`repro.experiments.registry`); expensive
 intermediates live in the artifact store under ``REPRO_CACHE_DIR``
@@ -44,16 +46,11 @@ from pathlib import Path
 from repro import config as config_mod
 from repro import telemetry
 from repro._version import __version__
-from repro.collection.dataset import FORMAT_VERSION, Dataset
-from repro.collection.harness import collect_corpus
-from repro.features.tls_features import extract_tls_matrix
 from repro.tlsproxy.table import TransactionTable
-from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import evaluate_predictions
-from repro.ml.model_selection import cross_validate
 from repro.qoe.labels import TARGETS
 from repro.qoe.metrics import COMBINED_NAMES
-from repro.sessions.boundary import BoundaryConfig, split_sessions
+from repro.sessions.boundary import BoundaryConfig
 from repro.sessions.workload import back_to_back_stream
 from repro.tlsproxy.records import TlsTransaction
 
@@ -160,6 +157,7 @@ def _resolve_cli_scenario(args: argparse.Namespace):
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
+    from repro.api import collect_corpus
     from repro.collection.harness import (
         CollectionConfig,
         resolve_collection_scenario,
@@ -183,23 +181,20 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         return 2
     as_workload = "" if wl.is_default else f" ({wl.name} workload)"
 
-    shard_size = args.shard_size
-    if shard_size is None:
-        shard_size = config_mod.get_config().shard_size
-    if shard_size is not None:
-        from repro.collection.fleet import collect_corpus_sharded
-
-        dataset = collect_corpus_sharded(
-            args.service, args.sessions, args.output,
-            shard_size=shard_size, seed=args.seed, config=config,
-            n_jobs=args.jobs,
-        )
-        suffix = f" ({dataset.n_shards} shards of <= {shard_size})"
+    # --shard-size (or REPRO_SHARD_SIZE) makes OUTPUT a format-4 shard
+    # directory; the facade resolves the size and picks the collector.
+    sharded = (
+        args.shard_size is not None
+        or config_mod.get_config().shard_size is not None
+    )
+    dataset = collect_corpus(
+        args.service, n_sessions=args.sessions, seed=args.seed,
+        config=config, jobs=args.jobs,
+        out=args.output if sharded else None, shard_size=args.shard_size,
+    )
+    if sharded:
+        suffix = f" ({dataset.n_shards} shards of <= {dataset.shard_size})"
     else:
-        dataset = collect_corpus(
-            args.service, args.sessions, seed=args.seed, config=config,
-            n_jobs=args.jobs,
-        )
         dataset.save(args.output)
         suffix = ""
     dist = dataset.label_distribution("combined")
@@ -261,11 +256,12 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.collection.dataset import DatasetFormatError
+    from repro.api import load_corpus
+    from repro.collection.dataset import FORMAT_VERSION, DatasetFormatError
     from repro.collection.shards import ShardedDataset, save_sharded
 
     try:
-        dataset = Dataset.load(args.path)
+        dataset = load_corpus(args.path)
     except DatasetFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -284,8 +280,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             )
             print(f"  manifest digest: {dataset.manifest_digest}")
         else:
-            version = getattr(dataset, "_format_version", FORMAT_VERSION)
-            print(f"{args.path}: format {version} (monolithic file)")
+            print(f"{args.path}: format {FORMAT_VERSION} (monolithic file)")
             print(f"  service: {dataset.service}")
             print(f"  sessions: {len(dataset)}")
         workload = getattr(dataset, "workload", "has")
@@ -341,13 +336,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    dataset = Dataset.load(args.corpus)
-    X, names = extract_tls_matrix(dataset)
-    y = dataset.labels(args.target)
-    model = RandomForestClassifier(
-        n_estimators=args.trees, min_samples_leaf=2, random_state=args.seed
+    from repro.api import extract_features, load_corpus, train_model
+    from repro.experiments.common import default_forest_config
+
+    dataset = load_corpus(args.corpus)
+    X, names = extract_features(dataset)
+    model = train_model(
+        X, dataset.labels(args.target),
+        model=default_forest_config(args.trees, args.seed),
     )
-    model.fit(X, y)
     payload = {
         "model": model,
         "feature_names": names,
@@ -364,8 +361,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = Dataset.load(args.corpus)
-    X, _ = extract_tls_matrix(dataset)
+    from repro.api import cross_validate, extract_features, load_corpus
+    from repro.experiments.common import default_forest_config
+
+    dataset = load_corpus(args.corpus)
+    X, _ = extract_features(dataset)
     y = dataset.labels(args.target)
     if args.model:
         payload = pickle.loads(Path(args.model).read_bytes())
@@ -377,10 +377,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         report = evaluate_predictions(y, payload["model"].predict(X))
         mode = f"model {args.model}"
     else:
-        model = RandomForestClassifier(
-            n_estimators=args.trees, min_samples_leaf=2, random_state=args.seed
+        report = cross_validate(
+            X, y, model=default_forest_config(args.trees, args.seed)
         )
-        report = cross_validate(model, X, y, n_splits=5)
         mode = "5-fold cross validation"
     print(
         f"{mode} on {len(dataset)} sessions ({args.target}): "
@@ -427,6 +426,8 @@ def _load_transactions(path: str) -> list[TlsTransaction]:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
+    from repro.api import detect_sessions, extract_features
+
     if args.demo:
         stream = back_to_back_stream(args.demo, args.demo_sessions, seed=args.seed)
         transactions = list(stream.transactions)
@@ -446,7 +447,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
     config = BoundaryConfig(
         window_s=args.window, n_min=args.n_min, delta_min=args.delta_min
     )
-    groups = split_sessions(transactions, config, min_transactions=args.min_transactions)
+    groups = detect_sessions(
+        transactions, config=config, min_transactions=args.min_transactions
+    )
     if not groups:
         # A zero-transaction stream is valid input with a well-defined
         # (empty) answer, not a crash.
@@ -461,7 +464,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     table = TransactionTable.from_sessions(groups)
     categories = None
     if model_payload:
-        X, _ = extract_tls_matrix(table)
+        X, _ = extract_features(table)
         categories = model_payload["model"].predict(X)
     for i in range(table.n_sessions):
         lo, hi = table.session_rows(i)
@@ -475,7 +478,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from repro.stream.engine import StreamConfig, StreamDetector
+    from repro.api import StreamConfig, StreamDetector, load_corpus
     from repro.stream.replay import (
         check_batch_equivalence,
         dataset_streams,
@@ -489,7 +492,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             args.demo, args.streams, args.demo_sessions, seed=args.seed
         )
     elif args.corpus:
-        dataset = Dataset.load(args.corpus)
+        dataset = load_corpus(args.corpus)
         streams = dataset_streams(dataset, args.streams, gap_s=args.gap)
     elif args.transactions:
         try:
@@ -725,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         "corpus",
         help="inspect, verify, or re-shard a stored corpus",
         description="info: format/session/label stats for any corpus "
-                    "(formats 1-4). verify: re-hash every shard against "
+                    "(formats 3-4). verify: re-hash every shard against "
                     "the manifest digests. shard: rewrite a corpus as a "
                     "format-4 shard directory.",
     )

@@ -8,19 +8,11 @@ synthesize packet traces, and the player's ground-truth QoE, all packed
 into a compact :class:`~repro.collection.dataset.SessionRecord`.
 """
 
-from repro._deprecation import deprecated_reexports
 from repro.collection.dataset import Dataset, DatasetFormatError, SessionRecord
 from repro.collection.harness import (
     CollectionConfig,
     collect_session,
     default_tcp_params,
-)
-
-# collect_corpus moved to the stable facade; importing it from here
-# still works but warns once.
-__getattr__ = deprecated_reexports(
-    __name__,
-    {"collect_corpus": ("repro.collection.harness", "repro.api.collect_corpus")},
 )
 
 __all__ = [
@@ -29,6 +21,5 @@ __all__ = [
     "DatasetFormatError",
     "CollectionConfig",
     "collect_session",
-    "collect_corpus",
     "default_tcp_params",
 ]

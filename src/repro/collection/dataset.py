@@ -11,15 +11,14 @@ they are synthesized on demand from the transfer arrays by
 Records serialize to plain JSON (optionally gzipped) so corpora can be
 cached between experiment runs.  Large numeric arrays (``transfers``,
 ``http``, ``connections``) are stored as base64-encoded raw bytes
-inside the JSON envelope (format 2) — an order of magnitude faster
-than the old per-element list round-trip and exact to the bit.  Format
-3 additionally hoists every session's TLS transactions into one
-corpus-level columnar block (the struct-of-arrays layout of
+inside the JSON envelope — exact to the bit.  Format 3 hoists every
+session's TLS transactions into one corpus-level columnar block (the
+struct-of-arrays layout of
 :class:`~repro.tlsproxy.table.TransactionTable`, same base64 codec,
 SNI hostnames dictionary-encoded), so loading reconstitutes the
 transaction table directly instead of re-parsing per-session lists.
-Format-1 (nested lists) and format-2 corpora still load; malformed
-files raise :class:`DatasetFormatError`.
+Malformed files, and files of the retired formats 1 and 2, raise
+:class:`DatasetFormatError`.
 
 Format 4 is not a file at all but a *sharded directory* —
 ``manifest.json`` plus npz-backed columnar shard blocks — for corpora
@@ -36,8 +35,6 @@ import base64
 import binascii
 import gzip
 import json
-import os
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +43,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import telemetry
+from repro.artifacts import atomic_write_bytes
 from repro.has.player import SessionTrace
 from repro.has.services import ServiceProfile
 from repro.net.packets import PacketTrace, synthesize_packet_trace
@@ -59,16 +57,14 @@ __all__ = ["SessionRecord", "Dataset", "DatasetFormatError"]
 _RESOURCE_CODES = {rt: i for i, rt in enumerate(ResourceType)}
 _RESOURCE_FROM_CODE = {i: rt for rt, i in _RESOURCE_CODES.items()}
 
-#: On-disk format version written by :meth:`Dataset.save` (files).
+#: The one *file* format :meth:`Dataset.save` writes and
+#: :meth:`Dataset.load` reads; format 4 is the sharded directory layout
+#: (:mod:`repro.collection.shards`).
 FORMAT_VERSION = 3
-
-#: *File* format versions :meth:`Dataset.load` understands; format 4
-#: is the sharded directory layout (:mod:`repro.collection.shards`).
-SUPPORTED_FORMATS = (1, 2, 3)
 
 
 class DatasetFormatError(RuntimeError):
-    """A corpus file is malformed, truncated, or of an unknown format."""
+    """A corpus file is malformed, truncated, or of a retired or unknown format."""
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -81,13 +77,11 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(payload, dtype: np.dtype | type | str) -> np.ndarray:
-    """Inverse of :func:`_encode_array`; accepts format-1 lists too."""
-    if isinstance(payload, dict):
-        raw = base64.b64decode(payload["b64"])
-        a = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-        return a.reshape(payload["shape"]).astype(dtype, copy=True)
-    return np.asarray(payload, dtype=dtype)
+def _decode_array(payload: dict, dtype: np.dtype | type | str) -> np.ndarray:
+    """Inverse of :func:`_encode_array`."""
+    raw = base64.b64decode(payload["b64"])
+    a = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
+    return a.reshape(payload["shape"]).astype(dtype, copy=True)
 
 
 #: Columns of the transfer array, in order.
@@ -316,15 +310,13 @@ class SessionRecord:
 
     @classmethod
     def from_dict(
-        cls,
-        payload: dict,
-        tls_transactions: list[TlsTransaction] | None = None,
+        cls, payload: dict, tls_transactions: list[TlsTransaction]
     ) -> "SessionRecord":
-        """Inverse of :meth:`to_dict` (accepts format 1 and 2 arrays).
+        """Inverse of :meth:`to_dict` with ``include_tls=False``.
 
         Format-3 corpora keep the transaction rows columnar at the
         corpus level; the loader passes each session's slice in via
-        ``tls_transactions`` instead of the payload.
+        ``tls_transactions``.
         """
         http = {
             "start": _decode_array(payload["http"]["start"], np.float64),
@@ -341,17 +333,6 @@ class SessionRecord:
             combined=payload["labels"]["combined"],
             policed=int(payload["labels"].get("policed", 0)),
         )
-        if tls_transactions is None:
-            tls_transactions = [
-                TlsTransaction(
-                    start=row[0],
-                    end=row[1],
-                    uplink_bytes=int(row[2]),
-                    downlink_bytes=int(row[3]),
-                    sni=row[4],
-                )
-                for row in payload["tls_transactions"]
-            ]
         return cls(
             service=payload["service"],
             video_id=payload["video_id"],
@@ -484,10 +465,10 @@ class Dataset:
         columnar block (``tls``): the four float64 columns and the
         offset index base64-encoded like every other array, SNI
         hostnames dictionary-encoded (unique host list + per-row int
-        codes).  The write is atomic: bytes go to a temp file in the
-        target directory which is then ``os.replace``d over ``path``,
-        so a concurrent reader (parallel benchmark/experiment runs
-        share the ``.cache/`` directory) never sees a truncated corpus.
+        codes).  The write is atomic
+        (:func:`~repro.artifacts.atomic_write_bytes`), so a concurrent
+        reader (parallel benchmark/experiment runs share the ``.cache/``
+        directory) never sees a truncated corpus.
         """
         path = Path(path)
         if shard_size is not None:
@@ -520,32 +501,21 @@ class Dataset:
                 raw = gzip.compress(raw, compresslevel=4)
             sp.set(bytes=len(raw))
             telemetry.count("dataset.bytes_written", len(raw))
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(raw)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write_bytes(path, raw)
 
     @classmethod
     def load(cls, path: str | Path):
-        """Read a corpus written by :meth:`save` (formats 1 through 4).
+        """Read a corpus written by :meth:`save` (format 3 or 4).
 
-        ``path`` may be a corpus *file* (formats 1-3, returning a
+        ``path`` may be a format-3 corpus *file* (returning a
         :class:`Dataset`) or a format-4 shard *directory* — or its
         ``manifest.json`` — returning a lazy
         :class:`~repro.collection.shards.ShardedDataset` that reads
         only the manifest up front.
 
-        Any malformed, truncated, or unknown-format corpus raises a
-        single :class:`DatasetFormatError` naming the offending path —
+        Any malformed, truncated, retired-format (1 or 2) or
+        unknown-format corpus raises a single
+        :class:`DatasetFormatError` naming the offending path —
         parsing internals (``KeyError``, ``binascii.Error``, torn gzip
         streams, ...) never leak.  A missing path keeps raising plain
         ``OSError``.
@@ -563,6 +533,7 @@ class Dataset:
                 payload = json.loads(raw)
                 if not isinstance(payload, dict):
                     raise ValueError("corpus payload is not a JSON object")
+                # Format 1 predates the "format" key.
                 version = payload.get("format", 1)
                 if version == 4:
                     raise ValueError(
@@ -570,23 +541,16 @@ class Dataset:
                         "file — pass the corpus directory (or its "
                         "manifest.json) instead"
                     )
-                if version not in SUPPORTED_FORMATS:
-                    raise ValueError(
-                        f"unknown corpus format {version!r} "
-                        f"(supported: {SUPPORTED_FORMATS})"
+                if version != FORMAT_VERSION:
+                    kind = "retired" if version in (1, 2) else "unknown"
+                    raise DatasetFormatError(
+                        f"cannot load {path}: {kind} corpus format "
+                        f"{version!r} (corpora load from format-3 files "
+                        "and format-4 shard directories)"
                     )
                 sp.set(format=version)
-                if version >= 3:
-                    dataset = cls._from_payload_v3(payload)
-                else:
-                    dataset = cls(
-                        service=payload["service"],
-                        sessions=[
-                            SessionRecord.from_dict(p) for p in payload["sessions"]
-                        ],
-                    )
+                dataset = cls._from_payload_v3(payload)
                 sp.set(sessions=len(dataset.sessions))
-                dataset._format_version = version
                 return dataset
         except (
             KeyError,

@@ -17,24 +17,9 @@ from repro.has.abr import (
     HybridAbr,
     ThroughputAbr,
 )
-from repro._deprecation import deprecated_reexports
 from repro.has.buffer import PlaybackSchedule, PlayEvent, Stall
 from repro.has.player import PlayerSession, SessionTrace
 from repro.has.video import QualityLadder, QualityLevel, Video, VideoCatalog
-
-# The service-profile conveniences predate the workload registry:
-# profiles are now resolved per workload (`repro.workloads`, or
-# `repro.list_workloads()` / `repro.collect_corpus(workload=...)` at
-# the facade).  Deep imports from `repro.has.services` keep working;
-# these package-level names warn once and point at the registry.
-__getattr__ = deprecated_reexports(
-    __name__,
-    {
-        "SERVICES": ("repro.has.services", "repro.workloads"),
-        "ServiceProfile": ("repro.has.services", "repro.workloads"),
-        "get_service": ("repro.has.services", "repro.workloads"),
-    },
-)
 
 __all__ = [
     "QualityLevel",
@@ -52,7 +37,4 @@ __all__ = [
     "BolaAbr",
     "PlayerSession",
     "SessionTrace",
-    "ServiceProfile",
-    "SERVICES",
-    "get_service",
 ]

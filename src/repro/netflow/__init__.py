@@ -15,27 +15,12 @@ paper notes for flow data (no SNI) is assumed solved via DNS
 augmentation, as in Bermudez et al. — see DESIGN.md.
 """
 
-from repro._deprecation import deprecated_reexports
 from repro.netflow.exporter import ExporterConfig, FlowRecord, export_flows
 from repro.netflow.features import extract_flow_features
-
-# extract_flow_matrix moved to the stable facade
-# (repro.api.extract_features(kind="flow")); importing it from here
-# still works but warns once.
-__getattr__ = deprecated_reexports(
-    __name__,
-    {
-        "extract_flow_matrix": (
-            "repro.netflow.features",
-            'repro.api.extract_features(kind="flow")',
-        )
-    },
-)
 
 __all__ = [
     "FlowRecord",
     "ExporterConfig",
     "export_flows",
     "extract_flow_features",
-    "extract_flow_matrix",
 ]

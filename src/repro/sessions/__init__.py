@@ -8,7 +8,6 @@ is part of a burst of transaction arrivals and (ii) most of that burst
 goes to servers not yet seen in the current session.
 """
 
-from repro._deprecation import deprecated_reexports
 from repro.sessions.boundary import (
     BoundaryConfig,
     detect_session_starts,
@@ -16,18 +15,10 @@ from repro.sessions.boundary import (
 )
 from repro.sessions.workload import MergedStream, back_to_back_stream
 
-# split_sessions moved to the stable facade (repro.api.detect_sessions);
-# importing it from here still works but warns once.
-__getattr__ = deprecated_reexports(
-    __name__,
-    {"split_sessions": ("repro.sessions.boundary", "repro.api.detect_sessions")},
-)
-
 __all__ = [
     "BoundaryConfig",
     "detect_session_starts",
     "evaluate_boundary_detection",
-    "split_sessions",
     "MergedStream",
     "back_to_back_stream",
 ]

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -301,22 +300,10 @@ class Tracer:
 
     def flush(self, path: str | Path) -> None:
         """Write the trace file atomically (temp + ``os.replace``)."""
-        path = Path(path)
-        data = ("\n".join(self.lines()) + "\n").encode()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        # Imported here: repro.artifacts itself imports this module.
+        from repro.artifacts import atomic_write_bytes
+
+        atomic_write_bytes(Path(path), ("\n".join(self.lines()) + "\n").encode())
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Tests for the stable ``repro.api`` facade and the deprecation shims."""
+"""Tests for the stable ``repro.api`` facade and the package exports."""
 
 import contextlib
+import importlib
 import inspect
 import io
 import re
@@ -157,41 +158,27 @@ class TestFacadeBehaviour:
             api.run_experiment("fig99")
 
 
-def _fresh_deprecated_access(module, name):
-    """Trigger the shim for ``name`` as if for the first time."""
-    module.__dict__.pop(name, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = getattr(module, name)
-        second = getattr(module, name)
-    return first, second, caught
+class TestPackageExports:
+    """A package's ``__all__`` names only what importing it binds — no
+    name resolved lazily on first access."""
 
-
-SHIMS = [
-    ("repro.collection", "collect_corpus", "repro.collection.harness"),
-    ("repro.features", "extract_tls_matrix", "repro.features.tls_features"),
-    ("repro.features", "extract_ml16_matrix", "repro.features.packet_features"),
-    ("repro.ml", "cross_validate", "repro.ml.model_selection"),
-    ("repro.sessions", "split_sessions", "repro.sessions.boundary"),
-    ("repro.netflow", "extract_flow_matrix", "repro.netflow.features"),
-]
+    @pytest.mark.parametrize(
+        "package",
+        [
+            "repro.collection",
+            "repro.features",
+            "repro.has",
+            "repro.ml",
+            "repro.netflow",
+            "repro.sessions",
+        ],
+    )
+    def test_all_names_bound_on_import(self, package):
+        module = importlib.import_module(package)
+        assert [n for n in module.__all__ if n not in vars(module)] == []
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("package, name, impl", SHIMS)
-    def test_old_import_path_warns_exactly_once(self, package, name, impl):
-        import importlib
-
-        module = importlib.import_module(package)
-        value, again, caught = _fresh_deprecated_access(module, name)
-        assert value is again is getattr(importlib.import_module(impl), name)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert name in message and "repro.api" in message
-
     def test_unknown_attribute_still_raises(self):
         import repro.collection
 

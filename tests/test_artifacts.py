@@ -178,11 +178,11 @@ class TestMaintenance:
         store.get_or_compute("alpha", {"i": 1}, lambda: {"v": np.zeros(4)})
 
     def test_clear_leaves_foreign_files_alone(self, store, tmp_path):
-        legacy = tmp_path / "corpus-v4-svc1-60-101.json.gz"
-        legacy.write_bytes(b"legacy")
+        foreign = tmp_path / "foreign.json.gz"
+        foreign.write_bytes(b"foreign")
         store.get_or_compute("alpha", {"i": 1}, lambda: {"v": np.zeros(1)})
         store.clear()
-        assert legacy.exists()
+        assert foreign.exists()
 
 
 class TestGetStore:

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import ast
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -74,6 +78,47 @@ class TestTrainEvaluate:
         assert payload["target"] == "combined"
         assert payload["service"] == "svc3"
         assert len(payload["feature_names"]) == 38
+
+    def test_trained_model_matches_the_facade(self, corpus_path, model_path):
+        import pickle
+
+        from repro.experiments.common import default_forest_config
+
+        dataset = repro.load_corpus(corpus_path)
+        X, _ = repro.extract_features(dataset)
+        facade = repro.train_model(
+            X, dataset.labels("combined"), model=default_forest_config(15, 0)
+        )
+        cli_model = pickle.loads(model_path.read_bytes())["model"]
+        np.testing.assert_array_equal(
+            cli_model.predict_proba(X), facade.predict_proba(X)
+        )
+
+
+class TestFacadeLayer:
+    """The data commands orchestrate through repro.api, never around it:
+    one sharded-or-monolithic dispatch, one set of forest parameters."""
+
+    #: Pipeline entry points the CLI may only reach through repro.api.
+    BYPASSES = {
+        "collect_corpus",
+        "collect_corpus_sharded",
+        "extract_tls_matrix",
+        "RandomForestClassifier",
+        "cross_validate",
+        "split_sessions",
+    }
+
+    def test_cli_imports_pipeline_entry_points_only_from_the_facade(self):
+        tree = ast.parse(Path(repro.cli.__file__).read_text(encoding="utf-8"))
+        offenders = [
+            f"line {node.lineno}: {alias.name} from {node.module}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module != "repro.api"
+            for alias in node.names
+            if alias.name in self.BYPASSES
+        ]
+        assert offenders == []
 
 
 class TestSplit:

@@ -1,10 +1,8 @@
-"""Corpus file format tests: format-3 round-trips, backwards
-compatibility with formats 1 and 2, and the :class:`DatasetFormatError`
-contract for malformed files."""
+"""Corpus file format tests: format-3 round-trips and the
+:class:`DatasetFormatError` contract for malformed files."""
 
 import gzip
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +13,6 @@ from repro.collection.dataset import (
     FORMAT_VERSION,
 )
 from repro.collection.harness import collect_corpus
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-CHECKED_IN_V2 = REPO_ROOT / ".cache" / "corpus-v4-svc3-115-303.json.gz"
 
 
 @pytest.fixture(scope="module")
@@ -71,46 +66,6 @@ class TestFormat3Roundtrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(DatasetFormatError):
             Dataset.load(path)
-
-
-class TestBackwardsCompatibility:
-    def _legacy_payload(self, corpus, version):
-        sessions = [s.to_dict(include_tls=True) for s in corpus.sessions]
-        if version == 1:
-            # Format 1 stored arrays as nested lists and had no
-            # "format" key at all.
-            def listify(obj):
-                if isinstance(obj, dict) and "b64" in obj:
-                    from repro.collection.dataset import _decode_array
-
-                    return _decode_array(obj, np.dtype(obj["dtype"])).tolist()
-                if isinstance(obj, dict):
-                    return {k: listify(v) for k, v in obj.items()}
-                return obj
-
-            return {"service": corpus.service, "sessions": listify(sessions)}
-        return {"format": 2, "service": corpus.service, "sessions": sessions}
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_legacy_formats_load(self, corpus, tmp_path, version):
-        path = tmp_path / f"legacy-v{version}.json.gz"
-        raw = json.dumps(self._legacy_payload(corpus, version)).encode()
-        path.write_bytes(gzip.compress(raw))
-        assert_datasets_equal(Dataset.load(path), corpus)
-
-    @pytest.mark.skipif(
-        not CHECKED_IN_V2.exists(), reason="checked-in corpus cache missing"
-    )
-    def test_checked_in_format2_cache(self, tmp_path):
-        """The pre-columnar cache file in .cache/ must keep loading,
-        and re-saving it (as format 3) must preserve every record."""
-        old = Dataset.load(CHECKED_IN_V2)
-        assert json.loads(gzip.decompress(CHECKED_IN_V2.read_bytes()))[
-            "format"
-        ] == 2
-        resaved = tmp_path / "resaved.json.gz"
-        old.save(resaved)
-        assert_datasets_equal(Dataset.load(resaved), old)
 
 
 class TestDatasetFormatError:

@@ -231,23 +231,3 @@ class TestSerializationFormats:
         # Format 3 hoists TLS transactions into one columnar block.
         assert "tls" in payload
         assert "tls_transactions" not in payload["sessions"][0]
-
-    def test_format1_still_loads(self, dataset, tmp_path):
-        """Corpora written before the base64 encoding (nested lists,
-        no format field) must keep loading."""
-        def downgrade(record):
-            d = record.to_dict()
-            d["http"] = {k: v.tolist() for k, v in record.http.items()}
-            d["transfers"] = record.transfers.tolist()
-            d["connections"] = record.connections.tolist()
-            return d
-
-        payload = {
-            "service": dataset.service,
-            "sessions": [downgrade(s) for s in dataset],
-        }
-        path = tmp_path / "v1.json"
-        path.write_bytes(json.dumps(payload).encode())
-        loaded = Dataset.load(path)
-        for ra, rb in zip(dataset, loaded):
-            assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())

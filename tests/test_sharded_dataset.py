@@ -1,4 +1,4 @@
-"""Format-4 sharded corpus tests: round-trips, legacy formats, crash
+"""Format-4 sharded corpus tests: round-trips, retired formats, crash
 atomicity, digest verification, and the lazy-access contract."""
 
 import json
@@ -127,7 +127,8 @@ class TestLaziness:
 
 
 class TestLegacyFormats:
-    """Formats 1-3 keep loading after the format-4 introduction."""
+    """Format 3 keeps loading next to format 4; the retired formats 1
+    and 2 are rejected at the edge with a named error."""
 
     def _legacy_file(self, corpus, version, path):
         sessions = [s.to_dict(include_tls=True) for s in corpus.sessions]
@@ -146,13 +147,19 @@ class TestLegacyFormats:
         path.write_text(json.dumps(payload))
 
     @pytest.mark.parametrize("version", [1, 2])
-    def test_formats_1_and_2(self, corpus, tmp_path, version):
+    def test_formats_1_and_2(self, corpus, tmp_path, version, capsys):
+        from repro.cli import main
+
         path = tmp_path / f"v{version}.json"
         self._legacy_file(corpus, version, path)
-        loaded = Dataset.load(path)
-        assert len(loaded) == len(corpus)
-        for ra, rb in zip(corpus, loaded):
-            assert_records_equal(ra, rb)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            Dataset.load(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert f"format {version} " in message
+        assert "format-3 files and format-4 shard directories" in message
+        assert main(["corpus", "info", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_format_3(self, corpus, tmp_path):
         path = tmp_path / "v3.json.gz"

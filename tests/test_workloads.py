@@ -289,24 +289,6 @@ class TestFeaturization:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("name", ["SERVICES", "ServiceProfile", "get_service"])
-    def test_package_level_has_names_warn(self, name):
-        import importlib
-
-        import repro.has as has_pkg
-
-        has_pkg.__dict__.pop(name, None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(has_pkg, name)
-        services_mod = importlib.import_module("repro.has.services")
-        assert value is getattr(services_mod, name)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.workloads" in str(deprecations[0].message)
-
     def test_deep_import_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
