@@ -41,9 +41,7 @@ def stream_model():
     y = (X[:, 0] > np.median(X[:, 0])).astype(int) + (
         X[:, 1] > np.median(X[:, 1])
     ).astype(int)
-    return RandomForestClassifier(
-        n_estimators=60, random_state=0, tree_method="hist"
-    ).fit(X, y)
+    return RandomForestClassifier(n_estimators=60, random_state=0).fit(X, y)
 
 
 def _run_replay(events, model):

@@ -7,9 +7,9 @@ probability), with shrinkage and optional row subsampling — the core of
 what XGBoost does, minus the second-order weights and regularized leaf
 solver.
 
-``tree_method="hist"`` bins the corpus once up front; every round's
-trees then fit on (row-subsampled slices of) the shared uint8 codes
-with histogram split finding.  Prediction stacks all fitted trees into
+Each fit bins the corpus once up front; every round's trees then fit
+on (row-subsampled slices of) the shared uint8 codes with histogram
+split finding.  Prediction stacks all fitted trees into
 one :class:`~repro.ml.tree.FlatEnsemble` and routes every row through
 every tree in a single vectorized traversal, accumulating scores in
 (round, class) order — bit-identical to the sequential reference loop.
@@ -28,18 +28,15 @@ __all__ = ["GradientBoostingClassifier"]
 
 
 def _fit_round_tree(
-    task: tuple[np.ndarray, np.ndarray, int, int, int, Binner | None],
+    task: tuple[np.ndarray, np.ndarray, int, int, int, Binner],
 ) -> DecisionTreeRegressor:
-    """Fit one round's per-class tree (runs inside a pool worker)."""
-    X_rows, residual_c, max_depth, min_samples_leaf, seed, binner = task
+    """Fit one round's per-class tree on the shared bin codes (runs
+    inside a pool worker)."""
+    code_rows, residual_c, max_depth, min_samples_leaf, seed, binner = task
     tree = DecisionTreeRegressor(
         max_depth=max_depth, min_samples_leaf=min_samples_leaf, random_state=seed
     )
-    if binner is not None:
-        tree.fit_binned(X_rows, residual_c, binner)
-    else:
-        tree.fit(X_rows, residual_c)
-    return tree
+    return tree.fit_binned(code_rows, residual_c, binner)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -70,9 +67,6 @@ class GradientBoostingClassifier:
         corpora, overhead-bound for small ones, hence the default of
         1 rather than the ``REPRO_JOBS`` environment default used by
         the forest.  Results are identical for every value.
-    tree_method:
-        ``"exact"`` (default, the golden reference) or ``"hist"``
-        (histogram split finding over corpus-level bin codes).
     """
 
     def __init__(
@@ -84,7 +78,6 @@ class GradientBoostingClassifier:
         min_samples_leaf: int = 1,
         random_state: int | None = None,
         n_jobs: int = 1,
-        tree_method: str = "exact",
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -92,10 +85,6 @@ class GradientBoostingClassifier:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0 < subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
-        if tree_method not in ("exact", "hist"):
-            raise ValueError(
-                f"tree_method must be 'exact' or 'hist', got {tree_method!r}"
-            )
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
@@ -103,7 +92,6 @@ class GradientBoostingClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
         self.n_jobs = n_jobs
-        self.tree_method = tree_method
         self.trees_: list[list[DecisionTreeRegressor]] = []
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
@@ -132,13 +120,9 @@ class GradientBoostingClassifier:
         rng = np.random.default_rng(self.random_state)
         self.trees_ = []
 
-        if self.tree_method == "hist":
-            # Bin once per corpus; every round reuses the codes.
-            self.binner_ = Binner()
-            codes = self.binner_.fit_transform(X)
-        else:
-            self.binner_ = None
-            codes = None
+        # Bin once per corpus; every round reuses the codes.
+        self.binner_ = Binner()
+        codes = self.binner_.fit_transform(X)
 
         for _ in range(self.n_estimators):
             proba = _softmax(scores)
@@ -152,11 +136,11 @@ class GradientBoostingClassifier:
             # same stream the sequential loop consumed — then the k
             # independent class trees can fit concurrently.
             seeds = [int(rng.integers(2**31 - 1)) for _ in range(k)]
-            X_rows = codes[rows] if codes is not None else X[rows]
+            code_rows = codes[rows]
             jobs = resolve_jobs(self.n_jobs)
             if jobs > 1 and k > 1:
                 tasks = [
-                    (X_rows, residual[rows, c], self.max_depth,
+                    (code_rows, residual[rows, c], self.max_depth,
                      self.min_samples_leaf, seeds[c], self.binner_)
                     for c in range(k)
                 ]
@@ -169,7 +153,7 @@ class GradientBoostingClassifier:
                 round_trees = []
                 for c in range(k):
                     tree = _fit_round_tree(
-                        (X_rows, residual[rows, c], self.max_depth,
+                        (code_rows, residual[rows, c], self.max_depth,
                          self.min_samples_leaf, seeds[c], self.binner_)
                     )
                     scores[:, c] += self.learning_rate * tree.predict(X)

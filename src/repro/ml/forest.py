@@ -11,10 +11,9 @@ the sequential loop used, and per-tree results are accumulated in tree
 order, so predictions, importances, and the OOB score are bit-identical
 for every ``n_jobs`` value.
 
-``tree_method="hist"`` quantizes the corpus once
-(:class:`repro.ml.binning.Binner`) and grows every tree from shared
-bin codes with histogram split finding — the 10x-class training win.
-Prediction always runs through one :class:`~repro.ml.tree.FlatEnsemble`
+Each fit quantizes the corpus once (:class:`repro.ml.binning.Binner`)
+and grows every tree from the shared bin codes with histogram split
+finding.  Prediction runs through one :class:`~repro.ml.tree.FlatEnsemble`
 (all trees' node tables stacked; all rows routed through all trees as
 array ops), which gathers the same leaf values a per-tree walk would,
 summed in tree order — bit-identical to the sequential reference.
@@ -33,21 +32,15 @@ __all__ = ["RandomForestClassifier"]
 
 
 def _fit_tree_batch(
-    task: tuple[np.ndarray, np.ndarray, dict, list[tuple[np.ndarray, int]], Binner | None],
+    task: tuple[np.ndarray, np.ndarray, dict, list[tuple[np.ndarray, int]], Binner],
 ) -> list[DecisionTreeClassifier]:
-    """Fit a batch of trees (runs inside a pool worker).
-
-    ``X`` is the raw matrix in exact mode and the shared uint8 bin
-    codes (plus the fitted binner) in hist mode.
-    """
-    X, y_enc, params, specs, binner = task
+    """Fit a batch of trees on the shared bin codes (runs inside a pool
+    worker)."""
+    codes, y_enc, params, specs, binner = task
     trees = []
     for sample, tree_seed in specs:
         tree = DecisionTreeClassifier(random_state=tree_seed, **params)
-        if binner is not None:
-            tree.fit_binned(X[sample], y_enc[sample], binner)
-        else:
-            tree.fit(X[sample], y_enc[sample])
+        tree.fit_binned(codes[sample], y_enc[sample], binner)
         trees.append(tree)
     return trees
 
@@ -65,12 +58,12 @@ class RandomForestClassifier:
         Features considered per split (default ``"sqrt"``).
     max_samples:
         Fraction of the corpus each tree's bootstrap draws (default
-        ``None`` = 1.0, the classic ``n``-sized bootstrap).  With
-        ``tree_method="hist"`` the corpus-level bins are fit once on
-        the *full* matrix and every subsampled tree reuses the same
-        uint8 codes — subsampling never re-bins.  ``max_samples=1.0``
-        is exactly equivalent to ``None`` (same generator draws), so
-        turning the knob off cannot perturb existing results.
+        ``None`` = 1.0, the classic ``n``-sized bootstrap).  The
+        corpus-level bins are fit once on the *full* matrix and every
+        subsampled tree reuses the same uint8 codes — subsampling never
+        re-bins.  ``max_samples=1.0`` is exactly equivalent to ``None``
+        (same generator draws), so turning the knob off cannot perturb
+        existing results.
     oob_score:
         When true, compute the out-of-bag accuracy after fitting.
     random_state:
@@ -81,9 +74,9 @@ class RandomForestClassifier:
         ``1`` keeps everything in-process.  Results are identical for
         every value.
     tree_method:
-        ``"exact"`` (default, the golden reference) or ``"hist"``
-        (histogram split finding over corpus-level bin codes; same
-        accuracy envelope, an order of magnitude faster to fit).
+        Only ``"hist"`` (histogram split finding, the one grower) is
+        accepted, and it is not stored; the parameter stays so that
+        existing model configs naming it keep building the same forest.
     """
 
     def __init__(
@@ -97,13 +90,15 @@ class RandomForestClassifier:
         oob_score: bool = False,
         random_state: int | None = None,
         n_jobs: int | None = None,
-        tree_method: str = "exact",
+        tree_method: str = "hist",
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if tree_method not in ("exact", "hist"):
+        if tree_method != "hist":
             raise ValueError(
-                f"tree_method must be 'exact' or 'hist', got {tree_method!r}"
+                f"tree_method must be 'hist', got {tree_method!r}; the "
+                "exact splitter lives on only as the test oracle "
+                "(tests/tree_oracle.py)"
             )
         if max_samples is not None and not 0.0 < max_samples <= 1.0:
             raise ValueError(
@@ -118,7 +113,6 @@ class RandomForestClassifier:
         self.oob_score = oob_score
         self.random_state = random_state
         self.n_jobs = n_jobs
-        self.tree_method = tree_method
         self.trees_: list[DecisionTreeClassifier] = []
         self.classes_: np.ndarray | None = None
         self.n_features_: int | None = None
@@ -133,7 +127,6 @@ class RandomForestClassifier:
             "min_samples_split": self.min_samples_split,
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
-            "tree_method": self.tree_method,
         }
 
     @staticmethod
@@ -157,14 +150,10 @@ class RandomForestClassifier:
         self._flat = None
         rng = np.random.default_rng(self.random_state)
 
-        if self.tree_method == "hist":
-            # Quantize once per corpus; every tree fits on (bootstrap
-            # slices of) the same uint8 codes.
-            self.binner_ = Binner()
-            X_fit = self.binner_.fit_transform(X)
-        else:
-            self.binner_ = None
-            X_fit = X
+        # Quantize once per corpus; every tree fits on (bootstrap
+        # slices of) the same uint8 codes.
+        self.binner_ = Binner()
+        codes = self.binner_.fit_transform(X)
 
         # Pre-draw every tree's bootstrap sample and seed, in the same
         # order the sequential loop consumed the generator — the one
@@ -183,13 +172,13 @@ class RandomForestClassifier:
         params = self._tree_params()
         if jobs > 1 and self.n_estimators > 1:
             tasks = [
-                (X_fit, y_enc, params, specs[lo:hi], self.binner_)
+                (codes, y_enc, params, specs[lo:hi], self.binner_)
                 for lo, hi in self._batches(self.n_estimators, jobs)
             ]
             batches = parallel_map(_fit_tree_batch, tasks, n_jobs=jobs, chunksize=1)
             self.trees_ = [tree for batch in batches for tree in batch]
         else:
-            self.trees_ = _fit_tree_batch((X_fit, y_enc, params, specs, self.binner_))
+            self.trees_ = _fit_tree_batch((codes, y_enc, params, specs, self.binner_))
 
         # Accumulate importances and OOB votes in tree order so the
         # floating-point sums match the sequential path bit for bit.

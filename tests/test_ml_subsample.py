@@ -1,10 +1,12 @@
 """Per-tree row subsampling (``max_samples``): validation, determinism,
-the ``1.0 == None`` equivalence, and no re-binning under ``hist``."""
+the ``1.0 == None`` equivalence (for hist growth and the exact oracle),
+and no re-binning."""
 
 import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestClassifier
+from tests.tree_oracle import growth
 
 
 @pytest.fixture(scope="module")
@@ -15,10 +17,14 @@ def data():
     return X, y
 
 
-def fit(X, y, **kwargs):
+def fit(X, y, method="hist", **kwargs):
     params = dict(n_estimators=12, random_state=7, n_jobs=1)
     params.update(kwargs)
-    return RandomForestClassifier(**params).fit(X, y)
+    with growth(method) as grown:
+        model = RandomForestClassifier(**params).fit(X, y)
+    if method == "exact":
+        assert grown == {"ExactDecisionTreeClassifier": model.n_estimators}
+    return model
 
 
 class TestValidation:
@@ -53,8 +59,8 @@ class TestDeterminism:
         """max_samples=1.0 draws the same generator stream as None, so
         enabling the knob at 1.0 cannot perturb any existing result."""
         X, y = data
-        on = fit(X, y, max_samples=1.0, tree_method=method)
-        off = fit(X, y, max_samples=None, tree_method=method)
+        on = fit(X, y, method, max_samples=1.0)
+        off = fit(X, y, method, max_samples=None)
         np.testing.assert_array_equal(on.predict_proba(X), off.predict_proba(X))
         np.testing.assert_array_equal(
             on.feature_importances_, off.feature_importances_
@@ -71,15 +77,15 @@ class TestSubsampling:
     @pytest.mark.parametrize("method", ["exact", "hist"])
     def test_still_learns(self, data, method):
         X, y = data
-        model = fit(X, y, max_samples=0.25, tree_method=method)
+        model = fit(X, y, method, max_samples=0.25)
         assert np.mean(model.predict(X) == y) > 0.8
 
     def test_hist_bins_fit_once_on_full_corpus(self, data):
-        """Subsampled hist trees reuse the corpus-level bins: the fitted
+        """Subsampled trees reuse the corpus-level bins: the fitted
         binner's thresholds are identical to the full-sample fit's."""
         X, y = data
-        full = fit(X, y, tree_method="hist")
-        sub = fit(X, y, max_samples=0.3, tree_method="hist")
+        full = fit(X, y)
+        sub = fit(X, y, max_samples=0.3)
         assert sub.binner_ is not None
         np.testing.assert_array_equal(full.binner_.n_bins_, sub.binner_.n_bins_)
         for a, b in zip(full.binner_.upper_bounds_, sub.binner_.upper_bounds_):

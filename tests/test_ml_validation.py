@@ -14,13 +14,13 @@ from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from tests.tree_oracle import ExactDecisionTreeClassifier
 
 MODELS = [
     DecisionTreeClassifier(max_depth=3),
-    DecisionTreeClassifier(max_depth=3, tree_method="hist"),
+    ExactDecisionTreeClassifier(max_depth=3),
     DecisionTreeRegressor(max_depth=3),
     RandomForestClassifier(n_estimators=3, n_jobs=1),
-    RandomForestClassifier(n_estimators=3, n_jobs=1, tree_method="hist"),
     GradientBoostingClassifier(n_estimators=2, max_depth=2),
     KNeighborsClassifier(n_neighbors=3),
 ]
