@@ -11,7 +11,6 @@ speedup degrades toward (or below) 1x and only the identity checks
 remain meaningful.
 """
 
-import json
 import os
 import time
 
@@ -20,6 +19,7 @@ import numpy as np
 from repro.collection.harness import collect_corpus
 from repro.experiments.common import default_forest
 from repro.features.tls_features import extract_tls_matrix
+from tests.records import record_bytes
 
 from conftest import run_once
 
@@ -48,9 +48,9 @@ def test_bench_parallel_collection(benchmark):
         )
     )
 
-    identical = json.dumps([s.to_dict() for s in sequential]) == json.dumps(
-        [s.to_dict() for s in parallel]
-    )
+    identical = [record_bytes(s) for s in sequential] == [
+        record_bytes(s) for s in parallel
+    ]
     assert identical
     benchmark.extra_info.update(
         {

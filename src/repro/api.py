@@ -37,6 +37,7 @@ import numpy as np
 from repro.collection.dataset import Dataset
 from repro.collection.harness import CollectionConfig
 from repro.collection.harness import collect_corpus as _collect_corpus
+from repro.collection.shards import ShardedDataset
 from repro.features.tls_features import TEMPORAL_INTERVALS, extract_tls_matrix
 from repro.ml.metrics import EvalReport
 from repro.ml.model_selection import cross_validate as _cross_validate
@@ -203,15 +204,16 @@ def list_workloads() -> "list[dict[str, object]]":
     ]
 
 
-def load_corpus(path: "str") -> Dataset:
-    """Load a stored corpus: a format-3 file or a format-4 directory.
+def load_corpus(path: "str") -> ShardedDataset:
+    """Open a stored corpus: a format-4 shard directory.
 
-    Format-3 files return a :class:`Dataset`; format-4 shard
-    directories (or their ``manifest.json``) return a lazy
-    :class:`~repro.collection.shards.ShardedDataset` that reads only
-    the manifest up front.  Malformed corpora, and files of the retired
-    formats 1 and 2, raise
-    :class:`~repro.collection.dataset.DatasetFormatError`.
+    ``path`` is the directory (or its ``manifest.json``); the result is
+    a lazy :class:`~repro.collection.shards.ShardedDataset` that reads
+    only the manifest up front and works wherever a :class:`Dataset`
+    does.  Malformed or incomplete directories, and any file (the
+    retired single-file formats 1-3 included), raise
+    :class:`~repro.collection.dataset.DatasetFormatError` naming the
+    path.
     """
     return Dataset.load(path)
 

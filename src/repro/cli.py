@@ -3,17 +3,17 @@
 The subcommands cover the operational workflow an ISP user of this
 library would run::
 
-    python -m repro collect  --service svc1 -n 500 -o corpus.json.gz
+    python -m repro collect  --service svc1 -n 500 -o corpus.shards
     python -m repro collect  --service svc1 -n 5000 --shard-size 512 -o corpus.shards
-    python -m repro collect  --service svc1 -n 500 --scenario policed-2mbps -o policed.json.gz
-    python -m repro collect  --service rtc1 --workload rtc -n 500 -o calls.json.gz
-    python -m repro corpus   info|verify|shard PATH [-o DIR --shard-size N]
+    python -m repro collect  --service svc1 -n 500 --scenario policed-2mbps -o policed.shards
+    python -m repro collect  --service rtc1 --workload rtc -n 500 -o calls.shards
+    python -m repro corpus   info|verify|shard DIR [-o DIR --shard-size N]
     python -m repro scenario [--list] [NAME ...]
     python -m repro workload [--list] [NAME ...]
-    python -m repro train    --corpus corpus.json.gz -o model.pkl
-    python -m repro evaluate --corpus corpus.json.gz [--model model.pkl]
+    python -m repro train    --corpus corpus.shards -o model.pkl
+    python -m repro evaluate --corpus corpus.shards [--model model.pkl]
     python -m repro split    --transactions stream.json [--demo svc1]
-    python -m repro stream   --corpus corpus.json.gz [--demo svc1] [--batch-check]
+    python -m repro stream   --corpus corpus.shards [--demo svc1] [--batch-check]
     python -m repro experiment fig5 table3 ...   (or: all, or --list)
     python -m repro cache    info|clear
     python -m repro config   show
@@ -22,11 +22,13 @@ library would run::
 The data commands (``collect``, ``corpus``, ``train``, ``evaluate``,
 ``split``, ``stream``) are thin argparse layers over the
 :mod:`repro.api` facade.  Models are pickled Random Forests together
-with their feature schema; corpora use the dataset formats of
-:mod:`repro.collection.dataset`.  Experiments resolve through the
-declarative registry (:mod:`repro.experiments.registry`); expensive
-intermediates live in the artifact store under ``REPRO_CACHE_DIR``
-(:mod:`repro.artifacts`), which ``cache info``/``cache clear`` manage.
+with their feature schema; corpora are format-4 shard directories
+(:mod:`repro.collection.shards`), whether ``collect`` simulates them in
+process or, with ``--shard-size``, through the shard fleet.
+Experiments resolve through the declarative registry
+(:mod:`repro.experiments.registry`); expensive intermediates live in
+the artifact store under ``REPRO_CACHE_DIR`` (:mod:`repro.artifacts`),
+which ``cache info``/``cache clear`` manage.
 
 Every command honours the resolved :mod:`repro.config` (``config
 show`` prints it) and runs under a ``command`` telemetry span: pass
@@ -163,6 +165,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         resolve_collection_scenario,
         resolve_collection_workload,
     )
+    from repro.collection.shards import open_shard_dir
 
     scenario, error = _resolve_cli_scenario(args)
     if error:
@@ -173,16 +176,19 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     over = "" if resolved.is_identity else f" over scenario {resolved.name}"
     wl = resolve_collection_workload(config)
     try:
-        # Validate the service against the resolved workload's profiles
-        # before any session is simulated.
+        # Validate the service and the output path (a file there raises
+        # CorpusPathError, a ValueError) before any session is simulated.
         wl.get_profile(args.service)
+        open_shard_dir(args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     as_workload = "" if wl.is_default else f" ({wl.name} workload)"
 
-    # --shard-size (or REPRO_SHARD_SIZE) makes OUTPUT a format-4 shard
-    # directory; the facade resolves the size and picks the collector.
+    # Either way OUTPUT is a format-4 shard directory.  --shard-size (or
+    # REPRO_SHARD_SIZE) collects through the shard fleet, one task per
+    # shard; otherwise the in-process pool collects and Dataset.save
+    # writes the same bytes as --shard-size 512.
     sharded = (
         args.shard_size is not None
         or config_mod.get_config().shard_size is not None
@@ -192,15 +198,12 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         config=config, jobs=args.jobs,
         out=args.output if sharded else None, shard_size=args.shard_size,
     )
-    if sharded:
-        suffix = f" ({dataset.n_shards} shards of <= {dataset.shard_size})"
-    else:
-        dataset.save(args.output)
-        suffix = ""
+    if not sharded:
+        dataset = dataset.save(args.output)
     dist = dataset.label_distribution("combined")
     print(
         f"collected {len(dataset)} {args.service} sessions{as_workload}{over} "
-        f"-> {args.output}{suffix} "
+        f"-> {args.output} ({dataset.n_shards} shards of <= {dataset.shard_size}) "
         f"(combined QoE: {dist[0]:.0%}/{dist[1]:.0%}/{dist[2]:.0%} low/med/high)"
     )
     if not resolved.is_identity:
@@ -257,8 +260,12 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     from repro.api import load_corpus
-    from repro.collection.dataset import FORMAT_VERSION, DatasetFormatError
-    from repro.collection.shards import ShardedDataset, save_sharded
+    from repro.collection.dataset import DatasetFormatError
+    from repro.collection.shards import (
+        CorpusPathError,
+        resolve_shard_size,
+        save_sharded,
+    )
 
     try:
         dataset = load_corpus(args.path)
@@ -269,27 +276,19 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
 
-    sharded = isinstance(dataset, ShardedDataset)
     if args.action == "info":
-        if sharded:
-            print(f"{args.path}: format 4 (sharded directory)")
-            print(f"  service: {dataset.service}")
-            print(
-                f"  sessions: {len(dataset)} in {dataset.n_shards} shards "
-                f"(shard_size={dataset.shard_size})"
-            )
-            print(f"  manifest digest: {dataset.manifest_digest}")
-        else:
-            print(f"{args.path}: format {FORMAT_VERSION} (monolithic file)")
-            print(f"  service: {dataset.service}")
-            print(f"  sessions: {len(dataset)}")
-        workload = getattr(dataset, "workload", "has")
-        if workload != "has":
-            print(f"  workload: {workload}")
-        scenario = getattr(dataset, "scenario", "identity")
-        if scenario != "identity":
+        print(f"{args.path}: format 4 (sharded directory)")
+        print(f"  service: {dataset.service}")
+        print(
+            f"  sessions: {len(dataset)} in {dataset.n_shards} shards "
+            f"(shard_size={dataset.shard_size})"
+        )
+        print(f"  manifest digest: {dataset.manifest_digest}")
+        if dataset.workload != "has":
+            print(f"  workload: {dataset.workload}")
+        if dataset.scenario != "identity":
             policed = int(dataset.labels("policed").sum())
-            print(f"  scenario: {scenario} ({policed}/{len(dataset)} policed)")
+            print(f"  scenario: {dataset.scenario} ({policed}/{len(dataset)} policed)")
         for target in TARGETS:
             dist = dataset.label_distribution(target)
             print(
@@ -299,11 +298,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "verify":
-        if not sharded:
-            # Loading a monolithic corpus already decodes every array
-            # and validates the offset index — parsing is the check.
-            print(f"{args.path}: OK ({len(dataset)} sessions parsed)")
-            return 0
         try:
             result = dataset.verify()
         except DatasetFormatError as exc:
@@ -315,18 +309,16 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         )
         return 0
 
-    # action == "shard": write/rewrite PATH as a format-4 directory.
+    # action == "shard": rewrite PATH as a format-4 directory.
     if not args.output:
         print("error: 'corpus shard' needs -o/--output DIR", file=sys.stderr)
         return 2
-    shard_size = args.shard_size
-    if shard_size is None:
-        shard_size = config_mod.get_config().shard_size
-    if shard_size is None:
-        from repro.collection.fleet import DEFAULT_SHARD_SIZE
-
-        shard_size = DEFAULT_SHARD_SIZE
-    out = save_sharded(dataset, args.output, shard_size)
+    shard_size = resolve_shard_size(args.shard_size)
+    try:
+        out = save_sharded(dataset, args.output, shard_size)
+    except CorpusPathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"sharded {len(out)} sessions -> {args.output} "
         f"({out.n_shards} shards of <= {shard_size}, "
@@ -669,12 +661,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-n", "--sessions", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, metavar="DIR",
+                   help="format-4 shard directory to write")
     p.add_argument(
         "--shard-size", type=_positive_int, default=None, metavar="N",
-        help="collect out-of-core: write OUTPUT as a format-4 shard "
-             "directory with N sessions per shard (also: REPRO_SHARD_SIZE; "
-             "sessions are bit-identical either way)",
+        help="collect through the shard fleet, one task per shard of N "
+             "sessions (also: REPRO_SHARD_SIZE; default: collect in "
+             "process and write shards of 512; sessions are "
+             "bit-identical either way)",
     )
     p.add_argument(
         "--scenario", type=_scenario_name, default=None, metavar="NAME",
@@ -727,13 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "corpus",
         help="inspect, verify, or re-shard a stored corpus",
-        description="info: format/session/label stats for any corpus "
-                    "(formats 3-4). verify: re-hash every shard against "
-                    "the manifest digests. shard: rewrite a corpus as a "
-                    "format-4 shard directory.",
+        description="info: format/session/label stats of a corpus. "
+                    "verify: re-hash every shard against the manifest "
+                    "digests. shard: rewrite a corpus with another "
+                    "shard size.",
     )
     p.add_argument("action", choices=("info", "verify", "shard"))
-    p.add_argument("path", help="corpus file or shard directory")
+    p.add_argument("path", help="format-4 shard directory")
     p.add_argument("-o", "--output", help="target shard directory (action=shard)")
     p.add_argument(
         "--shard-size", type=_positive_int, default=None, metavar="N",
@@ -781,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "workload as a timestamped event stream through "
                     "repro.api.StreamDetector and report the verdicts.",
     )
-    p.add_argument("--corpus", help="dataset JSON (from 'collect') to replay")
+    p.add_argument("--corpus", help="shard directory (from 'collect') to replay")
     p.add_argument("--transactions", help="JSON: [[start,end,ul,dl,sni],...]")
     p.add_argument("--demo", choices=("svc1", "svc2", "svc3"),
                    help="generate demo per-user streams instead")

@@ -14,8 +14,11 @@ Three task kinds, one shard each:
   its shard's sessions (per-session ``SeedSequence.spawn`` streams, so
   the corpus is bit-identical for any worker count or shard size),
   writes the shard file itself, and returns only the manifest entry —
-  no session payload ever crosses the queue.  The coordinator writes
-  ``manifest.json`` last, in shard order.
+  no session payload ever crosses the queue.  The coordinator opens and
+  commits the directory through the shard writer protocol
+  (:func:`~repro.collection.shards.open_shard_dir`,
+  :func:`~repro.collection.shards.commit_shard_dir`), so
+  ``manifest.json`` lands last, in shard order.
 * **extract** — :func:`extract_tls_sharded`: the coordinator first
   *probes* the artifact store for every shard's feature block
   (:meth:`~repro.artifacts.ArtifactStore.lookup`, counting hits); only
@@ -35,10 +38,6 @@ monolithic counterparts for ``REPRO_JOBS=1`` and any other count.
 
 from __future__ import annotations
 
-import dataclasses
-import pickle
-from pathlib import Path
-
 import numpy as np
 
 from repro import telemetry
@@ -46,38 +45,32 @@ from repro.artifacts import get_store
 from repro.collection.harness import (
     CollectionConfig,
     collect_records,
-    resolve_collection_scenario,
-    resolve_collection_workload,
+    plan_collection,
 )
 from repro.collection.shards import (
     ShardEntry,
     ShardedDataset,
+    commit_shard_dir,
     decode_shard,
     manifest_payload,
-    write_manifest,
+    open_shard_dir,
+    resolve_shard_size,
     write_shard,
 )
-from repro.config import get_config
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
     extract_tls_table,
     feature_names,
 )
 from repro.has.services import ServiceProfile
-from repro.parallel import parallel_dispatch, resolve_jobs
+from repro.parallel import parallel_dispatch, resolve_jobs_for
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "collect_corpus_sharded",
     "extract_tls_sharded",
     "score_sharded",
     "shard_bounds",
 ]
-
-#: Sessions per shard when neither the caller nor ``REPRO_SHARD_SIZE``
-#: says otherwise — large enough to amortize per-shard overhead, small
-#: enough that a materialized shard is tens of megabytes.
-DEFAULT_SHARD_SIZE = 512
 
 
 def shard_bounds(n_sessions: int, shard_size: int) -> list[tuple[int, int]]:
@@ -88,24 +81,6 @@ def shard_bounds(n_sessions: int, shard_size: int) -> list[tuple[int, int]]:
         (lo, min(lo + shard_size, n_sessions))
         for lo in range(0, n_sessions, shard_size)
     ]
-
-
-def _resolve_shard_size(shard_size: int | None) -> int:
-    if shard_size is None:
-        shard_size = get_config().shard_size
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    return int(shard_size)
-
-
-def _picklable(value: object) -> bool:
-    try:  # custom profiles/models may close over unpicklable state
-        pickle.dumps(value)
-        return True
-    except Exception:
-        return False
 
 
 # ----------------------------------------------------------------------
@@ -141,58 +116,37 @@ def collect_corpus_sharded(
     ``i`` draws from ``SeedSequence(seed).spawn(n_sessions)[i]``
     regardless of shard size or worker count, so the sessions are
     bit-identical to a monolithic collection with the same seed.
-    ``shard_size`` defaults to ``REPRO_SHARD_SIZE`` and then to
-    :data:`DEFAULT_SHARD_SIZE`.  Returns the lazy
+    ``shard_size`` defaults to ``REPRO_SHARD_SIZE`` and then to 512
+    (:func:`~repro.collection.shards.resolve_shard_size`).  Returns the lazy
     :class:`~repro.collection.shards.ShardedDataset` over ``out``.
     """
-    if n_sessions < 0:
-        raise ValueError("n_sessions must be non-negative")
-    config = config or CollectionConfig()
-    if workload is None and not isinstance(service, str):
-        workload = getattr(service, "workload", None)
-    wl = resolve_collection_workload(config, workload)
-    profile = wl.get_profile(service) if isinstance(service, str) else service
-    # Pin the resolved scenario and workload before dispatch: fleet
-    # workers re-parse their own environment, so a coordinator-side
-    # override would otherwise silently degrade to the defaults (and
-    # break bit-identity between worker counts).
-    scenario = resolve_collection_scenario(config)
-    config = dataclasses.replace(config, scenario=scenario, workload=wl)
-    shard_size = _resolve_shard_size(shard_size)
-    root = Path(out)
-    root.mkdir(parents=True, exist_ok=True)
-    manifest = root / "manifest.json"
-    if manifest.exists():
-        manifest.unlink()
-    jobs = resolve_jobs(n_jobs)
-    if jobs > 1 and not _picklable(profile):
-        jobs = 1
+    plan = plan_collection(service, n_sessions, seed, config, n_jobs, workload)
+    profile = plan.profile
+    shard_size = resolve_shard_size(shard_size)
+    root = open_shard_dir(out)
     with telemetry.span(
         "fleet.collect",
         service=profile.name,
         n_sessions=n_sessions,
         shard_size=shard_size,
-        jobs=jobs,
+        jobs=plan.jobs,
     ) as sp:
-        seeds = np.random.SeedSequence(seed).spawn(n_sessions)
         tasks = [
-            (profile, config, root, index, seeds[lo:hi])
+            (profile, plan.config, root, index, plan.seeds[lo:hi])
             for index, (lo, hi) in enumerate(shard_bounds(n_sessions, shard_size))
         ]
         sp.set(shards=len(tasks))
-        raw_entries = parallel_dispatch(_collect_shard, tasks, n_jobs=jobs)
-        entries = [ShardEntry.from_dict(e) for e in raw_entries]
-        write_manifest(
+        entries = parallel_dispatch(_collect_shard, tasks, n_jobs=plan.jobs)
+        return commit_shard_dir(
             root,
             manifest_payload(
                 profile.name,
                 shard_size,
-                entries,
-                scenario=scenario.name,
-                workload=wl.name,
+                [ShardEntry.from_dict(e) for e in entries],
+                scenario=plan.config.scenario.name,
+                workload=plan.config.workload.name,
             ),
         )
-    return ShardedDataset.load(root)
 
 
 # ----------------------------------------------------------------------
@@ -296,9 +250,7 @@ def score_sharded(
     manifest order.  Models predict row-independently, so the result
     equals predicting on the monolithic feature matrix.
     """
-    jobs = resolve_jobs(n_jobs)
-    if jobs > 1 and not _picklable(model):
-        jobs = 1
+    jobs = resolve_jobs_for(model, n_jobs)
     with telemetry.span(
         "fleet.score", shards=dataset.n_shards, sessions=len(dataset)
     ):

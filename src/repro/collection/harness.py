@@ -10,7 +10,6 @@ simulator and packs the result into a :class:`SessionRecord`.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -25,14 +24,16 @@ from repro.config import get_config
 from repro.net.bandwidth import BandwidthTrace, TraceFamily, generate_trace
 from repro.net.scenarios import Scenario, resolve_scenario
 from repro.net.tcp import TcpParams
-from repro.parallel import parallel_map, resolve_jobs
+from repro.parallel import parallel_map, resolve_jobs_for
 
 if TYPE_CHECKING:
     from repro.workloads import Workload
 
 __all__ = [
     "CollectionConfig",
+    "CollectionPlan",
     "default_tcp_params",
+    "plan_collection",
     "resolve_collection_scenario",
     "resolve_collection_workload",
     "collect_session",
@@ -181,6 +182,61 @@ def collect_session(
     return player.run()
 
 
+@dataclass(frozen=True)
+class CollectionPlan:
+    """A collection run's arguments, resolved once for any dispatcher.
+
+    Both the in-process pool (:func:`collect_corpus`) and the shard
+    fleet (:func:`repro.collection.fleet.collect_corpus_sharded`) start
+    from one of these (:func:`plan_collection`).
+    """
+
+    profile: ServiceProfile
+    #: The caller's config with the resolved scenario and workload
+    #: pinned: pool workers re-parse their own environment, so a
+    #: coordinator-side override would otherwise silently degrade to
+    #: the defaults (and break bit-identity between worker counts).
+    config: CollectionConfig
+    jobs: int
+    #: ``SeedSequence(seed).spawn(n_sessions)``: session ``i`` draws
+    #: from ``seeds[i]`` however the run is chunked or sharded.
+    seeds: list[np.random.SeedSequence]
+
+
+def plan_collection(
+    service: str | ServiceProfile,
+    n_sessions: int,
+    seed: int = 0,
+    config: CollectionConfig | None = None,
+    n_jobs: int | None = None,
+    workload: str | Workload | None = None,
+) -> CollectionPlan:
+    """Resolve a collection run's arguments (see :class:`CollectionPlan`).
+
+    String ``service`` names are looked up among the resolved
+    workload's profiles; a profile *object* carries its own workload
+    tag, which wins over config/environment when no explicit
+    ``workload`` is given.  Jobs fall back to 1 when the profile does
+    not pickle.
+    """
+    if n_sessions < 0:
+        raise ValueError("n_sessions must be non-negative")
+    config = config or CollectionConfig()
+    if workload is None and not isinstance(service, str):
+        workload = getattr(service, "workload", None)
+    wl = resolve_collection_workload(config, workload)
+    profile = wl.get_profile(service) if isinstance(service, str) else service
+    config = dataclasses.replace(
+        config, scenario=resolve_collection_scenario(config), workload=wl
+    )
+    return CollectionPlan(
+        profile=profile,
+        config=config,
+        jobs=resolve_jobs_for(profile, n_jobs),
+        seeds=np.random.SeedSequence(seed).spawn(n_sessions),
+    )
+
+
 def collect_records(
     profile: ServiceProfile,
     config: CollectionConfig,
@@ -237,10 +293,7 @@ def collect_corpus(
     full scale, or fewer for quick runs.
 
     ``workload`` selects the application model (``has``/``live``/
-    ``rtc``); string ``service`` names are looked up among the resolved
-    workload's profiles.  A profile *object* carries its own workload
-    tag, which wins over config/environment when no explicit argument
-    is given.
+    ``rtc``); arguments resolve through :func:`plan_collection`.
 
     Sessions are independent, so collection fans out over a process
     pool (``n_jobs``; defaults to ``REPRO_JOBS``/all cores).  Each
@@ -248,36 +301,17 @@ def collect_corpus(
     ``np.random.SeedSequence(seed).spawn(n_sessions)``, making the
     corpus bit-identical for every worker count.
     """
-    if n_sessions < 0:
-        raise ValueError("n_sessions must be non-negative")
-    config = config or CollectionConfig()
-    if workload is None and not isinstance(service, str):
-        workload = getattr(service, "workload", None)
-    wl = resolve_collection_workload(config, workload)
-    profile = wl.get_profile(service) if isinstance(service, str) else service
-    # Pin the resolved scenario and workload into the config before
-    # dispatch: pool workers re-parse their own environment, so a
-    # coordinator-side config.override() would otherwise silently
-    # degrade to the defaults.
-    config = dataclasses.replace(
-        config, scenario=resolve_collection_scenario(config), workload=wl
-    )
-    jobs = resolve_jobs(n_jobs)
-    if jobs > 1:
-        try:  # custom profiles may close over unpicklable state
-            pickle.dumps(profile)
-        except Exception:
-            jobs = 1
+    plan = plan_collection(service, n_sessions, seed, config, n_jobs, workload)
+    profile, jobs = plan.profile, plan.jobs
     with telemetry.span(
         "collect_corpus", service=profile.name, n_sessions=n_sessions, jobs=jobs
     ):
-        seeds = np.random.SeedSequence(seed).spawn(n_sessions)
         # One chunk per worker: the catalog is rebuilt per chunk, and
         # session costs are i.i.d. enough that static chunks balance well.
         n_chunks = min(jobs, n_sessions) or 1
         bounds = np.linspace(0, n_sessions, n_chunks + 1).astype(int)
         tasks = [
-            (profile, config, seeds[lo:hi])
+            (profile, plan.config, plan.seeds[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]

@@ -1,6 +1,6 @@
-"""Sharded (format-4) corpora: out-of-core storage for corpus scale.
+"""Sharded (format-4) corpora: the one on-disk corpus format.
 
-A format-4 corpus is a *directory* instead of one JSON blob::
+A format-4 corpus is a *directory*::
 
     corpus.shards/
         manifest.json        # format, service, per-shard counts/digests
@@ -12,10 +12,9 @@ Each shard packs a fixed run of sessions as plain numpy arrays — one
 :class:`~repro.tlsproxy.table.TransactionTable` slab for the TLS
 columns (the struct-of-arrays layout, SNI dictionary-encoded) plus
 flat+offset encodings of the per-session HTTP/transfer/connection
-arrays and scalar columns.  No base64-in-JSON: ``np.savez`` stores the
-raw bytes, and ``np.load`` decompresses only the members a reader
-touches, so reading a shard's label column never materializes its
-transactions.
+arrays and scalar columns.  ``np.savez`` stores the raw bytes, and
+``np.load`` decompresses only the members a reader touches, so reading
+a shard's label column never materializes its transactions.
 
 The manifest carries per-shard session counts, per-target label
 distributions, and the SHA-256 digest of every shard file.  Its
@@ -24,12 +23,15 @@ corpus's content address and is what downstream
 :mod:`repro.artifacts` fingerprints hang off — a warm pipeline run
 reads nothing but the manifest.
 
-Write protocol (crash safety): shard files land first, each atomically
-(temp + ``os.replace``); the manifest is written **last**.  A crash
-mid-write therefore leaves a directory without a (current) manifest,
-which :meth:`ShardedDataset.load` reports as an incomplete corpus —
-never a silently short one.  :meth:`ShardedDataset.verify` re-hashes
-every shard against the manifest.
+Write protocol (crash safety), shared by :func:`save_sharded` and the
+collection fleet: :func:`open_shard_dir` refuses an output path that is
+a file and removes any old manifest; shard files then land, each
+atomically (temp + ``os.replace``); :func:`commit_shard_dir` removes
+shard files the new manifest does not list and writes the manifest
+**last**.  A crash mid-write therefore leaves a directory without a
+manifest, which :meth:`ShardedDataset.load` reports as an incomplete
+corpus — never a silently short one.  :meth:`ShardedDataset.verify`
+re-hashes every shard against the manifest.
 
 Loading a shard directory gives a lazy :class:`ShardedDataset`: shards
 materialize on demand through a small LRU (``shards.cache_hit`` /
@@ -52,6 +54,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.artifacts import atomic_write_bytes, canonical_json
+from repro.config import get_config
 from repro.qoe.labels import TARGETS, SessionLabels
 from repro.tlsproxy.table import TransactionTable
 
@@ -59,9 +62,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.collection.dataset import Dataset, SessionRecord
 
 __all__ = [
+    "DEFAULT_SHARD_SIZE",
     "MANIFEST_NAME",
+    "CorpusPathError",
     "ShardEntry",
     "ShardedDataset",
+    "commit_shard_dir",
+    "open_shard_dir",
+    "resolve_shard_size",
     "save_sharded",
     "shard_name",
     "write_shard",
@@ -73,6 +81,11 @@ MANIFEST_NAME = "manifest.json"
 #: Shard file naming (index -> file name).
 _SHARD_NAME_FMT = "shard-{:05d}.npz"
 
+#: Sessions per shard when neither the caller nor ``REPRO_SHARD_SIZE``
+#: says otherwise — large enough to amortize per-shard overhead, small
+#: enough that a materialized shard is tens of megabytes.
+DEFAULT_SHARD_SIZE = 512
+
 #: Shards kept materialized per dataset (coordinator needs at most the
 #: one it reads plus one of lookahead).
 _DEFAULT_CACHED_SHARDS = 2
@@ -81,6 +94,22 @@ _DEFAULT_CACHED_SHARDS = 2
 def shard_name(index: int) -> str:
     """Canonical shard file name for a shard index."""
     return _SHARD_NAME_FMT.format(index)
+
+
+def resolve_shard_size(shard_size: int | None = None) -> int:
+    """Sessions per shard: the argument, else ``REPRO_SHARD_SIZE``,
+    else :data:`DEFAULT_SHARD_SIZE`."""
+    if shard_size is None:
+        shard_size = get_config().shard_size
+    if shard_size is None:
+        shard_size = DEFAULT_SHARD_SIZE
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+    return int(shard_size)
+
+
+class CorpusPathError(ValueError):
+    """A corpus output path exists but is not a directory."""
 
 
 def _format_error(root: Path, message: str) -> Exception:
@@ -385,25 +414,53 @@ def write_manifest(root: str | Path, payload: dict) -> None:
     )
 
 
+def open_shard_dir(path: str | Path) -> Path:
+    """Start writing a corpus at ``path``: the prepare step.
+
+    A path that exists as a file raises :class:`CorpusPathError` and is
+    left untouched.  Otherwise the directory is created and any old
+    manifest removed, so a crash before :func:`commit_shard_dir` leaves
+    an explicitly incomplete directory.
+    """
+    root = Path(path)
+    if root.exists() and not root.is_dir():
+        raise CorpusPathError(
+            f"cannot write a corpus to {root}: it is a file, and corpora "
+            "are format-4 shard directories (choose another output path)"
+        )
+    root.mkdir(parents=True, exist_ok=True)
+    (root / MANIFEST_NAME).unlink(missing_ok=True)
+    return root
+
+
+def commit_shard_dir(root: Path, payload: dict) -> "ShardedDataset":
+    """Finish a corpus write once every shard has landed.
+
+    Shard files the new manifest does not list (left by an earlier,
+    larger corpus) are removed first; the manifest is written last, and
+    the lazy view of the committed corpus is returned.
+    """
+    keep = {entry["name"] for entry in payload["shards"]}
+    for stale in root.glob("shard-*.npz"):
+        if stale.name not in keep:
+            stale.unlink()
+    write_manifest(root, payload)
+    return ShardedDataset.load(root)
+
+
 def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset":
     """Write any corpus as a format-4 shard directory.
 
     ``dataset`` is a :class:`~repro.collection.dataset.Dataset` or a
     :class:`ShardedDataset` (re-sharding); sessions are consumed
     shard-at-a-time, so peak memory is bounded by ``shard_size`` even
-    when re-sharding a corpus that does not fit in RAM.  Shard files
-    are written first (each atomic), the manifest last; any stale
-    manifest is removed up front so a crash mid-write leaves an
-    explicitly incomplete directory, and stale shard files beyond the
-    new manifest are cleaned up afterwards.
+    when re-sharding a corpus that does not fit in RAM.  The write
+    follows the module's protocol: :func:`open_shard_dir`, the shard
+    files, then :func:`commit_shard_dir`.
     """
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    manifest = root / MANIFEST_NAME
-    if manifest.exists():
-        manifest.unlink()
+    root = open_shard_dir(path)
     service = dataset.service
     with telemetry.span(
         "dataset.save_sharded", sessions=len(dataset), shard_size=shard_size
@@ -417,21 +474,16 @@ def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset"
                 pending = []
         if pending:
             entries.append(write_shard(root, len(entries), service, pending))
-        keep = {e.name for e in entries}
-        for stale in root.glob("shard-*.npz"):
-            if stale.name not in keep:
-                stale.unlink()
-        write_manifest(
+        return commit_shard_dir(
             root,
             manifest_payload(
                 service,
                 shard_size,
                 entries,
-                scenario=getattr(dataset, "scenario", "identity"),
-                workload=getattr(dataset, "workload", "has"),
+                scenario=dataset.scenario,
+                workload=dataset.workload,
             ),
         )
-    return ShardedDataset.load(root)
 
 
 # ----------------------------------------------------------------------
@@ -451,7 +503,8 @@ class ShardedDataset:
     telemetry counters) so cache behaviour is provable in benchmarks.
     """
 
-    #: Format version of this layout (continues the file formats 1-3).
+    #: Format version of this layout (the retired formats 1-3 were
+    #: single JSON files).
     format = 4
 
     def __init__(

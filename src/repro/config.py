@@ -104,9 +104,10 @@ class Config:
         ``None`` leaves the trace in memory (library use).
     shard_size:
         Sessions per shard for out-of-core (format-4) corpora
-        (``REPRO_SHARD_SIZE``).  ``None`` (the default) keeps corpora
-        monolithic; a positive value makes the corpus stage collect
-        and store sharded directories instead.
+        (``REPRO_SHARD_SIZE``).  ``None`` (the default) keeps
+        experiment corpora monolithic (collected and held in memory);
+        a positive value makes the corpus stage collect through the
+        shard fleet and hand out lazy shard directories instead.
     scenario:
         Network-impairment scenario every collection run streams over
         (``REPRO_SCENARIO``; default ``"identity"``, the unimpaired

@@ -103,17 +103,23 @@ def corpus_size(service: str) -> int:
 
 
 class DatasetCodec:
-    """Corpora persist through the dataset's own (atomic) format."""
+    """In-memory corpora persist as a format-4 directory and load whole.
 
-    extension = ".json.gz"
+    ``save`` writes the corpus with :meth:`Dataset.save` (shards of
+    :data:`~repro.collection.shards.DEFAULT_SHARD_SIZE`); ``load``
+    materializes it again, so experiments keep an in-memory
+    :class:`Dataset`.  An entry whose meta still names a retired
+    format-3 file payload finds no directory here and reads as a miss.
+    """
+
+    extension = ".shards"
     load_errors = (OSError, DatasetFormatError)
 
     def save(self, value: Dataset, path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         value.save(path)
 
     def load(self, path) -> Dataset:
-        return Dataset.load(path)
+        return ShardedDataset.load(path).to_dataset()
 
 
 DATASET_CODEC = DatasetCodec()
@@ -153,8 +159,8 @@ def dataset_digest(dataset: Dataset) -> str | None:
     carry their artifact digest; a sharded corpus additionally carries
     its manifest digest (itself covering every shard's SHA-256), which
     serves even when the corpus never went through the store.  Ad-hoc
-    monolithic corpora (unit tests, CLI files) return None and
-    downstream helpers skip caching for them.
+    in-memory corpora (unit tests) return None and downstream helpers
+    skip caching for them.
     """
     key = getattr(dataset, "_artifact_digest", None)
     if key is not None:
@@ -172,12 +178,13 @@ def dataset_stage(
     """A corpus-valued artifact stage.
 
     ``build`` runs on a miss; the resulting dataset is stored through
-    ``codec`` (:class:`DatasetCodec` for monolithic corpora,
-    :class:`ShardedDatasetCodec` for format-4 directories), tagged with
-    its digest, and — for monolithic corpora — its columnar transaction
-    table is materialized once so every downstream consumer shares one
-    instance.  Sharded corpora stay lazy: materializing the table would
-    defeat the out-of-core point.
+    ``codec`` (:class:`DatasetCodec` for in-memory corpora,
+    :class:`ShardedDatasetCodec` for lazy fleet-collected ones; both
+    store format-4 directories), tagged with its digest, and — for
+    in-memory corpora — its columnar transaction table is materialized
+    once so every downstream consumer shares one instance.  Lazy
+    corpora stay lazy: materializing the table would defeat the
+    out-of-core point.
     """
     dataset, key = get_store().get_or_compute(
         stage, config, build, codec=codec, use_disk=use_disk
@@ -200,9 +207,11 @@ def get_corpus(
     ``n_sessions`` defaults to the paper's (scaled) corpus size and
     ``seed`` to the service's canonical collection seed.
 
-    With ``REPRO_SHARD_SIZE`` set (``config.shard_size``), the stage
-    collects through the shard fleet instead and stores a format-4
-    directory: the returned corpus is a lazy
+    Either way the store holds a format-4 directory.  By default the
+    corpus is collected in process and returned in memory
+    (:class:`DatasetCodec`).  With ``REPRO_SHARD_SIZE`` set
+    (``config.shard_size``), the stage collects through the shard fleet
+    instead: the returned corpus is a lazy
     :class:`~repro.collection.shards.ShardedDataset` and a warm run
     reads only its manifest.  The sessions themselves are bit-identical
     either way (same per-session seed streams), but the artifacts are

@@ -8,7 +8,9 @@ work out over processes:
 
 * :func:`resolve_jobs` turns an ``n_jobs`` argument plus the
   ``REPRO_JOBS`` environment variable into a concrete worker count
-  (default: all cores; ``1`` forces the plain sequential code path).
+  (default: all cores; ``1`` forces the plain sequential code path);
+  :func:`resolve_jobs_for` also drops to ``1`` when the payload every
+  task ships does not pickle.
 * :func:`parallel_map` is an ordered ``map`` over a reusable
   :class:`~concurrent.futures.ProcessPoolExecutor`, with chunking, a
   sequential fallback, and recovery from broken pools.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+import pickle
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -36,6 +39,7 @@ from repro.config import JOBS_ENV_VAR, get_config, set_jobs
 __all__ = [
     "JOBS_ENV_VAR",
     "resolve_jobs",
+    "resolve_jobs_for",
     "parallel_map",
     "parallel_dispatch",
     "shutdown",
@@ -78,6 +82,22 @@ def resolve_jobs(n_jobs: int | None = None) -> int:
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1 or -1, got {n_jobs}")
     return int(n_jobs)
+
+
+def resolve_jobs_for(payload: object, n_jobs: int | None = None) -> int:
+    """:func:`resolve_jobs` for tasks that all ship ``payload``.
+
+    Custom profiles and models may close over unpicklable state; such a
+    payload cannot cross the process boundary, so the work runs
+    sequentially instead of failing.
+    """
+    jobs = resolve_jobs(n_jobs)
+    if jobs > 1:
+        try:
+            pickle.dumps(payload)
+        except Exception:
+            return 1
+    return jobs
 
 
 def _executor(max_workers: int) -> ProcessPoolExecutor:

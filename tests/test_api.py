@@ -248,7 +248,7 @@ class TestTraceTransparency:
     def test_cli_trace_flag_writes_a_validating_trace(self, tmp_path, capsys):
         from repro.cli import main
 
-        corpus = tmp_path / "c.json.gz"
+        corpus = tmp_path / "c.shards"
         trace = tmp_path / "collect.jsonl"
         assert main(["--trace", str(trace), "collect", "--service", "svc3",
                      "-n", "12", "--seed", "1", "-o", str(corpus)]) == 0

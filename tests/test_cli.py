@@ -13,7 +13,7 @@ from repro.cli import build_parser, main
 
 @pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "corpus.json.gz"
+    path = tmp_path_factory.mktemp("cli") / "corpus.shards"
     assert main(["collect", "--service", "svc3", "-n", "60", "--seed", "3",
                  "-o", str(path)]) == 0
     return path

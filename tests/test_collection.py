@@ -127,17 +127,17 @@ class TestSessionRecord:
 
 
 class TestDatasetSerialization:
-    def test_roundtrip_plain_json(self, small_corpus, tmp_path):
-        path = tmp_path / "corpus.json"
+    def test_roundtrip(self, small_corpus, tmp_path):
+        path = tmp_path / "corpus.shards"
         small_corpus.save(path)
         loaded = Dataset.load(path)
         self._assert_equal(small_corpus, loaded)
 
-    def test_roundtrip_gzip(self, small_corpus, tmp_path):
-        path = tmp_path / "corpus.json.gz"
-        small_corpus.save(path)
-        loaded = Dataset.load(path)
-        self._assert_equal(small_corpus, loaded)
+    def test_roundtrip_across_shards(self, small_corpus, tmp_path):
+        # 30 sessions in shards of 7: four full shards and a short last one.
+        saved = small_corpus.save(tmp_path / "corpus.shards", shard_size=7)
+        assert saved.n_shards == 5
+        self._assert_equal(small_corpus, Dataset.load(saved.root))
 
     @staticmethod
     def _assert_equal(a: Dataset, b: Dataset):

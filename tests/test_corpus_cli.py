@@ -1,18 +1,20 @@
-"""``python -m repro corpus info|verify|shard`` and the sharded
-``collect --shard-size`` path: exit codes, messages, and error
-friendliness on corrupt or partial corpora."""
+"""``python -m repro corpus info|verify|shard`` and both ``collect``
+writers (in process, and the shard fleet behind ``--shard-size``):
+exit codes, messages, byte identity, and error friendliness on
+corrupt, partial or misplaced corpora."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.collection.shards import MANIFEST_NAME
+from repro.collection.shards import MANIFEST_NAME, shard_name
 
 
 @pytest.fixture(scope="module")
 def mono_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli") / "corpus.json.gz"
+    """A corpus collected in process (no --shard-size): one shard."""
+    path = tmp_path_factory.mktemp("cli") / "corpus.shards"
     assert main(["collect", "--service", "svc3", "-n", "9", "--seed", "3",
                  "-o", str(path)]) == 0
     return path
@@ -42,13 +44,60 @@ class TestCollectShardSize:
             main(["collect", "--service", "svc1", "-n", "2",
                   "-o", "x.shards", "--shard-size", "0"])
 
+    def test_in_process_collect_matches_shard_size_512(self, tmp_path):
+        """The two collect paths differ only in how they run: same
+        manifest bytes, same shard bytes."""
+        a, b = tmp_path / "a.shards", tmp_path / "b.shards"
+        assert main(["-j", "2", "collect", "--service", "svc3", "-n", "5",
+                     "--seed", "4", "-o", str(a)]) == 0
+        assert main(["-j", "1", "collect", "--service", "svc3", "-n", "5",
+                     "--seed", "4", "--shard-size", "512", "-o", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == [MANIFEST_NAME, shard_name(0)]
+        assert sorted(p.name for p in b.iterdir()) == names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+class TestOutputPath:
+    """Both writers share one prepare step and one commit step."""
+
+    @pytest.mark.parametrize("flags", [[], ["--shard-size", "2"]])
+    def test_file_at_output_exits_2_untouched(self, tmp_path, capsys, flags):
+        old = tmp_path / "old.json.gz"
+        old.write_bytes(b"an old corpus file")
+        assert main(["-j", "1", "collect", "--service", "svc3", "-n", "3",
+                     *flags, "-o", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert str(old) in err
+        assert old.read_bytes() == b"an old corpus file"
+
+    def test_corpus_shard_onto_a_file_exits_2(self, mono_path, tmp_path, capsys):
+        target = tmp_path / "target.json"
+        target.write_text("{}")
+        assert main(["corpus", "shard", str(mono_path), "-o", str(target)]) == 2
+        assert str(target) in capsys.readouterr().err
+        assert target.read_text() == "{}"
+
+    @pytest.mark.parametrize("flags", [[], ["--shard-size", "2"]])
+    def test_recollect_removes_unlisted_shards(self, tmp_path, capsys, flags):
+        out = tmp_path / "c.shards"
+        assert main(["-j", "1", "collect", "--service", "svc3", "-n", "6",
+                     "--shard-size", "2", "-o", str(out)]) == 0
+        assert main(["-j", "1", "collect", "--service", "svc3", "-n", "2",
+                     *flags, "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("shard-*.npz")) == [shard_name(0)]
+        assert main(["corpus", "verify", str(out)]) == 0
+        assert "OK (1 shards" in capsys.readouterr().out
+
 
 class TestInfo:
     def test_monolithic(self, mono_path, capsys):
         assert main(["corpus", "info", str(mono_path)]) == 0
         out = capsys.readouterr().out
-        assert "format 3 (monolithic file)" in out
-        assert "sessions: 9" in out
+        assert "format 4 (sharded directory)" in out
+        assert "sessions: 9 in 1 shards (shard_size=512)" in out
         assert "combined:" in out
 
     def test_sharded(self, shard_dir, capsys):
@@ -66,7 +115,7 @@ class TestInfo:
 class TestVerify:
     def test_monolithic_ok(self, mono_path, capsys):
         assert main(["corpus", "verify", str(mono_path)]) == 0
-        assert "OK (9 sessions parsed)" in capsys.readouterr().out
+        assert "OK (1 shards" in capsys.readouterr().out
 
     def test_sharded_ok(self, shard_dir, capsys):
         assert main(["corpus", "verify", str(shard_dir)]) == 0

@@ -26,6 +26,7 @@ from repro.experiments import (
     table5,
 )
 from repro.experiments.common import corpus_size, format_table, get_corpus
+from tests.records import record_bytes
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,42 @@ class TestCommon:
         b = get_corpus("svc3", n_sessions=4, seed=10)
         assert len(a) == len(b)
         assert (a.labels("combined") == b.labels("combined")).all()
+
+    def test_retired_corpus_entry_is_rewritten_as_shards(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``corpus`` entry whose meta names a format-3 ``.json.gz``
+        payload reads as a miss and is rewritten as a ``.shards``
+        directory; the next call is a disk hit, and ``cache clear``
+        removes the orphaned file."""
+        import json
+
+        from repro.artifacts import canonical_json, digest, fingerprint, get_store
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = get_store()
+        fp = fingerprint("corpus", {"service": "svc3", "n_sessions": 3, "seed": 12})
+        key = digest(fp)
+        store.stage_dir("corpus").mkdir(parents=True)
+        orphan = store.stage_dir("corpus") / f"{key}.json.gz"
+        orphan.write_bytes(b"a format-3 corpus")
+        store.meta_path("corpus", key).write_text(
+            canonical_json({"fingerprint": fp, "extension": ".json.gz"})
+        )
+
+        cold = get_corpus("svc3", n_sessions=3, seed=12)
+        assert store.counter_snapshot()["stages"]["corpus"]["misses"] == 1
+        meta = json.loads(store.meta_path("corpus", key).read_text())
+        assert meta["extension"] == ".shards"
+        assert (store.stage_dir("corpus") / f"{key}.shards" / "manifest.json").is_file()
+
+        store.clear_memory()
+        warm = get_corpus("svc3", n_sessions=3, seed=12)
+        assert store.counter_snapshot()["stages"]["corpus"]["hits"] == 1
+        assert [record_bytes(r) for r in warm] == [record_bytes(r) for r in cold]
+
+        store.clear()
+        assert not orphan.exists()
 
     def test_format_table(self):
         text = format_table(["a", "bb"], [["1", "2"], ["3", "4"]])

@@ -9,14 +9,12 @@ perturbation of the clean path (a reordered RNG draw, a new serialized
 field, a changed default) fails here with a digest mismatch rather
 than silently invalidating every cached corpus.
 
-Format 3 pins the *plain* ``.json`` bytes (gzip embeds an mtime, so
-``.json.gz`` bytes are not stable); format 4 pins the manifest digest,
-which itself covers every shard's SHA-256.  Both are checked at
-``REPRO_JOBS=1`` and ``4``, extending the worker-count-invariance
-contract to the golden bytes.
+The pin is the format-4 manifest digest, which itself covers every
+shard's SHA-256.  Both writers must reproduce it — the shard fleet and
+an in-memory collect saved with ``Dataset.save`` — at ``REPRO_JOBS=1``
+and ``4``, extending the worker-count-invariance contract to the
+golden bytes.
 """
-
-import hashlib
 
 import pytest
 
@@ -26,11 +24,6 @@ SERVICE = "svc1"
 N_SESSIONS = 10
 SEED = 7
 SHARD_SIZE = 4
-
-#: sha256 of the format-3 plain-JSON corpus file, pre-refactor.
-GOLDEN_FORMAT3_SHA256 = (
-    "3ba8822872f7bf6983a12ff6edde280185432733adf1f23d734549fe9a23c3d2"
-)
 
 #: Format-4 manifest digest (covers shard count, sizes, and shard
 #: SHA-256s) and the per-shard digest prefixes, pre-refactor.
@@ -42,33 +35,35 @@ GOLDEN_SHARD_PREFIXES = (
 )
 
 
-@pytest.mark.parametrize("n_jobs", [1, 4])
-def test_format3_identity_bytes_match_golden(tmp_path, n_jobs):
-    dataset = collect_corpus(SERVICE, N_SESSIONS, seed=SEED, n_jobs=n_jobs)
-    path = tmp_path / "golden.json"
-    dataset.save(path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_FORMAT3_SHA256, (
-        f"identity corpus bytes changed (jobs={n_jobs}): the refactor "
-        "perturbed the clean pipeline"
+def assert_golden(sharded) -> None:
+    assert sharded.manifest_digest == GOLDEN_MANIFEST_DIGEST, (
+        "identity corpus bytes changed: the refactor perturbed the "
+        "clean pipeline"
     )
+    prefixes = tuple(entry.sha256[:16] for entry in sharded.entries)
+    assert prefixes == GOLDEN_SHARD_PREFIXES
+
+
+@pytest.mark.parametrize("n_jobs", [1, 4])
+def test_in_memory_save_matches_golden(tmp_path, n_jobs):
+    dataset = collect_corpus(SERVICE, N_SESSIONS, seed=SEED, n_jobs=n_jobs)
+    assert_golden(dataset.save(tmp_path / "golden.shards", shard_size=SHARD_SIZE))
 
 
 @pytest.mark.parametrize("n_jobs", [1, 4])
 def test_format4_identity_digests_match_golden(tmp_path, n_jobs):
     from repro.collection.fleet import collect_corpus_sharded
 
-    sharded = collect_corpus_sharded(
-        SERVICE,
-        N_SESSIONS,
-        tmp_path / "shards",
-        shard_size=SHARD_SIZE,
-        seed=SEED,
-        n_jobs=n_jobs,
+    assert_golden(
+        collect_corpus_sharded(
+            SERVICE,
+            N_SESSIONS,
+            tmp_path / "shards",
+            shard_size=SHARD_SIZE,
+            seed=SEED,
+            n_jobs=n_jobs,
+        )
     )
-    assert sharded.manifest_digest == GOLDEN_MANIFEST_DIGEST
-    prefixes = tuple(entry.sha256[:16] for entry in sharded.entries)
-    assert prefixes == GOLDEN_SHARD_PREFIXES
 
 
 def test_explicit_identity_config_matches_default(tmp_path):
@@ -83,10 +78,9 @@ def test_explicit_identity_config_matches_default(tmp_path):
         seed=SEED,
         config=CollectionConfig(scenario="identity"),
     )
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    default.save(a)
-    explicit.save(b)
-    assert a.read_bytes() == b.read_bytes()
+    a = default.save(tmp_path / "a.shards", shard_size=SHARD_SIZE)
+    b = explicit.save(tmp_path / "b.shards", shard_size=SHARD_SIZE)
+    assert a.manifest_digest == b.manifest_digest
 
 
 def test_explicit_has_workload_matches_golden(tmp_path):
@@ -102,9 +96,7 @@ def test_explicit_has_workload_matches_golden(tmp_path):
         seed=SEED,
         config=CollectionConfig(workload="has"),
     )
-    path = tmp_path / "explicit.json"
-    explicit.save(path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == GOLDEN_FORMAT3_SHA256, (
+    saved = explicit.save(tmp_path / "explicit.shards", shard_size=SHARD_SIZE)
+    assert saved.manifest_digest == GOLDEN_MANIFEST_DIGEST, (
         "explicit workload='has' perturbed the golden corpus bytes"
     )

@@ -3,11 +3,10 @@
 The contract under test: every parallelized hot path (corpus
 collection, forest fit/predict, boosting rounds, CV folds) produces
 bit-identical results for any worker count, and the plumbing
-(``REPRO_JOBS`` resolution, atomic corpus writes, the format-2 array
-encoding) behaves.
+(``REPRO_JOBS`` resolution, the shard-directory write protocol, the
+on-disk array encoding) behaves.
 """
 
-import gzip
 import json
 import os
 
@@ -15,12 +14,14 @@ import numpy as np
 import pytest
 
 from repro import parallel
-from repro.collection.dataset import Dataset
+from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.harness import CollectionConfig, collect_corpus
+from repro.collection.shards import MANIFEST_NAME, shard_name
 from repro.has.services import get_service
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import cross_val_predict
+from tests.records import record_bytes
 
 
 def _square(x):
@@ -79,15 +80,13 @@ class TestCorpusDeterminism:
             other = collect_corpus("svc3", 5, seed=11, n_jobs=jobs)
             assert len(other) == len(base)
             for ra, rb in zip(base, other):
-                assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
+                assert record_bytes(ra) == record_bytes(rb)
 
     def test_profile_object_supported(self):
         profile = get_service("svc3")
         a = collect_corpus(profile, 3, seed=2, n_jobs=1)
         b = collect_corpus(profile, 3, seed=2, n_jobs=2)
-        assert json.dumps([s.to_dict() for s in a]) == json.dumps(
-            [s.to_dict() for s in b]
-        )
+        assert [record_bytes(s) for s in a] == [record_bytes(s) for s in b]
 
     def test_zero_sessions(self):
         assert len(collect_corpus("svc3", 0, seed=0, n_jobs=4)) == 0
@@ -181,17 +180,24 @@ class TestTraceMixtureCache:
 class TestAtomicSave:
     def test_no_temp_leftovers_and_overwrite(self, tmp_path):
         ds = collect_corpus("svc3", 2, seed=4, n_jobs=1)
-        path = tmp_path / "corpus.json.gz"
+        path = tmp_path / "corpus.shards"
         ds.save(path)
         ds.save(path)  # overwrite in place
-        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json.gz"]
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.shards"]
+        assert sorted(p.name for p in path.iterdir()) == [
+            MANIFEST_NAME, shard_name(0)
+        ]
         assert len(Dataset.load(path)) == 2
 
-    def test_failed_write_leaves_target_intact(self, tmp_path, monkeypatch):
+    def test_failed_overwrite_leaves_incomplete_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """The old manifest goes first, so a failed overwrite leaves a
+        directory that loads with the named "incomplete" error — never
+        the old corpus passed off as the new one."""
         ds = collect_corpus("svc3", 2, seed=4, n_jobs=1)
-        path = tmp_path / "corpus.json"
+        path = tmp_path / "corpus.shards"
         ds.save(path)
-        before = path.read_bytes()
 
         def boom(*args, **kwargs):
             raise OSError("disk full")
@@ -200,8 +206,11 @@ class TestAtomicSave:
         with pytest.raises(OSError):
             ds.save(path)
         monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+        assert not (path / MANIFEST_NAME).exists()
+        with pytest.raises(DatasetFormatError, match="incomplete"):
+            Dataset.load(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.shards"]
+        assert [p.name for p in path.iterdir()] == [shard_name(0)]
 
 
 class TestSerializationFormats:
@@ -210,9 +219,9 @@ class TestSerializationFormats:
         return collect_corpus("svc3", 3, seed=6, n_jobs=1)
 
     def test_format2_roundtrip_bit_identical(self, dataset, tmp_path):
-        path = tmp_path / "v2.json.gz"
-        dataset.save(path)
-        loaded = Dataset.load(path)
+        """Every array round-trips through the shard codec bit for bit,
+        dtypes included."""
+        loaded = dataset.save(tmp_path / "corpus.shards")
         for ra, rb in zip(dataset, loaded):
             assert np.array_equal(ra.transfers, rb.transfers)
             assert ra.transfers.dtype == rb.transfers.dtype
@@ -220,14 +229,13 @@ class TestSerializationFormats:
             for key in ra.http:
                 assert np.array_equal(ra.http[key], rb.http[key])
                 assert ra.http[key].dtype == rb.http[key].dtype
-            assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
+            assert record_bytes(ra) == record_bytes(rb)
 
     def test_format_version_field_written(self, dataset, tmp_path):
-        path = tmp_path / "v3.json.gz"
-        dataset.save(path)
-        payload = json.loads(gzip.decompress(path.read_bytes()))
-        assert payload["format"] == 3
-        assert isinstance(payload["sessions"][0]["transfers"], dict)
-        # Format 3 hoists TLS transactions into one columnar block.
-        assert "tls" in payload
-        assert "tls_transactions" not in payload["sessions"][0]
+        saved = dataset.save(tmp_path / "corpus.shards")
+        manifest = json.loads((saved.root / MANIFEST_NAME).read_text())
+        assert manifest["format"] == saved.format == 4
+        with np.load(saved.root / shard_name(0), allow_pickle=False) as z:
+            # Raw typed arrays, and one columnar TLS block per shard.
+            assert z["transfers"].dtype == np.float64
+            assert {"tls_start", "tls_offsets"} <= set(z.files)

@@ -21,6 +21,7 @@ from repro.net.scenarios import (
     resolve_scenario,
     scenario_names,
 )
+from tests.records import record_arrays, record_bytes
 
 
 class TestRegistry:
@@ -154,8 +155,8 @@ class TestCollectionIntegration:
         cc = CollectionConfig(scenario="hostile")
         seq = collect_corpus("svc1", 6, seed=3, config=cc, n_jobs=1)
         par = collect_corpus("svc1", 6, seed=3, config=cc, n_jobs=3)
-        assert [r.to_dict() for r in seq.sessions] == [
-            r.to_dict() for r in par.sessions
+        assert [record_bytes(r) for r in seq.sessions] == [
+            record_bytes(r) for r in par.sessions
         ]
 
     def test_session_trace_records_scenario_and_stats(self):
@@ -177,8 +178,8 @@ class TestCollectionIntegration:
         a = collect_corpus(
             "svc1", 4, seed=11, config=CollectionConfig(scenario="shaped-2mbps")
         )
-        assert [r.to_dict() for r in shaped.sessions] == [
-            r.to_dict() for r in a.sessions
+        assert [record_bytes(r) for r in shaped.sessions] == [
+            record_bytes(r) for r in a.sessions
         ]  # reproducible
         assert len(identity.sessions) == len(shaped.sessions)
 
@@ -189,28 +190,27 @@ class TestRoundTrips:
             "svc1", n, seed=9, config=CollectionConfig(scenario="policed-512kbps")
         )
 
-    def test_format3_roundtrip_preserves_scenario_and_policed(self, tmp_path):
+    def test_dataset_save_roundtrip_preserves_scenario_and_policed(self, tmp_path):
         ds = self.make_policed()
-        path = tmp_path / "policed.json.gz"
-        ds.save(path)
-        loaded = Dataset.load(path)
+        ds.save(tmp_path / "policed.shards")
+        loaded = Dataset.load(tmp_path / "policed.shards")
         assert loaded.scenario == "policed-512kbps"
         np.testing.assert_array_equal(
             loaded.labels("policed"), ds.labels("policed")
         )
-        assert [r.to_dict() for r in loaded.sessions] == [
-            r.to_dict() for r in ds.sessions
+        assert [record_bytes(r) for r in loaded] == [
+            record_bytes(r) for r in ds.sessions
         ]
 
-    def test_identity_format3_payload_has_no_new_keys(self, tmp_path):
+    def test_identity_shard_has_no_new_keys(self):
         # The digest-stability contract: identity corpora serialize
-        # exactly as before the refactor — no scenario key, no policed
-        # label block.
+        # exactly as before the refactor — no scenario member, no
+        # policed label column.
         ds = collect_corpus("svc1", 2, seed=9)
         for record in ds.sessions:
-            payload = record.to_dict()
-            assert "scenario" not in payload
-            assert "policed" not in payload["labels"]
+            arrays = record_arrays(record)
+            assert "scenario" not in arrays
+            assert "label_policed" not in arrays
 
     def test_format4_roundtrip_preserves_scenario_and_policed(self, tmp_path):
         from repro.collection.shards import ShardedDataset, save_sharded

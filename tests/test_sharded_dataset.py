@@ -1,6 +1,7 @@
 """Format-4 sharded corpus tests: round-trips, retired formats, crash
 atomicity, digest verification, and the lazy-access contract."""
 
+import gzip
 import json
 
 import numpy as np
@@ -25,6 +26,11 @@ def corpus():
 @pytest.fixture()
 def sharded(corpus, tmp_path):
     return save_sharded(corpus, tmp_path / "corpus.shards", shard_size=4)
+
+
+def _truncate(path):
+    """Cut a file to half its bytes, as a torn copy would."""
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
 def assert_records_equal(ra, rb):
@@ -127,46 +133,33 @@ class TestLaziness:
 
 
 class TestLegacyFormats:
-    """Format 3 keeps loading next to format 4; the retired formats 1
-    and 2 are rejected at the edge with a named error."""
+    """The retired single-file formats 1-3 are rejected at the edge
+    with a named error; corpora load from format-4 directories only."""
 
-    def _legacy_file(self, corpus, version, path):
-        sessions = [s.to_dict(include_tls=True) for s in corpus.sessions]
-        if version == 1:
-            for s in sessions:
-                for key in ("transfers", "connections"):
-                    s[key] = np.asarray(s[key]).tolist()
-            payload = {"service": corpus.service, "sessions": sessions}
-        else:
-            payload = {
-                "format": 2,
-                "service": corpus.service,
-                "n_sessions": len(sessions),
-                "sessions": sessions,
-            }
-        path.write_text(json.dumps(payload))
+    @staticmethod
+    def _legacy_file(version, path):
+        # Header-only payloads: the rejection reads no session data.
+        payload = {"service": "svc2", "sessions": []}
+        if version > 1:  # format 1 predates the "format" key
+            payload["format"] = version
+        raw = json.dumps(payload).encode()
+        # Format 3 was usually written gzipped (``-o corpus.json.gz``).
+        path.write_bytes(gzip.compress(raw) if version == 3 else raw)
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_formats_1_and_2(self, corpus, tmp_path, version, capsys):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_formats_1_and_2(self, tmp_path, version, capsys):
         from repro.cli import main
 
-        path = tmp_path / f"v{version}.json"
-        self._legacy_file(corpus, version, path)
+        path = tmp_path / f"v{version}.json{'.gz' if version == 3 else ''}"
+        self._legacy_file(version, path)
         with pytest.raises(DatasetFormatError) as excinfo:
             Dataset.load(path)
         message = str(excinfo.value)
         assert str(path) in message
         assert f"format {version} " in message
-        assert "format-3 files and format-4 shard directories" in message
+        assert "format-4 shard directories" in message
         assert main(["corpus", "info", str(path)]) == 1
         assert message in capsys.readouterr().err
-
-    def test_format_3(self, corpus, tmp_path):
-        path = tmp_path / "v3.json.gz"
-        corpus.save(path)
-        loaded = Dataset.load(path)
-        for ra, rb in zip(corpus, loaded):
-            assert_records_equal(ra, rb)
 
     def test_format_4_in_a_file_is_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -206,10 +199,13 @@ class TestCorruption:
         assert report["bytes"] > 0
 
     def test_verify_catches_corruption(self, sharded):
-        victim = sharded.root / sharded.entries[1].name
-        victim.write_bytes(b"garbage")
-        with pytest.raises(DatasetFormatError, match=sharded.entries[1].name):
+        garbage, torn = (sharded.root / e.name for e in sharded.entries[1:3])
+        garbage.write_bytes(b"garbage")
+        _truncate(torn)
+        with pytest.raises(DatasetFormatError) as excinfo:
             sharded.verify()
+        assert garbage.name in str(excinfo.value)
+        assert torn.name in str(excinfo.value)
 
     def test_verify_catches_missing_shard(self, sharded):
         (sharded.root / sharded.entries[0].name).unlink()
@@ -218,9 +214,11 @@ class TestCorruption:
 
     def test_loading_corrupt_shard_fails_loud(self, sharded):
         (sharded.root / sharded.entries[0].name).write_bytes(b"garbage")
+        _truncate(sharded.root / sharded.entries[1].name)
         sharded.drop_caches()
-        with pytest.raises(DatasetFormatError):
-            sharded.shard(0)
+        for i in (0, 1):
+            with pytest.raises(DatasetFormatError, match=sharded.entries[i].name):
+                sharded.shard(i)
 
 
 class TestEdgeCases:

@@ -37,6 +37,7 @@ from repro.workloads import (
     resolve_workload,
     workload_names,
 )
+from tests.records import record_arrays, record_bytes
 
 
 def step_trace(high_bps, low_bps, step_at, duration, recover_at=None):
@@ -227,16 +228,7 @@ class TestCorpusDeterminismAndFormats:
             other = collect_corpus("rtc1", 6, seed=11, workload="rtc", n_jobs=jobs)
             assert len(other) == len(base)
             for ra, rb in zip(base, other):
-                assert json.dumps(ra.to_dict()) == json.dumps(rb.to_dict())
-
-    def test_workload_round_trips_format3(self, tmp_path):
-        ds = collect_corpus("rtc1", 3, seed=5, workload="rtc", n_jobs=1)
-        assert all(r.to_dict()["workload"] == "rtc" for r in ds)
-        path = tmp_path / "rtc.json.gz"
-        ds.save(path)
-        loaded = Dataset.load(path)
-        assert loaded.workload == "rtc"
-        assert isinstance(loaded.profile, RtcProfile)
+                assert record_bytes(ra) == record_bytes(rb)
 
     def test_workload_round_trips_format4(self, tmp_path):
         from repro.collection.fleet import collect_corpus_sharded
@@ -252,12 +244,20 @@ class TestCorpusDeterminismAndFormats:
         assert loaded.workload == "live"
         assert all(r.workload == "live" for r in loaded)
 
+    def test_workload_round_trips_dataset_save(self, tmp_path):
+        ds = collect_corpus("rtc1", 3, seed=5, workload="rtc", n_jobs=1)
+        assert all(str(record_arrays(r)["workload"][0]) == "rtc" for r in ds)
+        ds.save(tmp_path / "rtc.shards")
+        loaded = Dataset.load(tmp_path / "rtc.shards")
+        assert loaded.workload == "rtc"
+        assert isinstance(loaded.profile, RtcProfile)
+
     def test_default_corpora_omit_workload_key(self, tmp_path):
         from repro.collection.fleet import collect_corpus_sharded
 
         ds = collect_corpus("svc3", 2, seed=1, n_jobs=1)
         assert ds.workload == "has"
-        assert "workload" not in ds.sessions[0].to_dict()
+        assert "workload" not in record_arrays(ds.sessions[0])
         collect_corpus_sharded(
             "svc3", 2, tmp_path / "shards", shard_size=2, seed=1, n_jobs=1
         )
