@@ -8,11 +8,12 @@ streams with deterministic evictions.  Every session is scored through
 a paper-sized (60-tree) hist-trained Random Forest, so the scoring
 floor exercises the flattened batched predictor
 (:class:`repro.ml.tree.FlatEnsemble`) end to end — the old per-row
-walk could not hold this floor.  The floors sit at roughly a quarter
-of the throughput measured on a development container (~30k events/s,
-~2.4k sessions/s scored through the model, p99 micro-batch ~80 ms), so
-they trip on algorithmic regressions — an accidental O(n²) in the
-pending buffer, per-row prediction — not on machine-to-machine noise.
+walk could not hold this floor.  The floors sit far below the
+throughput measured on a 2-vCPU development container (about 130k
+events/s, 11k sessions/s scored through the model, p99 micro-batch
+about 17 ms), so they trip on algorithmic regressions — an accidental
+O(n²) in a stream's row log, per-row prediction — not on
+machine-to-machine noise.
 """
 
 import time

@@ -802,7 +802,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="pickled model from 'train' to score sessions")
     p.add_argument("--batch-check", action="store_true",
                    help="verify streaming verdicts equal the batch "
-                        "pipeline bit-for-bit (exit 1 on mismatch)")
+                        "pipeline bit-for-bit (exit 1 on mismatch); both "
+                        "sides share one boundary decider, which the "
+                        "test suite checks against an independent oracle")
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("experiment", help="run paper experiments by name")

@@ -286,7 +286,7 @@ class PlayerSession:
         last_quality: int | None = None
         seg = 0
         while seg < video.n_segments and t < watch_end:
-            next_beacon = self._drain_beacons(next_beacon, t)
+            next_beacon = self._fetch_due_beacons(next_beacon, t)
             state = AbrState(
                 buffer_level_s=schedule.buffer_level(t),
                 throughput_bps=self._throughput_bps,
@@ -338,7 +338,7 @@ class PlayerSession:
         else:
             session_end = min(watch_end, max(t, content_end))
         schedule.finish(session_end)
-        next_beacon = self._drain_beacons(next_beacon, session_end)
+        next_beacon = self._fetch_due_beacons(next_beacon, session_end)
         # Closing beacon as the player shuts down.
         self._fetch(session_end, ResourceType.BEACON, int(rng.integers(200, 800)))
         self._pool.shutdown(session_end)
@@ -443,7 +443,7 @@ class PlayerSession:
             self._n_seeks += 1
         return seg
 
-    def _drain_beacons(self, next_beacon: float, now: float) -> float:
+    def _fetch_due_beacons(self, next_beacon: float, now: float) -> float:
         """Issue every telemetry beacon due at or before ``now``."""
         while next_beacon <= now:
             self._fetch(

@@ -15,6 +15,7 @@ sessions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from repro.tlsproxy.table import TransactionTable
 
 __all__ = [
     "BoundaryConfig",
+    "decide_starts",
     "detect_session_starts",
     "evaluate_boundary_detection",
     "transaction_sort_key",
@@ -89,7 +91,8 @@ def detect_session_starts(
     :func:`transaction_sort_key` — ``(start, end, uplink, downlink,
     sni)``, a content-based tie-break, so transactions sharing a start
     time are flagged identically for every input permutation — and
-    maps the flags back.
+    maps the flags back.  The sorted table is decided by one
+    :func:`decide_starts` call.
 
     The first transaction of the stream is always a session start.
     An empty stream yields an empty flag array; a stream of one
@@ -104,39 +107,76 @@ def detect_session_starts(
             "table with sni hostnames (TransactionTable(..., sni=...))"
         )
     n = transactions.n_rows
+    flags = np.zeros(n, dtype=bool)
     if n == 0:
-        return np.zeros(0, dtype=bool)
-    starts = transactions.start
+        return flags
     order = _canonical_order(transactions)
-    sorted_starts = starts[order]
-    sorted_snis = [transactions.sni[i] for i in order]
+    starts_at = decide_starts(
+        transactions.start[order].tolist(),
+        [transactions.sni[i] for i in order],
+        0,
+        n,
+        set(),
+        config,
+    )
+    flags[order[starts_at]] = True
+    return flags
 
-    flags_sorted = np.zeros(n, dtype=bool)
-    current_servers: set[str] = set()
-    for pos in range(n):
-        if pos == 0:
-            flags_sorted[0] = True
-            current_servers = {sorted_snis[0]}
-            continue
+
+def decide_starts(
+    starts: Sequence[float],
+    snis: Sequence[str],
+    lo: int,
+    hi: int,
+    servers: set[str],
+    config: BoundaryConfig,
+) -> list[int]:
+    """Decide rows ``lo .. hi - 1`` of one stream's canonical-order log.
+
+    ``starts`` and ``snis`` are the log's start-time and SNI columns,
+    sorted by :func:`transaction_sort_key`.  Each decided row's burst —
+    the rows starting within ``W`` after it — must already be in the
+    log: the whole table in batch, the rows up to the watermark online.
+    ``servers`` is the running session's server set; the call updates
+    it in place, and an empty set means no row of the stream has been
+    decided yet, so row ``lo`` opens the stream's first session.
+    Returns the positions that start a new session, ascending.
+
+    The columns are sorted, so a row whose burst holds fewer than
+    ``N_min`` rows fails one comparison,
+    ``starts[p + n_min] > starts[p] + W``, and cannot start a session.
+    Only the remaining burst candidates read ``servers``; the SNIs of
+    the rows between two candidates join it in one ``set.update``.
+    """
+    window = config.window_s
+    n_min = config.n_min
+    delta_min = config.delta_min
+    flagged: list[int] = []
+    if lo >= hi:
+        return flagged
+    if not servers:
+        flagged.append(lo)
+        servers.add(snis[lo])
+        lo += 1
+    merged = lo  # rows before this one are in ``servers``
+    for pos in range(lo, min(hi, len(starts) - n_min)):
         # The paper considers the set of *succeeding* transactions
         # starting within W seconds of this one.
-        t0 = sorted_starts[pos]
-        hi = int(np.searchsorted(sorted_starts, t0 + config.window_s, side="right"))
-        burst = range(pos + 1, hi)
-        n_burst = hi - (pos + 1)
-        if n_burst >= config.n_min and current_servers:
-            unseen = sum(
-                1 for j in burst if sorted_snis[j] not in current_servers
-            )
-            delta = unseen / n_burst
-            if delta >= config.delta_min:
-                flags_sorted[pos] = True
-                current_servers = set()
-        current_servers.add(sorted_snis[pos])
-
-    flags = np.zeros(n, dtype=bool)
-    flags[order] = flags_sorted
-    return flags
+        limit = starts[pos] + window
+        if starts[pos + n_min] > limit:
+            continue
+        servers.update(snis[merged:pos])
+        end = bisect_right(starts, limit, pos + n_min + 1)
+        burst = snis[pos + 1 : end]
+        n_burst = end - (pos + 1)
+        unseen = n_burst - sum(map(servers.__contains__, burst))
+        if unseen / n_burst >= delta_min:
+            flagged.append(pos)
+            servers.clear()
+        servers.add(snis[pos])
+        merged = pos + 1
+    servers.update(snis[merged:hi])
+    return flagged
 
 
 def split_sessions(
@@ -146,33 +186,42 @@ def split_sessions(
 ) -> list[list[TlsTransaction]]:
     """Group a merged stream into per-session transaction lists.
 
-    Runs :func:`detect_session_starts` and cuts the (time-sorted)
-    stream at every detected boundary.  Groups smaller than
-    ``min_transactions`` — usually spurious boundaries triggered by
-    mid-session CDN switches — are merged into the preceding session,
-    a practical post-filter an ISP deployment would apply.
+    Sorts the stream by :func:`transaction_sort_key`, decides it with
+    one :func:`decide_starts` call and cuts it at every detected
+    boundary.  Groups smaller than ``min_transactions`` — usually
+    spurious boundaries triggered by mid-session CDN switches — are
+    merged into the preceding session, a practical post-filter an ISP
+    deployment would apply.
 
-    An empty stream returns an empty list.  Transactions are ordered
-    by :func:`transaction_sort_key`, so the grouping is invariant to
-    the input permutation even with tied start times.
+    An empty stream returns an empty list.  The grouping is invariant
+    to the input permutation even with tied start times.
     """
     if min_transactions < 1:
         raise ValueError("min_transactions must be >= 1")
     if not transactions:
         return []
     ordered = sorted(transactions, key=transaction_sort_key)
-    flags = detect_session_starts(ordered, config)
+    starts_at = decide_starts(
+        [t.start for t in ordered],
+        [t.sni for t in ordered],
+        0,
+        len(ordered),
+        set(),
+        config or BoundaryConfig(),
+    )
     groups: list[list[TlsTransaction]] = []
-    for txn, is_start in zip(ordered, flags):
-        if is_start and not (groups and len(groups[-1]) < min_transactions):
-            groups.append([])
-        if not groups:
-            groups.append([])
-        groups[-1].append(txn)
-    # A trailing undersized group still merges backwards.
-    if len(groups) > 1 and len(groups[-1]) < min_transactions:
-        tail = groups.pop()
+    first = 0
+    for pos in starts_at[1:]:
+        # A start inside an undersized group merges into it.
+        if pos - first >= min_transactions:
+            groups.append(ordered[first:pos])
+            first = pos
+    tail = ordered[first:]
+    if groups and len(tail) < min_transactions:
+        # A trailing undersized group merges backwards.
         groups[-1].extend(tail)
+    else:
+        groups.append(tail)
     return groups
 
 

@@ -7,14 +7,14 @@ concurrent ``(user, service)`` streams and must emit per-session QoE
 verdicts with bounded latency and memory.  This package is that
 engine:
 
-* :mod:`repro.stream.features` — :class:`SessionAccumulator`, an open
-  session's row buffer, and :func:`~repro.stream.features.session_table`,
-  which stacks closed sessions into one table for the shared columnar
-  kernel of the 38 TLS features.
 * :mod:`repro.stream.engine` — :class:`StreamDetector`, the ingest
-  engine: per-stream pending buffers, the W-lookahead online boundary
-  heuristic, idle-timeout / capacity eviction, and a batched predict
-  loop over a trained model.
+  engine: one canonical row log per stream, in which a session is a
+  row range; the W-lookahead online boundary decisions, made by the
+  decider batch detection uses
+  (:func:`~repro.sessions.boundary.decide_starts`) and reached only by
+  burst candidates; idle-timeout / capacity eviction; and a batched
+  predict loop that featurizes each score batch with the shared
+  columnar kernel of the 38 TLS features.
 * :mod:`repro.stream.replay` — corpus-to-event-stream replay used by
   the ``python -m repro stream`` CLI, the golden-equivalence tests and
   the benchmarks.
@@ -26,10 +26,8 @@ model verdicts to the batch path (``split_sessions`` →
 """
 
 from repro.stream.engine import StreamConfig, StreamDetector, StreamVerdict
-from repro.stream.features import SessionAccumulator
 
 __all__ = [
-    "SessionAccumulator",
     "StreamConfig",
     "StreamDetector",
     "StreamVerdict",

@@ -7,23 +7,28 @@ emits one :class:`StreamVerdict` per detected session.  Four ideas
 make it equivalent to the batch pipeline while staying bounded in
 latency and memory:
 
-**Watermark-gated boundary decisions.**  The paper's succeeding-burst
-heuristic (:mod:`repro.sessions.boundary`) inspects only the burst of
-transactions starting within ``W`` seconds after a candidate, so a
-decision for the transaction at ``t0`` is final as soon as the
-stream's watermark (largest start time seen) strictly exceeds
-``t0 + W``.  Pending transactions are buffered in canonical sort order
-and decided left to right; the running ``current_servers`` set then
-evolves exactly as in :func:`detect_session_starts`.
+**One boundary decider over a per-stream row log.**  Each stream keeps
+one log of its transactions in canonical sort order
+(:func:`~repro.sessions.boundary.transaction_sort_key`), as columns,
+and a session is a row range of that log.  The paper's
+succeeding-burst heuristic inspects only the burst of transactions
+starting within ``W`` seconds after a row, so the decision for the row
+at ``t0`` is final as soon as the stream's watermark (largest start
+time seen) strictly exceeds ``t0 + W``.  A closed-window index
+advances over the log as the watermark moves.  A row whose burst holds
+fewer than ``N_min`` rows cannot start a session, and with sorted
+columns that is one comparison, so most rows close with no call at
+all.  Only a stream's first row, a burst candidate, or the row that
+releases a held session reaches
+:func:`~repro.sessions.boundary.decide_starts` — the function batch
+:func:`~repro.sessions.boundary.detect_session_starts` runs once per
+table — and only the candidates read the running server set.
 
-**Features at close, one columnar pass per score batch.**  Decided
-transactions are appended to the open session's
-:class:`~repro.stream.features.SessionAccumulator`, a row buffer that
-computes nothing per event.  Closed sessions queue for scoring, and
-each score batch is featurized by one
-:func:`~repro.features.tls_features.extract_tls_table` call over a
-table stacked from the batch's buffers — the kernel the batch
-pipeline's columnar path uses.
+**Features at close, one columnar pass per score batch.**  A closed
+session queues its rows for scoring, and each score batch is
+featurized by one :func:`~repro.features.tls_features.extract_tls_table`
+call over a table stacked from the batch's sessions — the kernel the
+batch pipeline's columnar path uses.  Nothing is computed per event.
 
 **Deferred release for the undersized-tail rule.**  Batch
 ``split_sessions`` merges a trailing undersized group backwards.  To
@@ -46,7 +51,10 @@ for the tree ensembles that is the flattened node-table traversal
 (:class:`repro.ml.tree.FlatEnsemble`), whose leaf gathers are
 bit-identical to walking each tree per row, and every feature is a
 within-session reduction, so batching changes throughput, not
-verdicts.  Telemetry: ``stream.ingested`` / ``stream.scored`` /
+verdicts.  The counters and the ``stream.active`` gauge are updated
+once per :meth:`StreamDetector.ingest_many` call, and a single
+:meth:`StreamDetector.ingest` is the one-event case of that call.
+Telemetry: ``stream.ingested`` / ``stream.scored`` /
 ``stream.evicted`` / ``stream.late_dropped`` counters, a
 ``stream.active`` gauge, a ``stream.decision_lag_s`` histogram
 (event-time lag between a session's last activity and its verdict),
@@ -57,13 +65,13 @@ hot paths (``stream.score`` records the ``sessions`` and
 Late data: an arrival with ``start`` strictly below its stream's
 watermark could retroactively change an already-emitted boundary
 decision, so it is counted (``stream.late_dropped``) and dropped by
-default (``late_policy="drop"``); ``late_policy="error"`` raises
-instead.  In-order feeds — every replayed corpus — never trigger this.
+default (``late_policy="drop"``); ``late_policy="error"`` rejects the
+whole micro-batch before any of it changes the engine's state.
+In-order feeds — every replayed corpus — never trigger this.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -71,9 +79,9 @@ import numpy as np
 
 from repro import telemetry
 from repro.features.tls_features import TEMPORAL_INTERVALS, extract_tls_table
-from repro.sessions.boundary import BoundaryConfig
-from repro.stream.features import SessionAccumulator, session_table
+from repro.sessions.boundary import BoundaryConfig, decide_starts, transaction_sort_key
 from repro.tlsproxy.records import TlsTransaction
+from repro.tlsproxy.table import TransactionTable
 
 __all__ = ["StreamConfig", "StreamDetector", "StreamVerdict"]
 
@@ -101,8 +109,9 @@ class StreamConfig:
     intervals:
         Temporal-interval grid of the feature schema.
     late_policy:
-        ``"drop"`` (count and skip) or ``"error"`` for arrivals behind
-        their stream's watermark.
+        ``"drop"`` (count and skip) or ``"error"`` (reject the whole
+        micro-batch, unapplied) for arrivals behind their stream's
+        watermark.
     """
 
     boundary: BoundaryConfig = field(default_factory=BoundaryConfig)
@@ -167,32 +176,49 @@ class StreamVerdict:
 
 
 class _StreamState:
-    """Mutable per-stream bookkeeping (one per active stream key)."""
+    """One active stream: its canonical row log and the indices into it.
+
+    ``starts``, ``snis`` and ``rows`` are the log's columns, sorted by
+    :func:`~repro.sessions.boundary.transaction_sort_key`.  Rows below
+    ``closed`` are decided.  The open session is rows ``group ..
+    closed - 1``; a held session is rows ``held .. group - 1`` (``held``
+    is ``-1`` when none is held).  ``servers`` holds the SNIs of the
+    running session's rows below ``seen``.  ``mark`` is the next row
+    that must reach the decider even if it is no burst candidate: ``0``
+    for a new stream's first row, the row that releases the held session
+    while one is held, else ``-1``.  Rows below the open session are
+    dropped once no session needs them, and the indices are rebased.
+    """
 
     __slots__ = (
         "key",
-        "pending",
-        "current_servers",
-        "decided_any",
-        "watermark",
-        "last_seen",
+        "starts",
+        "snis",
+        "rows",
+        "servers",
+        "seen",
+        "closed",
         "group",
         "held",
+        "mark",
+        "watermark",
+        "last_seen",
         "n_closed",
     )
 
     def __init__(self, key: str):
         self.key = key
-        # Canonical-order buffer of undecided transactions, each a
-        # (start, end, uplink, downlink, sni) tuple — tuple comparison
-        # IS transaction_sort_key ordering.
-        self.pending: list[tuple[float, float, float, float, str]] = []
-        self.current_servers: set[str] = set()
-        self.decided_any = False
+        self.starts: list[float] = []
+        self.snis: list[str] = []
+        self.rows: list[TlsTransaction] = []
+        self.servers: set[str] = set()
+        self.seen = 0
+        self.closed = 0
+        self.group = 0
+        self.held = -1
+        self.mark = 0
         self.watermark = float("-inf")
         self.last_seen = float("-inf")
-        self.group: SessionAccumulator | None = None
-        self.held: SessionAccumulator | None = None
         self.n_closed = 0
 
 
@@ -227,8 +253,11 @@ class StreamDetector:
         self.config = config or StreamConfig()
         self._streams: dict[str, _StreamState] = {}
         self._now = float("-inf")
-        # Closed sessions awaiting the batched predict loop.
-        self._score_queue: list[tuple[str, int, SessionAccumulator, str, float]] = []
+        # Closed sessions awaiting the batched predict loop:
+        # (stream, session_index, rows, reason, decided_at).
+        self._score_queue: list[
+            tuple[str, int, list[TlsTransaction], str, float]
+        ] = []
         self._counts = {
             "ingested": 0,
             "scored": 0,
@@ -247,7 +276,7 @@ class StreamDetector:
         return {
             **self._counts,
             "active": len(self._streams),
-            "pending": sum(len(st.pending) for st in self._streams.values()),
+            "pending": sum(len(st.starts) - st.closed for st in self._streams.values()),
             "queued": len(self._score_queue),
         }
 
@@ -259,11 +288,7 @@ class StreamDetector:
         now: float | None = None,
     ) -> list[StreamVerdict]:
         """Feed one transaction; return any verdicts it triggered."""
-        out: list[StreamVerdict] = []
-        self._ingest_one(stream, transaction, now, out)
-        self._evict_idle(out)
-        self._pump_scores(out, force=False)
-        return out
+        return self.ingest_many([(stream, transaction)], now=now)
 
     def ingest_many(
         self,
@@ -271,12 +296,17 @@ class StreamDetector:
         *,
         now: float | None = None,
     ) -> list[StreamVerdict]:
-        """Feed a micro-batch of ``(stream, transaction)`` events."""
+        """Feed a micro-batch of ``(stream, transaction)`` events.
+
+        Under ``late_policy="error"`` a batch holding a late arrival
+        raises before any of its events changes the engine's state.
+        """
         out: list[StreamVerdict] = []
         events = list(events)
         with telemetry.span("stream.ingest", events=len(events)):
-            for key, txn in events:
-                self._ingest_one(key, txn, now, out)
+            if self.config.late_policy == "error":
+                self._reject_late(events)
+            self._ingest(events, now, out)
             self._evict_idle(out)
             self._pump_scores(out, force=False)
         return out
@@ -301,145 +331,161 @@ class StreamDetector:
         return out
 
     # -- ingest path ----------------------------------------------------
-    def _ingest_one(
+    def _reject_late(self, events: list[tuple[str, TlsTransaction]]) -> None:
+        """Raise on the batch's first arrival behind its stream's
+        watermark, counting the batch's earlier events."""
+        watermarks: dict[str, float] = {}
+        for key, txn in events:
+            watermark = watermarks.get(key)
+            if watermark is None:
+                st = self._streams.get(key)
+                watermark = st.watermark if st is not None else float("-inf")
+            if txn.start < watermark:
+                raise ValueError(
+                    f"late transaction on stream {key!r}: start {txn.start} "
+                    f"is behind the stream watermark {watermark}"
+                )
+            watermarks[key] = txn.start
+
+    def _ingest(
         self,
-        key: str,
-        txn: TlsTransaction,
+        events: list[tuple[str, TlsTransaction]],
         now: float | None,
         out: list[StreamVerdict],
     ) -> None:
-        event_time = txn.start if now is None else now
-        if event_time > self._now:
-            self._now = event_time
-        st = self._streams.get(key)
-        if st is None:
-            self._evict_over_capacity(out)
-            st = _StreamState(key)
-            self._streams[key] = st
-            telemetry.gauge("stream.active", len(self._streams))
-        else:
-            # Keep the stream dict ordered by recency so eviction scans
-            # only the stale front.
-            del self._streams[key]
-            self._streams[key] = st
-        st.last_seen = self._now
+        """Append each event to its stream's log and decide the rows
+        whose burst window it closes.
 
-        if txn.start < st.watermark:
-            # Deciding positions behind the watermark is already done;
-            # folding this transaction in could rewrite an emitted
-            # boundary decision.
-            self._counts["late_dropped"] += 1
-            telemetry.count("stream.late_dropped")
-            if self.config.late_policy == "error":
-                raise ValueError(
-                    f"late transaction on stream {key!r}: start {txn.start} "
-                    f"is behind the stream watermark {st.watermark}"
-                )
-            return
-        insort(
-            st.pending,
-            (
-                txn.start,
-                txn.end,
-                float(txn.uplink_bytes),
-                float(txn.downlink_bytes),
-                txn.sni,
-            ),
-        )
-        if txn.start > st.watermark:
-            st.watermark = txn.start
-        self._counts["ingested"] += 1
-        telemetry.count("stream.ingested")
-        self._drain(st, force=False)
-
-    def _drain(self, st: _StreamState, force: bool) -> None:
-        """Decide every pending transaction whose burst window closed.
-
-        Mirrors the batch heuristic exactly: pending transactions are
-        decided in canonical order once the watermark strictly passes
-        ``start + W`` (with ``force``, immediately — flush/eviction).
+        Most rows close on the fast path: they are no burst candidate
+        (``starts[c + n_min] > starts[c] + W``, the decider's own
+        filter) and no ``mark``, so nothing but the index moves.  The
+        rest go through :meth:`_settle`.  A decision is final once the
+        watermark strictly passes ``start + W``: no later arrival can
+        join that row's burst.
         """
-        config = self.config
-        window = config.boundary.window_s
-        n_min = config.boundary.n_min
-        delta_min = config.boundary.delta_min
-        pending = st.pending
-        while pending:
-            head = pending[0]
-            t0 = head[0]
-            if not force and not (st.watermark > t0 + window):
-                break
-            is_start = False
-            if not st.decided_any:
-                is_start = True
-                st.decided_any = True
-                st.current_servers = {head[4]}
+        streams = self._streams
+        window = self.config.boundary.window_s
+        n_min = self.config.boundary.n_min
+        clock = self._now
+        if now is not None and events and now > clock:
+            self._now = clock = now
+        track = now is None
+        late = 0
+        created = 0
+        for key, txn in events:
+            start = txn.start
+            if track and start > clock:
+                self._now = clock = start
+            # Re-inserting keeps the stream dict ordered by recency, so
+            # eviction scans only the stale front.
+            st = streams.pop(key, None)
+            if st is None:
+                self._evict_over_capacity(out)
+                st = _StreamState(key)
+                created += 1
+            streams[key] = st
+            st.last_seen = clock
+            watermark = st.watermark
+            if start > watermark:
+                st.watermark = start
+                starts = st.starts
+                starts.append(start)
+                st.snis.append(txn.sni)
+                st.rows.append(txn)
+                c = st.closed
+                if start > starts[c] + window:
+                    # The new row itself never closes (W > 0), so the
+                    # scan stops inside the log.
+                    n = len(starts)
+                    mark = st.mark
+                    while True:
+                        if c == mark or (
+                            c + n_min < n and starts[c + n_min] <= starts[c] + window
+                        ):
+                            c = self._settle(st, c + 1)
+                            n = len(starts)
+                            mark = st.mark
+                        else:
+                            c += 1
+                        if not start > starts[c] + window:
+                            break
+                    st.closed = c
+            elif start == watermark:
+                self._insert_tie(st, txn)
             else:
-                limit = t0 + window
-                n_burst = 0
-                unseen = 0
-                servers = st.current_servers
-                for j in range(1, len(pending)):
-                    entry = pending[j]
-                    if entry[0] > limit:
-                        break
-                    n_burst += 1
-                    if entry[4] not in servers:
-                        unseen += 1
-                if n_burst >= n_min and servers and unseen / n_burst >= delta_min:
-                    is_start = True
-                    st.current_servers = set()
-                st.current_servers.add(head[4])
-            self._assign(st, head, is_start)
-            pending.pop(0)
+                # Deciding positions behind the watermark is already
+                # done; folding this transaction in could rewrite an
+                # emitted boundary decision.
+                late += 1
+        ingested = len(events) - late
+        if ingested:
+            self._counts["ingested"] += ingested
+            telemetry.count("stream.ingested", ingested)
+        if late:
+            self._counts["late_dropped"] += late
+            telemetry.count("stream.late_dropped", late)
+        if created:
+            telemetry.gauge("stream.active", len(streams))
 
-    def _assign(
-        self,
-        st: _StreamState,
-        entry: tuple[float, float, float, float, str],
-        is_start: bool,
-    ) -> None:
-        """Place one decided transaction into its session group,
-        applying the ``min_transactions`` merge rules online."""
-        config = self.config
-        if (
-            is_start
-            and st.group is not None
-            and st.group.n >= config.min_transactions
-        ):
-            # The predecessor can only change again via the trailing
-            # undersized-tail merge, so hold it until the new group is
-            # irrevocably a session of its own.
-            if st.held is not None:  # pragma: no cover - invariant guard
-                self._queue_score(st, st.held, reason="boundary")
-            st.held = st.group
-            st.group = None
-        if st.group is None:
-            st.group = SessionAccumulator(config.intervals)
-        st.group.add(entry[0], entry[1], entry[2], entry[3])
-        if st.held is not None and st.group.n >= config.min_transactions:
-            self._queue_score(st, st.held, reason="boundary")
-            st.held = None
+    def _insert_tie(self, st: _StreamState, txn: TlsTransaction) -> None:
+        """Insert an arrival that starts at its stream's watermark at its
+        canonical place among the undecided rows of equal start."""
+        key = transaction_sort_key(txn)
+        rows = st.rows
+        at = len(rows)
+        while at > st.closed and transaction_sort_key(rows[at - 1]) > key:
+            at -= 1
+        rows.insert(at, txn)
+        st.starts.insert(at, txn.start)
+        st.snis.insert(at, txn.sni)
+
+    def _settle(self, st: _StreamState, hi: int) -> int:
+        """Decide the stream's rows up to ``hi - 1`` and group them.
+
+        Applies the ``min_transactions`` rules online: a start row opens
+        a new session only if the open one already holds
+        ``min_transactions`` rows, else it merges into it; the closed
+        session is held until its successor reaches
+        ``min_transactions`` rows, since until then an undersized tail
+        could still merge backwards.  Returns ``hi`` in the log's
+        numbering after the rows no session needs are dropped.
+        """
+        min_tx = self.config.min_transactions
+        flagged = decide_starts(
+            st.starts, st.snis, st.seen, hi, st.servers, self.config.boundary
+        )
+        dead = 0
+        for row in flagged + [hi]:
+            if st.held >= 0 and st.group + min_tx <= row:
+                self._queue_score(st, st.rows[st.held : st.group], reason="boundary")
+                st.held = -1
+                dead = st.group
+            if row < hi and row - st.group >= min_tx:
+                st.held, st.group = st.group, row
+        if dead:
+            del st.starts[:dead], st.snis[:dead], st.rows[:dead]
+            hi -= dead
+            st.group -= dead
+            if st.held >= 0:
+                st.held -= dead
+        st.seen = st.closed = hi
+        st.mark = st.group + min_tx - 1 if st.held >= 0 else -1
+        return hi
 
     # -- closing, eviction, scoring -------------------------------------
     def _close_stream(self, st: _StreamState, reason: str) -> None:
         """Force-decide and enqueue everything a departing stream holds."""
-        self._drain(st, force=True)
-        group, held = st.group, st.held
-        st.group = st.held = None
-        if group is not None and group.n > 0:
-            if held is not None and group.n < self.config.min_transactions:
-                # Trailing undersized group merges backwards, exactly
-                # like the batch split_sessions post-filter.
-                for row in group.rows():
-                    held.add(*row)
-                self._queue_score(st, held, reason=reason)
-                return
-            if held is not None:
-                self._queue_score(st, held, reason=reason)
-            self._queue_score(st, group, reason=reason)
-        elif held is not None:  # pragma: no cover - group implies held
-            self._queue_score(st, held, reason=reason)
+        n = self._settle(st, len(st.starts))
+        rows, group, held = st.rows, st.group, st.held
+        if held >= 0 and n - group < self.config.min_transactions:
+            # Trailing undersized group merges backwards, exactly like
+            # the batch split_sessions post-filter.
+            self._queue_score(st, rows[held:], reason=reason)
+            return
+        if held >= 0:
+            self._queue_score(st, rows[held:group], reason=reason)
+        if n > group:
+            self._queue_score(st, rows[group:], reason=reason)
 
     def _evict_idle(self, out: list[StreamVerdict]) -> None:
         timeout = self.config.idle_timeout_s
@@ -471,9 +517,9 @@ class StreamDetector:
         telemetry.gauge("stream.active", len(self._streams))
 
     def _queue_score(
-        self, st: _StreamState, group: SessionAccumulator, reason: str
+        self, st: _StreamState, rows: list[TlsTransaction], reason: str
     ) -> None:
-        self._score_queue.append((st.key, st.n_closed, group, reason, self._now))
+        self._score_queue.append((st.key, st.n_closed, rows, reason, self._now))
         st.n_closed += 1
 
     def _pump_scores(self, out: list[StreamVerdict], force: bool) -> None:
@@ -483,20 +529,24 @@ class StreamDetector:
             chunk = self._score_queue[:batch]
             del self._score_queue[:batch]
             with telemetry.span("stream.score", sessions=len(chunk)) as sp:
-                table = session_table([group for _, _, group, _, _ in chunk])
+                table = TransactionTable.from_sessions([rows for _, _, rows, _, _ in chunk])
                 sp.set(transactions=table.n_rows)
                 X = extract_tls_table(table, self.config.intervals)
                 categories = (
                     self.model.predict(X) if self.model is not None else None
                 )
-                for i, (key, index, group, reason, decided_at) in enumerate(chunk):
+                lo = table.offsets[:-1]
+                counts = table.counts.tolist()
+                firsts = table.start[lo].tolist()
+                lasts = np.maximum.reduceat(table.end, lo).tolist()
+                for i, (key, index, _, reason, decided_at) in enumerate(chunk):
                     out.append(
                         StreamVerdict(
                             stream=key,
                             session_index=index,
-                            n_transactions=group.n,
-                            session_start=group.session_start,
-                            session_end=group.session_end,
+                            n_transactions=counts[i],
+                            session_start=firsts[i],
+                            session_end=lasts[i],
                             features=X[i],
                             category=(
                                 int(categories[i]) if categories is not None else None
@@ -506,8 +556,7 @@ class StreamDetector:
                         )
                     )
                     telemetry.observe(
-                        "stream.decision_lag_s",
-                        max(decided_at - group.session_end, 0.0),
+                        "stream.decision_lag_s", max(decided_at - lasts[i], 0.0)
                     )
                 self._counts["scored"] += len(chunk)
                 telemetry.count("stream.scored", len(chunk))

@@ -7,6 +7,8 @@ import pytest
 
 from repro.sessions.boundary import (
     BoundaryConfig,
+    _canonical_order,
+    decide_starts,
     detect_session_starts,
     evaluate_boundary_detection,
     split_sessions,
@@ -15,6 +17,7 @@ from repro.sessions.boundary import (
 from repro.sessions.workload import back_to_back_stream
 from repro.tlsproxy.records import TlsTransaction
 from repro.tlsproxy.table import TransactionTable
+from tests.session_oracle import oracle_session_starts, oracle_split_sessions
 
 
 def txn(start, sni, end=None):
@@ -186,6 +189,80 @@ class TestTieBreakDeterminism:
         )
         with pytest.raises(ValueError, match="SNI column"):
             detect_session_starts(table)
+
+
+def random_table(rng: random.Random, n: int) -> TransactionTable:
+    """A stream with many tied starts, repeated hosts and exact duplicate
+    rows: starts on a 0.5 s grid, three byte counts, five hostnames."""
+    rows = []
+    t = 0.0
+    for _ in range(n):
+        t += rng.choice([0.0, 0.0, 0.5, 1.0, 1.5, 3.0, 6.0])
+        rows.append(
+            TlsTransaction(
+                start=t,
+                end=t + rng.choice([0.0, 1.0, 4.0]),
+                uplink_bytes=rng.choice([100, 200]),
+                downlink_bytes=rng.choice([1000, 5000]),
+                sni=rng.choice(["www", "api", "edge1", "edge2", "edge3"]),
+            )
+        )
+    rng.shuffle(rows)
+    return TransactionTable.from_transactions(rows)
+
+
+class TestDeciderOracle:
+    """``detect_session_starts`` runs the one decider, ``decide_starts``;
+    the per-row loop it replaced (``tests/session_oracle.py``) must agree
+    on every table."""
+
+    @pytest.mark.parametrize("window_s", [0.5, 1.0, 3.0, 7.0])
+    @pytest.mark.parametrize("n_min", [1, 2, 3, 4])
+    @pytest.mark.parametrize("delta_min", [0.0, 0.5, 1.0])
+    def test_detect_equals_per_row_oracle(self, window_s, n_min, delta_min):
+        config = BoundaryConfig(window_s=window_s, n_min=n_min, delta_min=delta_min)
+        rng = random.Random(f"{window_s}/{n_min}/{delta_min}")
+        n_flags = 0
+        for _ in range(40):
+            table = random_table(rng, rng.randint(1, 60))
+            flags = detect_session_starts(table, config)
+            assert np.array_equal(flags, oracle_session_starts(table, config))
+            n_flags += int(flags.sum())
+        assert n_flags > 40  # more starts than the first rows alone
+
+    @pytest.mark.parametrize("min_transactions", [1, 2, 3, 5])
+    def test_split_equals_per_row_oracle(self, min_transactions):
+        rng = random.Random(min_transactions)
+        for _ in range(40):
+            config = BoundaryConfig(
+                window_s=rng.choice([1.0, 3.0]),
+                n_min=rng.randint(1, 3),
+                delta_min=rng.choice([0.0, 0.5, 1.0]),
+            )
+            table = random_table(rng, rng.randint(1, 60))
+            rows = table.transactions()
+            assert split_sessions(rows, config, min_transactions) == (
+                oracle_split_sessions(rows, config, min_transactions)
+            )
+
+    @pytest.mark.parametrize("n_min", [1, 2, 4])
+    def test_deciding_a_log_in_pieces_equals_one_call(self, n_min):
+        """The stream decides its log a few rows at a time, sharing one
+        server set; any cut of the log must give the one-call flags."""
+        config = BoundaryConfig(n_min=n_min)
+        rng = random.Random(n_min)
+        for _ in range(40):
+            table = random_table(rng, rng.randint(1, 60))
+            order = _canonical_order(table)
+            starts = table.start[order].tolist()
+            snis = [table.sni[i] for i in order]
+            whole = decide_starts(starts, snis, 0, len(starts), set(), config)
+            cuts = sorted(rng.choices(range(len(starts) + 1), k=rng.randint(0, 6)))
+            servers: set[str] = set()
+            pieces = []
+            for lo, hi in zip([0] + cuts, cuts + [len(starts)]):
+                pieces += decide_starts(starts, snis, lo, hi, servers, config)
+            assert pieces == whole
 
 
 class TestSplitSessionsDegenerateInputs:

@@ -6,21 +6,26 @@ the verdicts of the batch pipeline — same session groups, bit-identical
 feature vectors, same model categories — for every micro-batch size,
 worker count, and service.  The remaining classes cover the pieces that
 make that possible (incremental features, watermark gating, the
-undersized-tail merge) and the operational edges (eviction, late data,
-telemetry reconciliation).
+undersized-tail merge), the operational edges (eviction, late data,
+telemetry reconciliation), and the engine's equality with the
+per-event engine it replaced (``tests/session_oracle.py``), verdict by
+verdict, for random feeds and any micro-batch split.
 """
+
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.api as api
 from repro import telemetry
 from repro.config import override
 from repro.features.tls_features import extract_tls_features, feature_names
-from repro.sessions.boundary import split_sessions, transaction_sort_key
+from repro.sessions.boundary import BoundaryConfig, split_sessions, transaction_sort_key
 from repro.sessions.workload import back_to_back_stream
 from repro.stream.engine import StreamConfig, StreamDetector
-from repro.stream.features import SessionAccumulator
 from repro.stream.replay import (
     check_batch_equivalence,
     demo_streams,
@@ -29,6 +34,7 @@ from repro.stream.replay import (
     synthetic_events,
 )
 from repro.tlsproxy.records import TlsTransaction
+from tests.session_oracle import OracleStreamDetector, SessionAccumulator
 
 
 def txn(start, sni, end=None, uplink=100, downlink=1000):
@@ -189,29 +195,6 @@ class TestSessionAccumulator:
         acc.add(group[-1].end + 1.0, group[-1].end + 2.0, 10.0, 100.0)
         assert acc.n == len(group) + 1
 
-    def test_snapshot_is_a_live_running_view(self):
-        acc = SessionAccumulator()
-        acc.add(0.0, 2.0, 100.0, 1000.0)
-        view = acc.snapshot()
-        assert view["n_transactions"] == 1.0
-        assert view["SES_DUR"] == pytest.approx(2.0)
-        acc.add(1.0, 10.0, 100.0, 4000.0)
-        grown = acc.snapshot()
-        assert grown["n_transactions"] == 2.0
-        assert grown["SES_DUR"] == pytest.approx(10.0)
-        assert grown["CUM_DL_30s"] == pytest.approx(5000.0)
-
-    def test_snapshot_is_exact(self):
-        group = self._session(seed=3)
-        acc = SessionAccumulator()
-        for t in group[: len(group) // 2]:
-            acc.add(t.start, t.end, t.uplink_bytes, t.downlink_bytes)
-        view = acc.snapshot()
-        names = feature_names()
-        vector = acc.finalize()
-        assert view.pop("n_transactions") == float(len(group) // 2)
-        assert view == {name: vector[names.index(name)] for name in view}
-
     def test_vector_matches_schema_width(self):
         acc = SessionAccumulator()
         acc.add(0.0, 1.0, 10.0, 100.0)
@@ -359,6 +342,27 @@ class TestLateData:
         with pytest.raises(ValueError, match="behind the stream watermark"):
             detector.ingest("u", txn(3.0, "edge1"))
 
+    def test_rejected_micro_batch_changes_nothing(self):
+        """Under late_policy="error" a batch is checked before any of it
+        is applied: the capacity eviction its first event would trigger
+        must not happen, or that verdict would be lost with the raise."""
+        detector = StreamDetector(
+            config=StreamConfig(min_transactions=1, late_policy="error", max_streams=1)
+        )
+        detector.ingest("a", txn(0.0, "www"))
+        detector.ingest("a", txn(10.0, "edge1"))
+        before = detector.stats()
+        with pytest.raises(
+            ValueError,
+            match=r"stream 'b': start 5\.0 is behind the stream watermark 20\.0",
+        ):
+            detector.ingest_many([("b", txn(20.0, "www")), ("b", txn(5.0, "edge1"))])
+        assert detector.stats() == before
+        out = detector.ingest_many([("b", txn(20.0, "www"))])
+        assert [(v.stream, v.reason, v.n_transactions) for v in out] == [
+            ("a", "eviction", 2)
+        ]
+
     def test_equal_to_watermark_is_not_late(self):
         detector = StreamDetector(config=StreamConfig(min_transactions=1))
         detector.ingest("u", txn(10.0, "www"))
@@ -384,3 +388,153 @@ class TestFlush:
         assert detector.flush() == []
         detector.ingest("a", txn(1.0, "www"))
         assert [v.session_index for v in detector.flush()] == [0]
+
+
+def verdict_fields(v):
+    """Every field of a verdict, the feature vector as raw bytes."""
+    return (
+        v.stream,
+        v.session_index,
+        v.n_transactions,
+        v.session_start,
+        v.session_end,
+        v.category,
+        v.reason,
+        v.decided_at,
+        v.features.tobytes(),
+    )
+
+
+def tied_feed(rng, n_events, keys, hosts, late_share=0.0):
+    """A feed on a coarse time grid: many starts tie within and across
+    streams, some rows are exact duplicates, and ``late_share`` of the
+    events are moved back in time (late arrivals, unless their stream
+    has not moved past them)."""
+    events = []
+    t = 0.0
+    for _ in range(n_events):
+        t += rng.choice([0.0, 0.0, 0.5, 1.0, 2.0, 4.0])
+        start = t - (rng.choice([1.0, 3.0]) if rng.random() < late_share else 0.0)
+        events.append(
+            (
+                rng.choice(keys),
+                TlsTransaction(
+                    start=start,
+                    end=start + rng.choice([0.0, 1.0, 2.5]),
+                    uplink_bytes=rng.choice([1, 2]),
+                    downlink_bytes=rng.choice([10, 20]),
+                    sni=rng.choice(hosts),
+                ),
+            )
+        )
+    return events
+
+
+class TestEngineOracle:
+    """The engine equals the per-event engine it replaced
+    (``tests/session_oracle.py``): the same verdicts, every field, from
+    the same call, and the same ``stats()`` after every call."""
+
+    def test_engine_equals_per_event_oracle(self, model):
+        paths = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            config = StreamConfig(
+                boundary=BoundaryConfig(
+                    window_s=rng.choice([0.5, 1.0, 3.0, 7.5]),
+                    n_min=rng.randint(1, 4),
+                    delta_min=rng.choice([0.0, 0.5, 1.0]),
+                ),
+                min_transactions=rng.randint(1, 5),
+                idle_timeout_s=rng.choice([2.0, 10.0, 900.0]),
+                max_streams=rng.randint(1, 5),
+                score_batch=rng.randint(1, 8),
+            )
+            keys = [f"s{i}" for i in range(rng.randint(1, 5))]
+            hosts = [f"h{i}" for i in range(rng.randint(1, 6))]
+            events = tied_feed(rng, rng.randint(0, 200), keys, hosts, late_share=0.1)
+            engine = StreamDetector(model, config=config)
+            oracle = OracleStreamDetector(model, config=config)
+            i = 0
+            while i <= len(events):
+                r = rng.random()
+                if i == len(events):
+                    call = ("flush", None)
+                    i += 1
+                elif r < 0.3:
+                    call = ("ingest", events[i])
+                    i += 1
+                elif r < 0.35:
+                    call = ("flush", rng.choice(keys))
+                else:
+                    n = rng.randint(0, 12)
+                    now = rng.choice([None] * 8 + [0.0, events[i][1].start + 50.0])
+                    call = ("ingest_many", (events[i : i + n], now))
+                    i += n
+                got, want = (self._call(d, call) for d in (engine, oracle))
+                assert [verdict_fields(v) for v in got] == [
+                    verdict_fields(v) for v in want
+                ], (seed, call)
+                assert engine.stats() == oracle.stats(), (seed, call)
+                paths.update(v.reason for v in got)
+            stats = engine.stats()
+            if stats["late_dropped"]:
+                paths.add("late")
+        assert paths == {"boundary", "flush", "eviction", "late"}
+
+    @staticmethod
+    def _call(detector, call):
+        kind, arg = call
+        if kind == "ingest":
+            return detector.ingest(*arg)
+        if kind == "flush":
+            return detector.flush(arg)
+        batch, now = arg
+        return detector.ingest_many(batch, now=now)
+
+
+@st.composite
+def tied_replays(draw):
+    """Per-stream transaction lists with tied starts, and a feed of them
+    in start order where every group of equal starts comes in any order,
+    cut into micro-batches of any sizes."""
+    rng = draw(st.randoms(use_true_random=False))
+    keys = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    hosts = [f"h{i}" for i in range(draw(st.integers(1, 5)))]
+    events = tied_feed(rng, draw(st.integers(1, 80)), keys, hosts)
+    rng.shuffle(events)
+    events.sort(key=lambda e: e[1].start)  # stable: ties keep the shuffle
+    streams = {}
+    for key, t in events:
+        streams.setdefault(key, []).append(t)
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=20))
+    batches, lo = [], 0
+    while lo < len(events):
+        size = sizes[len(batches) % len(sizes)]
+        batches.append(events[lo : lo + size])
+        lo += size
+    return streams, batches, draw(st.integers(1, 5))
+
+
+class TestReplayProperties:
+    """For any micro-batch split and any order of same-start events,
+    replay equals the batch pipeline and the per-event oracle engine."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(replay_case=tied_replays())
+    def test_replay_equals_batch_and_oracle(self, replay_case, model):
+        streams, batches, min_transactions = replay_case
+        config = StreamConfig(min_transactions=min_transactions)
+        engine = StreamDetector(model, config=config)
+        oracle = OracleStreamDetector(model, config=config)
+        verdicts = []
+        for batch in batches + [None]:
+            if batch is None:
+                got, want = engine.flush(), oracle.flush()
+            else:
+                got, want = engine.ingest_many(batch), oracle.ingest_many(batch)
+            assert [verdict_fields(v) for v in got] == [verdict_fields(v) for v in want]
+            verdicts += got
+        assert engine.stats()["late_dropped"] == 0
+        check_batch_equivalence(streams, verdicts, model, config=config)
+        assert {v.stream for v in verdicts} == set(streams)
