@@ -15,9 +15,10 @@ The workload is the real table3 corpus bootstrap-resampled to
 deployment scale (fixed shapes, like the stream benchmark — the
 contract is "this speedup at this size", so the rows are not
 ``REPRO_SCALE``-scaled; only the underlying corpus is).  Floors sit
-well under the measured speedups on a 2-vCPU container (forest fit
-~13-16x, boosting fit ~15-18x, prediction ~34-58x) so they trip on
-algorithmic regressions, not machine noise.  Run from the repository root
+well under the measured speedups on a 2-vCPU container (lockstep
+grower, three runs: forest fit ~16-18x, boosting fit ~15-16x,
+prediction ~48-56x) so they trip on algorithmic regressions, not
+machine noise.  Run from the repository root
 (``python -m pytest benchmarks/test_bench_ml_kernels.py``) so the
 ``tests`` package that holds the oracle is importable.
 """

@@ -10,14 +10,23 @@ Two claims from DESIGN.md §5f are held to numbers here:
   inner loops, so tracing a representative pipeline (collect ->
   features -> CV) costs at most 5% wall time over the untraced run.
 
+The host's speed drifts by a fifth or more within seconds, so the
+overhead is measured the way ``perfbench`` measures: untraced and
+traced runs alternate in pairs (which one goes first alternates too),
+each run's wall time is scaled to a reference host speed by
+``perfbench/hostspeed.py``'s sampler, and the overhead is the median
+of the pairs' traced/untraced ratios.  Run from the repository root.
+
 Both runs assert bit-identical feature matrices — telemetry must
 never change results.
 """
 
+import statistics
 import time
 
 import numpy as np
 
+from perfbench.hostspeed import SpeedSampler
 from repro import telemetry
 from repro.collection.harness import collect_corpus
 from repro.features.tls_features import extract_tls_matrix
@@ -29,6 +38,8 @@ from conftest import run_once
 N_SESSIONS = 120
 #: Acceptance budget for REPRO_TRACE=1 (DESIGN.md §5f).
 MAX_OVERHEAD = 0.05
+#: Untraced/traced run pairs; the overhead is their median ratio.
+PAIRS = 7
 
 
 def _noop_span_cost(iterations: int = 200_000) -> float:
@@ -58,30 +69,33 @@ def _pipeline() -> tuple[np.ndarray, float]:
     return X
 
 
-def _min_of(fn, rounds: int) -> tuple[float, np.ndarray]:
-    best, result = float("inf"), None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_bench_enabled_overhead(benchmark, tmp_path_factory):
     trace_path = tmp_path_factory.mktemp("telemetry") / "pipeline.jsonl"
 
+    def traced() -> np.ndarray:
+        with telemetry.tracing(trace_path):
+            return _pipeline()
+
     def measure() -> dict:
-        # Interleave-free min-of-3: each mode keeps its best run, which
-        # cancels one-off noise (page cache, allocator warmup).
-        off_s, X_off = _min_of(_pipeline, rounds=3)
-
-        def traced() -> np.ndarray:
-            with telemetry.tracing(trace_path):
-                return _pipeline()
-
-        on_s, X_on = _min_of(traced, rounds=3)
-        assert X_on.tobytes() == X_off.tobytes(), "tracing changed results"
-        return {"off_s": off_s, "on_s": on_s, "overhead": on_s / off_s - 1.0}
+        ratios, walls, matrices = [], {False: [], True: []}, {}
+        with SpeedSampler() as speed:
+            for i in range(PAIRS):
+                pair = {}
+                for on in (False, True) if i % 2 == 0 else (True, False):
+                    start = time.perf_counter()
+                    matrices[on] = (traced if on else _pipeline)()
+                    end = time.perf_counter()
+                    pair[on] = speed.at_reference(end - start, start, end)
+                    walls[on].append(pair[on])
+                ratios.append(pair[True] / pair[False])
+                assert matrices[True].tobytes() == matrices[False].tobytes(), (
+                    "tracing changed results"
+                )
+        return {
+            "off_s": statistics.median(walls[False]),
+            "on_s": statistics.median(walls[True]),
+            "overhead": statistics.median(ratios) - 1.0,
+        }
 
     result = run_once(benchmark, measure)
     benchmark.extra_info.update(

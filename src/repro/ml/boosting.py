@@ -7,8 +7,10 @@ probability), with shrinkage and optional row subsampling — the core of
 what XGBoost does, minus the second-order weights and regularized leaf
 solver.
 
-Each fit bins the corpus once up front; every round's trees then fit
-on (row-subsampled slices of) the shared uint8 codes with histogram
+Each fit bins the corpus once up front; every round's class trees
+then grow as one lockstep batch
+(:meth:`~repro.ml.tree.DecisionTreeRegressor.fit_binned_batch`) on
+(row-subsampled slices of) the shared uint8 codes with histogram
 split finding.  Prediction stacks all fitted trees into
 one :class:`~repro.ml.tree.FlatEnsemble` and routes every row through
 every tree in a single vectorized traversal, accumulating scores in
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
 from repro.ml.binning import Binner
 from repro.ml.tree import DecisionTreeRegressor, FlatEnsemble
 from repro.ml.validation import as_2d_float, check_n_features
@@ -27,16 +30,19 @@ from repro.parallel import parallel_map, resolve_jobs
 __all__ = ["GradientBoostingClassifier"]
 
 
-def _fit_round_tree(
-    task: tuple[np.ndarray, np.ndarray, int, int, int, Binner],
-) -> DecisionTreeRegressor:
-    """Fit one round's per-class tree on the shared bin codes (runs
-    inside a pool worker)."""
-    code_rows, residual_c, max_depth, min_samples_leaf, seed, binner = task
-    tree = DecisionTreeRegressor(
-        max_depth=max_depth, min_samples_leaf=min_samples_leaf, random_state=seed
-    )
-    return tree.fit_binned(code_rows, residual_c, binner)
+def _fit_round_trees(
+    task: tuple[np.ndarray, np.ndarray, int, int, list[int], Binner],
+) -> list[DecisionTreeRegressor]:
+    """Grow one round's per-class trees in lockstep on the shared bin
+    codes, one residual row per tree (runs inside a pool worker)."""
+    code_rows, residuals, max_depth, min_samples_leaf, seeds, binner = task
+    trees = [
+        DecisionTreeRegressor(
+            max_depth=max_depth, min_samples_leaf=min_samples_leaf, random_state=seed
+        )
+        for seed in seeds
+    ]
+    return DecisionTreeRegressor.fit_binned_batch(trees, code_rows, residuals, binner)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -122,7 +128,8 @@ class GradientBoostingClassifier:
 
         # Bin once per corpus; every round reuses the codes.
         self.binner_ = Binner()
-        codes = self.binner_.fit_transform(X)
+        with telemetry.span("ml.bin", rows=n, features=X.shape[1]):
+            codes = self.binner_.fit_transform(X)
 
         for _ in range(self.n_estimators):
             proba = _softmax(scores)
@@ -134,30 +141,27 @@ class GradientBoostingClassifier:
                 rows = np.arange(n)
             # Seeds come off the shared generator in class order — the
             # same stream the sequential loop consumed — then the k
-            # independent class trees can fit concurrently.
+            # independent class trees grow as one lockstep batch (split
+            # over the workers when there are several).
             seeds = [int(rng.integers(2**31 - 1)) for _ in range(k)]
             code_rows = codes[rows]
-            jobs = resolve_jobs(self.n_jobs)
-            if jobs > 1 and k > 1:
-                tasks = [
-                    (code_rows, residual[rows, c], self.max_depth,
-                     self.min_samples_leaf, seeds[c], self.binner_)
-                    for c in range(k)
-                ]
-                round_trees = parallel_map(
-                    _fit_round_tree, tasks, n_jobs=jobs, chunksize=1
+            residuals = residual[rows].T
+            jobs = min(resolve_jobs(self.n_jobs), k)
+            bounds = np.linspace(0, k, jobs + 1).astype(int)
+            tasks = [
+                (code_rows, residuals[lo:hi], self.max_depth,
+                 self.min_samples_leaf, seeds[lo:hi], self.binner_)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            if len(tasks) > 1:
+                batches = parallel_map(
+                    _fit_round_trees, tasks, n_jobs=jobs, chunksize=1
                 )
-                for c, tree in enumerate(round_trees):
-                    scores[:, c] += self.learning_rate * tree.predict(X)
             else:
-                round_trees = []
-                for c in range(k):
-                    tree = _fit_round_tree(
-                        (code_rows, residual[rows, c], self.max_depth,
-                         self.min_samples_leaf, seeds[c], self.binner_)
-                    )
-                    scores[:, c] += self.learning_rate * tree.predict(X)
-                    round_trees.append(tree)
+                batches = [_fit_round_trees(tasks[0])]
+            round_trees = [tree for batch in batches for tree in batch]
+            for c, tree in enumerate(round_trees):
+                scores[:, c] += self.learning_rate * tree.predict(X)
             self.trees_.append(round_trees)
         return self
 

@@ -13,7 +13,11 @@ for every ``n_jobs`` value.
 
 Each fit quantizes the corpus once (:class:`repro.ml.binning.Binner`)
 and grows every tree from the shared bin codes with histogram split
-finding.  Prediction runs through one :class:`~repro.ml.tree.FlatEnsemble`
+finding.  Each worker's share of trees is one lockstep batch
+(:meth:`~repro.ml.tree.DecisionTreeClassifier.fit_binned_batch`): one
+step grows the next node of every tree in the share, and every tree
+comes out exactly as if grown alone.  Prediction runs through one
+:class:`~repro.ml.tree.FlatEnsemble`
 (all trees' node tables stacked; all rows routed through all trees as
 array ops), which gathers the same leaf values a per-tree walk would,
 summed in tree order — bit-identical to the sequential reference.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
 from repro.ml.binning import Binner
 from repro.ml.tree import DecisionTreeClassifier, FlatEnsemble
 from repro.ml.validation import as_2d_float, check_n_features
@@ -34,15 +39,16 @@ __all__ = ["RandomForestClassifier"]
 def _fit_tree_batch(
     task: tuple[np.ndarray, np.ndarray, dict, list[tuple[np.ndarray, int]], Binner],
 ) -> list[DecisionTreeClassifier]:
-    """Fit a batch of trees on the shared bin codes (runs inside a pool
-    worker)."""
+    """Grow a batch of trees in lockstep on the shared bin codes (runs
+    inside a pool worker)."""
     codes, y_enc, params, specs, binner = task
-    trees = []
-    for sample, tree_seed in specs:
-        tree = DecisionTreeClassifier(random_state=tree_seed, **params)
-        tree.fit_binned(codes[sample], y_enc[sample], binner)
-        trees.append(tree)
-    return trees
+    trees = [
+        DecisionTreeClassifier(random_state=tree_seed, **params)
+        for _, tree_seed in specs
+    ]
+    return DecisionTreeClassifier.fit_binned_batch(
+        trees, codes, y_enc, binner, samples=[sample for sample, _ in specs]
+    )
 
 
 class RandomForestClassifier:
@@ -153,7 +159,8 @@ class RandomForestClassifier:
         # Quantize once per corpus; every tree fits on (bootstrap
         # slices of) the same uint8 codes.
         self.binner_ = Binner()
-        codes = self.binner_.fit_transform(X)
+        with telemetry.span("ml.bin", rows=n, features=X.shape[1]):
+            codes = self.binner_.fit_transform(X)
 
         # Pre-draw every tree's bootstrap sample and seed, in the same
         # order the sequential loop consumed the generator — the one

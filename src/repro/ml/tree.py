@@ -1,8 +1,8 @@
-"""CART decision trees grown by histogram split finding.
+"""CART decision trees grown by histogram split finding, in lockstep.
 
 Features are quantized once per fit into ``uint8`` bin codes
 (:class:`repro.ml.binning.Binner`); each node accumulates per-bin
-class/gradient histograms with one ``np.bincount`` and scores every
+class/gradient histograms with ``np.bincount`` and scores every
 boundary of every candidate feature from the cumulative histogram in a
 single set of array ops.  When all features are candidates
 (``max_features=None``, the boosting configuration) each child's
@@ -11,6 +11,20 @@ subtracting it from the parent's — the LightGBM recipe; with per-split
 feature subsampling each node instead scans just its few candidate
 columns, which is cheaper than maintaining full-width histograms for
 subtraction.
+
+There is one grower, and it grows a *batch* of trees in lockstep
+(:meth:`_BaseTree.fit_binned_batch`; a lone ``fit`` is a batch of one).
+Every tree keeps an explicit depth-first stack, its own generator and
+its own node table.  One step pops the next node of every tree that has
+work left and computes, as array ops over all of those nodes at once,
+their candidate-feature histograms, split scores, row partitions and
+child impurities.  A tree still visits its nodes in the recursive
+order (left subtree first) and draws its candidate features from its
+own generator once per split node, so every tree is bit-identical to
+growing it alone.  A step's nodes are processed in groups of at most
+``STEP_CELLS`` gathered cells; a node that big by itself takes the
+per-node path (outer-product gather, mask partition, per-feature
+regression histograms), so big nodes cost what they cost alone.
 
 The exact (sort every candidate feature at every node) CART splitter is
 not part of the library: it lives in ``tests/tree_oracle.py`` as the
@@ -36,10 +50,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
 from repro.ml.binning import Binner
 from repro.ml.validation import as_2d_float, check_n_features
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor", "FlatEnsemble"]
+
+#: Working-set bound of one lockstep step: a group of nodes gathers at
+#: most this many (row, candidate feature) cells at once.  A node this
+#: big by itself is grown alone, through the per-node path.
+STEP_CELLS = 1 << 14
+#: Histogram cells (nodes x candidates x bins x classes or moments) one
+#: group scores at once.
+HIST_CELLS = 1 << 18
+#: Bytes of sibling-subtraction histograms a batch carries per tree in
+#: flight; with every feature a candidate, trees grow in sub-batches of
+#: ``CARRY_BYTES // histogram bytes``.
+CARRY_BYTES = 1 << 21
 
 
 class FlatEnsemble:
@@ -102,11 +129,12 @@ class FlatEnsemble:
         X = np.ascontiguousarray(X)
         n, n_feat = X.shape
         n_trees = self.starts.shape[0]
-        res = np.empty((n_trees, n, self.value.shape[1]))
-        block = max(512, 2**18 // n_trees)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            self._leaf_values_block(X[lo:hi], res[:, lo:hi])
+        with telemetry.span("ml.predict", rows=n, trees=n_trees):
+            res = np.empty((n_trees, n, self.value.shape[1]))
+            block = max(512, 2**18 // n_trees)
+            for lo in range(0, n, block):
+                hi = min(lo + block, n)
+                self._leaf_values_block(X[lo:hi], res[:, lo:hi])
         return res
 
     def _leaf_values_block(self, X: np.ndarray, res: np.ndarray) -> None:
@@ -179,46 +207,12 @@ class _BaseTree:
         self.left_: np.ndarray | None = None
         self.right_: np.ndarray | None = None
         self.value_: np.ndarray | None = None
-        self._hist_B: int | None = None
-        self._hist_subtract: bool = False
 
-    # -- criterion hooks -------------------------------------------------
+    # -- criterion hooks (the exact oracle splitter reuses these) --------
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _node_impurity(self, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _hist_prepare(self, codes: np.ndarray, y: np.ndarray) -> None:
-        """Precompute per-fit accumulation state (e.g. a fused,
-        offset-prefixed index base) so each node's histogram reduces to
-        gathers and ``bincount`` calls with no per-node index math."""
-        raise NotImplementedError
-
-    def _hist_cleanup(self) -> None:
-        """Drop the accumulation state (trees are pickled across
-        process boundaries; the node table alone should travel)."""
-        raise NotImplementedError
-
-    def _hist_accumulate(
-        self, rows: np.ndarray, features: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Histogram of the node's rows over bin codes — all features
-        (``features=None``, used by sibling subtraction) or just the
-        candidate columns."""
-        raise NotImplementedError
-
-    def _hist_best(
-        self, hist_cand: np.ndarray, n: int, min_leaf: int
-    ) -> tuple[int, int] | None:
-        """Best ``(candidate_index, boundary_bin)`` over a stack of
-        per-feature histograms, or ``None`` when no boundary is valid.
-
-        Scores are computed only at *valid* boundaries (occupied bin,
-        both children at least ``min_leaf``), gathered in feature-major
-        ascending-bin order — the same order, the same first-minimum
-        tie-break, and the same float expressions as the exact oracle
-        splitter, so identical counts give identical choices."""
         raise NotImplementedError
 
     # -- node table ------------------------------------------------------
@@ -270,120 +264,6 @@ class _BaseTree:
             return rng.choice(n_features, size=mtry, replace=False)
         return np.arange(n_features)
 
-    # -- histogram split search ------------------------------------------
-    def _best_split_hist(
-        self,
-        codes: np.ndarray,
-        rows: np.ndarray,
-        y_node: np.ndarray,
-        hist: np.ndarray | None,
-        n: int,
-        rng: np.random.Generator,
-        binner: Binner,
-    ) -> tuple[int, float, np.ndarray] | None:
-        """Best (feature, threshold, left-mask) from node histograms.
-
-        Mirrors the exact oracle splitter (``tests/tree_oracle.py``) —
-        same candidate-feature draw, same boundary ordering (ascending
-        thresholds), same first-strict-minimum tie-break across features
-        (the flattened argmin returns the first occurrence in
-        feature-major order) — so on pre-binned data both choose
-        identical splits.
-
-        ``hist`` is the parent-maintained full-feature histogram when
-        sibling subtraction is on; otherwise the node scans only its
-        candidate columns here.
-        """
-        if self._hist_B < 2:
-            return None
-        features = self._candidate_features(self.n_features_, rng)
-        if hist is not None:
-            # Subtraction mode implies every feature is a candidate
-            # (features == arange(F)), so the parent histogram IS the
-            # candidate stack — no gather needed.
-            hist_cand = hist
-        else:
-            hist_cand = self._hist_accumulate(rows, features)
-        best = self._hist_best(hist_cand, n, self.min_samples_leaf)
-        if best is None:
-            return None
-        j, b = best
-        f = int(features[j])
-        threshold = float(binner.upper_bounds_[f][b])
-        # Transposed codes: a contiguous per-feature row beats a
-        # strided column gather on the (n, F) matrix.
-        left_mask = self._hist_codes_T[f].take(rows) <= b
-        return f, threshold, left_mask
-
-    def _build_hist(
-        self,
-        codes: np.ndarray,
-        y: np.ndarray,
-        rows: np.ndarray,
-        hist: np.ndarray | None,
-        depth: int,
-        rng: np.random.Generator,
-        importances: np.ndarray,
-        n_total: int,
-        binner: Binner,
-    ) -> int:
-        n = rows.shape[0]
-        y_node = y[rows]
-        impurity = self._node_impurity(y_node)
-        is_leaf = (
-            n < self.min_samples_split
-            or impurity <= 1e-12
-            or (self.max_depth is not None and depth >= self.max_depth)
-        )
-        split = (
-            None
-            if is_leaf
-            else self._best_split_hist(codes, rows, y_node, hist, n, rng, binner)
-        )
-        if split is None:
-            return self._append_node(-1, 0.0, self._leaf_value(y_node))
-
-        f, threshold, left_mask = split
-        left_rows = rows[left_mask]
-        right_rows = rows[~left_mask]
-        n_left = left_rows.shape[0]
-        n_right = n - n_left
-        left_imp = self._node_impurity(y[left_rows])
-        right_imp = self._node_impurity(y[right_rows])
-        decrease = impurity - (n_left * left_imp + n_right * right_imp) / n
-        importances[f] += decrease * n / n_total
-
-        node_index = self._append_node(f, threshold, self._leaf_value(y_node))
-        hist_left = hist_right = None
-        if self._hist_subtract and hist is not None:
-            # Sibling subtraction: scan only the smaller child; the
-            # larger sibling's histogram is the parent's minus the
-            # scanned one.  Children that cannot split (too small or at
-            # max depth) skip histogram work entirely.
-            depth_ok = self.max_depth is None or depth + 1 < self.max_depth
-            left_needed = depth_ok and n_left >= self.min_samples_split
-            right_needed = depth_ok and n_right >= self.min_samples_split
-            if left_needed or right_needed:
-                if n_left <= n_right:
-                    hist_left = self._hist_accumulate(left_rows)
-                    if right_needed:
-                        hist_right = hist - hist_left
-                else:
-                    hist_right = self._hist_accumulate(right_rows)
-                    if left_needed:
-                        hist_left = hist - hist_right
-        left = self._build_hist(
-            codes, y, left_rows, hist_left, depth + 1, rng, importances,
-            n_total, binner,
-        )
-        right = self._build_hist(
-            codes, y, right_rows, hist_right, depth + 1, rng, importances,
-            n_total, binner,
-        )
-        self._build_left[node_index] = left
-        self._build_right[node_index] = right
-        return node_index
-
     # -- fitting -----------------------------------------------------------
     def _fit_tree(self, X: np.ndarray, y: np.ndarray) -> None:
         X = as_2d_float(X)
@@ -392,45 +272,50 @@ class _BaseTree:
         if y.shape[0] != X.shape[0]:
             raise ValueError("X and y length mismatch")
         binner = Binner()
-        self._grow_hist(binner.fit_transform(X), y, binner)
+        self.fit_binned_batch([self], binner.fit_transform(X), y, binner)
 
-    def _grow_hist(self, codes: np.ndarray, y: np.ndarray, binner: Binner) -> None:
+    @classmethod
+    def fit_binned_batch(
+        cls,
+        trees: list,
+        codes: np.ndarray,
+        targets: np.ndarray,
+        binner: Binner,
+        samples: list | None = None,
+    ) -> list:
+        """Grow unfitted ``trees`` of this class in lockstep on shared
+        bin codes.
+
+        Ensembles bin the corpus once and fit every tree on (bootstrap
+        slices of) the shared codes, so quantization is paid once, not
+        per tree.  ``targets`` is one target per code row, shared by
+        every tree, or (regression) one such row per tree; tree ``i``
+        grows on the code rows ``samples[i]`` (all rows when ``samples``
+        is None), in that order.  Each tree comes out exactly as if
+        grown alone.
+        """
         codes = np.asarray(codes, dtype=np.uint8)
         if codes.ndim != 2:
             raise ValueError("codes must be 2-D")
         if codes.shape[0] == 0:
             raise ValueError("cannot fit on empty data")
-        if y.shape[0] != codes.shape[0]:
+        if np.shape(targets)[-1] != codes.shape[0]:
             raise ValueError("X and y length mismatch")
-        self.n_features_ = codes.shape[1]
-        self._reset_nodes()
-        importances = np.zeros(codes.shape[1])
-        rng = np.random.default_rng(self.random_state)
-        self._hist_B = int(binner.n_bins_.max())
-        rows = np.arange(codes.shape[0])
-        # Full-width histograms (which enable sibling subtraction) only
-        # pay off when every feature is a split candidate; with feature
-        # subsampling each node scans just its mtry candidate columns
-        # inside _best_split_hist instead.
-        self._hist_subtract = (
-            self._n_candidate_features(codes.shape[1]) == codes.shape[1]
-        )
-        # Feature-major copy of the codes: left-mask evaluation (and the
-        # regressor's per-feature accumulation) reads one contiguous row
-        # per feature instead of a strided column of the (n, F) matrix.
-        self._hist_codes_T = np.ascontiguousarray(codes.T)
-        self._hist_prepare(codes, y)
-        hist = self._hist_accumulate(rows) if self._hist_subtract else None
-        self._build_hist(
-            codes, y, rows, hist, 0, rng, importances, codes.shape[0], binner
-        )
-        self._hist_cleanup()
-        self._hist_codes_T = None
-        self._hist_B = None
-        self._hist_subtract = False
-        self._finalize_nodes()
-        total = importances.sum()
-        self.feature_importances_ = importances / total if total > 0 else importances
+        rows = [
+            np.arange(codes.shape[0]) if samples is None else np.asarray(samples[i])
+            for i in range(len(trees))
+        ]
+        with telemetry.span("ml.grow", trees=len(trees)) as sp:
+            grower = cls._grow_batch(trees, codes, targets, binner, rows)
+            sp.set(nodes=grower.nodes, steps=grower.steps)
+        telemetry.count("ml.grow.trees", len(trees))
+        telemetry.count("ml.grow.nodes", grower.nodes)
+        telemetry.count("ml.grow.steps", grower.steps)
+        return trees
+
+    @classmethod
+    def _grow_batch(cls, trees, codes, targets, binner, rows) -> _Grower:
+        raise NotImplementedError
 
     # -- prediction --------------------------------------------------------
     def _leaf_values(self, X: np.ndarray) -> np.ndarray:
@@ -469,27 +354,29 @@ class DecisionTreeClassifier(_BaseTree):
         y = np.asarray(y)
         if y.ndim != 1:
             raise ValueError("y must be 1-D")
-        self.classes_, y_enc = np.unique(y, return_inverse=True)
-        self._n_classes = self.classes_.shape[0]
-        self._fit_tree(np.asarray(X), y_enc)
+        self._fit_tree(np.asarray(X), y)
         return self
 
-    def fit_binned(
-        self, codes: np.ndarray, y: np.ndarray, binner: Binner
-    ) -> "DecisionTreeClassifier":
-        """Grow on pre-computed bin codes.
-
-        Ensembles bin the corpus once and fit every tree on (bootstrap
-        slices of) the shared codes, so quantization is paid once, not
-        per tree.
-        """
-        y = np.asarray(y)
+    @classmethod
+    def _grow_batch(cls, trees, codes, targets, binner, rows) -> _Grower:
+        y = np.asarray(targets)
         if y.ndim != 1:
-            raise ValueError("y must be 1-D")
-        self.classes_, y_enc = np.unique(y, return_inverse=True)
-        self._n_classes = self.classes_.shape[0]
-        self._grow_hist(np.asarray(codes), y_enc, binner)
-        return self
+            raise ValueError("classification trees of a batch share one label row")
+        # Each tree keeps the classes its own rows hold (a bootstrap may
+        # miss one); trees with one class set share a label encoding and
+        # grow in one lockstep batch.
+        batches: dict[bytes, list[int]] = {}
+        for i, tree in enumerate(trees):
+            tree.classes_ = np.unique(y[rows[i]])
+            tree._n_classes = tree.classes_.shape[0]
+            batches.setdefault(tree.classes_.tobytes(), []).append(i)
+        grower = _GiniGrower(trees[0], codes, binner)
+        for members in batches.values():
+            classes = trees[members[0]].classes_
+            grower.n_classes = classes.shape[0]
+            grower.labels = np.searchsorted(classes, y).astype(np.int32)
+            grower.grow(trees, rows, members)
+        return grower
 
     # -- criterion ---------------------------------------------------------
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
@@ -504,97 +391,6 @@ class DecisionTreeClassifier(_BaseTree):
         counts = np.bincount(y, minlength=self._n_classes)
         p = counts / y.size
         return float(1.0 - np.sum(p * p))
-
-    def _hist_prepare(self, codes: np.ndarray, y: np.ndarray) -> None:
-        B, C = self._hist_B, self._n_classes
-        # Fused (feature, bin, class) index per cell, with the column
-        # offset baked in: histogramming all features at a node (the
-        # sibling-subtraction path) is one row gather and one bincount,
-        # no per-node index arithmetic.  int32 halves the memory
-        # traffic of the gathers.
-        off = np.arange(codes.shape[1], dtype=np.int32) * (B * C)
-        self._hist_base = (
-            codes.astype(np.int32) * C + y[:, None].astype(np.int32) + off
-        )
-        self._hist_stride = B * C
-
-    def _hist_cleanup(self) -> None:
-        self._hist_base = None
-        self._hist_stride = None
-
-    def _hist_accumulate(
-        self, rows: np.ndarray, features: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Cumulative-over-bins class histogram, shape ``(m, B, C)``.
-
-        Cumulative form means scoring needs no per-node cumsum, and
-        sibling subtraction works unchanged: integer cumulation and
-        subtraction commute exactly.
-        """
-        B, C = self._hist_B, self._n_classes
-        if features is None:
-            combined = self._hist_base[rows]
-            m = combined.shape[1]
-        else:
-            # Candidate columns keep their original (feature-f) offset;
-            # shift each down to its compacted position in the stack.
-            m = features.shape[0]
-            adj = (
-                features.astype(np.int32) - np.arange(m, dtype=np.int32)
-            ) * self._hist_stride
-            combined = self._hist_base[np.ix_(rows, features)] - adj[None, :]
-        h = np.bincount(
-            combined.ravel(), minlength=m * B * C
-        ).reshape(m, B, C)
-        return np.cumsum(h, axis=1)
-
-    def _hist_best(
-        self, cum: np.ndarray, n: int, min_leaf: int
-    ) -> tuple[int, int] | None:
-        # cum: (m, B, C) cumulative class counts per candidate feature.
-        # Valid boundaries need an occupied bin (the threshold is the
-        # max value routed left) and both children >= min_leaf.
-        ncum = np.add.reduce(cum, axis=2)
-        nl_all = ncum[:, :-1]
-        occ = np.empty(nl_all.shape, dtype=bool)
-        occ[:, 0] = nl_all[:, 0] > 0
-        occ[:, 1:] = nl_all[:, 1:] > nl_all[:, :-1]
-        valid = occ & (nl_all >= min_leaf) & ((n - nl_all) >= min_leaf)
-        nv = np.count_nonzero(valid)
-        if nv == 0:
-            return None
-        # Counts are exact integers in float64, and the score
-        # expressions are the exact oracle's — identical counts give
-        # identical scores, which the golden-equivalence tests rely on.
-        # Dense nodes score the whole contiguous grid; sparse (deep)
-        # nodes gather just the few valid cells.
-        if 2 * nv >= valid.size:
-            left_counts = cum[:, :-1].astype(np.float64)
-            right_counts = (cum[:, -1:] - cum[:, :-1]).astype(np.float64)
-            n_left = nl_all.astype(np.float64)
-            n_right = n - n_left
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - np.sum(
-                    (left_counts / n_left[:, :, None]) ** 2, axis=2
-                )
-                gini_right = 1.0 - np.sum(
-                    (right_counts / n_right[:, :, None]) ** 2, axis=2
-                )
-                weighted = (n_left * gini_left + n_right * gini_right) / n
-            flat = np.where(valid, weighted, np.inf).ravel()
-            k = int(np.argmin(flat))
-            j, b = divmod(k, valid.shape[1])
-            return j, b
-        jj, bb = np.nonzero(valid)
-        left_counts = cum[jj, bb].astype(np.float64)
-        right_counts = (cum[jj, -1] - cum[jj, bb]).astype(np.float64)
-        n_left = left_counts.sum(axis=1)
-        n_right = n - n_left
-        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        k = int(np.argmin(weighted))
-        return int(jj[k]), int(bb[k])
 
     # -- prediction ---------------------------------------------------------
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -618,15 +414,16 @@ class DecisionTreeRegressor(_BaseTree):
         self._fit_tree(np.asarray(X), y)
         return self
 
-    def fit_binned(
-        self, codes: np.ndarray, y: np.ndarray, binner: Binner
-    ) -> "DecisionTreeRegressor":
-        """Grow on pre-computed bin codes."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.ndim != 1:
-            raise ValueError("y must be 1-D")
-        self._grow_hist(np.asarray(codes), y, binner)
-        return self
+    @classmethod
+    def _grow_batch(cls, trees, codes, targets, binner, rows) -> _Grower:
+        targets = np.asarray(targets, dtype=np.float64)
+        grower = _VarianceGrower(trees[0], codes, binner)
+        grower.targets = [
+            (targets if targets.ndim == 1 else targets[i])[rows[i]]
+            for i in range(len(trees))
+        ]
+        grower.grow(trees, rows, list(range(len(trees))))
+        return grower
 
     # -- criterion ---------------------------------------------------------
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
@@ -637,91 +434,622 @@ class DecisionTreeRegressor(_BaseTree):
             return 0.0
         return float(np.var(y))
 
-    def _hist_prepare(self, codes: np.ndarray, y: np.ndarray) -> None:
-        self._hist_w = y
-        self._hist_w2 = y * y
-
-    def _hist_cleanup(self) -> None:
-        self._hist_w = None
-        self._hist_w2 = None
-
-    def _hist_accumulate(
-        self, rows: np.ndarray, features: np.ndarray | None = None
-    ) -> np.ndarray:
-        # One feature at a time over the transposed codes: the target
-        # gather w[rows] is shared across features, so no row-repeated
-        # weight temps (the fused-index form would expand the weights
-        # m-fold), and each weighted bincount adds a bin's targets in
-        # ascending row order — the same order as a fused accumulation,
-        # so the float sums are bit-identical either way.
-        B = self._hist_B
-        codes_T = self._hist_codes_T
-        feats = (
-            np.arange(codes_T.shape[0]) if features is None else features
-        )
-        w = self._hist_w[rows]
-        w2 = self._hist_w2[rows]
-        out = np.empty((feats.shape[0], 3, B))
-        for i, f in enumerate(feats):
-            c = codes_T[f].take(rows).astype(np.intp)
-            out[i, 0] = np.bincount(c, minlength=B)
-            out[i, 1] = np.bincount(c, weights=w, minlength=B)
-            out[i, 2] = np.bincount(c, weights=w2, minlength=B)
-        return out
-
-    def _hist_best(
-        self, hist_cand: np.ndarray, n: int, min_leaf: int
-    ) -> tuple[int, int] | None:
-        # hist_cand: (m, 3, B) per-bin count / sum / sum-of-squares per
-        # candidate feature.  Unlike the classifier's integer counts,
-        # these are float sums, so cumulation happens here (raw bins
-        # subtract bit-identically; cumulated ones would not).
-        cnt = hist_cand[:, 0]
-        cum_cnt = np.cumsum(cnt, axis=1)
-        cum_s = np.cumsum(hist_cand[:, 1], axis=1)
-        cum_s2 = np.cumsum(hist_cand[:, 2], axis=1)
-        nl_all = cum_cnt[:, :-1]
-        valid = (cnt[:, :-1] > 0) & (nl_all >= min_leaf) & ((n - nl_all) >= min_leaf)
-        nv = np.count_nonzero(valid)
-        if nv == 0:
-            return None
-        if 2 * nv >= valid.size:
-            n_left = nl_all
-            n_right = n - n_left
-            sum_left = cum_s[:, :-1]
-            sum_right = cum_s[:, -1:] - sum_left
-            sum2_left = cum_s2[:, :-1]
-            sum2_right = cum_s2[:, -1:] - sum2_left
-            with np.errstate(divide="ignore", invalid="ignore"):
-                var_left = np.maximum(
-                    sum2_left / n_left - (sum_left / n_left) ** 2, 0.0
-                )
-                var_right = np.maximum(
-                    sum2_right / n_right - (sum_right / n_right) ** 2, 0.0
-                )
-                weighted = (n_left * var_left + n_right * var_right) / n
-            flat = np.where(valid, weighted, np.inf).ravel()
-            k = int(np.argmin(flat))
-            j, b = divmod(k, valid.shape[1])
-            return j, b
-        jj, bb = np.nonzero(valid)
-        n_left = cum_cnt[jj, bb]
-        n_right = n - n_left
-        sum_left = cum_s[jj, bb]
-        sum_right = cum_s[jj, -1] - sum_left
-        sum2_left = cum_s2[jj, bb]
-        sum2_right = cum_s2[jj, -1] - sum2_left
-        var_left = np.maximum(
-            sum2_left / n_left - (sum_left / n_left) ** 2, 0.0
-        )
-        var_right = np.maximum(
-            sum2_right / n_right - (sum_right / n_right) ** 2, 0.0
-        )
-        weighted = (n_left * var_left + n_right * var_right) / n
-        k = int(np.argmin(weighted))
-        return int(jj[k]), int(bb[k])
-
     # -- prediction ---------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean leaf target per row."""
         return self._leaf_values(X)[:, 0]
+
+
+class _Node:
+    """One pending node on a tree's depth-first stack."""
+
+    __slots__ = ("rows", "depth", "parent", "side", "value", "impurity", "hist")
+
+    def __init__(self, rows, depth, parent, side, value, impurity, hist=None):
+        self.rows = rows  # batch positions, ascending
+        self.depth = depth
+        self.parent = parent  # node-table index of the parent, -1 at the root
+        self.side = side  # 0 = left child, 1 = right child
+        self.value = value
+        self.impurity = impurity
+        self.hist = hist  # carried full-width histogram (sibling subtraction)
+
+
+def _groups(cells: list[int], hist_cells: int) -> list[list[int]]:
+    """Split node indices into groups of at most ``STEP_CELLS`` gathered
+    cells and ``HIST_CELLS`` histogram cells; a node that reaches
+    ``STEP_CELLS`` by itself is a group alone."""
+    groups: list[list[int]] = []
+    group: list[int] = []
+    total = 0
+    for k, c in enumerate(cells):
+        if c >= STEP_CELLS:
+            groups.append([k])
+            continue
+        if group and (
+            total + c > STEP_CELLS or (len(group) + 1) * hist_cells > HIST_CELLS
+        ):
+            groups.append(group)
+            group, total = [], 0
+        group.append(k)
+        total += c
+    if group:
+        groups.append(group)
+    return groups
+
+
+def _first_min(nodes: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Position of the first least ``score`` of each run of equal
+    ``nodes`` (ascending node ids; one run per node)."""
+    if nodes[0] == nodes[-1]:
+        return np.array([np.argmin(score)])
+    new = np.empty(nodes.shape[0], dtype=bool)
+    new[0] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=new[1:])
+    seg = np.cumsum(new) - 1
+    low = np.minimum.reduceat(score, np.flatnonzero(new))
+    hit = np.flatnonzero(score == low[seg])
+    return hit[np.concatenate(([True], seg[hit][1:] != seg[hit][:-1]))]
+
+
+def _first_best(valid: np.ndarray, dense, cells) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the ``(candidate, boundary)`` of least score, or -1.
+
+    ``valid`` is the ``(nodes, candidates, boundaries)`` grid of valid
+    boundaries.  Dense grids score every cell (``dense()``); sparse ones
+    only the valid cells (``cells(kk, jj, bb)``).  Either way the pick
+    is the first minimum in feature-major, ascending-bin order — the
+    exact oracle's tie-break."""
+    n_nodes, _, width = valid.shape
+    j = np.full(n_nodes, -1)
+    b = np.full(n_nodes, -1)
+    nv = np.count_nonzero(valid)
+    if nv == 0:
+        return j, b
+    if 2 * nv >= valid.size:
+        flat = np.where(valid, dense(), np.inf).reshape(n_nodes, -1)
+        k = np.argmin(flat, axis=1)
+        has = valid.reshape(n_nodes, -1).any(axis=1) if n_nodes > 1 else [True]
+        j[has], b[has] = np.divmod(k[has], width)
+        return j, b
+    kk, jj, bb = np.nonzero(valid)
+    first = _first_min(kk, cells(kk, jj, bb))
+    j[kk[first]] = jj[first]
+    b[kk[first]] = bb[first]
+    return j, b
+
+
+class _Grower:
+    """Grows a batch of trees of one criterion in lockstep.
+
+    Every tree keeps its own depth-first stack, generator and node
+    table; one step pops the next node of every tree with work left and
+    runs counts, histograms, split scores, the row partition and child
+    impurities as array ops over all of those nodes.  Rows are *batch
+    positions*: tree ``t``'s bootstrap occupies one contiguous range of
+    the batch, in the order the tree sees its rows, and ``brow`` maps a
+    position to its row of the shared codes.
+    """
+
+    def __init__(self, proto, codes, binner):
+        self.proto = proto
+        self.codes = codes
+        self.n_features = codes.shape[1]
+        self.n_bins = int(binner.n_bins_.max())
+        self.upper = binner.upper_bounds_
+        self.codes_T = np.ascontiguousarray(codes.T)
+        self.mtry = proto._n_candidate_features(self.n_features)
+        # Full-width histograms (which enable sibling subtraction) only
+        # pay off when every feature is a split candidate; with feature
+        # subsampling each node scans just its mtry candidate columns.
+        self.subtract = self.mtry == self.n_features
+        self.steps = 0
+        self.nodes = 0
+
+    # -- criterion hooks -------------------------------------------------
+    def _begin(self, members) -> None:
+        """Per-batch accumulation state for the trees ``members``."""
+        raise NotImplementedError
+
+    def _stats(self, rows_list) -> tuple[list, list]:
+        """Leaf values and impurities of nodes with these rows."""
+        raise NotImplementedError
+
+    def _hist(self, rows_list, feats) -> np.ndarray:
+        """Histograms of each node's rows over its candidate features
+        (``feats``, one row per node; ``None`` = every feature)."""
+        raise NotImplementedError
+
+    def _best(self, hists, n) -> tuple[np.ndarray, np.ndarray]:
+        """Best ``(candidate, boundary)`` per node from its histogram
+        (a stacked array, or a list of per-node histograms)."""
+        raise NotImplementedError
+
+    def _best_rows(self, rows_list, feats, n) -> tuple[np.ndarray, np.ndarray]:
+        """Best ``(candidate, boundary)`` per node from its rows."""
+        return self._best(self._hist(rows_list, feats), n)
+
+    def _hist_cells(self, m: int) -> int:
+        """Cells of one node's histogram over ``m`` candidates."""
+        raise NotImplementedError
+
+    # -- batch -----------------------------------------------------------
+    def grow(self, trees, rows, order) -> None:
+        """Grow ``trees`` (tree ``i`` on codes rows ``rows[i]``), in
+        sub-batches of ``order``'s consecutive trees."""
+        # Carried subtraction histograms scale with the trees in flight,
+        # so with every feature a candidate the batch is capped.
+        cap = len(order)
+        if self.subtract:
+            cap = max(1, CARRY_BYTES // (8 * self._hist_cells(self.n_features)))
+        for lo in range(0, len(order), cap):
+            members = order[lo:lo + cap]
+            self._lockstep([trees[i] for i in members], [rows[i] for i in members], members)
+
+    def _lockstep(self, trees, rows, members) -> None:
+        proto = self.proto
+        sizes = [r.shape[0] for r in rows]
+        self.brow = np.concatenate(rows).astype(np.intp)
+        self._begin(members)
+        n_trees, F = len(trees), self.n_features
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        roots = [np.arange(lo, lo + size) for lo, size in zip(starts, sizes)]
+        values, impurities = self._node_stats(roots)
+        hists = self._scan(roots) if self.subtract else [None] * n_trees
+        stacks = [
+            [_Node(r, 0, -1, 0, v, i, h)]
+            for r, v, i, h in zip(roots, values, impurities, hists)
+        ]
+        rngs = [np.random.default_rng(tree.random_state) for tree in trees]
+        for tree in trees:
+            tree.n_features_ = F
+            tree._reset_nodes()
+        importances = np.zeros((n_trees, F))
+        n_total = np.asarray(sizes)
+        max_depth = proto.max_depth
+        min_split = proto.min_samples_split
+        splittable = self.n_bins >= 2
+
+        live = list(range(n_trees))
+        while live:
+            popped = [stacks[t].pop() for t in live]
+            self.steps += 1
+            self.nodes += len(popped)
+            index = []
+            cand = []
+            for k, (t, node) in enumerate(zip(live, popped)):
+                tree = trees[t]
+                i = tree._append_node(-1, 0.0, node.value)
+                if node.parent >= 0:
+                    links = tree._build_right if node.side else tree._build_left
+                    links[node.parent] = i
+                index.append(i)
+                if (
+                    splittable
+                    and node.rows.shape[0] >= min_split
+                    and node.impurity > 1e-12
+                    and (max_depth is None or node.depth < max_depth)
+                ):
+                    cand.append(k)
+            if cand:
+                self._split(
+                    trees, live, popped, index, cand, rngs, stacks, importances, n_total
+                )
+            live = [t for t in live if stacks[t]]
+
+        for t, tree in enumerate(trees):
+            tree._finalize_nodes()
+            row = importances[t]
+            total = row.sum()
+            tree.feature_importances_ = row / total if total > 0 else row
+
+    def _split(self, trees, live, popped, index, cand, rngs, stacks, importances, n_total):
+        """Score the step's candidate nodes, split those with a valid
+        boundary, and push their children."""
+        nodes = [popped[k] for k in cand]
+        if self.subtract:
+            feats = None
+        else:
+            # One draw per candidate node, from its own tree's generator,
+            # in that tree's depth-first order: the unchanged stream.
+            # (``_candidate_features``'s draw, with ``mtry`` resolved once.)
+            F, mtry = self.n_features, self.mtry
+            feats = np.array(
+                [rngs[live[k]].choice(F, size=mtry, replace=False) for k in cand]
+            )
+        j, b = self._best_splits(nodes, feats)
+        chosen = np.flatnonzero(j >= 0)
+        if not chosen.size:
+            return
+        f = j[chosen] if feats is None else feats[chosen, j[chosen]]
+        b = b[chosen]
+        split = [nodes[c] for c in chosen]
+        lefts, rights = self._partition([node.rows for node in split], f, b)
+        values, impurities = self._node_stats(lefts + rights)
+        s = len(split)
+        n_left = np.array([r.shape[0] for r in lefts])
+        n_right = np.array([r.shape[0] for r in rights])
+        n = n_left + n_right
+        imp = np.array([node.impurity for node in split])
+        imp_left = np.asarray(impurities[:s])
+        imp_right = np.asarray(impurities[s:])
+        decrease = imp - (n_left * imp_left + n_right * imp_right) / n
+        slots = [cand[c] for c in chosen]
+        t_idx = np.array([live[k] for k in slots])
+        # One node per tree per step: no index repeats, so each tree's
+        # importances still accumulate in its depth-first order.
+        importances[t_idx, f] += decrease * n / n_total[t_idx]
+        hist_left, hist_right = (
+            self._child_hists(split, lefts, rights)
+            if self.subtract
+            else ([None] * s, [None] * s)
+        )
+        for c, (k, node) in enumerate(zip(slots, split)):
+            t = live[k]
+            tree = trees[t]
+            fc = int(f[c])
+            tree._build_feature[index[k]] = fc
+            tree._build_threshold[index[k]] = float(self.upper[fc][b[c]])
+            depth = node.depth + 1
+            stack = stacks[t]
+            stack.append(
+                _Node(
+                    rights[c], depth, index[k], 1,
+                    values[s + c], impurities[s + c], hist_right[c],
+                )
+            )
+            stack.append(
+                _Node(lefts[c], depth, index[k], 0, values[c], impurities[c], hist_left[c])
+            )
+
+    def _best_splits(self, nodes, feats) -> tuple[np.ndarray, np.ndarray]:
+        """Best ``(candidate, boundary)`` per node, -1 where none."""
+        n = np.array([node.rows.shape[0] for node in nodes])
+        m = self.n_features if feats is None else feats.shape[1]
+        j = np.empty(len(nodes), dtype=np.int64)
+        b = np.empty(len(nodes), dtype=np.int64)
+        for group in _groups((n * m).tolist(), self._hist_cells(m)):
+            if self.subtract:
+                best = self._best([nodes[k].hist for k in group], n[group])
+            else:
+                best = self._best_rows([nodes[k].rows for k in group], feats[group], n[group])
+            j[group], b[group] = best
+        return j, b
+
+    def _node_stats(self, rows_list) -> tuple[list, list]:
+        """:meth:`_stats` of the given nodes, in groups of at most
+        ``STEP_CELLS`` rows."""
+        values, impurities = [None] * len(rows_list), [None] * len(rows_list)
+        for group in _groups([r.shape[0] for r in rows_list], 0):
+            for k, v, i in zip(group, *self._stats([rows_list[k] for k in group])):
+                values[k], impurities[k] = v, i
+        return values, impurities
+
+    def _scan(self, rows_list) -> list[np.ndarray]:
+        """Full-width histograms of the given nodes, one per node."""
+        out = [None] * len(rows_list)
+        cells = [r.shape[0] * self.n_features for r in rows_list]
+        for group in _groups(cells, self._hist_cells(self.n_features)):
+            hist = self._hist([rows_list[k] for k in group], None)
+            for g, k in enumerate(group):
+                out[k] = hist[g]
+        return out
+
+    def _child_hists(self, split, lefts, rights):
+        """Sibling subtraction: scan the smaller child, derive the larger
+        from the parent; children that cannot split get none."""
+        proto = self.proto
+        s = len(split)
+        hist_left, hist_right = [None] * s, [None] * s
+        scans, plan = [], []
+        for c, node in enumerate(split):
+            depth_ok = proto.max_depth is None or node.depth + 1 < proto.max_depth
+            n_left, n_right = lefts[c].shape[0], rights[c].shape[0]
+            left_needed = depth_ok and n_left >= proto.min_samples_split
+            right_needed = depth_ok and n_right >= proto.min_samples_split
+            if left_needed or right_needed:
+                small_left = n_left <= n_right
+                scans.append(lefts[c] if small_left else rights[c])
+                plan.append((c, small_left, right_needed if small_left else left_needed))
+        for (c, small_left, sibling), hist in zip(plan, self._scan(scans)):
+            other = split[c].hist - hist if sibling else None
+            if small_left:
+                hist_left[c], hist_right[c] = hist, other
+            else:
+                hist_left[c], hist_right[c] = other, hist
+        return hist_left, hist_right
+
+    def _partition(self, rows_list, f, b) -> tuple[list, list]:
+        """Each node's rows split at ``code[f] <= b``, order kept."""
+        lefts, rights = [None] * len(rows_list), [None] * len(rows_list)
+        sizes = [r.shape[0] for r in rows_list]
+        # Grouped like the nodes' histograms: a node big enough to be
+        # scored alone is partitioned alone too.
+        for group in _groups([size * self.mtry for size in sizes], 0):
+            if len(group) == 1:
+                k = group[0]
+                rows = rows_list[k]
+                # Transposed codes: a contiguous per-feature row beats a
+                # strided column gather on the (n, F) matrix.
+                go = self.codes_T[f[k]].take(self.brow[rows]) <= b[k]
+                lefts[k], rights[k] = rows[go], rows[~go]
+                continue
+            R = np.concatenate([rows_list[k] for k in group])
+            slot = np.repeat(np.arange(len(group)), [sizes[k] for k in group])
+            go = self.codes_T[f[group][slot], self.brow[R]] <= b[group][slot]
+            left, right = R[go], R[~go]
+            n_left = np.bincount(slot[go], minlength=len(group)).tolist()
+            lo_left = lo_right = 0
+            for k, nl in zip(group, n_left):
+                nr = sizes[k] - nl
+                lefts[k] = left[lo_left:lo_left + nl]
+                rights[k] = right[lo_right:lo_right + nr]
+                lo_left += nl
+                lo_right += nr
+        return lefts, rights
+
+
+class _GiniGrower(_Grower):
+    """Classification trees: per-bin class counts."""
+
+    def _begin(self, members) -> None:
+        labels = self.labels
+        C = self.n_classes
+        B, F = self.n_bins, self.n_features
+        self.stride = B * C
+        # Fused (feature, bin, class) cell index per code row, the column
+        # offset baked in: a node's histogram over all features is one
+        # row gather and one bincount.  The trees of a batch share their
+        # class encoding, so one base serves them all.
+        off = np.arange(F, dtype=np.int32) * self.stride
+        self.base = self.codes.astype(np.int32) * C + labels[:, None] + off
+        self.by = labels[self.brow]
+
+    def _hist_cells(self, m: int) -> int:
+        return m * self.n_bins * self.n_classes
+
+    def _stats(self, rows_list):
+        C = self.n_classes
+        sizes = np.array([r.shape[0] for r in rows_list])
+        slot = np.repeat(np.arange(sizes.shape[0]), sizes)
+        y = self.by[np.concatenate(rows_list)]
+        counts = np.bincount(slot * C + y, minlength=sizes.shape[0] * C).reshape(-1, C)
+        # The expressions of _node_impurity and _leaf_value, row-wise (a
+        # last-axis sum adds each row as the 1-D sum does).
+        p = counts / sizes[:, None]
+        impurity = 1.0 - np.sum(p * p, axis=1)
+        weights = counts.astype(np.float64)
+        return list(weights / weights.sum(axis=1, keepdims=True)), impurity.tolist()
+
+    def _cells(self, rows_list, feats) -> np.ndarray:
+        """Fused ``(node, candidate, bin, class)`` histogram cell of
+        every (row, candidate) pair of the nodes, shape ``(rows, m)``."""
+        stride = self.stride
+        K = len(rows_list)
+        code_rows = self.brow[rows_list[0] if K == 1 else np.concatenate(rows_list)]
+        if feats is None:
+            idx = self.base[code_rows]
+            if K > 1:
+                slot = np.repeat(np.arange(K), [r.shape[0] for r in rows_list])
+                idx += (slot * (self.n_features * stride))[:, None]
+            return idx
+        m = feats.shape[1]
+        if K == 1:
+            # Candidate columns keep their original (feature-f) offset;
+            # shift each down to its place in the stack.
+            shift = (feats[0] - np.arange(m, dtype=np.int32)) * stride
+            return self.base[np.ix_(code_rows, feats[0])] - shift
+        slot = np.repeat(np.arange(K), [r.shape[0] for r in rows_list])
+        shift = (feats - np.arange(m)) * stride - (np.arange(K) * (m * stride))[:, None]
+        return self.base[code_rows[:, None], feats[slot]] - shift[slot]
+
+    def _hist(self, rows_list, feats):
+        """Per-bin class counts, ``(nodes, m, B, C)``.
+
+        Raw integer counts: sibling subtraction on them is exact."""
+        K = len(rows_list)
+        m = self.n_features if feats is None else feats.shape[1]
+        idx = self._cells(rows_list, feats)
+        return np.bincount(idx.ravel(), minlength=K * m * self.stride).reshape(
+            K, m, self.n_bins, self.n_classes
+        )
+
+    def _best_rows(self, rows_list, feats, n):
+        B, C = self.n_bins, self.n_classes
+        K, m = len(rows_list), feats.shape[1]
+        idx = self._cells(rows_list, feats)
+        grid = K * m * B
+        if 2 * idx.size >= grid * C:
+            return self._best(
+                np.bincount(idx.ravel(), minlength=grid * C).reshape(K, m, B, C), n
+            )
+        # Sparse nodes: count only the occupied (node, candidate, bin)
+        # cells, through their rank among the occupied cells.
+        key = idx // C
+        cell = np.flatnonzero(np.bincount(key.ravel(), minlength=grid))
+        rank = np.empty(grid, dtype=np.intp)
+        rank[cell] = np.arange(cell.shape[0])
+        y = self.by[np.concatenate(rows_list)]
+        counts = np.bincount(
+            (rank[key] * C + y[:, None]).ravel(), minlength=cell.shape[0] * C
+        ).reshape(-1, C)
+        slot = np.repeat(np.arange(K), [r.shape[0] for r in rows_list])
+        node_counts = np.bincount(slot * C + y, minlength=K * C).reshape(K, C)
+        inner = cell % B != B - 1  # the top bin is never a boundary
+        return self._score(cell[inner], counts[inner], node_counts, n, m)
+
+    def _best(self, h, n):
+        if not isinstance(h, np.ndarray):
+            h = h[0][None] if len(h) == 1 else np.stack(h)
+        K, m, B, C = h.shape
+        node_counts = h[:, 0].sum(axis=1)
+        h = h.reshape(-1, C)
+        occupied = h[:, 0].copy()
+        for c in range(1, C):
+            occupied += h[:, c]
+        occupied.reshape(K, m, B)[:, :, -1] = 0  # the top bin is never a boundary
+        cell = np.flatnonzero(occupied)
+        return self._score(cell, h[cell], node_counts, n, m)
+
+    def _score(self, cell, counts, node_counts, n, m):
+        """Best split per node over its occupied ``(node, candidate,
+        bin)`` cells (ascending), given each cell's class counts.
+
+        A valid boundary needs an occupied bin (the threshold is the max
+        value routed left) and both children >= min_samples_leaf."""
+        B = self.n_bins
+        min_leaf = self.proto.min_samples_leaf
+        j = np.full(n.shape[0], -1)
+        b = np.full(n.shape[0], -1)
+        if not cell.size:
+            return j, b
+        # Left counts: a cumulative sum over each (node, candidate) run of
+        # occupied bins (exact integers, as a cumsum over all bins).
+        run = cell // B
+        new = np.empty(cell.shape[0], dtype=bool)
+        new[0] = True
+        np.not_equal(run[1:], run[:-1], out=new[1:])
+        cum = np.cumsum(counts, axis=0)
+        starts = np.flatnonzero(new)
+        before = np.zeros_like(cum[: starts.shape[0]])
+        before[1:] = cum[starts[1:] - 1]
+        left = cum - np.repeat(before, np.diff(starts, append=cell.shape[0]), axis=0)
+        node = run // m
+        n_left_int = left[:, 0].copy()
+        for c in range(1, left.shape[1]):
+            n_left_int += left[:, c]
+        keep = np.flatnonzero(
+            (n_left_int >= min_leaf) & (n[node] - n_left_int >= min_leaf)
+        )
+        if not keep.size:
+            return j, b
+        if keep.size < cell.size:
+            node, cell, left, n_left_int = node[keep], cell[keep], left[keep], n_left_int[keep]
+        # Counts are exact integers in float64, and the score expressions
+        # are the exact oracle's — identical counts give identical scores
+        # (the row sum of exact integer counts is the integer row sum).
+        left_counts = left.astype(np.float64)
+        right_counts = node_counts.astype(np.float64)[node] - left_counts
+        n_left = n_left_int.astype(np.float64)
+        n_right = n[node] - n_left
+        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+        score = (n_left * gini_left + n_right * gini_right) / n[node]
+        first = _first_min(node, score)
+        j[node[first]] = cell[first] // B % m
+        b[node[first]] = cell[first] % B
+        return j, b
+
+
+class _VarianceGrower(_Grower):
+    """Regression trees: per-bin count, sum and sum of squares."""
+
+    def _begin(self, members) -> None:
+        self.by = np.concatenate([self.targets[i] for i in members])
+        self.by2 = self.by * self.by
+
+    def _hist_cells(self, m: int) -> int:
+        return m * 3 * self.n_bins
+
+    def _stats(self, rows_list):
+        # Float reductions over a node's rows (numpy's pairwise sums)
+        # stay per node, in the node's row order: ``np.mean``'s and
+        # ``np.var``'s own steps, sharing the sum.
+        values, impurities = [], []
+        for rows in rows_list:
+            y = self.by[rows]
+            mean = np.add.reduce(y) / y.shape[0]
+            d = y - mean
+            values.append(np.array([mean]))
+            impurities.append(float(np.add.reduce(d * d) / y.shape[0]))
+        return values, impurities
+
+    def _hist(self, rows_list, feats):
+        """Per-bin ``(count, sum, sum of squares)``, ``(nodes, m, 3, B)``.
+
+        Raw float sums, not cumulated: raw bins subtract bit-identically,
+        cumulated ones would not.  Every bin adds its targets in
+        ascending row order, in both the per-feature and the fused
+        accumulation, so the float sums are the same either way."""
+        B = self.n_bins
+        K = len(rows_list)
+        R = rows_list[0] if K == 1 else np.concatenate(rows_list)
+        code_rows = self.brow[R]
+        fs = np.arange(self.n_features) if feats is None else None
+        m = self.n_features if feats is None else feats.shape[1]
+        w = self.by[R]
+        w2 = self.by2[R]
+        out = np.empty((K, m, 3, B))
+        if K == 1 and R.shape[0] * m >= STEP_CELLS:
+            # A big node: one feature at a time, so no row-repeated
+            # weight temps (the fused index would expand them m-fold).
+            for i, f in enumerate(fs if feats is None else feats[0]):
+                c = self.codes_T[f].take(code_rows).astype(np.intp)
+                out[0, i, 0] = np.bincount(c, minlength=B)
+                out[0, i, 1] = np.bincount(c, weights=w, minlength=B)
+                out[0, i, 2] = np.bincount(c, weights=w2, minlength=B)
+            return out
+        if feats is None:
+            idx = self.codes_T.take(code_rows, axis=1).astype(np.intp)
+        else:
+            slot = np.repeat(np.arange(K), [r.shape[0] for r in rows_list])
+            idx = self.codes_T[feats[slot].T, code_rows].astype(np.intp)
+        idx += (np.arange(m) * B)[:, None]
+        if K > 1:
+            if feats is None:
+                slot = np.repeat(np.arange(K), [r.shape[0] for r in rows_list])
+            idx += slot * (m * B)
+        flat = idx.ravel()
+        size = K * m * B
+        out[:, :, 0] = np.bincount(flat, minlength=size).reshape(K, m, B)
+        for d, weights in ((1, w), (2, w2)):
+            out[:, :, d] = np.bincount(
+                flat, weights=np.broadcast_to(weights, idx.shape).ravel(), minlength=size
+            ).reshape(K, m, B)
+        return out
+
+    def _best(self, hists, n):
+        min_leaf = self.proto.min_samples_leaf
+        K = len(hists)
+        m, _, B = hists[0].shape
+        # Cumulate each node's histogram straight into the stacked arrays
+        # (no stacked copy of the raw histograms).
+        cum_cnt = np.empty((K, m, B))
+        cum_s = np.empty((K, m, B))
+        cum_s2 = np.empty((K, m, B))
+        occupied = np.empty((K, m, B - 1), dtype=bool)
+        for k, hist in enumerate(hists):
+            np.cumsum(hist[:, 0], axis=1, out=cum_cnt[k])
+            np.cumsum(hist[:, 1], axis=1, out=cum_s[k])
+            np.cumsum(hist[:, 2], axis=1, out=cum_s2[k])
+            np.greater(hist[:, 0, :-1], 0, out=occupied[k])
+        nl_all = cum_cnt[:, :, :-1]
+        nn = n[:, None, None]
+        valid = occupied & (nl_all >= min_leaf) & ((nn - nl_all) >= min_leaf)
+
+        def dense():
+            n_left = nl_all
+            n_right = nn - n_left
+            sum_left = cum_s[:, :, :-1]
+            sum_right = cum_s[:, :, -1:] - sum_left
+            sum2_left = cum_s2[:, :, :-1]
+            sum2_right = cum_s2[:, :, -1:] - sum2_left
+            with np.errstate(divide="ignore", invalid="ignore"):
+                var_left = np.maximum(sum2_left / n_left - (sum_left / n_left) ** 2, 0.0)
+                var_right = np.maximum(
+                    sum2_right / n_right - (sum_right / n_right) ** 2, 0.0
+                )
+                return (n_left * var_left + n_right * var_right) / nn
+
+        def cells(kk, jj, bb):
+            n_left = cum_cnt[kk, jj, bb]
+            n_right = n[kk] - n_left
+            sum_left = cum_s[kk, jj, bb]
+            sum_right = cum_s[kk, jj, -1] - sum_left
+            sum2_left = cum_s2[kk, jj, bb]
+            sum2_right = cum_s2[kk, jj, -1] - sum2_left
+            var_left = np.maximum(sum2_left / n_left - (sum_left / n_left) ** 2, 0.0)
+            var_right = np.maximum(sum2_right / n_right - (sum_right / n_right) ** 2, 0.0)
+            return (n_left * var_left + n_right * var_right) / n[kk]
+
+        return _first_best(valid, dense, cells)

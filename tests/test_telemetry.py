@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.ml.forest import RandomForestClassifier
 from repro.parallel import parallel_map
 from repro.telemetry import (
     NOOP_SPAN,
@@ -256,6 +258,32 @@ class TestWorkerMerge:
                 telemetry.count("inner.only")
             assert active_tracer() is outer
         assert "inner.only" not in outer.counters
+
+
+class TestMlSpans:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_forest_fit_reports_binning_growth_and_prediction(self, n_jobs):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 6))
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        with tracing() as tracer:
+            forest = RandomForestClassifier(
+                n_estimators=10, random_state=0, n_jobs=n_jobs
+            ).fit(X, y)
+            forest.predict(X)
+        sizes = [tree.n_nodes for tree in forest.trees_]
+        assert tracer.counters["ml.grow.trees"] == 10
+        assert tracer.counters["ml.grow.nodes"] == sum(sizes)
+        # One batch per worker; a batch steps until its largest tree is
+        # grown (one node of every unfinished tree per step).
+        batches = [sizes] if n_jobs == 1 else [sizes[:5], sizes[5:]]
+        assert tracer.counters["ml.grow.steps"] == sum(map(max, batches))
+        names = [e["name"] for e in tracer.events]
+        assert names.count("ml.bin") == 1
+        assert names.count("ml.grow") == len(batches)
+        assert names.count("ml.predict") == 1
+        grown = [e["attrs"] for e in tracer.events if e["name"] == "ml.grow"]
+        assert sum(a["nodes"] for a in grown) == sum(sizes)
 
 
 class TestReport:

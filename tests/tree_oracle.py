@@ -13,8 +13,8 @@ identical node tables; ``tests/test_ml_hist.py`` holds that contract.
 Ensembles are grown by the oracle inside :func:`exact_growth`, which
 swaps module globals of :mod:`repro.ml.forest` and
 :mod:`repro.ml.boosting` for the duration of a ``with`` block: an
-identity binner hands the raw rows to ``fit_binned``, and the oracle
-trees grow on them.  The swap lives in this process only: pool workers
+identity binner hands the raw rows to ``fit_binned_batch``, and the
+oracle trees grow on them, one at a time.  The swap lives in this process only: pool workers
 forked before the block would grow production trees, and workers forked
 inside it would keep growing oracle trees after it ends.  So the block
 makes every process-pool request (:mod:`repro.parallel`) raise, and
@@ -56,10 +56,17 @@ class _ExactGrowth:
     #: a fresh counter for each block.
     grown: Counter = Counter()
 
-    def fit_binned(self, X: np.ndarray, y: np.ndarray, binner):
+    @classmethod
+    def fit_binned_batch(cls, trees, X, targets, binner, samples=None):
         """Inside :func:`exact_growth` an ensemble's "codes" are its raw
-        rows (the binner is the identity), so this is a plain fit."""
-        return self.fit(X, y)
+        rows (the binner is the identity), so each tree is a plain fit
+        on its own rows."""
+        targets = np.asarray(targets)
+        for i, tree in enumerate(trees):
+            rows = slice(None) if samples is None else samples[i]
+            y = targets if targets.ndim == 1 else targets[i]
+            tree.fit(X[rows], y[rows])
+        return trees
 
     def _fit_tree(self, X: np.ndarray, y: np.ndarray) -> None:
         self.grown[type(self).__name__] += 1
@@ -152,6 +159,11 @@ class _ExactGrowth:
 
 class ExactDecisionTreeClassifier(_ExactGrowth, DecisionTreeClassifier):
     """Gini CART classifier grown by the exact splitter."""
+
+    def _fit_tree(self, X: np.ndarray, y: np.ndarray) -> None:
+        self.classes_, y_enc = np.unique(y, return_inverse=True)
+        self._n_classes = self.classes_.shape[0]
+        super()._fit_tree(X, y_enc)
 
     def _split_impurities(self, y_sorted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gini of the left/right children for every split point ``i``
