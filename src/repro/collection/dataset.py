@@ -33,6 +33,7 @@ from repro.collection.shards import (
     MANIFEST_NAME,
     ShardedDataset,
     save_sharded,
+    transfer_block,
 )
 from repro.has.player import SessionTrace
 from repro.has.services import ServiceProfile
@@ -314,6 +315,17 @@ class Dataset:
             return np.zeros(3)
         counts = np.bincount(self.labels(target), minlength=3)
         return counts / counts.sum()
+
+    def transfer_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The corpus's transfers as one ``(transfers, offsets)`` block.
+
+        Session ``s`` owns rows ``offsets[s]:offsets[s + 1]`` of the
+        stacked ``(n, 10)`` array: the layout a shard stores, so flow
+        export reads an in-memory corpus and a sharded one
+        (:meth:`ShardedDataset.transfer_blocks`, one block per shard)
+        alike.
+        """
+        yield transfer_block(self.sessions)
 
     def extend(self, records: Sequence[SessionRecord]) -> None:
         """Append records, enforcing service consistency."""

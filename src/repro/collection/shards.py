@@ -72,6 +72,7 @@ __all__ = [
     "resolve_shard_size",
     "save_sharded",
     "shard_name",
+    "transfer_block",
     "write_shard",
 ]
 
@@ -132,6 +133,52 @@ def _offsets_of(counts: Iterable[int], n: int) -> np.ndarray:
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(counts, dtype=np.int64, count=n), out=offsets[1:])
     return offsets
+
+
+def _checked_offsets(name: str, offsets, n_sessions: int, n_rows: int) -> np.ndarray:
+    """A stored offset index, validated against its sessions and rows.
+
+    Session ``s`` owns rows ``offsets[s]:offsets[s + 1]`` of the index's
+    column, so a sound index holds ``n_sessions + 1`` integers that
+    start at 0, never decrease and end at the column's row count.
+    """
+    offsets = np.asarray(offsets)
+    if offsets.shape != (n_sessions + 1,) or not np.issubdtype(
+        offsets.dtype, np.integer
+    ):
+        raise ValueError(f"{name} does not index {n_sessions} sessions")
+    offsets = offsets.astype(np.int64, copy=False)
+    if offsets[0] != 0 or offsets[-1] != n_rows or (np.diff(offsets) < 0).any():
+        raise ValueError(
+            f"{name} must rise from 0 to {n_rows} rows without decreasing"
+        )
+    return offsets
+
+
+def _rows_of(name: str, column, width: int) -> np.ndarray:
+    """A stored flat or 2-D float column as ``(rows, width)``."""
+    column = np.asarray(column, dtype=np.float64)
+    if column.size % width:
+        raise ValueError(f"{name} does not reshape to {width} columns")
+    return column.reshape(-1, width)
+
+
+def transfer_block(
+    records: "Sequence[SessionRecord]",
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records' transfers as one ``(transfers, offsets)`` block.
+
+    This is the shard layout: ``transfers`` stacks every record's
+    ``(n, 10)`` rows, and record ``s`` owns rows
+    ``offsets[s]:offsets[s + 1]``.
+    """
+    offsets = _offsets_of((r.transfers.shape[0] for r in records), len(records))
+    transfers = (
+        np.concatenate([r.transfers for r in records], axis=0)
+        if records
+        else np.empty((0, 10))
+    )
+    return transfers, offsets
 
 
 _HTTP_DTYPES = {
@@ -202,14 +249,9 @@ def encode_shard(service: str, records: "Sequence[SessionRecord]") -> dict:
         arrays[f"http_{column}"] = (
             np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
         )
-    arrays["transfer_offsets"] = _offsets_of(
-        (r.transfers.shape[0] for r in records), n
-    )
-    arrays["transfers"] = (
-        np.concatenate([r.transfers for r in records], axis=0)
-        if records
-        else np.empty((0, 10))
-    )
+    transfers, transfer_offsets = transfer_block(records)
+    arrays["transfer_offsets"] = transfer_offsets
+    arrays["transfers"] = transfers
     arrays["connection_offsets"] = _offsets_of(
         (r.connections.shape[0] for r in records), n
     )
@@ -237,18 +279,23 @@ def decode_shard(arrays: dict) -> "Dataset":
         {k[len("tls_"):]: arrays[k] for k in arrays if k.startswith("tls_")}
     )
     n = table.n_sessions
-    host_offsets = np.asarray(arrays["session_hosts_offsets"], dtype=np.int64)
-    http_offsets = np.asarray(arrays["http_offsets"], dtype=np.int64)
-    transfer_offsets = np.asarray(arrays["transfer_offsets"], dtype=np.int64)
-    connection_offsets = np.asarray(arrays["connection_offsets"], dtype=np.int64)
-    for name, offsets in (
-        ("session_hosts_offsets", host_offsets),
-        ("http_offsets", http_offsets),
-        ("transfer_offsets", transfer_offsets),
-        ("connection_offsets", connection_offsets),
-    ):
-        if offsets.shape[0] != n + 1:
-            raise ValueError(f"{name} does not cover every session")
+    transfers = _rows_of("transfers", arrays["transfers"], 10)
+    connections = _rows_of("connections", arrays["connections"], 3)
+    host_offsets = _checked_offsets(
+        "session_hosts_offsets",
+        arrays["session_hosts_offsets"],
+        n,
+        arrays["session_hosts"].shape[0],
+    )
+    http_offsets = _checked_offsets(
+        "http_offsets", arrays["http_offsets"], n, arrays["http_start"].shape[0]
+    )
+    transfer_offsets = _checked_offsets(
+        "transfer_offsets", arrays["transfer_offsets"], n, transfers.shape[0]
+    )
+    connection_offsets = _checked_offsets(
+        "connection_offsets", arrays["connection_offsets"], n, connections.shape[0]
+    )
     hosts = [str(h) for h in arrays["session_hosts"]]
     sessions = []
     for i in range(n):
@@ -272,18 +319,12 @@ def decode_shard(arrays: dict) -> "Dataset":
                 video_id=str(arrays["video_id"][i]),
                 tls_transactions=table.transactions(i),
                 http=http,
-                transfers=np.asarray(
-                    arrays["transfers"][
-                        transfer_offsets[i]:transfer_offsets[i + 1]
-                    ],
-                    dtype=np.float64,
-                ).reshape(-1, 10).copy(),
-                connections=np.asarray(
-                    arrays["connections"][
-                        connection_offsets[i]:connection_offsets[i + 1]
-                    ],
-                    dtype=np.float64,
-                ).reshape(-1, 3).copy(),
+                transfers=transfers[
+                    transfer_offsets[i]:transfer_offsets[i + 1]
+                ].copy(),
+                connections=connections[
+                    connection_offsets[i]:connection_offsets[i + 1]
+                ].copy(),
                 labels=labels,
                 watch_duration_s=float(arrays["watch_duration_s"][i]),
                 session_end=float(arrays["session_end"][i]),
@@ -496,8 +537,9 @@ class ShardedDataset:
     Duck-compatible with :class:`~repro.collection.dataset.Dataset`
     everywhere the pipeline reads corpora — ``service``, ``len()``,
     iteration (shard-at-a-time), ``labels``/``label_distribution``,
-    ``profile`` — plus the shard-level access the out-of-core paths
-    use (:meth:`shard`, :meth:`iter_shards`, :meth:`iter_tables`).
+    ``transfer_blocks``, ``profile`` — plus the shard-level access the
+    out-of-core paths use (:meth:`shard`, :meth:`iter_shards`,
+    :meth:`iter_tables`).
     Materialized shards sit in a small LRU; ``counters`` tallies
     ``materialized``/``cache_hits`` (mirrored as ``shards.*``
     telemetry counters) so cache behaviour is provable in benchmarks.
@@ -641,6 +683,31 @@ class ShardedDataset:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
+
+    def transfer_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each shard's ``(transfers, offsets)`` block, in manifest order.
+
+        Reads only each shard's ``transfers`` and ``transfer_offsets``
+        npz members, as :meth:`labels` reads label members, so no shard
+        is decoded.  A malformed member raises
+        :class:`~repro.collection.dataset.DatasetFormatError` naming the
+        shard.
+        """
+        for i, entry in enumerate(self.entries):
+            try:
+                with np.load(self._shard_path(i), allow_pickle=False) as z:
+                    transfers = _rows_of("transfers", z["transfers"], 10)
+                    offsets = _checked_offsets(
+                        "transfer_offsets",
+                        z["transfer_offsets"],
+                        entry.n_sessions,
+                        transfers.shape[0],
+                    )
+            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+                raise _format_error(
+                    self.root, f"cannot read transfers of {entry.name}: {exc}"
+                ) from exc
+            yield transfers, offsets
 
     def label_distribution(self, target: str) -> np.ndarray:
         """Fraction of sessions per category, straight off the manifest."""

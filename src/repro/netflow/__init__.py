@@ -9,18 +9,20 @@ temporal resolution at slightly higher record volume.
 
 This package implements that data source: a NetFlow v9-style exporter
 that turns simulated connections into flow records (active/idle
-timeout semantics), plus feature extraction that reuses the TLS
-feature schema over flow slices.  The video-identification problem the
-paper notes for flow data (no SNI) is assumed solved via DNS
-augmentation, as in Bermudez et al. — see DESIGN.md.
+timeout semantics), one array pass per block of sessions, plus feature
+extraction that reuses the TLS feature schema over flow slices.  The
+video-identification problem the paper notes for flow data (no SNI) is
+assumed solved via DNS augmentation, as in Bermudez et al. — see
+DESIGN.md.
 """
 
-from repro.netflow.exporter import ExporterConfig, FlowRecord, export_flows
-from repro.netflow.features import extract_flow_features
+from repro.netflow.exporter import ExporterConfig, FlowTable, export_flow_table
+from repro.netflow.features import FLOW_FEATURE_NAMES, extract_flow_matrix
 
 __all__ = [
-    "FlowRecord",
     "ExporterConfig",
-    "export_flows",
-    "extract_flow_features",
+    "FLOW_FEATURE_NAMES",
+    "FlowTable",
+    "export_flow_table",
+    "extract_flow_matrix",
 ]

@@ -7,37 +7,29 @@ connections.  Because the active timeout splits long flows, the
 temporal features gain resolution the TLS view lacks; packet counters
 additionally enable a mean-packet-size feature family.
 
-Like the TLS pipeline, extraction is two-path: a per-session reference
-(:func:`extract_flow_features`) and a columnar corpus path
-(:func:`extract_flow_matrix`) that pours every session's flow records
-into one :class:`~repro.tlsproxy.table.TransactionTable` and reuses
-the vectorized TLS kernel plus segment reductions for the packet
-statistics.  The two are bit-identical.
+Extraction is columnar end to end.  A corpus hands over its transfers
+block by block — an in-memory corpus as one block, a sharded one shard
+by shard, read from the shard's transfer members without decoding it —
+and :func:`~repro.netflow.exporter.export_flow_table` exports each
+block in one array pass into a
+:class:`~repro.tlsproxy.table.TransactionTable` plus packet columns.
+The vectorized TLS kernel and segment reductions for the packet
+statistics then featurize it.  The per-session reference (the
+per-connection exporter and per-session features) lives in
+``tests/flow_oracle.py``; the two are bit-identical.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro import telemetry
 from repro.collection.dataset import Dataset
-from repro.features.tls_features import (
-    TLS_FEATURE_NAMES,
-    extract_tls_features,
-    extract_tls_table,
-)
-from repro.netflow.exporter import ExporterConfig, FlowRecord, export_flows
-from repro.tlsproxy.records import TlsTransaction
-from repro.tlsproxy.table import (
-    TransactionTable,
-    ordered_sum,
-    segment_min_med_max,
-    segment_sum,
-)
+from repro.features.tls_features import TLS_FEATURE_NAMES, extract_tls_table
+from repro.netflow.exporter import ExporterConfig, FlowTable, export_flow_table
+from repro.tlsproxy.table import segment_min_med_max, segment_sum
 
-__all__ = ["FLOW_FEATURE_NAMES", "extract_flow_features", "extract_flow_matrix"]
+__all__ = ["FLOW_FEATURE_NAMES", "extract_flow_matrix"]
 
 #: Flow features: the TLS schema over slices + packet-size statistics.
 FLOW_FEATURE_NAMES: tuple[str, ...] = TLS_FEATURE_NAMES + (
@@ -47,71 +39,28 @@ FLOW_FEATURE_NAMES: tuple[str, ...] = TLS_FEATURE_NAMES + (
 )
 
 
-def extract_flow_features(flows: Sequence[FlowRecord]) -> np.ndarray:
-    """Feature vector for one session's flow records (reference path)."""
-    if not flows:
-        raise ValueError("a session needs at least one flow record")
-    as_transactions = [
-        TlsTransaction(
-            start=f.start,
-            end=f.end,
-            uplink_bytes=f.bytes_up,
-            downlink_bytes=f.bytes_down,
-            sni="flow",
-        )
-        for f in flows
-    ]
-    base = extract_tls_features(as_transactions)
-
-    pkts_down = np.array([f.packets_down for f in flows], dtype=np.float64)
-    pkts_up = np.array([f.packets_up for f in flows], dtype=np.float64)
-    bytes_down = np.array([f.bytes_down for f in flows], dtype=np.float64)
-    bytes_up = np.array([f.bytes_up for f in flows], dtype=np.float64)
+def _flow_features(flows: FlowTable) -> np.ndarray:
+    """One feature row per session of an exported block."""
+    table = flows.records
+    pkts_up, pkts_down = flows.packets_up, flows.packets_down
+    base = extract_tls_table(table)
     with np.errstate(divide="ignore", invalid="ignore"):
-        size_down = np.where(pkts_down > 0, bytes_down / np.maximum(pkts_down, 1), 0.0)
-        size_up = np.where(pkts_up > 0, bytes_up / np.maximum(pkts_up, 1), 0.0)
-    session_span = max(f.end for f in flows) - min(f.start for f in flows)
-    extra = np.array(
-        [
-            float(np.median(size_down)),
-            float(np.median(size_up)),
-            (ordered_sum(pkts_down) + ordered_sum(pkts_up))
-            / max(session_span, 1e-9),
-        ]
+        size_down = np.where(
+            pkts_down > 0, table.downlink / np.maximum(pkts_down, 1), 0.0
+        )
+        size_up = np.where(pkts_up > 0, table.uplink / np.maximum(pkts_up, 1), 0.0)
+    offsets = table.offsets
+    segment_ids = table.session_ids
+    _, med_down, _ = segment_min_med_max(size_down, offsets, segment_ids)
+    _, med_up, _ = segment_min_med_max(size_up, offsets, segment_ids)
+    lo = offsets[:-1]
+    session_span = np.maximum.reduceat(table.end, lo) - np.minimum.reduceat(
+        table.start, lo
     )
-    return np.concatenate([base, extra])
-
-
-def _flow_table(
-    per_session: list[list[FlowRecord]],
-) -> tuple[TransactionTable, np.ndarray, np.ndarray]:
-    """Columns for a corpus's flows: table + packet-count columns."""
-    counts = np.fromiter(
-        (len(flows) for flows in per_session), dtype=np.int64, count=len(per_session)
-    )
-    offsets = np.zeros(len(per_session) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    n = int(offsets[-1])
-    start = np.empty(n, dtype=np.float64)
-    end = np.empty(n, dtype=np.float64)
-    bytes_up = np.empty(n, dtype=np.float64)
-    bytes_down = np.empty(n, dtype=np.float64)
-    pkts_up = np.empty(n, dtype=np.float64)
-    pkts_down = np.empty(n, dtype=np.float64)
-    i = 0
-    for flows in per_session:
-        for f in flows:
-            start[i] = f.start
-            end[i] = f.end
-            bytes_up[i] = f.bytes_up
-            bytes_down[i] = f.bytes_down
-            pkts_up[i] = f.packets_up
-            pkts_down[i] = f.packets_down
-            i += 1
-    table = TransactionTable(
-        start=start, end=end, uplink=bytes_up, downlink=bytes_down, offsets=offsets
-    )
-    return table, pkts_up, pkts_down
+    pkts_per_sec = (
+        segment_sum(pkts_down, offsets) + segment_sum(pkts_up, offsets)
+    ) / np.maximum(session_span, 1e-9)
+    return np.column_stack([base, med_down, med_up, pkts_per_sec])
 
 
 def extract_flow_matrix(
@@ -119,49 +68,33 @@ def extract_flow_matrix(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Flow-feature matrix for a whole corpus (exporting on the fly).
 
-    Flow export runs per session (it is stateful by nature), but all
-    featurization happens columnar: one table for every flow slice in
-    the corpus, segment reductions for the packet statistics.  Output
-    is bit-identical to stacking :func:`extract_flow_features`.
-
-    A :class:`~repro.collection.shards.ShardedDataset` is reduced shard
-    at a time (rows stacked in manifest order) — every feature is a
-    within-session reduction, so the chunking cannot change any value.
+    Each block of :meth:`~repro.collection.dataset.Dataset.transfer_blocks`
+    (the whole corpus, or one shard of a
+    :class:`~repro.collection.shards.ShardedDataset`) is exported in one
+    array pass and featurized columnar; rows stack in session order.
+    Every feature is a within-session reduction, so the block size
+    cannot change any value, and the output is bit-identical to
+    stacking the per-session reference.  A session that exports no flow
+    record raises ``ValueError`` naming it.
     """
-    if hasattr(dataset, "iter_shards"):
-        blocks = [
-            extract_flow_matrix(shard, config)[0]
-            for _, shard in dataset.iter_shards()
-            if len(shard)
-        ]
-        if not blocks:
-            return np.empty((0, len(FLOW_FEATURE_NAMES))), FLOW_FEATURE_NAMES
-        return np.vstack(blocks), FLOW_FEATURE_NAMES
-    if len(dataset) == 0:
-        return np.empty((0, len(FLOW_FEATURE_NAMES))), FLOW_FEATURE_NAMES
+    blocks = []
+    first = 0
+    n_flows = 0
     with telemetry.span("features.flow", sessions=len(dataset)) as sp:
-        per_session = [export_flows(record, config) for record in dataset]
-        if any(not flows for flows in per_session):
-            raise ValueError("a session needs at least one flow record")
-        table, pkts_up, pkts_down = _flow_table(per_session)
-        sp.set(flows=table.n_rows)
-        base = extract_tls_table(table)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            size_down = np.where(
-                pkts_down > 0, table.downlink / np.maximum(pkts_down, 1), 0.0
-            )
-            size_up = np.where(pkts_up > 0, table.uplink / np.maximum(pkts_up, 1), 0.0)
-        offsets = table.offsets
-        segment_ids = table.session_ids
-        _, med_down, _ = segment_min_med_max(size_down, offsets, segment_ids)
-        _, med_up, _ = segment_min_med_max(size_up, offsets, segment_ids)
-        lo = offsets[:-1]
-        session_span = np.maximum.reduceat(table.end, lo) - np.minimum.reduceat(
-            table.start, lo
-        )
-        pkts_per_sec = (
-            segment_sum(pkts_down, offsets) + segment_sum(pkts_up, offsets)
-        ) / np.maximum(session_span, 1e-9)
-        X = np.column_stack([base, med_down, med_up, pkts_per_sec])
-    return X, FLOW_FEATURE_NAMES
+        for transfers, offsets in dataset.transfer_blocks():
+            flows = export_flow_table(transfers, offsets, config)
+            counts = flows.counts
+            if (counts == 0).any():
+                empty = first + int(np.flatnonzero(counts == 0)[0])
+                raise ValueError(
+                    f"session {empty} exports no flow record "
+                    "(a session needs at least one flow record)"
+                )
+            if counts.size:
+                blocks.append(_flow_features(flows))
+            first += counts.size
+            n_flows += flows.records.n_rows
+        sp.set(flows=n_flows)
+    if not blocks:
+        return np.empty((0, len(FLOW_FEATURE_NAMES))), FLOW_FEATURE_NAMES
+    return np.vstack(blocks), FLOW_FEATURE_NAMES

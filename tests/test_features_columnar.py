@@ -11,7 +11,9 @@ table3 numbers whichever path produced the features.
 import numpy as np
 import pytest
 
+from repro import api
 from repro.collection.harness import collect_corpus
+from repro.collection.shards import ShardedDataset, save_sharded
 from repro.experiments import fig5, table3
 from repro.experiments.common import default_forest
 from repro.features.tls_features import (
@@ -21,10 +23,11 @@ from repro.features.tls_features import (
 )
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import cross_val_predict, cross_validate
-from repro.netflow.exporter import export_flows
-from repro.netflow.features import extract_flow_features, extract_flow_matrix
+from repro.netflow.exporter import ExporterConfig
+from repro.netflow.features import extract_flow_matrix
 from repro.tlsproxy.records import TlsTransaction
 from repro.tlsproxy.table import TransactionTable
+from tests.flow_oracle import reference_flow_matrix
 
 
 def reference_matrix(dataset, intervals=TEMPORAL_INTERVALS):
@@ -81,14 +84,56 @@ class TestTlsGoldenEquivalence:
             extract_tls_matrix(table)
 
 
+#: Two non-default exporters: finer periodic summaries, and eager
+#: idle splits under very short active timeouts.
+EXPORTERS = (
+    ExporterConfig(active_timeout_s=20.0, idle_timeout_s=1.0),
+    ExporterConfig(active_timeout_s=3.0, idle_timeout_s=0.5),
+)
+EXPORTER_IDS = ["active20-idle1", "active3-idle0.5"]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("live1", "live", None), ("rtc1", "rtc", None), ("svc1", None, "hostile")],
+    ids=["live1", "rtc1", "svc1-hostile"],
+)
+def other_corpus(request):
+    """Live, RTC and impaired corpora (longer connections, other gaps)."""
+    service, workload, scenario = request.param
+    return api.collect_corpus(
+        service, n_sessions=10, seed=34, workload=workload, scenario=scenario, jobs=1
+    )
+
+
 class TestFlowGoldenEquivalence:
     def test_bit_identical(self, corpus):
         X_fast, names = extract_flow_matrix(corpus)
-        X_ref = np.vstack(
-            [extract_flow_features(export_flows(r)) for r in corpus]
-        )
-        assert np.array_equal(X_fast, X_ref)
+        X_ref = reference_flow_matrix(corpus)
+        assert X_fast.tobytes() == X_ref.tobytes()
         assert X_fast.shape == (len(corpus), len(names))
+
+    @pytest.mark.parametrize("config", EXPORTERS, ids=EXPORTER_IDS)
+    def test_bit_identical_nondefault_exporters(self, corpus, config):
+        X_fast, _ = extract_flow_matrix(corpus, config)
+        assert X_fast.tobytes() == reference_flow_matrix(corpus, config).tobytes()
+
+    @pytest.mark.parametrize("config", (None,) + EXPORTERS, ids=["default"] + EXPORTER_IDS)
+    def test_bit_identical_other_workloads_and_scenarios(self, other_corpus, config):
+        X_fast, _ = extract_flow_matrix(other_corpus, config)
+        X_ref = reference_flow_matrix(other_corpus, config)
+        assert X_fast.tobytes() == X_ref.tobytes()
+
+    @pytest.mark.parametrize("shard_size", [1, 3, 50])
+    def test_sharded_equals_in_memory(self, corpus, shard_size, tmp_path):
+        """Shard by shard, off the transfer members alone: no shard is
+        decoded, and the matrix equals the in-memory one byte for byte."""
+        save_sharded(corpus, tmp_path / "c.shards", shard_size)
+        sharded = ShardedDataset.load(tmp_path / "c.shards")
+        X_sharded, _ = extract_flow_matrix(sharded)
+        X_memory, _ = extract_flow_matrix(corpus)
+        assert X_sharded.tobytes() == X_memory.tobytes()
+        assert sharded.counters["materialized"] == 0
 
 
 class TestExperimentNumbersUnchanged:

@@ -15,6 +15,7 @@ from repro.collection.shards import (
     save_sharded,
     shard_name,
 )
+from repro.netflow.features import extract_flow_matrix
 from repro.qoe.labels import TARGETS
 
 
@@ -31,6 +32,24 @@ def sharded(corpus, tmp_path):
 def _truncate(path):
     """Cut a file to half its bytes, as a torn copy would."""
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _rewrite_member(path, name, edit):
+    """Rewrite one npz member of a shard file in place."""
+    with np.load(path) as z:
+        arrays = {member: z[member] for member in z.files}
+    arrays[name] = edit(arrays[name].copy())
+    np.savez_compressed(path, **arrays)
+
+
+def _swap(offsets):
+    offsets[[1, 2]] = offsets[[2, 1]]
+    return offsets
+
+
+def _shorten_end(offsets):
+    offsets[-1] -= 1
+    return offsets
 
 
 def assert_records_equal(ra, rb):
@@ -121,6 +140,16 @@ class TestLaziness:
         sharded.drop_caches()
         sharded.labels("combined")
         assert sharded.counters["materialized"] == 0
+
+    def test_transfer_blocks_never_materialize_shards(self, corpus, sharded):
+        sharded.drop_caches()
+        blocks = list(sharded.transfer_blocks())
+        assert sharded.counters["materialized"] == 0
+        assert [o.shape[0] - 1 for _, o in blocks] == [4, 4, 3]
+        transfers = np.concatenate([t for t, _ in blocks])
+        np.testing.assert_array_equal(
+            transfers, np.concatenate([r.transfers for r in corpus])
+        )
 
     def test_lru_keeps_two_shards(self, sharded):
         sharded.drop_caches()
@@ -219,6 +248,39 @@ class TestCorruption:
         for i in (0, 1):
             with pytest.raises(DatasetFormatError, match=sharded.entries[i].name):
                 sharded.shard(i)
+
+
+class TestCorruptOffsets:
+    """An offset index that does not fit its column is named with its
+    shard, both when the shard is decoded and when flow export reads
+    the shard's transfer members."""
+
+    @pytest.mark.parametrize("corrupt", [_swap, _shorten_end], ids=["swap", "short-end"])
+    @pytest.mark.parametrize(
+        "name",
+        ["transfer_offsets", "connection_offsets", "http_offsets", "session_hosts_offsets"],
+    )
+    def test_decode_and_flow_extraction(self, sharded, name, corrupt):
+        clean, _ = extract_flow_matrix(sharded)
+        shard = sharded.root / sharded.entries[1].name
+        _rewrite_member(shard, name, corrupt)
+        sharded.drop_caches()
+        with pytest.raises(DatasetFormatError, match=f"{shard.name}: {name}"):
+            sharded.shard(1)
+        if name == "transfer_offsets":
+            with pytest.raises(DatasetFormatError, match=f"{shard.name}: {name}"):
+                extract_flow_matrix(sharded)
+        else:  # flow export reads the transfer members alone
+            X, _ = extract_flow_matrix(sharded)
+            assert X.tobytes() == clean.tobytes()
+
+    def test_transfers_of_the_wrong_width(self, sharded):
+        shard = sharded.root / sharded.entries[0].name
+        _rewrite_member(shard, "transfers", lambda t: t.ravel()[:-1])
+        sharded.drop_caches()
+        for read in (lambda: sharded.shard(0), lambda: extract_flow_matrix(sharded)):
+            with pytest.raises(DatasetFormatError, match="transfers does not reshape"):
+                read()
 
 
 class TestEdgeCases:
