@@ -66,3 +66,38 @@ def run_once(benchmark, func, *args, **kwargs):
     microseconds), so a single round is the right measurement.
     """
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def alternating_pairs(first, second, pairs):
+    """Time ``first()`` against ``second()`` in ``pairs`` run pairs.
+
+    The host's speed drifts by a fifth or more within seconds, so a
+    wall-time comparison is measured the way ``perfbench`` measures:
+    which side runs first alternates from pair to pair, and each run's
+    wall time is scaled to a reference host speed by
+    ``perfbench/hostspeed.py``'s sampler (so run from the repository
+    root).  Returns the per-pair ``(first_s, second_s)`` reference
+    times and each side's last result.
+    """
+    import time
+
+    from perfbench.hostspeed import SpeedSampler
+
+    sides = (first, second)
+    spans, results = [], [None, None]
+    with SpeedSampler() as speed:
+        for i in range(pairs):
+            pair = [None, None]
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                start = time.perf_counter()
+                results[side] = sides[side]()
+                pair[side] = (start, time.perf_counter())
+            spans.append(pair)
+        # Scaled once every run is done: a run shorter than the
+        # sampling interval falls back to the whole series' speed,
+        # which must hold at least one sample.
+        times = [
+            tuple(speed.at_reference(end - start, start, end) for start, end in pair)
+            for pair in spans
+        ]
+    return times, tuple(results)

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+#: Log-space parameters of :func:`default_tcp_params`, computed once.
+_LOG_RTT_MEDIAN_S = np.log(0.045)
+_LOG_LOSS_RANGE = (np.log(1e-4), np.log(2e-2))
+
+
 def default_tcp_params(rng: np.random.Generator) -> TcpParams:
     """Draw path parameters for one connection.
 
@@ -49,8 +54,8 @@ def default_tcp_params(rng: np.random.Generator) -> TcpParams:
     cellular tails are long); loss rates are log-uniform between 0.01%
     and 2%, covering clean broadband through congested cellular.
     """
-    rtt = float(np.clip(np.exp(rng.normal(np.log(0.045), 0.4)), 0.01, 0.4))
-    loss = float(np.exp(rng.uniform(np.log(1e-4), np.log(2e-2))))
+    rtt = min(max(float(np.exp(rng.normal(_LOG_RTT_MEDIAN_S, 0.4))), 0.01), 0.4)
+    loss = float(np.exp(rng.uniform(*_LOG_LOSS_RANGE)))
     return TcpParams(rtt_s=rtt, loss_rate=loss)
 
 

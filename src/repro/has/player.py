@@ -284,8 +284,9 @@ class PlayerSession:
         beacon_interval = profile.beacon_interval_s
         next_beacon = beacon_interval
         last_quality: int | None = None
+        n_segments = video.n_segments
         seg = 0
-        while seg < video.n_segments and t < watch_end:
+        while seg < n_segments and t < watch_end:
             next_beacon = self._fetch_due_beacons(next_beacon, t)
             state = AbrState(
                 buffer_level_s=schedule.buffer_level(t),
@@ -303,7 +304,7 @@ class PlayerSession:
             last_quality = quality
 
             if profile.separate_audio and seg % profile.audio_group == 0:
-                group = range(seg, min(seg + profile.audio_group, video.n_segments))
+                group = range(seg, min(seg + profile.audio_group, n_segments))
                 audio_bytes = sum(video.audio_segment_bytes(i) for i in group)
                 audio = self._fetch(t, ResourceType.AUDIO_SEGMENT, audio_bytes)
                 t = audio.end
@@ -314,7 +315,7 @@ class PlayerSession:
             # Buffer-full pacing: wait until there is room for the next
             # segment.  These idle gaps are what let TLS idle timeouts
             # split a session into multiple transactions.
-            if seg < video.n_segments:
+            if seg < n_segments:
                 next_dur = video.segment_play_duration(seg)
                 overflow = (
                     schedule.buffer_level(t) + next_dur - profile.buffer_capacity_s
@@ -328,7 +329,7 @@ class PlayerSession:
         content_end = max(
             (e.end for e in schedule.events), default=min(t, watch_end)
         )
-        if seg >= video.n_segments and t < watch_end:
+        if seg >= n_segments and t < watch_end:
             # Everything downloaded: the viewer watches until content or
             # patience runs out.
             pending = schedule.buffer_level(t)
@@ -394,11 +395,16 @@ class PlayerSession:
         lo, hi = self.profile.range_requests_per_segment
         n_chunks = int(self.rng.integers(lo, hi + 1)) if hi > lo else lo
         n_chunks = max(1, min(n_chunks, size))
-        bounds = np.linspace(0, size, n_chunks + 1).astype(int)
+        # Equal chunks, truncated: bound i is int(i * step) and the last
+        # is size exactly, the bounds np.linspace(0, size, n_chunks + 1)
+        # gives when cast to int (stored corpora depend on them).
+        step = size / n_chunks
         t = at
         first_start = None
-        for i in range(n_chunks):
-            chunk = int(bounds[i + 1] - bounds[i])
+        prev = 0
+        for i in range(1, n_chunks + 1):
+            bound = int(i * step) if i < n_chunks else size
+            chunk, prev = bound - prev, bound
             if chunk <= 0:
                 continue
             txn = self._fetch(t, ResourceType.VIDEO_SEGMENT, chunk, quality_index=quality)

@@ -12,6 +12,7 @@ map one-to-one onto resolution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,10 +122,15 @@ class Video:
     vbr_multipliers: np.ndarray = field(repr=False)
     level_multipliers: np.ndarray | None = field(default=None, repr=False)
     audio_bitrate_bps: float = 128_000.0
+    #: Segment count, computed once (the player asks per request).
+    _n_segments: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0 or self.segment_duration_s <= 0:
             raise ValueError("durations must be positive")
+        object.__setattr__(
+            self, "_n_segments", math.ceil(self.duration_s / self.segment_duration_s)
+        )
         if self.complexity <= 0:
             raise ValueError("complexity must be positive")
         if len(self.vbr_multipliers) != self.n_segments:
@@ -140,14 +146,18 @@ class Video:
     @property
     def n_segments(self) -> int:
         """Number of segments (last one possibly short)."""
-        return int(np.ceil(self.duration_s / self.segment_duration_s))
+        return self._n_segments
 
     def segment_play_duration(self, index: int) -> float:
         """Playback seconds of segment ``index``."""
         self._check_index(index)
+        return self._play_duration(index)
+
+    def _play_duration(self, index: int) -> float:
+        """:meth:`segment_play_duration` of an index already checked."""
         full = self.segment_duration_s
-        if index == self.n_segments - 1:
-            remainder = self.duration_s - full * (self.n_segments - 1)
+        if index == self._n_segments - 1:
+            remainder = self.duration_s - full * (self._n_segments - 1)
             return remainder if remainder > 0 else full
         return full
 
@@ -155,7 +165,7 @@ class Video:
         """Encoded size in bytes of segment ``index`` at ladder ``quality``."""
         self._check_index(index)
         level = self.ladder[quality]
-        seconds = self.segment_play_duration(index)
+        seconds = self._play_duration(index)
         size = (
             level.bitrate_bps
             * seconds
@@ -170,11 +180,11 @@ class Video:
     def audio_segment_bytes(self, index: int) -> int:
         """Encoded size of the audio track for segment ``index``."""
         self._check_index(index)
-        seconds = self.segment_play_duration(index)
+        seconds = self._play_duration(index)
         return max(1, round(self.audio_bitrate_bps * seconds / 8.0))
 
     def _check_index(self, index: int) -> None:
-        if not 0 <= index < self.n_segments:
+        if not 0 <= index < self._n_segments:
             raise ValueError(f"segment index {index} out of range")
 
 

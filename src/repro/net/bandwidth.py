@@ -20,6 +20,8 @@ when a session outlives it, mirroring how trace replay tools loop.
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,8 +78,17 @@ class BandwidthTrace:
     duration: float
     family: TraceFamily
     name: str = "trace"
-    #: Cumulative bits delivered at each interval boundary; lazily built.
+    #: Cumulative bits delivered at each interval boundary (one more
+    #: entry than ``times``; the last is :attr:`total_bits`), built in
+    #: ``__post_init__``.
     _cum_bits: np.ndarray = field(init=False, repr=False, compare=False)
+    # Python-list copies of ``times``, ``bandwidth_bps`` and
+    # ``_cum_bits``: the per-request queries below run on Python floats
+    # and ``bisect``, which cost a fraction of one-element numpy calls
+    # and do the same binary64 operations.
+    _times_list: list = field(init=False, repr=False, compare=False)
+    _bw_list: list = field(init=False, repr=False, compare=False)
+    _cum_list: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -99,6 +110,9 @@ class BandwidthTrace:
         widths = np.diff(np.append(times, self.duration))
         cum = np.concatenate([[0.0], np.cumsum(widths * bw)])
         object.__setattr__(self, "_cum_bits", cum)
+        object.__setattr__(self, "_times_list", times.tolist())
+        object.__setattr__(self, "_bw_list", bw.tolist())
+        object.__setattr__(self, "_cum_list", cum.tolist())
 
     # ------------------------------------------------------------------
     # Queries
@@ -106,7 +120,7 @@ class BandwidthTrace:
     @property
     def total_bits(self) -> float:
         """Bits delivered over one full cycle of the trace."""
-        return float(self._cum_bits[-1])
+        return self._cum_list[-1]
 
     @property
     def mean_bps(self) -> float:
@@ -115,25 +129,25 @@ class BandwidthTrace:
 
     def bandwidth_at(self, t: float) -> float:
         """Instantaneous bandwidth (bps) at time ``t`` (cyclic)."""
-        if t < 0:
-            raise ValueError("time must be non-negative")
-        phase = t % self.duration
-        idx = int(np.searchsorted(self.times, phase, side="right") - 1)
-        return float(self.bandwidth_bps[idx])
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"t must be a finite non-negative time, got {t!r}")
+        idx = bisect_right(self._times_list, t % self.duration) - 1
+        return self._bw_list[idx]
 
     def _cum_bits_at(self, t: float) -> float:
         """Cumulative bits delivered on [0, t], handling cycling."""
         cycles, phase = divmod(t, self.duration)
-        idx = int(np.searchsorted(self.times, phase, side="right") - 1)
-        within = self._cum_bits[idx] + (phase - self.times[idx]) * self.bandwidth_bps[idx]
-        return cycles * self.total_bits + within
+        times = self._times_list
+        idx = bisect_right(times, phase) - 1
+        within = self._cum_list[idx] + (phase - times[idx]) * self._bw_list[idx]
+        return cycles * self._cum_list[-1] + within
 
     def bits_between(self, t0: float, t1: float) -> float:
         """Bits the link can deliver during ``[t0, t1]``."""
-        if t1 < t0:
-            raise ValueError("interval end precedes start")
-        if t0 < 0:
-            raise ValueError("time must be non-negative")
+        if not 0.0 <= t0 < math.inf:
+            raise ValueError(f"t0 must be a finite non-negative time, got {t0!r}")
+        if not t0 <= t1 < math.inf:
+            raise ValueError(f"t1 must be finite and not precede t0, got {t1!r}")
         return self._cum_bits_at(t1) - self._cum_bits_at(t0)
 
     def time_to_deliver(self, t0: float, nbits: float) -> float:
@@ -142,17 +156,19 @@ class BandwidthTrace:
         Inverts the cumulative-bits curve, so it is exact for the
         piecewise-constant schedule.
         """
-        if nbits < 0:
-            raise ValueError("nbits must be non-negative")
+        if not 0.0 <= t0 < math.inf:
+            raise ValueError(f"t0 must be a finite non-negative time, got {t0!r}")
+        if not 0.0 <= nbits < math.inf:
+            raise ValueError(f"nbits must be finite and non-negative, got {nbits!r}")
         if nbits == 0:
             return 0.0
+        cum = self._cum_list
         target = self._cum_bits_at(t0) + nbits
-        cycles, remainder = divmod(target, self.total_bits)
-        # Find the interval whose cumulative range contains the remainder.
-        idx = int(np.searchsorted(self._cum_bits, remainder, side="right") - 1)
-        if idx >= self.times.size:  # remainder == total_bits exactly
-            idx = self.times.size - 1
-        within = self.times[idx] + (remainder - self._cum_bits[idx]) / self.bandwidth_bps[idx]
+        cycles, remainder = divmod(target, cum[-1])
+        # Find the interval whose cumulative range contains the
+        # remainder (always below total_bits, so never past the last).
+        idx = bisect_right(cum, remainder) - 1
+        within = self._times_list[idx] + (remainder - cum[idx]) / self._bw_list[idx]
         t_end = cycles * self.duration + within
         return t_end - t0
 
@@ -181,12 +197,15 @@ def _ar1_series(
     variation, which matches how measured throughput fluctuates.
     """
     log_mean = np.log(mean)
-    innovations = rng.normal(0.0, sigma * np.sqrt(1.0 - rho**2), size=n)
-    deviations = np.empty(n)
-    deviations[0] = rng.normal(0.0, sigma)
-    for i in range(1, n):
-        deviations[i] = rho * deviations[i - 1] + innovations[i]
-    return np.exp(log_mean + deviations)
+    innovations = rng.normal(0.0, sigma * np.sqrt(1.0 - rho**2), size=n).tolist()
+    # The recurrence runs on Python floats: the same binary64 multiply
+    # and add per step as on numpy scalars, without their overhead.
+    deviation = rng.normal(0.0, sigma)
+    deviations = [deviation]
+    for innovation in innovations[1:]:
+        deviation = rho * deviation + innovation
+        deviations.append(deviation)
+    return np.exp(log_mean + np.array(deviations))
 
 
 def fcc_trace(
@@ -232,14 +251,19 @@ def hsdpa_trace(
     n = max(2, int(np.ceil(duration / granularity)))
     bw = _ar1_series(rng, n, mean_bps, sigma=0.95, rho=0.99)
     # Outages: a two-state process (tunnels, coverage holes) entered
-    # every couple of minutes, lasting ~10 s on average.
+    # every couple of minutes, lasting ~10 s on average.  How many
+    # draws the walk makes depends on the draws, so it stays one call
+    # per step.
+    random, uniform = rng.random, rng.uniform
+    p_enter = granularity / 120.0  # outage every ~2 min
+    p_leave = granularity / 10.0  # mean outage ~10 s
     in_outage = False
     for i in range(n):
         if in_outage:
-            bw[i] = rng.uniform(_MIN_BANDWIDTH_BPS, 6e4)
-            if rng.random() < granularity / 10.0:  # mean outage ~10 s
+            bw[i] = uniform(_MIN_BANDWIDTH_BPS, 6e4)
+            if random() < p_leave:
                 in_outage = False
-        elif rng.random() < granularity / 120.0:  # outage every ~2 min
+        elif random() < p_enter:
             in_outage = True
     times = np.arange(n) * granularity
     return BandwidthTrace(

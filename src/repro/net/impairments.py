@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "TransferSpec",
@@ -81,6 +81,24 @@ class TransferSpec:
     mss_bytes: int
     rtt_s: float
     payload_rate: float
+
+    def with_costs(
+        self, end: float, n_packets_down: int, n_packets_up: int
+    ) -> "TransferSpec":
+        """This transfer with a stage's costs charged: a new ``end`` and
+        packet counts (what ``dataclasses.replace`` would build, without
+        its per-call field walk)."""
+        return TransferSpec(
+            self.start,
+            self.response_start,
+            end,
+            self.nbytes,
+            n_packets_down,
+            n_packets_up,
+            self.mss_bytes,
+            self.rtt_s,
+            self.payload_rate,
+        )
 
 
 class ImpairmentStage:
@@ -169,9 +187,7 @@ class TokenBucketPolicer(ImpairmentStage):
         self._count("policed_transfers")
         self._count("dropped_packets", dropped)
         self._count("dropped_bytes", deficit)
-        return replace(
-            spec, end=end, n_packets_down=spec.n_packets_down + dropped
-        )
+        return spec.with_costs(end, spec.n_packets_down + dropped, spec.n_packets_up)
 
 
 class Shaper(ImpairmentStage):
@@ -220,7 +236,7 @@ class Shaper(ImpairmentStage):
         self._count("shaped_transfers")
         self._count("delayed_packets", spec.n_packets_down)
         self._count("delay_s", end - spec.end)
-        return replace(spec, end=end)
+        return spec.with_costs(end, spec.n_packets_down, spec.n_packets_up)
 
 
 class Droplist(ImpairmentStage):
@@ -266,11 +282,10 @@ class Droplist(ImpairmentStage):
             self._count("dropped_down", k_down)
         if k_up:
             self._count("dropped_up", k_up)
-        return replace(
-            spec,
-            end=spec.end + (k_down + k_up) * spec.rtt_s,
-            n_packets_down=spec.n_packets_down + k_down,
-            n_packets_up=spec.n_packets_up + k_up,
+        return spec.with_costs(
+            spec.end + (k_down + k_up) * spec.rtt_s,
+            spec.n_packets_down + k_down,
+            spec.n_packets_up + k_up,
         )
 
 
@@ -308,10 +323,10 @@ class Reorderer(ImpairmentStage):
         spurious = k if self.delay_s > spec.rtt_s else 0
         if spurious:
             self._count("spurious_retransmits", spurious)
-        return replace(
-            spec,
-            end=spec.end + self.delay_s,
-            n_packets_down=spec.n_packets_down + spurious,
+        return spec.with_costs(
+            spec.end + self.delay_s,
+            spec.n_packets_down + spurious,
+            spec.n_packets_up,
         )
 
 
@@ -361,6 +376,4 @@ class Queue(ImpairmentStage):
             self._count("delayed_transfers")
         if dropped == 0 and delay <= 0:
             return spec
-        return replace(
-            spec, end=end, n_packets_down=spec.n_packets_down + dropped
-        )
+        return spec.with_costs(end, spec.n_packets_down + dropped, spec.n_packets_up)

@@ -46,25 +46,14 @@ class NetPath:
         self.link = link
         self.stages = tuple(stages)
         self.scenario = str(scenario)
-
-    # -- Link delegation -------------------------------------------------
-
-    @property
-    def trace(self):
-        return self.link.trace
-
-    @property
-    def efficiency(self) -> float:
-        return self.link.efficiency
-
-    def payload_rate_at(self, t: float) -> float:
-        return self.link.payload_rate_at(t)
-
-    def delivery_time(self, start: float, nbytes: float) -> float:
-        return self.link.delivery_time(start, nbytes)
-
-    def deliverable_bytes(self, t0: float, t1: float) -> float:
-        return self.link.deliverable_bytes(t0, t1)
+        # Link delegation, bound once: a query through the path costs
+        # what it costs on the bare link (the TCP model asks two per
+        # request).
+        self.trace = link.trace
+        self.efficiency = link.efficiency
+        self.payload_rate_at = link.payload_rate_at
+        self.delivery_time = link.delivery_time
+        self.deliverable_bytes = link.deliverable_bytes
 
     # -- Impairment pipeline ---------------------------------------------
 

@@ -141,32 +141,37 @@ class TcpConnection:
         self.ready_at = opened_at + params.rtt_s * (1.0 + params.tls_handshake_rtts)
         self.closed_at: float | None = None
         self.transfers: list[Transfer] = []
+        # The per-request hot path's link queries and impairment hook,
+        # looked up once per connection.  A bare Link has no `impair`,
+        # keeping the identity path (and all pre-scenario corpora)
+        # bit-identical.
+        self._payload_rate_at = link.payload_rate_at
+        self._delivery_time = link.delivery_time
+        self._impair = getattr(link, "impair", None)
 
     # ------------------------------------------------------------------
-    def _bdp_segments(self, t: float) -> float:
-        """Bandwidth-delay product at time ``t``, in segments."""
-        rate = self.link.payload_rate_at(t)
-        return max(1.0, rate * self.params.rtt_s / self.params.mss_bytes)
-
-    def _slow_start(self, t: float, nbytes: int) -> tuple[float, int]:
+    def _slow_start(self, rate: float, nbytes: int) -> tuple[float, int]:
         """Latency-bound phase of a response transfer.
 
-        Returns ``(elapsed_seconds, bytes_sent_in_phase)``.  The window
-        doubles each RTT from the current cwnd until it reaches the BDP
-        or the transfer completes; the remainder is rate-bound and is
-        charged by the caller via the link integral.
+        ``rate`` is the link's payload rate (bytes/second) when the
+        response starts.  Returns ``(elapsed_seconds,
+        bytes_sent_in_phase)``.  The window doubles each RTT from the
+        current cwnd until it reaches the bandwidth-delay product (in
+        segments) or the transfer completes; the remainder is
+        rate-bound and is charged by the caller via the link integral.
         """
         mss = self.params.mss_bytes
-        bdp = self._bdp_segments(t)
-        if self._cwnd_segments >= bdp:
+        rtt = self.params.rtt_s
+        bdp = max(1.0, rate * rtt / mss)
+        cwnd = self._cwnd_segments
+        if cwnd >= bdp:
             return 0.0, 0
         elapsed = 0.0
         sent = 0
-        cwnd = self._cwnd_segments
         remaining = nbytes
         while remaining > 0 and cwnd < bdp:
             round_bytes = min(remaining, int(cwnd) * mss)
-            elapsed += self.params.rtt_s
+            elapsed += rtt
             sent += round_bytes
             remaining -= round_bytes
             cwnd = min(cwnd * 2.0, bdp)
@@ -191,29 +196,31 @@ class TcpConnection:
         if self.transfers:
             start = max(start, self.transfers[-1].end)
 
+        params = self.params
+        rtt = params.rtt_s
         # Request upstream + server processing: one RTT until the first
         # response byte can arrive.
-        response_start = start + self.params.rtt_s
-        elapsed, sent_in_ss = self._slow_start(response_start, response_bytes)
+        response_start = start + rtt
+        rate = self._payload_rate_at(response_start)
+        elapsed, sent_in_ss = self._slow_start(rate, response_bytes)
         rate_bound_bytes = response_bytes - sent_in_ss
         t_bulk_start = response_start + elapsed
-        bulk = self.link.delivery_time(t_bulk_start, rate_bound_bytes)
+        bulk = self._delivery_time(t_bulk_start, rate_bound_bytes)
         end = t_bulk_start + bulk
 
-        mss = self.params.mss_bytes
+        mss = params.mss_bytes
         n_data_down = max(1, math.ceil(response_bytes / mss)) if response_bytes else 0
         n_retx = 0
-        if n_data_down and self.params.loss_rate > 0:
-            n_retx = int(self._rng.binomial(n_data_down, self.params.loss_rate))
+        if n_data_down and params.loss_rate > 0:
+            n_retx = int(self._rng.binomial(n_data_down, params.loss_rate))
             # Each retransmission costs roughly one extra RTT of recovery.
-            end += n_retx * self.params.rtt_s
+            end += n_retx * rtt
         n_up_req = max(1, math.ceil(request_bytes / mss))
 
-        # An impairment pipeline (NetPath) sees each transfer once; a
-        # bare Link has no `impair`, keeping the identity path (and all
-        # pre-scenario corpora) bit-identical.  Stage-induced drops come
-        # back as extra downlink packets and count as retransmissions.
-        impair = getattr(self.link, "impair", None)
+        # An impairment pipeline (NetPath) sees each transfer once.
+        # Stage-induced drops come back as extra downlink packets and
+        # count as retransmissions.
+        impair = self._impair
         if impair is not None:
             spec = TransferSpec(
                 start=start,
@@ -223,8 +230,8 @@ class TcpConnection:
                 n_packets_down=n_data_down + n_retx,
                 n_packets_up=n_up_req,
                 mss_bytes=mss,
-                rtt_s=self.params.rtt_s,
-                payload_rate=self.link.payload_rate_at(response_start),
+                rtt_s=rtt,
+                payload_rate=rate,
             )
             out = impair(spec)
             n_retx += out.n_packets_down - spec.n_packets_down
@@ -244,7 +251,7 @@ class TcpConnection:
             n_packets_down=n_data_down + n_retx,
             n_packets_up=n_up_total + n_acks,
             n_retransmits=n_retx,
-            rtt_s=self.params.rtt_s,
+            rtt_s=rtt,
         )
         self.transfers.append(transfer)
         return transfer

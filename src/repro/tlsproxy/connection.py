@@ -15,8 +15,7 @@ transactions from one session overlap the start of the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,9 +26,10 @@ from repro.tlsproxy.records import HttpTransaction, ResourceType
 __all__ = ["FetchResult", "TlsConnectionPool"]
 
 
-@dataclass(frozen=True)
-class FetchResult:
-    """Outcome of one pooled HTTP fetch."""
+class FetchResult(NamedTuple):
+    """Outcome of one pooled HTTP fetch (a named tuple: the pool builds
+    one per request, and a tuple costs a fraction of a frozen
+    dataclass)."""
 
     http: HttpTransaction
     transfer: Transfer
@@ -76,30 +76,35 @@ class TlsConnectionPool:
         self.history: list[tuple[str, TcpConnection]] = []
 
     # ------------------------------------------------------------------
-    def _expire_idle(self, host: str, now: float) -> None:
-        """Close connections whose idle timeout elapsed before ``now``."""
-        still_open = []
-        for conn in self._open.get(host, []):
-            deadline = conn.last_activity + self.idle_timeout
-            if deadline <= now:
-                conn.close(at=deadline)
-            else:
-                still_open.append(conn)
-        if host in self._open:
-            self._open[host] = still_open
-
     def _pick_connection(self, host: str, now: float) -> TcpConnection:
-        """Reuse an open connection for ``host`` or dial a new one."""
-        self._expire_idle(host, now)
-        candidates = [
-            c
-            for c in self._open.get(host, [])
-            if len(c.transfers) < self.max_requests_per_connection
-        ]
-        if candidates:
-            # The least-recently-busy connection serves next (players
-            # issue requests sequentially, so this is usually unique).
-            return min(candidates, key=lambda c: c.last_activity)
+        """Reuse an open connection for ``host`` or dial a new one.
+
+        Connections whose idle timeout elapsed before ``now`` close
+        first.  Of the rest, the least-recently-busy one still under
+        its request budget serves next (players issue requests
+        sequentially, so this is usually unique; ties go to the
+        earliest opened).
+        """
+        conns = self._open.get(host)
+        if conns:
+            still_open = []
+            best = None
+            best_activity = 0.0
+            for conn in conns:
+                activity = conn.last_activity
+                deadline = activity + self.idle_timeout
+                if deadline <= now:
+                    conn.close(at=deadline)
+                    continue
+                still_open.append(conn)
+                if len(conn.transfers) < self.max_requests_per_connection and (
+                    best is None or activity < best_activity
+                ):
+                    best, best_activity = conn, activity
+            if len(still_open) < len(conns):
+                self._open[host] = still_open
+            if best is not None:
+                return best
         conn = TcpConnection(
             self.link,
             self._params_factory(self._rng),
@@ -140,7 +145,7 @@ class TlsConnectionPool:
             # response (Connection: close semantics).
             self._open[host].remove(conn)
             conn.close(at=transfer.end)
-        return FetchResult(http=http, transfer=transfer, connection=conn)
+        return FetchResult(http, transfer, conn)
 
     # ------------------------------------------------------------------
     def shutdown(self, at: float) -> None:

@@ -170,6 +170,37 @@ class TestDrivers:
         assert result["record_ratio"] > 10
         assert result["tls_extract_seconds"] > 0
 
+    def test_overhead_holds_one_packet_trace_at_a_time(self):
+        # Memory must not grow with the corpus: the traced peak of run()
+        # stays within a small multiple of the largest single trace's
+        # synthesis peak, for a corpus and a 4x larger one.  Holding
+        # every trace at once measured 1.6x (6 sessions) and 2.5x (24).
+        import tracemalloc
+
+        from repro.collection.dataset import Dataset
+        from repro.collection.harness import CollectionConfig
+
+        config = CollectionConfig(min_watch_s=30.0, max_watch_s=120.0)
+        sessions = collect_corpus("svc1", 24, seed=5, config=config, n_jobs=1).sessions
+        synthesis_peaks = []
+        for i, record in enumerate(sessions):
+            tracemalloc.start()
+            trace = record.packet_trace(seed=i)
+            synthesis_peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            del trace
+        for n in (6, 24):
+            dataset = Dataset(service="svc1", sessions=sessions[:n])
+            largest = max(synthesis_peaks[:n])
+            tracemalloc.start()
+            try:
+                result = overhead.run(dataset)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * largest, (n, peak, largest)
+            assert result["n_sessions"] == n
+
     def test_ablation_interval_grids(self, corpora):
         result = ablations.interval_ablation(corpora["svc3"])
         assert set(result) == set(ablations.INTERVAL_GRIDS)

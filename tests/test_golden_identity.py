@@ -100,3 +100,73 @@ def test_explicit_has_workload_matches_golden(tmp_path):
     assert saved.manifest_digest == GOLDEN_MANIFEST_DIGEST, (
         "explicit workload='has' perturbed the golden corpus bytes"
     )
+
+
+# ----------------------------------------------------------------------
+# One golden per collection path
+# ----------------------------------------------------------------------
+#: Format-4 manifest digests of a small corpus on every collection
+#: path: each registered workload x profile over identity, each
+#: registered scenario over svc1, and svc2 over hostile.  Pinned on
+#: commit 978e263, before the simulator's scalar hot path, so any
+#: arithmetic reorder or moved generator draw in the trace, link, TCP,
+#: impairment, pool, HAS, live or RTC code fails here.
+PATH_SESSIONS = 12
+PATH_SEED = 19
+PATH_SHARD_SIZE = 5
+GOLDEN_PATH_DIGESTS = {
+    ("has", "svc1", "identity"): "bc65d45ec12d4098c84ea66f",
+    ("has", "svc2", "identity"): "e681f44fd4e2f80291cba533",
+    ("has", "svc3", "identity"): "f7246fd9b9a5e218c6a1c9f9",
+    ("live", "live1", "identity"): "be88577800e37d130685444f",
+    ("live", "live2", "identity"): "dba78f3945843237644c3c13",
+    ("live", "live3", "identity"): "b3976ab8f5e0740a0756b872",
+    ("rtc", "rtc1", "identity"): "5f64224c0f40dab7989025f6",
+    ("has", "svc1", "bufferbloat-1mb"): "72f0bc2af84d7400921812c4",
+    ("has", "svc1", "droplist-early"): "8e5eae0328a1bdb778821fcf",
+    ("has", "svc1", "hostile"): "64c3a8dcf6325cdfbb40c582",
+    ("has", "svc1", "policed-2mbps"): "62eaee8ddaf0942e965597de",
+    ("has", "svc1", "policed-512kbps"): "4f69f95b91980addc850e453",
+    ("has", "svc1", "reorder-50ms"): "8b1242f0270c4b94e920210b",
+    ("has", "svc1", "shaped-2mbps"): "4f16c2a5028542c765f95cc8",
+    ("has", "svc2", "hostile"): "b23c3c570ec980e2349f3c3f",
+}
+
+
+def test_path_goldens_cover_every_registered_path():
+    # A newly registered profile or scenario needs its own golden.
+    from repro.api import list_scenarios, list_workloads
+
+    profiles = {
+        (wl["name"], profile)
+        for wl in list_workloads()
+        for profile in wl["profiles"]
+    }
+    scenarios = {sc["name"] for sc in list_scenarios()}
+    pinned = set(GOLDEN_PATH_DIGESTS)
+    assert {(w, p) for w, p, sc in pinned if sc == "identity"} == profiles
+    assert {sc for w, p, sc in pinned if (w, p) == ("has", "svc1")} == scenarios
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize(
+    "workload,service,scenario",
+    sorted(GOLDEN_PATH_DIGESTS),
+    ids=lambda v: str(v),
+)
+def test_collection_path_matches_golden(tmp_path, workload, service, scenario, n_jobs):
+    from repro.api import collect_corpus as api_collect
+
+    sharded = api_collect(
+        service,
+        n_sessions=PATH_SESSIONS,
+        seed=PATH_SEED,
+        workload=workload,
+        scenario=scenario,
+        jobs=n_jobs,
+        out=str(tmp_path / "path.shards"),
+        shard_size=PATH_SHARD_SIZE,
+    )
+    assert sharded.manifest_digest == GOLDEN_PATH_DIGESTS[
+        (workload, service, scenario)
+    ], f"{workload}/{service} over {scenario}: corpus bytes changed"

@@ -103,6 +103,50 @@ class TestBandwidthTraceQueries:
         with pytest.raises(ValueError):
             tr.time_to_deliver(0.0, -1.0)
 
+    @pytest.mark.parametrize("t0", [-0.5, -1e-300, float("nan"), float("inf")])
+    def test_time_to_deliver_rejects_bad_start(self, t0):
+        # Was: -0.5 returned 0.5 and NaN returned NaN, silently.
+        tr = make_trace([0.0, 1.0], [1e6, 2e6], 2.0)
+        with pytest.raises(ValueError, match="t0"):
+            tr.time_to_deliver(t0, 1e6)
+        with pytest.raises(ValueError, match="t0"):
+            tr.time_to_deliver(t0, 0.0)
+
+    @pytest.mark.parametrize("nbits", [float("nan"), float("inf"), -1e-300])
+    def test_time_to_deliver_rejects_bad_nbits(self, nbits):
+        # Was: inf returned NaN with a numpy RuntimeWarning.
+        tr = make_trace([0.0, 1.0], [1e6, 2e6], 2.0)
+        with pytest.raises(ValueError, match="nbits"):
+            tr.time_to_deliver(0.0, nbits)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.5])
+    def test_bandwidth_at_rejects_non_finite_time(self, t):
+        # Was: NaN silently returned the last interval's rate.
+        tr = make_trace([0.0, 1.0], [1e6, 2e6], 2.0)
+        with pytest.raises(ValueError, match="t must be"):
+            tr.bandwidth_at(t)
+
+    @pytest.mark.parametrize(
+        "t0,t1,name",
+        [
+            (float("nan"), 1.0, "t0"),
+            (-0.5, 1.0, "t0"),
+            (0.0, float("nan"), "t1"),
+            (0.0, float("inf"), "t1"),
+            (1.0, 0.5, "t1"),
+        ],
+    )
+    def test_bits_between_names_the_bad_bound(self, t0, t1, name):
+        tr = make_trace([0.0, 1.0], [1e6, 2e6], 2.0)
+        with pytest.raises(ValueError, match=name):
+            tr.bits_between(t0, t1)
+
+    def test_time_zero_is_a_valid_start(self):
+        tr = make_trace([0.0, 1.0], [1e6, 2e6], 2.0)
+        assert tr.time_to_deliver(0.0, 1e6) == 1.0
+        assert tr.time_to_deliver(-0.0, 1e6) == 1.0
+        assert tr.bandwidth_at(0.0) == 1e6
+
     def test_time_to_deliver_across_cycles(self):
         tr = make_trace([0.0, 1.0], [1e6, 2e6], 2.0)
         # One full cycle delivers 3e6 bits in 2 s.
