@@ -40,8 +40,8 @@ def test_bench_tls_extraction(benchmark, svc1_corpus):
     """TLS feature matrix: reference loop vs segment reductions."""
     n = len(svc1_corpus)
     # Table construction is part of the columnar path's cost; time it
-    # separately from the reductions by building a fresh one.
-    svc1_corpus.invalidate_tls_table()
+    # separately from the reductions (the lazy corpus builds a fresh
+    # table on every call).
     table, build_s = _timed(svc1_corpus.tls_table)
 
     X_loop, loop_s = _timed(lambda: _loop_matrix(svc1_corpus))

@@ -24,7 +24,8 @@ import resource
 import numpy as np
 
 from repro import artifacts, config
-from repro.collection.fleet import collect_corpus_sharded, extract_tls_sharded
+from repro.collection.fleet import extract_tls_sharded
+from repro.collection.harness import collect_corpus
 
 #: Paper-scale svc1 is 2111 sessions; REPRO_SCALE scales it like the
 #: experiment drivers do.
@@ -50,9 +51,9 @@ def test_sharded_collect_extract_bounded_memory(benchmark, tmp_path_factory):
         with config.override(cache_dir=root / "cache"):
             store = artifacts.get_store()
             store.reset_counters()
-            dataset = collect_corpus_sharded(
-                "svc1", n_sessions, root / "corpus.shards",
-                shard_size=shard_size, seed=0,
+            dataset = collect_corpus(
+                "svc1", n_sessions, seed=0,
+                out=root / "corpus.shards", shard_size=shard_size,
             )
             X_cold, _ = extract_tls_sharded(dataset)
             cold = store.counter_snapshot()

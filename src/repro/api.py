@@ -78,7 +78,7 @@ def collect_corpus(
     jobs: int | None = None,
     out: "str | None" = None,
     shard_size: int | None = None,
-) -> Dataset:
+) -> Dataset | ShardedDataset:
     """Simulate and collect a corpus of streaming sessions.
 
     Parameters
@@ -114,14 +114,13 @@ def collect_corpus(
     jobs:
         Worker processes (default: the resolved config's ``jobs``).
     out:
-        Target *directory* for out-of-core collection: sessions stream
-        to format-4 shards instead of accumulating in memory, and the
-        returned corpus is a lazy
-        :class:`~repro.collection.shards.ShardedDataset`.  Required
-        when ``shard_size`` is given.
+        Target *directory*: the corpus is written there as format-4
+        shards, and the returned corpus is the lazy
+        :class:`~repro.collection.shards.ShardedDataset` over it.
+        Without it the corpus returns in memory.  Required when
+        ``shard_size`` is given.
     shard_size:
-        Sessions per shard for out-of-core collection (default:
-        ``REPRO_SHARD_SIZE``, then 512).
+        Sessions per shard (default: ``REPRO_SHARD_SIZE``, then 512).
 
     Returns
     -------
@@ -135,7 +134,7 @@ def collect_corpus(
         from repro.net.scenarios import resolve_scenario
 
         # Validate before any session is simulated, and pin into the
-        # config so pool/fleet workers see the same resolution.
+        # config so pool workers see the same resolution.
         config = dataclasses.replace(
             config or CollectionConfig(), scenario=resolve_scenario(scenario)
         )
@@ -143,21 +142,11 @@ def collect_corpus(
         from repro.workloads import resolve_workload
 
         # Validate before any session is simulated; the harness pins
-        # the resolution into the config for pool/fleet workers.
+        # the resolution into the config for pool workers.
         workload = resolve_workload(workload)
-    if out is not None:
-        from repro.collection.fleet import collect_corpus_sharded
-
-        return collect_corpus_sharded(
-            service, n_sessions, out,
-            shard_size=shard_size, seed=seed, config=config, n_jobs=jobs,
-            workload=workload,
-        )
-    if shard_size is not None:
-        raise ValueError("shard_size needs out= (a target shard directory)")
     return _collect_corpus(
         service, n_sessions, seed=seed, config=config, n_jobs=jobs,
-        workload=workload,
+        workload=workload, out=out, shard_size=shard_size,
     )
 
 

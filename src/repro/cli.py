@@ -23,8 +23,7 @@ The data commands (``collect``, ``corpus``, ``train``, ``evaluate``,
 ``split``, ``stream``) are thin argparse layers over the
 :mod:`repro.api` facade.  Models are pickled Random Forests together
 with their feature schema; corpora are format-4 shard directories
-(:mod:`repro.collection.shards`), whether ``collect`` simulates them in
-process or, with ``--shard-size``, through the shard fleet.
+(:mod:`repro.collection.shards`).
 Experiments resolve through the declarative registry
 (:mod:`repro.experiments.registry`); expensive intermediates live in
 the artifact store under ``REPRO_CACHE_DIR`` (:mod:`repro.artifacts`),
@@ -165,7 +164,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         resolve_collection_scenario,
         resolve_collection_workload,
     )
-    from repro.collection.shards import open_shard_dir
+    from repro.collection.shards import CorpusPathError
 
     scenario, error = _resolve_cli_scenario(args)
     if error:
@@ -176,30 +175,23 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     over = "" if resolved.is_identity else f" over scenario {resolved.name}"
     wl = resolve_collection_workload(config)
     try:
-        # Validate the service and the output path (a file there raises
-        # CorpusPathError, a ValueError) before any session is simulated.
         wl.get_profile(args.service)
-        open_shard_dir(args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     as_workload = "" if wl.is_default else f" ({wl.name} workload)"
 
-    # Either way OUTPUT is a format-4 shard directory.  --shard-size (or
-    # REPRO_SHARD_SIZE) collects through the shard fleet, one task per
-    # shard; otherwise the in-process pool collects and Dataset.save
-    # writes the same bytes as --shard-size 512.
-    sharded = (
-        args.shard_size is not None
-        or config_mod.get_config().shard_size is not None
-    )
-    dataset = collect_corpus(
-        args.service, n_sessions=args.sessions, seed=args.seed,
-        config=config, jobs=args.jobs,
-        out=args.output if sharded else None, shard_size=args.shard_size,
-    )
-    if not sharded:
-        dataset = dataset.save(args.output)
+    try:
+        # The collector opens OUTPUT before any session is simulated: a
+        # file there raises CorpusPathError and is left untouched.
+        dataset = collect_corpus(
+            args.service, n_sessions=args.sessions, seed=args.seed,
+            config=config, jobs=args.jobs,
+            out=args.output, shard_size=args.shard_size,
+        )
+    except CorpusPathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dist = dataset.label_distribution("combined")
     print(
         f"collected {len(dataset)} {args.service} sessions{as_workload}{over} "
@@ -665,10 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="format-4 shard directory to write")
     p.add_argument(
         "--shard-size", type=_positive_int, default=None, metavar="N",
-        help="collect through the shard fleet, one task per shard of N "
-             "sessions (also: REPRO_SHARD_SIZE; default: collect in "
-             "process and write shards of 512; sessions are "
-             "bit-identical either way)",
+        help="sessions per shard (also: REPRO_SHARD_SIZE; default 512; "
+             "sessions are bit-identical for every size)",
     )
     p.add_argument(
         "--scenario", type=_scenario_name, default=None, metavar="NAME",

@@ -256,7 +256,13 @@ class SessionRecord:
 
 @dataclass
 class Dataset:
-    """A corpus of sessions from one service."""
+    """A corpus of sessions from one service, held in memory.
+
+    This is one shard's decoded contents
+    (:meth:`~repro.collection.shards.ShardedDataset.shard`) and the
+    small corpus :func:`~repro.collection.harness.collect_corpus`
+    returns without ``out=``; stored corpora are lazy shard directories.
+    """
 
     service: str
     sessions: list[SessionRecord] = field(default_factory=list)
@@ -327,6 +333,15 @@ class Dataset:
         """
         yield transfer_block(self.sessions)
 
+    def iter_tables(self) -> Iterator[TransactionTable]:
+        """The corpus's transactions as one table (:meth:`tls_table`).
+
+        A :class:`~repro.collection.shards.ShardedDataset` yields one
+        table per shard, so TLS extraction reduces either corpus type
+        block by block.
+        """
+        yield self.tls_table()
+
     def extend(self, records: Sequence[SessionRecord]) -> None:
         """Append records, enforcing service consistency."""
         for record in records:
@@ -344,8 +359,7 @@ class Dataset:
         already populated); every vectorized consumer — feature
         extraction, boundary evaluation — shares this instance.  The
         cache tracks the session count, so a table built before direct
-        ``sessions`` mutations is discarded; consumers that mutate
-        records in place should call :meth:`invalidate_tls_table`.
+        ``sessions`` mutations is discarded.
         """
         table = self._tls_table
         if table is None or table.n_sessions != len(self.sessions):
@@ -354,10 +368,6 @@ class Dataset:
             )
             self._tls_table = table
         return table
-
-    def invalidate_tls_table(self) -> None:
-        """Drop the cached columnar view (after in-place session edits)."""
-        self._tls_table = None
 
     # ------------------------------------------------------------------
     def save(

@@ -1,24 +1,16 @@
-"""Coordinator/worker shard fleet: collect, extract, score at scale.
+"""Coordinator/worker shard fleet: extract and score at scale.
 
-The out-of-core counterpart of :mod:`repro.collection.harness`: a
-coordinator process hands *shards* (not sessions) to a worker pool and
-workers stream their results straight to disk, so corpus size never
-bounds peak memory — only ``shard_size`` does.  The queue shape is the
-broadcaster/receiver pattern: one task per shard submitted to
-:func:`repro.parallel.parallel_dispatch`, workers pulling the next
-shard as they free up.
+The out-of-core readers of a format-4 corpus: a coordinator process
+hands *shards* (not sessions) to a worker pool, one pool task per shard
+(:func:`repro.parallel.parallel_map` with ``chunksize=1``), workers
+pulling the next shard as they free up, so corpus size never bounds
+peak memory — only ``shard_size`` does.  The collector
+(:func:`repro.collection.harness.collect_corpus` with ``out=``) hands
+out whole shards the same way when the corpus has at least one per
+worker.
 
-Three task kinds, one shard each:
+Two task kinds, one shard each:
 
-* **collect** — :func:`collect_corpus_sharded`: the worker simulates
-  its shard's sessions (per-session ``SeedSequence.spawn`` streams, so
-  the corpus is bit-identical for any worker count or shard size),
-  writes the shard file itself, and returns only the manifest entry —
-  no session payload ever crosses the queue.  The coordinator opens and
-  commits the directory through the shard writer protocol
-  (:func:`~repro.collection.shards.open_shard_dir`,
-  :func:`~repro.collection.shards.commit_shard_dir`), so
-  ``manifest.json`` lands last, in shard order.
 * **extract** — :func:`extract_tls_sharded`: the coordinator first
   *probes* the artifact store for every shard's feature block
   (:meth:`~repro.artifacts.ArtifactStore.lookup`, counting hits); only
@@ -32,8 +24,8 @@ Three task kinds, one shard each:
   task, predictions concatenated in manifest order.
 
 Every result is concatenated in manifest order and every per-session
-computation is independent, so all three are bit-identical to their
-monolithic counterparts for ``REPRO_JOBS=1`` and any other count.
+computation is independent, so both are bit-identical to their
+in-memory counterparts for ``REPRO_JOBS=1`` and any other count.
 """
 
 from __future__ import annotations
@@ -42,111 +34,18 @@ import numpy as np
 
 from repro import telemetry
 from repro.artifacts import get_store
-from repro.collection.harness import (
-    CollectionConfig,
-    collect_records,
-    plan_collection,
-)
-from repro.collection.shards import (
-    ShardEntry,
-    ShardedDataset,
-    commit_shard_dir,
-    decode_shard,
-    manifest_payload,
-    open_shard_dir,
-    resolve_shard_size,
-    write_shard,
-)
+from repro.collection.shards import ShardedDataset, decode_shard
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
     extract_tls_table,
     feature_names,
 )
-from repro.has.services import ServiceProfile
-from repro.parallel import parallel_dispatch, resolve_jobs_for
+from repro.parallel import parallel_map, resolve_jobs_for
 
 __all__ = [
-    "collect_corpus_sharded",
     "extract_tls_sharded",
     "score_sharded",
-    "shard_bounds",
 ]
-
-
-def shard_bounds(n_sessions: int, shard_size: int) -> list[tuple[int, int]]:
-    """``[lo, hi)`` session ranges of each shard, in shard order."""
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    return [
-        (lo, min(lo + shard_size, n_sessions))
-        for lo in range(0, n_sessions, shard_size)
-    ]
-
-
-# ----------------------------------------------------------------------
-# Collection
-
-
-def _collect_shard(task) -> dict:
-    """Worker: simulate one shard's sessions and write the shard file.
-
-    Only the manifest entry returns over the queue; the sessions go
-    straight to disk, which is what bounds coordinator memory.
-    """
-    profile, config, root, index, seeds = task
-    records = collect_records(profile, config, seeds)
-    entry = write_shard(root, index, profile.name, records)
-    return entry.to_dict()
-
-
-def collect_corpus_sharded(
-    service: str | ServiceProfile,
-    n_sessions: int,
-    out,
-    shard_size: int | None = None,
-    seed: int = 0,
-    config: CollectionConfig | None = None,
-    n_jobs: int | None = None,
-    workload=None,
-) -> ShardedDataset:
-    """Collect a corpus directly into a format-4 shard directory.
-
-    The randomness contract matches
-    :func:`~repro.collection.harness.collect_corpus` exactly: session
-    ``i`` draws from ``SeedSequence(seed).spawn(n_sessions)[i]``
-    regardless of shard size or worker count, so the sessions are
-    bit-identical to a monolithic collection with the same seed.
-    ``shard_size`` defaults to ``REPRO_SHARD_SIZE`` and then to 512
-    (:func:`~repro.collection.shards.resolve_shard_size`).  Returns the lazy
-    :class:`~repro.collection.shards.ShardedDataset` over ``out``.
-    """
-    plan = plan_collection(service, n_sessions, seed, config, n_jobs, workload)
-    profile = plan.profile
-    shard_size = resolve_shard_size(shard_size)
-    root = open_shard_dir(out)
-    with telemetry.span(
-        "fleet.collect",
-        service=profile.name,
-        n_sessions=n_sessions,
-        shard_size=shard_size,
-        jobs=plan.jobs,
-    ) as sp:
-        tasks = [
-            (profile, plan.config, root, index, plan.seeds[lo:hi])
-            for index, (lo, hi) in enumerate(shard_bounds(n_sessions, shard_size))
-        ]
-        sp.set(shards=len(tasks))
-        entries = parallel_dispatch(_collect_shard, tasks, n_jobs=plan.jobs)
-        return commit_shard_dir(
-            root,
-            manifest_payload(
-                profile.name,
-                shard_size,
-                [ShardEntry.from_dict(e) for e in entries],
-                scenario=plan.config.scenario.name,
-                workload=plan.config.workload.name,
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -184,7 +83,7 @@ def extract_tls_sharded(
     coordinator, counting one miss each.  Rows are stacked in manifest
     order, so the matrix is bit-identical to
     :func:`~repro.features.tls_features.extract_tls_matrix` on the
-    monolithic corpus for any worker count.
+    same corpus for any worker count.
     """
     names = feature_names(intervals)
     store = get_store()
@@ -210,7 +109,9 @@ def extract_tls_sharded(
                 (str(dataset.root / dataset.entries[i].name), intervals)
                 for i in missing
             ]
-            computed = parallel_dispatch(_extract_shard, tasks, n_jobs=n_jobs)
+            computed = parallel_map(
+                _extract_shard, tasks, n_jobs=n_jobs, chunksize=1
+            )
             for i, X in zip(missing, computed):
                 value, _ = store.get_or_compute(
                     TLS_SHARD_STAGE,
@@ -248,7 +149,7 @@ def score_sharded(
 
     Workers extract and predict; the coordinator concatenates in
     manifest order.  Models predict row-independently, so the result
-    equals predicting on the monolithic feature matrix.
+    equals predicting on the whole corpus's feature matrix.
     """
     jobs = resolve_jobs_for(model, n_jobs)
     with telemetry.span(
@@ -258,7 +159,7 @@ def score_sharded(
             (model, str(dataset.root / entry.name), intervals)
             for entry in dataset.entries
         ]
-        parts = parallel_dispatch(_score_shard, tasks, n_jobs=jobs)
+        parts = parallel_map(_score_shard, tasks, n_jobs=jobs, chunksize=1)
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)

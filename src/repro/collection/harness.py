@@ -10,13 +10,26 @@ simulator and packs the result into a :class:`SessionRecord`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro import telemetry
 from repro.collection.dataset import Dataset, SessionRecord
+from repro.collection.shards import (
+    ShardedDataset,
+    ShardEntry,
+    commit_shard_dir,
+    manifest_payload,
+    open_shard_dir,
+    resolve_shard_size,
+    shard_bounds,
+    write_shard,
+    write_shards,
+)
 from repro.has.player import PlayerSession, SessionTrace
 from repro.has.services import ServiceProfile
 from repro.has.video import Video
@@ -189,12 +202,9 @@ def collect_session(
 
 @dataclass(frozen=True)
 class CollectionPlan:
-    """A collection run's arguments, resolved once for any dispatcher.
-
-    Both the in-process pool (:func:`collect_corpus`) and the shard
-    fleet (:func:`repro.collection.fleet.collect_corpus_sharded`) start
-    from one of these (:func:`plan_collection`).
-    """
+    """A collection run's arguments, resolved once
+    (:func:`plan_collection`) before :func:`collect_corpus` cuts them
+    into tasks."""
 
     profile: ServiceProfile
     #: The caller's config with the resolved scenario and workload
@@ -252,9 +262,8 @@ def collect_records(
     Each session gets its own generator seeded from a spawned
     :class:`~numpy.random.SeedSequence`, so the records depend only on
     the session's index — never on chunking, sharding, or worker
-    count.  This is the unit of work both the in-process pool
-    (:func:`collect_corpus`) and the shard fleet
-    (:mod:`repro.collection.fleet`) execute.
+    count.  This is the unit of work every :func:`collect_corpus` task
+    executes.
 
     The workload's session source is built once per chunk (that is
     where catalogs are constructed), then driven once per seed — the
@@ -275,12 +284,26 @@ def collect_records(
     return records
 
 
-def _collect_chunk(
-    task: tuple[ServiceProfile, CollectionConfig, list[np.random.SeedSequence]],
-) -> list[SessionRecord]:
-    """Pool-worker entry point: unpack one chunk task."""
-    profile, config, seeds = task
-    return collect_records(profile, config, seeds)
+def _collect_task(
+    task: tuple[
+        ServiceProfile,
+        CollectionConfig,
+        list[np.random.SeedSequence],
+        Path | None,
+        int,
+    ],
+) -> list[SessionRecord] | ShardEntry:
+    """Pool-worker entry point: collect one task's sessions.
+
+    A shard task (``root`` set) writes shard ``index`` itself and
+    returns only its manifest entry, so its sessions never cross the
+    queue; a chunk task returns its records.
+    """
+    profile, config, seeds, root, index = task
+    records = collect_records(profile, config, seeds)
+    if root is None:
+        return records
+    return write_shard(root, index, profile.name, records)
 
 
 def collect_corpus(
@@ -290,7 +313,9 @@ def collect_corpus(
     config: CollectionConfig | None = None,
     n_jobs: int | None = None,
     workload: str | Workload | None = None,
-) -> Dataset:
+    out: str | Path | None = None,
+    shard_size: int | None = None,
+) -> Dataset | ShardedDataset:
     """Collect a corpus of sessions for one service.
 
     The paper's corpora are 2,111 (Svc1), 2,216 (Svc2) and 1,440
@@ -304,24 +329,64 @@ def collect_corpus(
     pool (``n_jobs``; defaults to ``REPRO_JOBS``/all cores).  Each
     session draws its randomness from
     ``np.random.SeedSequence(seed).spawn(n_sessions)``, making the
-    corpus bit-identical for every worker count.
+    corpus bit-identical for every worker count and shard size.
+
+    Without ``out`` the corpus returns in memory as a :class:`Dataset`.
+    With ``out`` it is written to that format-4 shard directory in
+    shards of ``shard_size`` (default ``REPRO_SHARD_SIZE``, 512) and
+    returned as the lazy :class:`~repro.collection.shards.ShardedDataset`;
+    the directory is opened before any session is simulated and its
+    manifest is written last.  The task shape follows from the inputs
+    alone: when every worker gets at least one whole shard
+    (``n_sessions >= jobs * shard_size``), each task is one shard that
+    its worker writes, so no session crosses the queue; otherwise each
+    worker collects one chunk and the coordinator cuts the returned
+    records into the same shards.
     """
+    if out is None and shard_size is not None:
+        raise ValueError("shard_size needs out= (a target shard directory)")
     plan = plan_collection(service, n_sessions, seed, config, n_jobs, workload)
     profile, jobs = plan.profile, plan.jobs
-    with telemetry.span(
-        "collect_corpus", service=profile.name, n_sessions=n_sessions, jobs=jobs
-    ):
+    root = None
+    if out is not None:
+        shard_size = resolve_shard_size(shard_size)
+        root = open_shard_dir(out)
+    per_shard = root is not None and n_sessions >= jobs * shard_size
+    if per_shard:
+        bounds = shard_bounds(n_sessions, shard_size)
+    else:
         # One chunk per worker: the catalog is rebuilt per chunk, and
         # session costs are i.i.d. enough that static chunks balance well.
-        n_chunks = min(jobs, n_sessions) or 1
-        bounds = np.linspace(0, n_sessions, n_chunks + 1).astype(int)
+        edges = np.linspace(0, n_sessions, (min(jobs, n_sessions) or 1) + 1)
+        edges = edges.astype(int).tolist()
+        bounds = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    with telemetry.span(
+        "collect_corpus",
+        service=profile.name,
+        n_sessions=n_sessions,
+        jobs=jobs,
+        tasks=len(bounds),
+        per_shard=per_shard,
+    ):
         tasks = [
-            (profile, plan.config, plan.seeds[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
+            (profile, plan.config, plan.seeds[lo:hi], root if per_shard else None, i)
+            for i, (lo, hi) in enumerate(bounds)
         ]
-        chunks = parallel_map(_collect_chunk, tasks, n_jobs=jobs, chunksize=1)
-        dataset = Dataset(service=profile.name)
-        for records in chunks:
-            dataset.sessions.extend(records)
-    return dataset
+        results = parallel_map(_collect_task, tasks, n_jobs=jobs, chunksize=1)
+        if per_shard:
+            entries = results
+        else:
+            records = itertools.chain.from_iterable(results)
+            if root is None:
+                return Dataset(service=profile.name, sessions=list(records))
+            entries = write_shards(root, profile.name, records, shard_size)
+        return commit_shard_dir(
+            root,
+            manifest_payload(
+                profile.name,
+                shard_size,
+                entries,
+                scenario=plan.config.scenario.name,
+                workload=plan.config.workload.name,
+            ),
+        )

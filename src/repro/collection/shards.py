@@ -24,13 +24,14 @@ corpus's content address and is what downstream
 reads nothing but the manifest.
 
 Write protocol (crash safety), shared by :func:`save_sharded` and the
-collection fleet: :func:`open_shard_dir` refuses an output path that is
-a file and removes any old manifest; shard files then land, each
-atomically (temp + ``os.replace``); :func:`commit_shard_dir` removes
-shard files the new manifest does not list and writes the manifest
-**last**.  A crash mid-write therefore leaves a directory without a
-manifest, which :meth:`ShardedDataset.load` reports as an incomplete
-corpus — never a silently short one.  :meth:`ShardedDataset.verify`
+collector (:func:`repro.collection.harness.collect_corpus`):
+:func:`open_shard_dir` refuses an output path that is a file and
+removes any old manifest; shard files then land, each atomically
+(temp + ``os.replace``); :func:`commit_shard_dir` removes shard files
+the new manifest does not list and writes the manifest **last**.  A
+crash mid-write therefore leaves a directory without a manifest, which
+:meth:`ShardedDataset.load` reports as an incomplete corpus — never a
+silently short one.  :meth:`ShardedDataset.verify`
 re-hashes every shard against the manifest.
 
 Loading a shard directory gives a lazy :class:`ShardedDataset`: shards
@@ -54,7 +55,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.artifacts import atomic_write_bytes, canonical_json
-from repro.config import get_config
+from repro.config import DEFAULT_SHARD_SIZE, get_config
 from repro.qoe.labels import TARGETS, SessionLabels
 from repro.tlsproxy.table import TransactionTable
 
@@ -71,9 +72,11 @@ __all__ = [
     "open_shard_dir",
     "resolve_shard_size",
     "save_sharded",
+    "shard_bounds",
     "shard_name",
     "transfer_block",
     "write_shard",
+    "write_shards",
 ]
 
 #: The manifest file every format-4 corpus directory must contain.
@@ -81,11 +84,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: Shard file naming (index -> file name).
 _SHARD_NAME_FMT = "shard-{:05d}.npz"
-
-#: Sessions per shard when neither the caller nor ``REPRO_SHARD_SIZE``
-#: says otherwise — large enough to amortize per-shard overhead, small
-#: enough that a materialized shard is tens of megabytes.
-DEFAULT_SHARD_SIZE = 512
 
 #: Shards kept materialized per dataset (coordinator needs at most the
 #: one it reads plus one of lookahead).
@@ -98,19 +96,27 @@ def shard_name(index: int) -> str:
 
 
 def resolve_shard_size(shard_size: int | None = None) -> int:
-    """Sessions per shard: the argument, else ``REPRO_SHARD_SIZE``,
-    else :data:`DEFAULT_SHARD_SIZE`."""
+    """Sessions per shard: the argument, else ``REPRO_SHARD_SIZE``
+    (default :data:`~repro.config.DEFAULT_SHARD_SIZE`)."""
     if shard_size is None:
         shard_size = get_config().shard_size
-    if shard_size is None:
-        shard_size = DEFAULT_SHARD_SIZE
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     return int(shard_size)
 
 
+def shard_bounds(n_sessions: int, shard_size: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` session ranges of each shard, in shard order."""
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+    return [
+        (lo, min(lo + shard_size, n_sessions))
+        for lo in range(0, n_sessions, shard_size)
+    ]
+
+
 class CorpusPathError(ValueError):
-    """A corpus output path exists but is not a directory."""
+    """A corpus output path is a file, or the corpus being read."""
 
 
 def _format_error(root: Path, message: str) -> Exception:
@@ -489,38 +495,63 @@ def commit_shard_dir(root: Path, payload: dict) -> "ShardedDataset":
     return ShardedDataset.load(root)
 
 
+def write_shards(
+    root: Path,
+    service: str,
+    records: "Iterable[SessionRecord]",
+    shard_size: int,
+) -> list[ShardEntry]:
+    """Cut a stream of records into shards of ``shard_size`` and write
+    them under ``root``, in order; returns their manifest entries.
+
+    Only one shard's records are held at a time, so the stream may be
+    a lazy corpus larger than memory.
+    """
+    entries: list[ShardEntry] = []
+    pending: list = []
+    for record in records:
+        pending.append(record)
+        if len(pending) == shard_size:
+            entries.append(write_shard(root, len(entries), service, pending))
+            pending = []
+    if pending:
+        entries.append(write_shard(root, len(entries), service, pending))
+    return entries
+
+
 def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset":
     """Write any corpus as a format-4 shard directory.
 
     ``dataset`` is a :class:`~repro.collection.dataset.Dataset` or a
     :class:`ShardedDataset` (re-sharding); sessions are consumed
-    shard-at-a-time, so peak memory is bounded by ``shard_size`` even
-    when re-sharding a corpus that does not fit in RAM.  The write
-    follows the module's protocol: :func:`open_shard_dir`, the shard
-    files, then :func:`commit_shard_dir`.
+    shard-at-a-time (:func:`write_shards`), so peak memory is bounded
+    by ``shard_size`` even when re-sharding a corpus that does not fit
+    in RAM.  The write follows the module's protocol:
+    :func:`open_shard_dir`, the shard files, then
+    :func:`commit_shard_dir`.  Re-sharding a directory onto itself
+    raises :class:`CorpusPathError` and leaves it untouched: the write
+    would delete the manifest and shards it is reading.
     """
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
+    if (
+        isinstance(dataset, ShardedDataset)
+        and Path(path).resolve() == dataset.root.resolve()
+    ):
+        raise CorpusPathError(
+            f"cannot write a corpus to {path}: it is the corpus being read "
+            "(choose another output path)"
+        )
     root = open_shard_dir(path)
-    service = dataset.service
     with telemetry.span(
         "dataset.save_sharded", sessions=len(dataset), shard_size=shard_size
     ):
-        entries: list[ShardEntry] = []
-        pending: list = []
-        for record in dataset:
-            pending.append(record)
-            if len(pending) == shard_size:
-                entries.append(write_shard(root, len(entries), service, pending))
-                pending = []
-        if pending:
-            entries.append(write_shard(root, len(entries), service, pending))
         return commit_shard_dir(
             root,
             manifest_payload(
-                service,
+                dataset.service,
                 shard_size,
-                entries,
+                write_shards(root, dataset.service, dataset, shard_size),
                 scenario=dataset.scenario,
                 workload=dataset.workload,
             ),

@@ -38,6 +38,7 @@ from typing import Iterator, Mapping
 __all__ = [
     "CACHE_DIR_ENV_VAR",
     "Config",
+    "DEFAULT_SHARD_SIZE",
     "DEFAULT_TRACE_FILENAME",
     "ENV_VARS",
     "JOBS_ENV_VAR",
@@ -74,6 +75,11 @@ ENV_VARS = (
     WORKLOAD_ENV_VAR,
 )
 
+#: Sessions per shard when neither the caller nor ``REPRO_SHARD_SIZE``
+#: says otherwise — large enough to amortize per-shard overhead, small
+#: enough that a materialized shard is tens of megabytes.
+DEFAULT_SHARD_SIZE = 512
+
 #: Where ``REPRO_TRACE=1`` writes its trace (relative to the cwd);
 #: any other truthy ``REPRO_TRACE`` value is taken as the path itself.
 DEFAULT_TRACE_FILENAME = "repro-trace.jsonl"
@@ -103,11 +109,9 @@ class Config:
         Where a CLI/run_all trace session flushes its JSONL file;
         ``None`` leaves the trace in memory (library use).
     shard_size:
-        Sessions per shard for out-of-core (format-4) corpora
-        (``REPRO_SHARD_SIZE``).  ``None`` (the default) keeps
-        experiment corpora monolithic (collected and held in memory);
-        a positive value makes the corpus stage collect through the
-        shard fleet and hand out lazy shard directories instead.
+        Sessions per shard of every corpus written without an explicit
+        size, experiment corpora included (``REPRO_SHARD_SIZE``;
+        default :data:`DEFAULT_SHARD_SIZE`).
     scenario:
         Network-impairment scenario every collection run streams over
         (``REPRO_SCENARIO``; default ``"identity"``, the unimpaired
@@ -131,7 +135,7 @@ class Config:
     smoke: bool = False
     trace: bool = False
     trace_path: Path | None = None
-    shard_size: int | None = None
+    shard_size: int = DEFAULT_SHARD_SIZE
     scenario: str = "identity"
     workload: str = "has"
     sources: Mapping[str, str] = field(
@@ -149,11 +153,7 @@ class Config:
             ("cache_dir", str(self.cache_dir), CACHE_DIR_ENV_VAR),
             ("smoke", str(self.smoke), SMOKE_ENV_VAR),
             ("trace", trace_value, TRACE_ENV_VAR),
-            (
-                "shard_size",
-                "monolithic" if self.shard_size is None else str(self.shard_size),
-                SHARD_SIZE_ENV_VAR,
-            ),
+            ("shard_size", str(self.shard_size), SHARD_SIZE_ENV_VAR),
             ("scenario", self.scenario, SCENARIO_ENV_VAR),
             ("workload", self.workload, WORKLOAD_ENV_VAR),
         ]
@@ -188,20 +188,17 @@ def _parse_scale(raw: str | None) -> float:
     return value
 
 
-def _parse_shard_size(raw: str | None) -> int | None:
-    if raw is None or raw == "" or raw == "0":
-        return None
+def _parse_shard_size(raw: str | None) -> int:
+    if raw is None or raw == "":
+        return DEFAULT_SHARD_SIZE
     try:
         value = int(raw)
     except ValueError:
         raise ValueError(
-            f"{SHARD_SIZE_ENV_VAR} must be a positive integer "
-            f"(or 0/unset for monolithic corpora), got {raw!r}"
+            f"{SHARD_SIZE_ENV_VAR} must be a positive integer, got {raw!r}"
         ) from None
     if value < 1:
-        raise ValueError(
-            f"{SHARD_SIZE_ENV_VAR} must be >= 1 (or 0/unset), got {value}"
-        )
+        raise ValueError(f"{SHARD_SIZE_ENV_VAR} must be >= 1, got {value}")
     return value
 
 

@@ -10,10 +10,12 @@ directly; they go through the helpers here, which fingerprint each
 stage by (stage name, upstream artifact digests, config dict,
 ``CACHE_VERSION``) so identical work is computed once per cache, ever.
 
-Datasets that came out of the store carry their artifact digest
-(:func:`dataset_digest`); helpers fed a digest-less dataset (the unit
-tests build tiny ad-hoc corpora) simply compute without caching — the
-cache is an optimization, never a requirement.
+Every stored corpus is a lazy format-4 shard directory
+(:class:`~repro.collection.shards.ShardedDataset`) carrying its
+artifact digest (:func:`dataset_digest`); helpers fed a digest-less
+in-memory :class:`~repro.collection.dataset.Dataset` (the unit tests
+build tiny ad-hoc corpora) simply compute without caching — the cache
+is an optimization, never a requirement.
 
 Scale control: ``REPRO_SCALE`` (float, default 1.0) multiplies the
 paper's corpus sizes — ``REPRO_SCALE=0.2`` runs every experiment on a
@@ -33,17 +35,15 @@ from typing import Callable
 
 import numpy as np
 
-from repro.artifacts import CACHE_VERSION, get_store
+from repro.artifacts import CACHE_VERSION, cache_dir, get_store
 from repro.collection.dataset import Dataset, DatasetFormatError
+from repro.collection.fleet import extract_tls_sharded
 from repro.collection.harness import CollectionConfig, collect_corpus
 from repro.collection.shards import ShardedDataset
+from repro.config import DEFAULT_SHARD_SIZE, get_config
 from repro.net.scenarios import resolve_scenario
 from repro.features.packet_features import extract_ml16_matrix
-from repro.features.tls_features import (
-    TEMPORAL_INTERVALS,
-    extract_tls_matrix,
-    feature_names,
-)
+from repro.features.tls_features import TEMPORAL_INTERVALS, extract_tls_matrix
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import EvalReport, evaluate_predictions
 from repro.ml.model_selection import cross_val_predict
@@ -57,7 +57,7 @@ __all__ = [
     "get_corpus",
     "scenario_corpus",
     "dataset_stage",
-    "ShardedDatasetCodec",
+    "CorpusCodec",
     "profile_corpus",
     "dataset_digest",
     "features_for",
@@ -88,8 +88,6 @@ _CORPUS_SEEDS = {"svc1": 101, "svc2": 202, "svc3": 303}
 
 def scale() -> float:
     """The REPRO_SCALE knob (default 1.0), via the resolved config."""
-    from repro.config import get_config
-
     return get_config().scale
 
 
@@ -102,36 +100,15 @@ def corpus_size(service: str) -> int:
 # Corpus artifacts
 
 
-class DatasetCodec:
-    """In-memory corpora persist as a format-4 directory and load whole.
-
-    ``save`` writes the corpus with :meth:`Dataset.save` (shards of
-    :data:`~repro.collection.shards.DEFAULT_SHARD_SIZE`); ``load``
-    materializes it again, so experiments keep an in-memory
-    :class:`Dataset`.  An entry whose meta still names a retired
-    format-3 file payload finds no directory here and reads as a miss.
-    """
-
-    extension = ".shards"
-    load_errors = (OSError, DatasetFormatError)
-
-    def save(self, value: Dataset, path) -> None:
-        value.save(path)
-
-    def load(self, path) -> Dataset:
-        return ShardedDataset.load(path).to_dataset()
-
-
-DATASET_CODEC = DatasetCodec()
-
-
-class ShardedDatasetCodec:
-    """Sharded corpora persist as their whole format-4 directory.
+class CorpusCodec:
+    """Corpora persist as their whole format-4 directory.
 
     ``save`` *moves* the corpus directory into the store (the build
     stages it under the same cache root, so the move is a rename) and
     re-roots the live :class:`~repro.collection.shards.ShardedDataset`
     at its committed location; ``load`` is just the lazy manifest read.
+    Entries that earlier in-memory builds wrote with ``Dataset.save``
+    are the same kind of directory and load the same way.
     """
 
     extension = ".shards"
@@ -149,16 +126,15 @@ class ShardedDatasetCodec:
         return ShardedDataset.load(path)
 
 
-SHARDED_DATASET_CODEC = ShardedDatasetCodec()
+CORPUS_CODEC = CorpusCodec()
 
 
-def dataset_digest(dataset: Dataset) -> str | None:
+def dataset_digest(dataset: Dataset | ShardedDataset) -> str | None:
     """The content digest feature/CV stages should chain from, if any.
 
-    Datasets produced by :func:`get_corpus` / :func:`dataset_stage`
-    carry their artifact digest; a sharded corpus additionally carries
-    its manifest digest (itself covering every shard's SHA-256), which
-    serves even when the corpus never went through the store.  Ad-hoc
+    Corpora produced by :func:`get_corpus` / :func:`dataset_stage`
+    carry their artifact digest; any other sharded corpus carries its
+    manifest digest (itself covering every shard's SHA-256).  Ad-hoc
     in-memory corpora (unit tests) return None and downstream helpers
     skip caching for them.
     """
@@ -171,27 +147,37 @@ def dataset_digest(dataset: Dataset) -> str | None:
 def dataset_stage(
     stage: str,
     config: dict,
-    build: Callable[[], Dataset],
-    use_disk: bool = True,
-    codec=DATASET_CODEC,
-) -> Dataset:
+    build: Callable[[Path, int], ShardedDataset],
+) -> ShardedDataset:
     """A corpus-valued artifact stage.
 
-    ``build`` runs on a miss; the resulting dataset is stored through
-    ``codec`` (:class:`DatasetCodec` for in-memory corpora,
-    :class:`ShardedDatasetCodec` for lazy fleet-collected ones; both
-    store format-4 directories), tagged with its digest, and — for
-    in-memory corpora — its columnar transaction table is materialized
-    once so every downstream consumer shares one instance.  Lazy
-    corpora stay lazy: materializing the table would defeat the
-    out-of-core point.
+    On a miss, ``build(staging, shard_size)`` writes the corpus into a
+    fresh staging directory, in shards of ``REPRO_SHARD_SIZE``, and
+    returns its lazy view; the store then keeps the directory
+    (:class:`CorpusCodec`).  Staging sits under the cache root so that
+    keeping it is a same-filesystem rename.  A build that raises has
+    its staging directory removed.  Either way the caller
+    gets the lazy corpus, tagged with its digest.  The shard size
+    joins ``config`` only when it is not the default, so default-size
+    entries keep their keys.
     """
+    shard_size = get_config().shard_size
+    if shard_size != DEFAULT_SHARD_SIZE:
+        config = {**config, "shard_size": shard_size}
+
+    def staged_build() -> ShardedDataset:
+        cache_dir().mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(dir=cache_dir(), prefix=".corpus-staging-"))
+        try:
+            return build(staging, shard_size)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+
     dataset, key = get_store().get_or_compute(
-        stage, config, build, codec=codec, use_disk=use_disk
+        stage, config, staged_build, codec=CORPUS_CODEC
     )
     dataset._artifact_digest = key
-    if not hasattr(dataset, "iter_shards"):
-        dataset.tls_table()
     return dataset
 
 
@@ -199,23 +185,14 @@ def get_corpus(
     service: str,
     n_sessions: int | None = None,
     seed: int | None = None,
-    use_disk_cache: bool = True,
     scenario: str | None = None,
-) -> Dataset:
+) -> ShardedDataset:
     """The evaluation corpus for one service — the ``corpus`` stage.
 
     ``n_sessions`` defaults to the paper's (scaled) corpus size and
-    ``seed`` to the service's canonical collection seed.
-
-    Either way the store holds a format-4 directory.  By default the
-    corpus is collected in process and returned in memory
-    (:class:`DatasetCodec`).  With ``REPRO_SHARD_SIZE`` set
-    (``config.shard_size``), the stage collects through the shard fleet
-    instead: the returned corpus is a lazy
-    :class:`~repro.collection.shards.ShardedDataset` and a warm run
-    reads only its manifest.  The sessions themselves are bit-identical
-    either way (same per-session seed streams), but the artifacts are
-    distinct stages: ``shard_size`` participates in the fingerprint.
+    ``seed`` to the service's canonical collection seed.  The corpus is
+    a lazy :class:`~repro.collection.shards.ShardedDataset`
+    (:func:`dataset_stage`): a warm run reads only its manifest.
 
     ``scenario`` (default: ``REPRO_SCENARIO``) collects the corpus
     over a network-impairment scenario.  The scenario name joins the
@@ -223,8 +200,6 @@ def get_corpus(
     corpora cache side by side and existing identity cache entries
     stay valid.
     """
-    from repro.config import get_config
-
     if n_sessions is None:
         n_sessions = corpus_size(service)
     if seed is None:
@@ -232,46 +207,16 @@ def get_corpus(
     sc = resolve_scenario(
         scenario if scenario is not None else get_config().scenario
     )
-
     stage_config = {"service": service, "n_sessions": n_sessions, "seed": seed}
     if not sc.is_identity:
         stage_config["scenario"] = sc.name
-    collection_config = CollectionConfig(scenario=sc)
-
-    shard_size = get_config().shard_size
-    if shard_size is not None:
-
-        def build_sharded() -> ShardedDataset:
-            from repro.artifacts import cache_dir
-            from repro.collection.fleet import collect_corpus_sharded
-
-            # Stage under the cache root so the codec's commit is a
-            # same-filesystem rename.
-            cache_dir().mkdir(parents=True, exist_ok=True)
-            staging = Path(
-                tempfile.mkdtemp(dir=cache_dir(), prefix=".corpus-staging-")
-            )
-            return collect_corpus_sharded(
-                service, n_sessions, staging,
-                shard_size=shard_size, seed=seed,
-                config=collection_config,
-            )
-
-        return dataset_stage(
-            "corpus",
-            {**stage_config, "shard_size": shard_size},
-            build_sharded,
-            use_disk=use_disk_cache,
-            codec=SHARDED_DATASET_CODEC,
-        )
-
     return dataset_stage(
         "corpus",
         stage_config,
-        lambda: collect_corpus(
-            service, n_sessions, seed=seed, config=collection_config
+        lambda out, shard_size: collect_corpus(
+            service, n_sessions, seed=seed, config=CollectionConfig(scenario=sc),
+            out=out, shard_size=shard_size,
         ),
-        use_disk=use_disk_cache,
     )
 
 
@@ -280,7 +225,7 @@ def scenario_corpus(
     scenario: str,
     n_sessions: int | None = None,
     seed: int | None = None,
-) -> Dataset:
+) -> ShardedDataset:
     """The evaluation corpus collected under a named scenario.
 
     A thin, explicit wrapper over :func:`get_corpus` for the robustness
@@ -291,7 +236,7 @@ def scenario_corpus(
 
 def profile_corpus(
     variant: str, profile, n_sessions: int, seed: int
-) -> Dataset:
+) -> ShardedDataset:
     """A corpus collected on a non-standard service profile.
 
     Profiles hold callables, so they cannot be fingerprinted
@@ -301,7 +246,9 @@ def profile_corpus(
     return dataset_stage(
         "corpus-variant",
         {"variant": variant, "n_sessions": n_sessions, "seed": seed},
-        lambda: collect_corpus(profile, n_sessions, seed=seed),
+        lambda out, shard_size: collect_corpus(
+            profile, n_sessions, seed=seed, out=out, shard_size=shard_size
+        ),
     )
 
 
@@ -310,31 +257,21 @@ def profile_corpus(
 
 
 def features_for(
-    dataset: Dataset, intervals: tuple[int, ...] = TEMPORAL_INTERVALS
+    dataset: Dataset | ShardedDataset,
+    intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The TLS feature matrix of a corpus — the ``tls-features`` stage.
+    """The TLS feature matrix of a corpus.
 
-    Sharded corpora go through the fleet instead
-    (:func:`repro.collection.fleet.extract_tls_sharded`): one artifact
-    per shard keyed by the shard's own SHA-256, probe-then-compute, so
-    a warm run is all per-shard cache hits and peak memory stays
-    bounded by the shard size.
+    A stored corpus goes through the fleet
+    (:func:`repro.collection.fleet.extract_tls_sharded`): one
+    ``tls-features-shard`` artifact per shard keyed by the shard's own
+    SHA-256, probe-then-compute, so a warm run is all per-shard cache
+    hits and peak memory stays bounded by the shard size.  A digest-less
+    in-memory corpus computes directly.
     """
-    if hasattr(dataset, "iter_shards"):
-        from repro.collection.fleet import extract_tls_sharded
-
-        return extract_tls_sharded(dataset, intervals=intervals)
-    names = feature_names(intervals)
-    key = dataset_digest(dataset)
-    if key is None:
+    if dataset_digest(dataset) is None:
         return extract_tls_matrix(dataset, intervals=intervals)
-    value, _ = get_store().get_or_compute(
-        "tls-features",
-        {"intervals": intervals},
-        lambda: {"X": extract_tls_matrix(dataset, intervals=intervals)[0]},
-        deps=(key,),
-    )
-    return value["X"], names
+    return extract_tls_sharded(dataset, intervals=intervals)
 
 
 def ml16_features_for(

@@ -98,7 +98,9 @@ def run(
                 "seed": 777,
                 "behavior": dataclasses.asdict(DEFAULT_BEHAVIOR),
             },
-            lambda: collect_interactive_corpus(service, n_sessions, seed=777),
+            lambda out, shard_size: collect_interactive_corpus(
+                service, n_sessions, seed=777
+            ).save(out, shard_size),
         )
     X_clean, _ = features_for(clean)
     y_clean = clean.labels(target)

@@ -278,12 +278,13 @@ def extract_tls_matrix(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Feature matrix for a whole corpus — the columnar fast path.
 
-    ``dataset`` is a :class:`~repro.collection.dataset.Dataset` (whose
-    cached :meth:`~repro.collection.dataset.Dataset.tls_table` is used),
-    a :class:`~repro.tlsproxy.table.TransactionTable` directly, or a
-    :class:`~repro.collection.shards.ShardedDataset` — which is reduced
-    *shard at a time* (one slab materialized at once, rows stacked in
-    manifest order), bounding peak memory by the shard size.
+    ``dataset`` is a :class:`~repro.tlsproxy.table.TransactionTable`,
+    or any corpus with ``iter_tables()``: a
+    :class:`~repro.collection.dataset.Dataset` yields its one cached
+    table, and a :class:`~repro.collection.shards.ShardedDataset` one
+    table per shard, reduced *shard at a time* (one slab materialized
+    at once, rows stacked in manifest order), bounding peak memory by
+    the shard size.
     Returns ``(X, names)`` with one row per session; ``names`` equals
     :data:`TLS_FEATURE_NAMES` for the default interval grid.  Output is
     bit-identical to stacking :func:`extract_tls_features` per session:
@@ -291,26 +292,15 @@ def extract_tls_matrix(
     change any value.
     """
     names = feature_names(intervals)
-    if not isinstance(dataset, TransactionTable) and hasattr(dataset, "iter_tables"):
-        with telemetry.span("features.tls", sessions=len(dataset)) as sp:
-            blocks = [
-                extract_tls_table(table, intervals)
-                for table in dataset.iter_tables()
-                if table.n_sessions
-            ]
-            X = (
-                np.vstack(blocks)
-                if blocks
-                else np.empty((0, len(names)))
-            )
-            sp.set(rows=int(X.shape[0]), cols=int(X.shape[1]))
-        return X, names
-    table = dataset if isinstance(dataset, TransactionTable) else dataset.tls_table()
-    if table.n_sessions == 0:
-        return np.empty((0, len(names))), names
-    with telemetry.span(
-        "features.tls", sessions=table.n_sessions, transactions=table.n_rows
-    ) as sp:
-        X = extract_tls_table(table, intervals)
+    tables = (
+        [dataset] if isinstance(dataset, TransactionTable) else dataset.iter_tables()
+    )
+    with telemetry.span("features.tls", sessions=len(dataset)) as sp:
+        blocks = [
+            extract_tls_table(table, intervals)
+            for table in tables
+            if table.n_sessions
+        ]
+        X = np.vstack(blocks) if blocks else np.empty((0, len(names)))
         sp.set(rows=int(X.shape[0]), cols=int(X.shape[1]))
     return X, names

@@ -13,7 +13,10 @@ work out over processes:
   task ships does not pickle.
 * :func:`parallel_map` is an ordered ``map`` over a reusable
   :class:`~concurrent.futures.ProcessPoolExecutor`, with chunking, a
-  sequential fallback, and recovery from broken pools.
+  sequential fallback, and recovery from broken pools.  Coarse tasks
+  (one corpus shard or chunk each) pass ``chunksize=1``: every item is
+  its own pool task, submitted up front, and workers pull the next one
+  as they free up.
 
 Determinism is the callers' contract — every parallelized site draws
 its per-task randomness up front (``SeedSequence.spawn`` for corpus
@@ -29,7 +32,7 @@ import atexit
 import math
 import os
 import pickle
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -41,7 +44,6 @@ __all__ = [
     "resolve_jobs",
     "resolve_jobs_for",
     "parallel_map",
-    "parallel_dispatch",
     "shutdown",
 ]
 
@@ -194,52 +196,3 @@ def parallel_map(
         results.append(result)
     return results
 
-
-def parallel_dispatch(
-    fn: Callable[[T], R],
-    items: Iterable[T] | Sequence[T],
-    n_jobs: int | None = None,
-) -> list[R]:
-    """Coordinator/worker fan-out: one task per item, dynamic queue.
-
-    The coordinator submits every item as its own pool task and workers
-    pull the next one as they free up — the broadcaster/receiver queue
-    shape — so uneven task durations (shards whose sessions differ in
-    length) balance dynamically instead of by static chunking.  Use
-    this for *coarse* tasks (one shard each) where per-task pickling is
-    amortized; :func:`parallel_map` with chunking remains the right
-    tool for fine-grained items.
-
-    Results keep the input order (and worker subtraces are merged in
-    input order), so callers are bit-identical for any worker count,
-    exactly as with :func:`parallel_map`.  Falls back to the plain
-    sequential loop when one worker is requested, there is at most one
-    item, or the pool breaks.
-    """
-    items = list(items)
-    jobs = min(resolve_jobs(n_jobs), len(items))
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    tracer = telemetry.active_tracer()
-    task = _TracedTask(fn) if tracer is not None else fn
-    executor = _executor(jobs)
-    try:
-        futures = [executor.submit(task, item) for item in items]
-        # Drain as tasks finish (keeps the queue moving under memory
-        # pressure) but keep results in submission order.
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                future.result()  # surface worker exceptions eagerly
-        raw = [future.result() for future in futures]
-    except BrokenProcessPool:
-        _EXECUTORS.pop(jobs, None)
-        raw = [task(item) for item in items]
-    if tracer is None:
-        return raw
-    results = []
-    for result, sub in raw:
-        tracer.merge_subtrace(sub)
-        results.append(result)
-    return results

@@ -97,12 +97,11 @@ class TestTrainEvaluate:
 
 class TestFacadeLayer:
     """The data commands orchestrate through repro.api, never around it:
-    one sharded-or-monolithic dispatch, one set of forest parameters."""
+    one collector, one set of forest parameters."""
 
     #: Pipeline entry points the CLI may only reach through repro.api.
     BYPASSES = {
         "collect_corpus",
-        "collect_corpus_sharded",
         "extract_tls_matrix",
         "RandomForestClassifier",
         "cross_validate",

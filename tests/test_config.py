@@ -60,6 +60,17 @@ class TestParsing:
         with pytest.raises(ValueError, match=">= 1 or -1"):
             get_config()
 
+    def test_shard_size_defaults_to_512(self, monkeypatch):
+        assert get_config().shard_size == config.DEFAULT_SHARD_SIZE == 512
+        monkeypatch.setenv("REPRO_SHARD_SIZE", "16")
+        assert get_config().shard_size == 16
+
+    @pytest.mark.parametrize("raw", ["0", "-3", "many"])
+    def test_shard_size_rejects_non_positive(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SHARD_SIZE", raw)
+        with pytest.raises(ValueError, match="REPRO_SHARD_SIZE"):
+            get_config()
+
     def test_scale_rejects_nonpositive(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0")
         with pytest.raises(ValueError, match="positive"):
@@ -105,6 +116,7 @@ class TestSourcesAndShow:
         out = capsys.readouterr().out
         assert re.search(r"scale\s+0\.5\s+\[REPRO_SCALE, from env\]", out)
         assert "[REPRO_JOBS, from default]" in out
+        assert re.search(r"shard_size\s+512\s+\[REPRO_SHARD_SIZE, from default\]", out)
 
 
 class TestOverride:

@@ -1,7 +1,6 @@
-"""``python -m repro corpus info|verify|shard`` and both ``collect``
-writers (in process, and the shard fleet behind ``--shard-size``):
-exit codes, messages, byte identity, and error friendliness on
-corrupt, partial or misplaced corpora."""
+"""``python -m repro corpus info|verify|shard`` and ``collect`` at the
+default and explicit shard sizes: exit codes, messages, byte identity,
+and error friendliness on corrupt, partial or misplaced corpora."""
 
 import json
 
@@ -13,7 +12,7 @@ from repro.collection.shards import MANIFEST_NAME, shard_name
 
 @pytest.fixture(scope="module")
 def mono_path(tmp_path_factory):
-    """A corpus collected in process (no --shard-size): one shard."""
+    """A corpus collected at the default shard size: one shard."""
     path = tmp_path_factory.mktemp("cli") / "corpus.shards"
     assert main(["collect", "--service", "svc3", "-n", "9", "--seed", "3",
                  "-o", str(path)]) == 0
@@ -45,8 +44,9 @@ class TestCollectShardSize:
                   "-o", "x.shards", "--shard-size", "0"])
 
     def test_in_process_collect_matches_shard_size_512(self, tmp_path):
-        """The two collect paths differ only in how they run: same
-        manifest bytes, same shard bytes."""
+        """The worker count and an explicit default shard size change
+        only how collection runs: same manifest bytes, same shard
+        bytes."""
         a, b = tmp_path / "a.shards", tmp_path / "b.shards"
         assert main(["-j", "2", "collect", "--service", "svc3", "-n", "5",
                      "--seed", "4", "-o", str(a)]) == 0
@@ -60,7 +60,7 @@ class TestCollectShardSize:
 
 
 class TestOutputPath:
-    """Both writers share one prepare step and one commit step."""
+    """Every writer shares one prepare step and one commit step."""
 
     @pytest.mark.parametrize("flags", [[], ["--shard-size", "2"]])
     def test_file_at_output_exits_2_untouched(self, tmp_path, capsys, flags):
@@ -79,6 +79,24 @@ class TestOutputPath:
         assert main(["corpus", "shard", str(mono_path), "-o", str(target)]) == 2
         assert str(target) in capsys.readouterr().err
         assert target.read_text() == "{}"
+
+    @pytest.mark.parametrize("as_manifest", [False, True])
+    def test_corpus_shard_onto_itself_exits_2_untouched(
+        self, tmp_path, capsys, as_manifest
+    ):
+        corpus = tmp_path / "c.shards"
+        assert main(["-j", "1", "collect", "--service", "svc3", "-n", "9",
+                     "--shard-size", "4", "-o", str(corpus)]) == 0
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        capsys.readouterr()
+        source = corpus / MANIFEST_NAME if as_manifest else corpus
+        assert main(["corpus", "shard", str(source), "-o", str(corpus),
+                     "--shard-size", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "corpus being read" in err
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
+        assert main(["corpus", "verify", str(corpus)]) == 0
 
     @pytest.mark.parametrize("flags", [[], ["--shard-size", "2"]])
     def test_recollect_removes_unlisted_shards(self, tmp_path, capsys, flags):

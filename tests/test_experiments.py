@@ -101,6 +101,60 @@ class TestCommon:
         store.clear()
         assert not orphan.exists()
 
+    def test_get_corpus_returns_the_lazy_corpus(self, tmp_path, monkeypatch):
+        from repro.collection.shards import ShardedDataset
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        corpus = get_corpus("svc3", n_sessions=3, seed=12)
+        assert isinstance(corpus, ShardedDataset)
+        assert corpus.root.parent == tmp_path / "artifacts" / "corpus"
+        assert not list(tmp_path.glob(".corpus-staging-*"))
+
+    def test_in_memory_corpus_entry_loads_lazily(self, tmp_path, monkeypatch):
+        """An entry written by ``Dataset.save`` at the store's payload
+        path (how in-memory corpora were kept) is a disk hit that
+        returns the lazy corpus, under an unchanged key."""
+        from repro.artifacts import canonical_json, digest, fingerprint, get_store
+        from repro.collection.shards import ShardedDataset
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        store = get_store()
+        fp = fingerprint("corpus", {"service": "svc3", "n_sessions": 3, "seed": 12})
+        key = digest(fp)
+        stored = collect_corpus("svc3", 3, seed=12)
+        stored.save(store.stage_dir("corpus") / f"{key}.shards")
+        store.meta_path("corpus", key).write_text(
+            canonical_json({"fingerprint": fp, "extension": ".shards"})
+        )
+
+        corpus = get_corpus("svc3", n_sessions=3, seed=12)
+        assert store.counter_snapshot()["stages"]["corpus"] == {
+            "memory_hits": 0, "hits": 1, "misses": 0,
+        }
+        assert isinstance(corpus, ShardedDataset)
+        assert corpus._artifact_digest == key
+        assert [record_bytes(r) for r in corpus] == [
+            record_bytes(r) for r in stored
+        ]
+
+    def test_failed_build_leaves_the_cache_root_as_found(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import config
+        from repro.collection import harness
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulator failed")
+
+        monkeypatch.setattr(harness, "collect_records", broken)
+        (tmp_path / "keep.txt").write_text("foreign")
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        for shard_size in (512, 2):
+            with config.override(cache_dir=tmp_path, jobs=1, shard_size=shard_size):
+                with pytest.raises(RuntimeError, match="simulator failed"):
+                    get_corpus("svc3", n_sessions=4, seed=12)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
     def test_format_table(self):
         text = format_table(["a", "bb"], [["1", "2"], ["3", "4"]])
         assert "bb" in text
@@ -230,6 +284,24 @@ class TestDrivers:
             "interactive->interactive",
         }
         assert any(s.labels.combined is not None for s in interactive)
+
+    def test_interactive_corpus_is_a_stored_stage(
+        self, corpora, tmp_path, monkeypatch
+    ):
+        """Without a corpus passed in, the driver collects its
+        interactive corpus through the corpus stage, stored as a shard
+        directory."""
+        from repro import config
+        from repro.artifacts import get_store
+
+        monkeypatch.setattr(interactions, "corpus_size", lambda service: 40)
+        with config.override(cache_dir=tmp_path):
+            result = interactions.run("svc1", clean=corpora["svc1"])
+            stages = get_store().counter_snapshot()["stages"]
+        assert stages["corpus-interactive"]["misses"] == 1
+        stored = tmp_path / "artifacts" / "corpus-interactive"
+        assert len(list(stored.glob("*.shards/manifest.json"))) == 1
+        assert set(result) >= {"clean->interactive", "interactive->interactive"}
 
     def test_interactive_corpus_has_interactions(self):
         """The interactive harness must actually pause/seek."""

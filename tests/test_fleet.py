@@ -1,20 +1,16 @@
-"""Coordinator/worker fleet tests: worker-count determinism, golden
-equivalence with the monolithic pipeline, and exact per-shard cache
-accounting."""
+"""Collector and fleet tests: worker-count and task-shape determinism,
+golden equivalence with the in-memory pipeline, and exact per-shard
+cache accounting."""
 
 import numpy as np
 import pytest
 
-from repro import config
+from repro import config, telemetry
 from repro.artifacts import get_store
 from repro.collection.dataset import Dataset
-from repro.collection.fleet import (
-    collect_corpus_sharded,
-    extract_tls_sharded,
-    score_sharded,
-    shard_bounds,
-)
+from repro.collection.fleet import extract_tls_sharded, score_sharded
 from repro.collection.harness import collect_corpus
+from repro.collection.shards import shard_bounds
 from repro.features.tls_features import extract_tls_matrix
 from repro.ml.forest import RandomForestClassifier
 
@@ -30,8 +26,8 @@ def monolithic():
 @pytest.fixture(scope="module")
 def sharded(tmp_path_factory):
     out = tmp_path_factory.mktemp("fleet") / "corpus.shards"
-    return collect_corpus_sharded(
-        "svc1", N_SESSIONS, out, shard_size=4, seed=SEED, n_jobs=1
+    return collect_corpus(
+        "svc1", N_SESSIONS, seed=SEED, n_jobs=1, out=out, shard_size=4
     )
 
 
@@ -47,16 +43,26 @@ class TestShardBounds:
             shard_bounds(10, 0)
 
 
+def _collect_spans(**kwargs) -> list[dict]:
+    """The ``collect_chunk`` spans of one traced collection."""
+    with telemetry.tracing() as tracer:
+        collect_corpus("svc1", **kwargs)
+    return [e for e in tracer.export()["events"] if e["name"] == "collect_chunk"]
+
+
 class TestCollect:
     def test_identical_for_any_worker_count(self, sharded, tmp_path):
-        parallel = collect_corpus_sharded(
-            "svc1", N_SESSIONS, tmp_path / "p.shards",
-            shard_size=4, seed=SEED, n_jobs=4,
-        )
-        assert parallel.manifest_digest == sharded.manifest_digest
-        assert [e.sha256 for e in parallel.entries] == [
-            e.sha256 for e in sharded.entries
-        ]
+        # 13 sessions in shards of 4: jobs 1 and 2 write one shard per
+        # task, jobs 4 collects one chunk per worker.
+        for jobs in (2, 4):
+            parallel = collect_corpus(
+                "svc1", N_SESSIONS, seed=SEED, n_jobs=jobs,
+                out=tmp_path / f"p{jobs}.shards", shard_size=4,
+            )
+            assert parallel.manifest_digest == sharded.manifest_digest
+            assert [e.sha256 for e in parallel.entries] == [
+                e.sha256 for e in sharded.entries
+            ]
 
     def test_identical_to_monolithic_collection(self, monolithic, sharded):
         """Per-session SeedSequence streams make the corpus independent
@@ -67,9 +73,9 @@ class TestCollect:
             assert ra.labels == rb.labels
 
     def test_shard_size_does_not_change_sessions(self, sharded, tmp_path):
-        other = collect_corpus_sharded(
-            "svc1", N_SESSIONS, tmp_path / "o.shards",
-            shard_size=7, seed=SEED, n_jobs=2,
+        other = collect_corpus(
+            "svc1", N_SESSIONS, seed=SEED, n_jobs=2,
+            out=tmp_path / "o.shards", shard_size=7,
         )
         np.testing.assert_array_equal(
             other.tls_table().start, sharded.tls_table().start
@@ -80,12 +86,29 @@ class TestCollect:
 
     def test_overwrites_previous_manifest(self, tmp_path):
         out = tmp_path / "re.shards"
-        collect_corpus_sharded("svc1", 5, out, shard_size=2, seed=1, n_jobs=1)
-        redone = collect_corpus_sharded(
-            "svc1", 3, out, shard_size=2, seed=2, n_jobs=1
-        )
+        collect_corpus("svc1", 5, seed=1, n_jobs=1, out=out, shard_size=2)
+        redone = collect_corpus("svc1", 3, seed=2, n_jobs=1, out=out, shard_size=2)
         assert len(redone) == 3
         assert len(Dataset.load(out)) == 3
+
+    def test_shard_size_needs_out(self):
+        with pytest.raises(ValueError, match="out="):
+            collect_corpus("svc1", 2, shard_size=2)
+
+    def test_one_shard_corpus_fans_out_over_workers(self, tmp_path):
+        """A corpus smaller than one shard per worker still uses every
+        worker: one chunk each, cut into shards by the coordinator."""
+        spans = _collect_spans(
+            n_sessions=6, seed=SEED, n_jobs=2, out=tmp_path / "one.shards"
+        )
+        assert [s["attrs"]["sessions"] for s in spans] == [3, 3]
+
+    def test_whole_shards_are_written_by_their_workers(self, tmp_path):
+        spans = _collect_spans(
+            n_sessions=9, seed=SEED, n_jobs=2,
+            out=tmp_path / "three.shards", shard_size=4,
+        )
+        assert [s["attrs"]["sessions"] for s in spans] == [4, 4, 1]
 
 
 class TestExtract:
@@ -151,10 +174,13 @@ class TestScore:
 
 class TestExperimentsIntegration:
     def test_sharded_get_corpus_equals_monolithic(self, tmp_path):
+        """A small shard size changes only how the corpus is stored: the
+        matrix and labels equal the default one-shard corpus's."""
         from repro.experiments.common import features_for, get_corpus
 
         with config.override(cache_dir=tmp_path / "mono", scale=0.01):
             mono = get_corpus("svc1")
+            assert mono.n_shards == 1
             X_mono, _ = features_for(mono)
             y_mono = mono.labels("combined")
         with config.override(
@@ -163,7 +189,7 @@ class TestExperimentsIntegration:
             store = get_store()
             store.reset_counters()
             sharded = get_corpus("svc1")
-            assert hasattr(sharded, "iter_shards")
+            assert sharded.n_shards > 1
             X_shard, _ = features_for(sharded)
             y_shard = sharded.labels("combined")
             cold = store.counter_snapshot()

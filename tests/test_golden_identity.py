@@ -10,10 +10,12 @@ field, a changed default) fails here with a digest mismatch rather
 than silently invalidating every cached corpus.
 
 The pin is the format-4 manifest digest, which itself covers every
-shard's SHA-256.  Both writers must reproduce it — the shard fleet and
-an in-memory collect saved with ``Dataset.save`` — at ``REPRO_JOBS=1``
-and ``4``, extending the worker-count-invariance contract to the
-golden bytes.
+shard's SHA-256.  Every way of writing a corpus must reproduce it: the
+collector with ``out=`` in both task shapes (one shard per task, written
+by its worker, at ``REPRO_JOBS=1`` and ``2``; one chunk per worker, cut
+into shards by the coordinator, at ``4``), and an in-memory collect
+saved with ``Dataset.save`` — extending the worker-count-invariance
+contract to the golden bytes.
 """
 
 import pytest
@@ -50,18 +52,18 @@ def test_in_memory_save_matches_golden(tmp_path, n_jobs):
     assert_golden(dataset.save(tmp_path / "golden.shards", shard_size=SHARD_SIZE))
 
 
-@pytest.mark.parametrize("n_jobs", [1, 4])
+@pytest.mark.parametrize("n_jobs", [1, 2, 4])
 def test_format4_identity_digests_match_golden(tmp_path, n_jobs):
-    from repro.collection.fleet import collect_corpus_sharded
-
+    # 10 sessions in shards of 4: per-shard tasks at jobs 1 and 2
+    # (10 >= jobs * 4), chunk tasks at jobs 4.
     assert_golden(
-        collect_corpus_sharded(
+        collect_corpus(
             SERVICE,
             N_SESSIONS,
-            tmp_path / "shards",
-            shard_size=SHARD_SIZE,
             seed=SEED,
             n_jobs=n_jobs,
+            out=tmp_path / "shards",
+            shard_size=SHARD_SIZE,
         )
     )
 
@@ -148,7 +150,9 @@ def test_path_goldens_cover_every_registered_path():
     assert {sc for w, p, sc in pinned if (w, p) == ("has", "svc1")} == scenarios
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
+# 12 sessions in shards of 5: per-shard tasks at jobs 1 and 2, chunk
+# tasks at jobs 3 (12 < 3 * 5).
+@pytest.mark.parametrize("n_jobs", [1, 2, 3])
 @pytest.mark.parametrize(
     "workload,service,scenario",
     sorted(GOLDEN_PATH_DIGESTS),

@@ -235,21 +235,21 @@ class TestRoundTrips:
         assert "scenario" not in manifest
 
     def test_fleet_collection_carries_scenario(self, tmp_path):
-        from repro.collection.fleet import collect_corpus_sharded
-
         cc = CollectionConfig(scenario="policed-512kbps")
-        sd = collect_corpus_sharded(
-            "svc1", 5, tmp_path / "fleet", shard_size=2, seed=9, config=cc,
-            n_jobs=2,
+        sd = collect_corpus(
+            "svc1", 5, seed=9, config=cc, n_jobs=2,
+            out=tmp_path / "fleet", shard_size=2,
         )
         assert sd.scenario == "policed-512kbps"
         assert sd.labels("policed").sum() > 0
-        # Bit-identity across worker counts for impaired corpora.
-        sd1 = collect_corpus_sharded(
-            "svc1", 5, tmp_path / "fleet1", shard_size=2, seed=9, config=cc,
-            n_jobs=1,
-        )
-        assert [e.sha256 for e in sd.entries] == [e.sha256 for e in sd1.entries]
+        # Bit-identity across worker counts and task shapes for impaired
+        # corpora: per-shard tasks at jobs 1 and 2, chunks at jobs 3.
+        for jobs in (1, 3):
+            other = collect_corpus(
+                "svc1", 5, seed=9, config=cc, n_jobs=jobs,
+                out=tmp_path / f"fleet{jobs}", shard_size=2,
+            )
+            assert other.manifest_digest == sd.manifest_digest
 
     def test_policed_labels_survive_mixed_shards(self, tmp_path):
         from repro.collection.shards import ShardedDataset, save_sharded

@@ -52,7 +52,7 @@ def test_warm_run_all_recomputes_nothing(tmp_path):
 
     assert warm["misses"] == 0, f"warm run recomputed artifacts: {warm}"
     assert warm["stages"]["corpus"]["misses"] == 0
-    assert warm["stages"]["tls-features"]["misses"] == 0
+    assert warm["stages"]["tls-features-shard"]["misses"] == 0
     assert warm["hits"] > 0
 
     # The trace is CI's build artifact: schema-valid, and its cache

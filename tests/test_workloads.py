@@ -231,12 +231,11 @@ class TestCorpusDeterminismAndFormats:
                 assert record_bytes(ra) == record_bytes(rb)
 
     def test_workload_round_trips_format4(self, tmp_path):
-        from repro.collection.fleet import collect_corpus_sharded
         from repro.collection.shards import ShardedDataset
 
-        sharded = collect_corpus_sharded(
-            "live1", 5, tmp_path / "shards", shard_size=2, seed=3,
-            workload="live", n_jobs=1,
+        collect_corpus(
+            "live1", 5, seed=3, workload="live", n_jobs=1,
+            out=tmp_path / "shards", shard_size=2,
         )
         manifest = json.loads((tmp_path / "shards" / "manifest.json").read_text())
         assert manifest["workload"] == "live"
@@ -253,13 +252,11 @@ class TestCorpusDeterminismAndFormats:
         assert isinstance(loaded.profile, RtcProfile)
 
     def test_default_corpora_omit_workload_key(self, tmp_path):
-        from repro.collection.fleet import collect_corpus_sharded
-
         ds = collect_corpus("svc3", 2, seed=1, n_jobs=1)
         assert ds.workload == "has"
         assert "workload" not in record_arrays(ds.sessions[0])
-        collect_corpus_sharded(
-            "svc3", 2, tmp_path / "shards", shard_size=2, seed=1, n_jobs=1
+        collect_corpus(
+            "svc3", 2, seed=1, n_jobs=1, out=tmp_path / "shards", shard_size=2
         )
         manifest = json.loads((tmp_path / "shards" / "manifest.json").read_text())
         assert "workload" not in manifest
