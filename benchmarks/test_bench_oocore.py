@@ -2,9 +2,10 @@
 memory ceiling.
 
 Collects a ``REPRO_SCALE``-sized corpus straight into a format-4 shard
-directory and extracts its TLS feature matrix shard-at-a-time, watching
-the process's peak RSS via :func:`resource.getrusage`.  The assertions
-are the out-of-core contract:
+directory, extracts its TLS feature matrix shard-at-a-time and its flow
+matrix one shard per pool task, watching the process's peak RSS via
+:func:`resource.getrusage`.  The assertions are the out-of-core
+contract:
 
 * the RSS *growth* over the whole collect+extract+warm cycle stays
   under ``REPRO_BENCH_OOCORE_CEILING_MB`` (default 512 MB) — corpus
@@ -12,7 +13,8 @@ are the out-of-core contract:
 * the per-shard artifact accounting reconciles exactly: cold misses ==
   n_shards, warm hits == n_shards, and the warm pass materializes zero
   shards (it touches only the manifest and the cache);
-* the sharded matrix is bit-identical for 1 and 4 workers.
+* the sharded TLS matrix and the flow matrix are each bit-identical
+  for 1 and 4 workers.
 
 Peak RSS, shard counts, and the cache counters land in ``extra_info``
 (published as ``BENCH_oocore.json`` by the CI job).
@@ -26,6 +28,7 @@ import numpy as np
 from repro import artifacts, config
 from repro.collection.fleet import extract_tls_sharded
 from repro.collection.harness import collect_corpus
+from repro.netflow.features import extract_flow_matrix
 
 #: Paper-scale svc1 is 2111 sessions; REPRO_SCALE scales it like the
 #: experiment drivers do.
@@ -70,9 +73,13 @@ def test_sharded_collect_extract_bounded_memory(benchmark, tmp_path_factory):
             warm_materialized = (
                 dataset.counters["materialized"] - materialized_before
             )
-        return dataset, X_cold, X_warm, cold, warm, warm_materialized
+        flows = []
+        for jobs in (1, 4):
+            with config.override(jobs=jobs):
+                flows.append(extract_flow_matrix(dataset)[0])
+        return dataset, X_cold, X_warm, cold, warm, warm_materialized, flows
 
-    dataset, X_cold, X_warm, cold, warm, warm_materialized = benchmark.pedantic(
+    dataset, X_cold, X_warm, cold, warm, warm_materialized, flows = benchmark.pedantic(
         cycle, rounds=1, iterations=1
     )
     peak_mb = _peak_rss_mb()
@@ -105,3 +112,6 @@ def test_sharded_collect_extract_bounded_memory(benchmark, tmp_path_factory):
     with config.override(cache_dir=root / "cache-j4"):
         X_par, _ = extract_tls_sharded(dataset, n_jobs=4)
     np.testing.assert_array_equal(X_cold, X_par)
+    flow_1, flow_4 = flows
+    assert flow_1.shape[0] == n_sessions
+    assert flow_1.tobytes() == flow_4.tobytes(), "flow matrix depends on the worker count"

@@ -55,6 +55,7 @@ from repro.config import CACHE_DIR_ENV_VAR, get_config
 __all__ = [
     "CACHE_DIR_ENV_VAR",
     "CACHE_VERSION",
+    "STAGING_PREFIX",
     "ArraysCodec",
     "ArtifactStore",
     "cache_dir",
@@ -70,6 +71,20 @@ __all__ = [
 #: RNG streams (parallel collection).  v5: histogram growth is the only
 #: tree grower.
 CACHE_VERSION = 5
+
+#: Name prefix of the directory a corpus build writes into, under the
+#: cache root, before the store keeps it
+#: (:func:`repro.experiments.common.dataset_stage`).  A build killed
+#: before that leaves the directory behind.
+STAGING_PREFIX = ".corpus-staging-"
+
+
+def _tree_bytes(path: Path) -> int:
+    """Bytes of a file, or of every file under a directory."""
+    if path.is_dir():
+        return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
+    return path.stat().st_size
+
 
 def cache_dir() -> Path:
     """The configured cache root (not created until first write).
@@ -391,30 +406,46 @@ class ArtifactStore:
                 if payload.exists():
                     yield stage_dir.name, payload
 
+    def staging_dirs(self) -> list[Path]:
+        """Corpus staging directories under the root: a running build's,
+        or one a killed build left."""
+        if not self.root.is_dir():
+            return []
+        return sorted(p for p in self.root.glob(STAGING_PREFIX + "*") if p.is_dir())
+
     def stats(self) -> dict:
-        """Per-stage entry counts and byte totals (for ``cache info``)."""
+        """Per-stage entry counts and byte totals, and the staging
+        directories' count and bytes (for ``cache info``)."""
         stages: dict[str, dict[str, int]] = {}
         for stage, payload in self.iter_entries():
             entry = stages.setdefault(stage, {"entries": 0, "bytes": 0})
             entry["entries"] += 1
-            if payload.is_dir():
-                entry["bytes"] += sum(
-                    p.stat().st_size for p in payload.rglob("*") if p.is_file()
-                )
-            else:
-                entry["bytes"] += payload.stat().st_size
+            entry["bytes"] += _tree_bytes(payload)
+        staging = self.staging_dirs()
         return {
             "root": str(self.root),
             "entries": sum(s["entries"] for s in stages.values()),
             "bytes": sum(s["bytes"] for s in stages.values()),
             "stages": stages,
+            "staging": {
+                "dirs": len(staging),
+                "bytes": sum(_tree_bytes(p) for p in staging),
+            },
         }
 
     def clear(self) -> int:
-        """Delete every artifact entry (payloads + metas); leave
-        foreign content alone.  Returns files removed."""
-        base = self.root / "artifacts"
+        """Delete every artifact entry (payloads + metas) and every
+        staging directory; leave foreign content alone.  Returns files
+        removed, the staging directories' files included."""
         removed = 0
+        for staging in self.staging_dirs():
+            files = sum(1 for p in staging.rglob("*") if p.is_file())
+            try:
+                shutil.rmtree(staging)
+                removed += files
+            except OSError:
+                pass
+        base = self.root / "artifacts"
         if not base.is_dir():
             return removed
         for stage_dir in base.iterdir():

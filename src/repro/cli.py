@@ -252,7 +252,6 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     from repro.api import load_corpus
-    from repro.collection.dataset import DatasetFormatError
     from repro.collection.shards import (
         CorpusPathError,
         resolve_shard_size,
@@ -261,9 +260,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
     try:
         dataset = load_corpus(args.path)
-    except DatasetFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
         return 1
@@ -290,11 +286,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "verify":
-        try:
-            result = dataset.verify()
-        except DatasetFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        result = dataset.verify()
         print(
             f"{args.path}: OK ({result['shards']} shards, "
             f"{result['bytes'] / 1e6:.1f} MB, all digests match)"
@@ -590,9 +582,18 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 f"  {stage}: {entry['entries']} entries, "
                 f"{entry['bytes'] / 1e6:.1f} MB"
             )
+        staging = stats["staging"]
+        print(
+            f"staging: {staging['dirs']} directories, "
+            f"{staging['bytes'] / 1e6:.1f} MB (corpus builds not kept by the store)"
+        )
         return 0
+    staged = len(store.staging_dirs())
     removed = store.clear()
-    print(f"removed {removed} files from {store.root / 'artifacts'}")
+    print(
+        f"removed {removed} files from {store.root / 'artifacts'} "
+        f"and {staged} staging directories"
+    )
     return 0
 
 
@@ -823,6 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
+    from repro.collection.dataset import DatasetFormatError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.jobs is not None:
@@ -838,7 +841,13 @@ def main(argv: list[str] | None = None) -> int:
             )
         stack.enter_context(telemetry.maybe_tracing())
         stack.enter_context(telemetry.span("command", command=args.command))
-        return args.func(args)
+        try:
+            return args.func(args)
+        except DatasetFormatError as exc:
+            # A corrupt, incomplete or retired corpus, named by the
+            # reader that found it: one error line, whatever the command.
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from repro.collection.shards import (
     DEFAULT_SHARD_SIZE,
     MANIFEST_NAME,
     ShardedDataset,
+    column_dtype,
     save_sharded,
     transfer_block,
 )
@@ -322,16 +323,36 @@ class Dataset:
         counts = np.bincount(self.labels(target), minlength=3)
         return counts / counts.sum()
 
-    def transfer_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def column(self, name: str) -> np.ndarray:
+        """One value per session of a
+        :data:`~repro.collection.shards.SESSION_COLUMNS` column, as
+        :meth:`ShardedDataset.column` reads it off a stored corpus."""
+        dtype = column_dtype(name)
+        return np.array([getattr(s, name) for s in self.sessions], dtype=dtype)
+
+    def block_readers(self) -> tuple["Dataset"]:
+        """The corpus as its own one block reader.
+
+        A :class:`~repro.collection.shards.ShardedDataset` hands out
+        one :class:`~repro.collection.shards.ShardReader` per shard, so
+        a fan-out over blocks (flow export) reads either corpus type
+        alike.
+        """
+        return (self,)
+
+    def transfer_block(self) -> tuple[np.ndarray, np.ndarray]:
         """The corpus's transfers as one ``(transfers, offsets)`` block.
 
         Session ``s`` owns rows ``offsets[s]:offsets[s + 1]`` of the
-        stacked ``(n, 10)`` array: the layout a shard stores, so flow
-        export reads an in-memory corpus and a sharded one
-        (:meth:`ShardedDataset.transfer_blocks`, one block per shard)
-        alike.
+        stacked ``(n, 10)`` array: the layout a shard stores
+        (:meth:`ShardReader.transfer_block`).
         """
-        yield transfer_block(self.sessions)
+        return transfer_block(self.sessions)
+
+    def transfer_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The corpus's one ``(transfers, offsets)`` block; a
+        :class:`ShardedDataset` yields one per shard."""
+        yield self.transfer_block()
 
     def iter_tables(self) -> Iterator[TransactionTable]:
         """The corpus's transactions as one table (:meth:`tls_table`).

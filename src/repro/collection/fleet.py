@@ -1,31 +1,36 @@
-"""Coordinator/worker shard fleet: extract and score at scale.
+"""Coordinator/worker shard fleet: extract, score and flow at scale.
 
 The out-of-core readers of a format-4 corpus: a coordinator process
 hands *shards* (not sessions) to a worker pool, one pool task per shard
 (:func:`repro.parallel.parallel_map` with ``chunksize=1``), workers
 pulling the next shard as they free up, so corpus size never bounds
-peak memory — only ``shard_size`` does.  The collector
+peak memory — only ``shard_size`` does.  A task carries the shard's
+:class:`~repro.collection.shards.ShardReader` (its path and manifest
+entry), and the worker reads only the npz members it uses, checked
+against the manifest like every other read.  The collector
 (:func:`repro.collection.harness.collect_corpus` with ``out=``) hands
 out whole shards the same way when the corpus has at least one per
 worker.
 
-Two task kinds, one shard each:
+Three task kinds, one shard each:
 
 * **extract** — :func:`extract_tls_sharded`: the coordinator first
   *probes* the artifact store for every shard's feature block
   (:meth:`~repro.artifacts.ArtifactStore.lookup`, counting hits); only
-  the absent shards go to workers, which are pure compute — they load
-  the shard from disk and return its matrix; the coordinator commits
-  the results (counting misses).  Workers never touch the store, so
-  process-local config overrides (tests pinning ``cache_dir``) cannot
-  desynchronize the cache, and per-stage counters reconcile exactly:
-  ``hits + misses == n_shards``.
+  the absent shards go to workers, which are pure compute — they read
+  the shard's TLS members and return its matrix; the coordinator
+  commits the results (counting misses).  Workers never touch the
+  store, so process-local config overrides (tests pinning
+  ``cache_dir``) cannot desynchronize the cache, and per-stage counters
+  reconcile exactly: ``hits + misses == n_shards``.
 * **score** — :func:`score_sharded`: extract + predict one shard per
   task, predictions concatenated in manifest order.
+* **flow** — :func:`~repro.netflow.features.extract_flow_matrix`:
+  export and featurize one shard's transfer members per task.
 
 Every result is concatenated in manifest order and every per-session
-computation is independent, so both are bit-identical to their
-in-memory counterparts for ``REPRO_JOBS=1`` and any other count.
+computation is independent, so each is bit-identical to its in-memory
+counterpart for ``REPRO_JOBS=1`` and any other count.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.artifacts import get_store
-from repro.collection.shards import ShardedDataset, decode_shard
+from repro.collection.shards import ShardedDataset, ShardReader
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
     extract_tls_table,
@@ -55,17 +60,16 @@ __all__ = [
 TLS_SHARD_STAGE = "tls-features-shard"
 
 
-def _extract_shard(task) -> np.ndarray:
-    """Worker: pure compute — load one shard, return its feature block.
+def _extract_shard(task: tuple[ShardReader, tuple[int, ...]]) -> np.ndarray:
+    """Worker: pure compute — one shard's feature block, from its TLS
+    members alone (no records, no SNI column).
 
     Deliberately touches no artifact store: the coordinator owns all
     cache reads and writes, so hit/miss counters and on-disk state
     stay consistent no matter where workers inherited their config.
     """
-    path, intervals = task
-    with np.load(path, allow_pickle=False) as z:
-        shard = decode_shard({name: z[name] for name in z.files})
-    return extract_tls_table(shard.tls_table(), intervals)
+    reader, intervals = task
+    return extract_tls_table(reader.tls_table(sni=False), intervals)
 
 
 def extract_tls_sharded(
@@ -79,7 +83,7 @@ def extract_tls_sharded(
     artifact store under (stage, intervals, shard digest) — a warm run
     is all hits and touches nothing but the manifest and the cache.
     Missing blocks are computed by pool workers (one shard per task,
-    loaded from disk inside the worker) and committed by the
+    its TLS members read inside the worker) and committed by the
     coordinator, counting one miss each.  Rows are stacked in manifest
     order, so the matrix is bit-identical to
     :func:`~repro.features.tls_features.extract_tls_matrix` on the
@@ -105,10 +109,8 @@ def extract_tls_sharded(
                 blocks.append(value["X"])
         sp.set(cached=dataset.n_shards - len(missing), computed=len(missing))
         if missing:
-            tasks = [
-                (str(dataset.root / dataset.entries[i].name), intervals)
-                for i in missing
-            ]
+            readers = dataset.block_readers()
+            tasks = [(readers[i], intervals) for i in missing]
             computed = parallel_map(
                 _extract_shard, tasks, n_jobs=n_jobs, chunksize=1
             )
@@ -134,8 +136,8 @@ def extract_tls_sharded(
 
 def _score_shard(task) -> np.ndarray:
     """Worker: extract one shard's features and run the model on them."""
-    model, path, intervals = task
-    X = _extract_shard((path, intervals))
+    model, reader, intervals = task
+    X = _extract_shard((reader, intervals))
     return np.asarray(model.predict(X))
 
 
@@ -155,10 +157,7 @@ def score_sharded(
     with telemetry.span(
         "fleet.score", shards=dataset.n_shards, sessions=len(dataset)
     ):
-        tasks = [
-            (model, str(dataset.root / entry.name), intervals)
-            for entry in dataset.entries
-        ]
+        tasks = [(model, reader, intervals) for reader in dataset.block_readers()]
         parts = parallel_map(_score_shard, tasks, n_jobs=jobs, chunksize=1)
     if not parts:
         return np.empty(0, dtype=np.int64)

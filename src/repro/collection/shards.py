@@ -13,8 +13,11 @@ Each shard packs a fixed run of sessions as plain numpy arrays — one
 columns (the struct-of-arrays layout, SNI dictionary-encoded) plus
 flat+offset encodings of the per-session HTTP/transfer/connection
 arrays and scalar columns.  ``np.savez`` stores the raw bytes, and
-``np.load`` decompresses only the members a reader touches, so reading
-a shard's label column never materializes its transactions.
+``np.load`` decompresses only the members a reader touches.  Every read
+goes through one :class:`ShardReader` per shard, which loads the named
+members with one ``np.load`` and checks each against the shard's
+manifest entry, so reading a shard's label column never decompresses
+its transactions, and a corrupt member is named, never misread.
 
 The manifest carries per-shard session counts, per-target label
 distributions, and the SHA-256 digest of every shard file.  Its
@@ -34,10 +37,13 @@ crash mid-write therefore leaves a directory without a manifest, which
 silently short one.  :meth:`ShardedDataset.verify`
 re-hashes every shard against the manifest.
 
-Loading a shard directory gives a lazy :class:`ShardedDataset`: shards
-materialize on demand through a small LRU (``shards.cache_hit`` /
-``shards.materialized`` telemetry counters prove cache behaviour), so
-peak memory is bounded by the shard size, not the corpus size.
+Loading a shard directory gives a lazy :class:`ShardedDataset`.  Its
+column readers (labels, per-session scalars, TLS tables, transfer
+blocks) read members shard by shard and build no records; records are
+decoded a whole shard at a time, on demand, through a small LRU
+(``shards.cache_hit`` / ``shards.materialized`` telemetry counters
+prove cache behaviour).  Either way peak memory is bounded by the shard
+size, not the corpus size.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -57,7 +64,7 @@ from repro import telemetry
 from repro.artifacts import atomic_write_bytes, canonical_json
 from repro.config import DEFAULT_SHARD_SIZE, get_config
 from repro.qoe.labels import TARGETS, SessionLabels
-from repro.tlsproxy.table import TransactionTable
+from repro.tlsproxy.table import TransactionTable, segment_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.collection.dataset import Dataset, SessionRecord
@@ -65,9 +72,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEFAULT_SHARD_SIZE",
     "MANIFEST_NAME",
+    "SESSION_COLUMNS",
     "CorpusPathError",
     "ShardEntry",
+    "ShardReader",
     "ShardedDataset",
+    "column_dtype",
     "commit_shard_dir",
     "open_shard_dir",
     "resolve_shard_size",
@@ -269,8 +279,14 @@ def encode_shard(service: str, records: "Sequence[SessionRecord]") -> dict:
     return arrays
 
 
-def decode_shard(arrays: dict) -> "Dataset":
-    """Inverse of :func:`encode_shard`: a one-shard :class:`Dataset`."""
+def decode_shard(arrays: dict, table: TransactionTable) -> "Dataset":
+    """Inverse of :func:`encode_shard`: a one-shard :class:`Dataset`.
+
+    ``arrays`` holds the shard's members as :meth:`ShardReader.read`
+    returns them (checked, offsets as int64, transfers and connections
+    as rows) and ``table`` its TLS slab; :meth:`ShardReader.dataset`
+    is the caller.
+    """
     from repro.collection.dataset import Dataset, SessionRecord
 
     service = str(arrays["service"][0])
@@ -281,27 +297,12 @@ def decode_shard(arrays: dict) -> "Dataset":
         if "label_policed" in arrays
         else None
     )
-    table = TransactionTable.from_arrays(
-        {k[len("tls_"):]: arrays[k] for k in arrays if k.startswith("tls_")}
-    )
     n = table.n_sessions
-    transfers = _rows_of("transfers", arrays["transfers"], 10)
-    connections = _rows_of("connections", arrays["connections"], 3)
-    host_offsets = _checked_offsets(
-        "session_hosts_offsets",
-        arrays["session_hosts_offsets"],
-        n,
-        arrays["session_hosts"].shape[0],
-    )
-    http_offsets = _checked_offsets(
-        "http_offsets", arrays["http_offsets"], n, arrays["http_start"].shape[0]
-    )
-    transfer_offsets = _checked_offsets(
-        "transfer_offsets", arrays["transfer_offsets"], n, transfers.shape[0]
-    )
-    connection_offsets = _checked_offsets(
-        "connection_offsets", arrays["connection_offsets"], n, connections.shape[0]
-    )
+    transfers, connections = arrays["transfers"], arrays["connections"]
+    host_offsets = arrays["session_hosts_offsets"]
+    http_offsets = arrays["http_offsets"]
+    transfer_offsets = arrays["transfer_offsets"]
+    connection_offsets = arrays["connection_offsets"]
     hosts = [str(h) for h in arrays["session_hosts"]]
     sessions = []
     for i in range(n):
@@ -383,6 +384,232 @@ class ShardEntry:
                 for target, counts in payload["label_counts"].items()
             },
         )
+
+
+# ----------------------------------------------------------------------
+# Shard reads: named members, checked against the manifest entry
+
+#: Members holding one entry per session.
+_SESSION_MEMBERS = (
+    "video_id",
+    *_SCALAR_COLUMNS,
+    "label_rebuffering_ratio",
+    *(f"label_{target}" for target in TARGETS),
+    "label_policed",
+)
+#: Members holding one entry per shard.
+_SHARD_MEMBERS = ("service", "scenario", "workload")
+#: Offset index -> the row members it indexes.  Reading any member of
+#: a group reads the index and the group's first row member too, so
+#: the index is checked against its rows.
+_ROW_GROUPS = {
+    "tls_offsets": ("tls_start", "tls_end", "tls_uplink", "tls_downlink", "tls_host_codes"),
+    "session_hosts_offsets": ("session_hosts",),
+    "http_offsets": tuple(f"http_{column}" for column in _HTTP_DTYPES),
+    "transfer_offsets": ("transfers",),
+    "connection_offsets": ("connections",),
+}
+_GROUP_OF = {
+    member: index
+    for index, rows in _ROW_GROUPS.items()
+    for member in (index, *rows)
+}
+#: Row members stored as float rows of a fixed width.
+_WIDTHS = {"transfers": 10, "connections": 3}
+#: Every member :func:`encode_shard` writes; the optional ones only
+#: when non-default.
+_MEMBERS = (*_SHARD_MEMBERS, *_SESSION_MEMBERS, *_GROUP_OF, "tls_hosts")
+_OPTIONAL_MEMBERS = frozenset(("scenario", "workload", "label_policed"))
+_STRING_MEMBERS = frozenset((*_SHARD_MEMBERS, "video_id", "session_hosts", "tls_hosts"))
+#: The TLS slab, as :meth:`TransactionTable.to_arrays` names it.
+_TLS_MEMBERS = tuple(
+    f"tls_{name}"
+    for name in ("start", "end", "uplink", "downlink", "offsets", "hosts", "host_codes")
+)
+
+#: Per-session scalar columns (:meth:`ShardedDataset.column`): the
+#: stored ones, then the ones derived from offsets and transfer rows.
+SESSION_COLUMNS = _SCALAR_COLUMNS + (
+    "n_tls_transactions",
+    "n_http_transactions",
+    "n_packets",
+)
+
+
+def column_dtype(name: str) -> type:
+    """The dtype of a :data:`SESSION_COLUMNS` column: float64 for the
+    stored scalars, int64 for the derived counts."""
+    if name in _SCALAR_COLUMNS:
+        return np.float64
+    if name in SESSION_COLUMNS:
+        return np.int64
+    raise ValueError(f"unknown column {name!r}; expected one of {SESSION_COLUMNS}")
+
+
+def _label_member(target: str) -> str:
+    if target not in TARGETS and target != "policed":
+        raise ValueError(
+            f"unknown target {target!r}; expected one of "
+            f"{TARGETS + ('policed',)}"
+        )
+    return f"label_{target}"
+
+
+@dataclass(frozen=True)
+class ShardReader:
+    """Reads the named npz members of one shard, checked on the way in.
+
+    Every stage that reads shard columns goes through one of these:
+    the lazy corpus's column readers and pool workers alike (a reader
+    is its path plus its manifest entry, so it pickles).  Each
+    :meth:`read` is one ``np.load``, decompressing only the members
+    asked for, and checks each against the entry: per-session members
+    by length, offset indexes against their rows
+    (:func:`_checked_offsets`), ``transfers``/``connections`` by width,
+    and the TLS host codes against the host dictionary.  Every failure
+    is a :class:`~repro.collection.dataset.DatasetFormatError` naming
+    the shard and the member.
+    """
+
+    path: Path
+    entry: ShardEntry
+
+    def _error(self, message: str) -> Exception:
+        return _format_error(self.path.parent, f"{self.entry.name}: {message}")
+
+    def read(self, *members: str) -> dict[str, np.ndarray]:
+        """The named members (every member when none is named).
+
+        An offset index comes back as int64, ``transfers`` and
+        ``connections`` as ``(rows, width)`` floats.  Reading any member
+        of an offset-indexed group also returns the group's index and
+        first row member; reading either TLS host member returns both.
+        Optional members a shard omits are absent from the result.
+        """
+        names = dict.fromkeys(members or _MEMBERS)
+        for member in list(names):
+            index = _GROUP_OF.get(member)
+            if index is not None:
+                names.update(dict.fromkeys((index, _ROW_GROUPS[index][0])))
+            if member in ("tls_hosts", "tls_host_codes"):
+                names.update(dict.fromkeys(("tls_hosts", "tls_host_codes")))
+        try:
+            npz = np.load(self.path, allow_pickle=False)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise self._error(f"cannot read: {exc}") from exc
+        arrays = {}
+        with npz:
+            for name in names:
+                try:
+                    arrays[name] = npz[name]
+                except KeyError:
+                    if name not in _OPTIONAL_MEMBERS:
+                        raise self._error(f"{name} is missing") from None
+                except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+                    raise self._error(f"cannot read {name}: {exc}") from exc
+        try:
+            self._check(arrays)
+        except ValueError as exc:
+            raise self._error(str(exc)) from exc
+        return arrays
+
+    def _check(self, arrays: dict[str, np.ndarray]) -> None:
+        """Check ``arrays``, reshaping the row blocks in place; each
+        ``ValueError`` message starts with the member's name."""
+        n = self.entry.n_sessions
+        for name, value in arrays.items():
+            if (name in _STRING_MEMBERS) != (value.dtype.kind == "U"):
+                raise ValueError(f"{name} has the wrong dtype {value.dtype}")
+            if name in _WIDTHS:
+                arrays[name] = _rows_of(name, value, _WIDTHS[name])
+            elif name in _SESSION_MEMBERS and value.shape != (n,):
+                raise ValueError(f"{name} holds {value.size} entries for {n} sessions")
+            elif name in _SHARD_MEMBERS and value.shape != (1,):
+                raise ValueError(f"{name} must hold one entry, holds {value.size}")
+            elif value.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional")
+        for index, rows in _ROW_GROUPS.items():
+            if index not in arrays:
+                continue
+            n_rows = arrays[rows[0]].shape[0]
+            for row in rows:
+                if row in arrays and arrays[row].shape[0] != n_rows:
+                    raise ValueError(
+                        f"{row} holds {arrays[row].shape[0]} rows, "
+                        f"{rows[0]} holds {n_rows}"
+                    )
+            arrays[index] = _checked_offsets(index, arrays[index], n, n_rows)
+        if "tls_host_codes" in arrays:
+            hosts, codes = arrays["tls_hosts"], arrays["tls_host_codes"]
+            if not np.issubdtype(codes.dtype, np.integer):
+                raise ValueError(f"tls_host_codes has the wrong dtype {codes.dtype}")
+            if codes.size and (codes.min() < 0 or codes.max() >= hosts.shape[0]):
+                bad = codes[(codes < 0) | (codes >= hosts.shape[0])][0]
+                raise ValueError(
+                    f"tls_host_codes must index the {hosts.shape[0]} tls_hosts, "
+                    f"got {int(bad)}"
+                )
+            empty = hosts == ""
+            if empty.any() and empty[codes].any():
+                row = int(np.argmax(empty[codes]))
+                raise ValueError(f"tls_hosts names an empty host at row {row}")
+
+    def _table(self, arrays: dict[str, np.ndarray], sni: bool) -> TransactionTable:
+        slab = {name[len("tls_"):]: arrays[name] for name in _TLS_MEMBERS}
+        try:
+            if sni:
+                return TransactionTable.from_arrays(slab)
+            return TransactionTable(
+                start=slab["start"], end=slab["end"], uplink=slab["uplink"],
+                downlink=slab["downlink"], offsets=slab["offsets"],
+            )
+        except ValueError as exc:  # a row check: the message names the column
+            raise self._error(f"tls_{exc}") from exc
+
+    def tls_table(self, sni: bool = True) -> TransactionTable:
+        """The shard's TLS slab, read from its ``tls_*`` members alone.
+
+        ``sni=False`` leaves the SNI column out (feature extraction
+        never reads it); the host members are read and checked either
+        way.
+        """
+        return self._table(self.read(*_TLS_MEMBERS), sni)
+
+    def transfer_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shard's ``(transfers, offsets)`` block."""
+        arrays = self.read("transfers", "transfer_offsets")
+        return arrays["transfers"], arrays["transfer_offsets"]
+
+    def labels(self, target: str) -> np.ndarray:
+        """One target's labels; a shard without a ``label_policed``
+        member (every clean one) reads as all zeros."""
+        member = _label_member(target)
+        arrays = self.read(member)
+        if member not in arrays:
+            return np.zeros(self.entry.n_sessions, dtype=np.int64)
+        return np.asarray(arrays[member], dtype=np.int64)
+
+    def column(self, name: str) -> np.ndarray:
+        """One :data:`SESSION_COLUMNS` value per session."""
+        dtype = column_dtype(name)
+        if name in _SCALAR_COLUMNS:
+            return np.asarray(self.read(name)[name], dtype=dtype)
+        if name == "n_tls_transactions":
+            return np.diff(self.read("tls_offsets")["tls_offsets"])
+        if name == "n_http_transactions":
+            return np.diff(self.read("http_offsets")["http_offsets"])
+        # n_packets, as SessionRecord.n_packets counts them: data packets
+        # plus 7 handshake packets per connection, 0 without transfers.
+        arrays = self.read("transfers", "transfer_offsets", "connection_offsets")
+        transfers, offsets = arrays["transfers"], arrays["transfer_offsets"]
+        data = segment_sum(transfers[:, 6], offsets) + segment_sum(transfers[:, 7], offsets)
+        packets = data.astype(np.int64) + 7 * np.diff(arrays["connection_offsets"])
+        return np.where(np.diff(offsets) > 0, packets, 0)
+
+    def dataset(self) -> "Dataset":
+        """Every member decoded into records: a one-shard dataset."""
+        arrays = self.read()
+        return decode_shard(arrays, self._table(arrays, sni=True))
 
 
 def write_shard(
@@ -562,16 +789,26 @@ def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset"
 # The lazy corpus view
 
 
+def _stacked(parts: Iterable[np.ndarray], dtype: type) -> np.ndarray:
+    """Per-shard columns end to end (an empty corpus: an empty column)."""
+    parts = list(parts)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+
+
+
 class ShardedDataset:
-    """A format-4 corpus: manifest in memory, shards loaded on demand.
+    """A format-4 corpus: manifest in memory, shards read on demand.
 
     Duck-compatible with :class:`~repro.collection.dataset.Dataset`
     everywhere the pipeline reads corpora — ``service``, ``len()``,
     iteration (shard-at-a-time), ``labels``/``label_distribution``,
-    ``transfer_blocks``, ``profile`` — plus the shard-level access the
-    out-of-core paths use (:meth:`shard`, :meth:`iter_shards`,
-    :meth:`iter_tables`).
-    Materialized shards sit in a small LRU; ``counters`` tallies
+    ``column``, ``transfer_blocks``, ``iter_tables``,
+    ``block_readers``, ``profile`` — plus :meth:`shard`, one shard's
+    decoded records.
+    The column readers read only the npz members they need, through
+    one :class:`ShardReader` per shard, and decode no records.
+    Records (:meth:`shard`, indexing, iteration) are decoded a whole
+    shard at a time and sit in a small LRU; ``counters`` tallies
     ``materialized``/``cache_hits`` (mirrored as ``shards.*``
     telemetry counters) so cache behaviour is provable in benchmarks.
     """
@@ -586,7 +823,6 @@ class ShardedDataset:
         payload: dict,
         max_cached_shards: int = _DEFAULT_CACHED_SHARDS,
     ):
-        self.root = Path(root)
         self.service: str = str(payload["service"])
         self.scenario: str = str(payload.get("scenario", "identity"))
         self.workload: str = str(payload.get("workload", "has"))
@@ -594,6 +830,7 @@ class ShardedDataset:
         self.entries: list[ShardEntry] = [
             ShardEntry.from_dict(e) for e in payload["shards"]
         ]
+        self.root = root
         self.n_sessions: int = int(payload["n_sessions"])
         self.max_cached_shards = max_cached_shards
         self.counters = {"materialized": 0, "cache_hits": 0}
@@ -643,6 +880,17 @@ class ShardedDataset:
         except (KeyError, IndexError, ValueError, TypeError) as exc:
             raise _format_error(root, str(exc)) from exc
 
+    @property
+    def root(self) -> Path:
+        """The corpus directory; the shard readers follow it when the
+        artifact store moves a built corpus into place."""
+        return self._root
+
+    @root.setter
+    def root(self, path: str | Path) -> None:
+        self._root = Path(path)
+        self._readers = tuple(ShardReader(self._root / e.name, e) for e in self.entries)
+
     # -- dataset interface ---------------------------------------------
     @property
     def profile(self):
@@ -679,66 +927,42 @@ class ShardedDataset:
         s = int(np.searchsorted(self._bounds, index, side="right")) - 1
         return self.shard(s)[index - int(self._bounds[s])]
 
-    def labels(self, target: str) -> np.ndarray:
-        """Ground-truth categories, streamed from the label columns.
+    def block_readers(self) -> tuple[ShardReader, ...]:
+        """One :class:`ShardReader` per shard, in manifest order.
 
-        Reads only each shard's ``label_<target>`` npz member — no
-        transaction or transfer data is ever decompressed.  The
+        Picklable, so a pool task can read its shard's members in the
+        worker (:mod:`repro.collection.fleet`, flow export); an
+        in-memory :class:`~repro.collection.dataset.Dataset` is its own
+        one block reader.
+        """
+        return self._readers
+
+    def labels(self, target: str) -> np.ndarray:
+        """Ground-truth categories, read from the label members alone.
+
+        No transaction or transfer data is decompressed.  The
         ``policed`` column is optional on disk (clean shards omit it),
         so its absence decodes as all-zeros.
         """
-        if target not in TARGETS and target != "policed":
-            raise ValueError(
-                f"unknown target {target!r}; expected one of "
-                f"{TARGETS + ('policed',)}"
-            )
-        parts = []
-        for i in range(self.n_shards):
-            cached = self._cache.get(i)
-            if cached is not None:
-                parts.append(cached.labels(target))
-                continue
-            try:
-                with np.load(self._shard_path(i), allow_pickle=False) as z:
-                    member = f"label_{target}"
-                    if target == "policed" and member not in z.files:
-                        parts.append(
-                            np.zeros(self.entries[i].n_sessions, dtype=np.int64)
-                        )
-                    else:
-                        parts.append(np.asarray(z[member], dtype=np.int64))
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-                raise _format_error(
-                    self.root, f"cannot read labels of {self.entries[i].name}: {exc}"
-                ) from exc
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        _label_member(target)
+        return _stacked((r.labels(target) for r in self._readers), np.int64)
+
+    def column(self, name: str) -> np.ndarray:
+        """One value per session of a :data:`SESSION_COLUMNS` column.
+
+        Stored scalars read their member; ``n_tls_transactions`` and
+        ``n_http_transactions`` come from the offset indexes and
+        ``n_packets`` from the transfer rows, as the records compute
+        them.  No shard is decoded.
+        """
+        dtype = column_dtype(name)
+        return _stacked((r.column(name) for r in self._readers), dtype)
 
     def transfer_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each shard's ``(transfers, offsets)`` block, in manifest order.
-
-        Reads only each shard's ``transfers`` and ``transfer_offsets``
-        npz members, as :meth:`labels` reads label members, so no shard
-        is decoded.  A malformed member raises
-        :class:`~repro.collection.dataset.DatasetFormatError` naming the
-        shard.
-        """
-        for i, entry in enumerate(self.entries):
-            try:
-                with np.load(self._shard_path(i), allow_pickle=False) as z:
-                    transfers = _rows_of("transfers", z["transfers"], 10)
-                    offsets = _checked_offsets(
-                        "transfer_offsets",
-                        z["transfer_offsets"],
-                        entry.n_sessions,
-                        transfers.shape[0],
-                    )
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-                raise _format_error(
-                    self.root, f"cannot read transfers of {entry.name}: {exc}"
-                ) from exc
-            yield transfers, offsets
+        """Each shard's ``(transfers, offsets)`` block, in manifest order,
+        read from its ``transfers`` and ``transfer_offsets`` members."""
+        for reader in self._readers:
+            yield reader.transfer_block()
 
     def label_distribution(self, target: str) -> np.ndarray:
         """Fraction of sessions per category, straight off the manifest."""
@@ -754,9 +978,6 @@ class ShardedDataset:
         return counts / counts.sum()
 
     # -- shard access --------------------------------------------------
-    def _shard_path(self, index: int) -> Path:
-        return self.root / self.entries[index].name
-
     def shard(self, index: int) -> "Dataset":
         """Materialize one shard as a :class:`Dataset` (LRU-cached)."""
         if not 0 <= index < self.n_shards:
@@ -767,21 +988,8 @@ class ShardedDataset:
             self.counters["cache_hits"] += 1
             telemetry.count("shards.cache_hit")
             return cached
-        entry = self.entries[index]
-        with telemetry.span("shard.load", shard=entry.name) as sp:
-            try:
-                with np.load(self._shard_path(index), allow_pickle=False) as z:
-                    dataset = decode_shard({name: z[name] for name in z.files})
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-                raise _format_error(
-                    self.root, f"cannot read shard {entry.name}: {exc}"
-                ) from exc
-            if len(dataset) != entry.n_sessions:
-                raise _format_error(
-                    self.root,
-                    f"shard {entry.name} holds {len(dataset)} sessions, "
-                    f"manifest says {entry.n_sessions}",
-                )
+        with telemetry.span("shard.load", shard=self.entries[index].name) as sp:
+            dataset = self._readers[index].dataset()
             sp.set(sessions=len(dataset))
         self.counters["materialized"] += 1
         telemetry.count("shards.materialized")
@@ -790,22 +998,19 @@ class ShardedDataset:
             self._cache.popitem(last=False)
         return dataset
 
-    def iter_shards(self) -> "Iterator[tuple[ShardEntry, Dataset]]":
-        """``(entry, shard)`` pairs, materialized one at a time."""
-        for i, entry in enumerate(self.entries):
-            yield entry, self.shard(i)
-
     def iter_tables(self) -> Iterator[TransactionTable]:
-        """Per-shard transaction tables, for shard-at-a-time reduction."""
-        for i in range(self.n_shards):
-            yield self.shard(i).tls_table()
+        """Per-shard transaction tables, for shard-at-a-time reduction,
+        read from each shard's ``tls_*`` members alone."""
+        for reader in self._readers:
+            yield reader.tls_table()
 
     def tls_table(self) -> TransactionTable:
         """The whole corpus's transactions as one table.
 
-        This *materializes every shard* — it exists for compatibility
-        with consumers that genuinely need the corpus-level view;
-        out-of-core paths should use :meth:`iter_tables`.
+        Reads every shard's ``tls_*`` members and holds all of the
+        corpus's transactions at once — it exists for consumers that
+        genuinely need the corpus-level view; out-of-core paths should
+        use :meth:`iter_tables`.
         """
         return TransactionTable.concat(list(self.iter_tables()))
 

@@ -108,7 +108,7 @@ def run(n_sessions: int | None = None, seed: int = 404) -> dict:
             "sl_accuracy": sl_only.accuracy,
             "fine_feature_gain": full.accuracy - sl_only.accuracy,
             "tls_per_session": float(
-                np.mean([s.n_tls_transactions for s in dataset])
+                np.mean(dataset.column("n_tls_transactions"))
             ),
         }
     return result

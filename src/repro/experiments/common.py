@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.artifacts import CACHE_VERSION, cache_dir, get_store
+from repro.artifacts import CACHE_VERSION, STAGING_PREFIX, cache_dir, get_store
 from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.fleet import extract_tls_sharded
 from repro.collection.harness import CollectionConfig, collect_corpus
@@ -167,7 +167,7 @@ def dataset_stage(
 
     def staged_build() -> ShardedDataset:
         cache_dir().mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(dir=cache_dir(), prefix=".corpus-staging-"))
+        staging = Path(tempfile.mkdtemp(dir=cache_dir(), prefix=STAGING_PREFIX))
         try:
             return build(staging, shard_size)
         except BaseException:

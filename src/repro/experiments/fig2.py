@@ -28,20 +28,18 @@ def run(dataset: Dataset | None = None, window_s: float = 5.0) -> dict:
     (the series the paper plots).
     """
     dataset = dataset if dataset is not None else get_corpus("svc1")
-    ratios = np.array(
-        [s.n_http_transactions / max(s.n_tls_transactions, 1) for s in dataset]
-    )
+    n_tls = dataset.column("n_tls_transactions")
+    n_http = dataset.column("n_http_transactions")
+    ratios = n_http / np.maximum(n_tls, 1)
     # Sample session: the paper's plot shows the startup burst, so pick
     # the session with the most TLS transactions opening inside the
     # window (ties broken toward typical HTTP/TLS ratios by order).
-    def burst_size(record) -> int:
-        t0 = min(t.start for t in record.tls_transactions)
-        return sum(1 for t in record.tls_transactions if t.start - t0 < window_s)
-
-    sample_index = int(
-        max(range(len(dataset)), key=lambda i: burst_size(dataset[i]))
-    )
-    sample = dataset[sample_index]
+    table = dataset.tls_table()
+    session = table.session_ids
+    first_start = np.minimum.reduceat(table.start, table.offsets[:-1])
+    in_burst = table.start - first_start[session] < window_s
+    burst_sizes = np.bincount(session[in_burst], minlength=table.n_sessions)
+    sample = dataset[int(np.argmax(burst_sizes))]
     t0 = min(t.start for t in sample.tls_transactions)
     tls_intervals = [
         (t.start - t0, min(t.end - t0, window_s))
@@ -55,12 +53,8 @@ def run(dataset: Dataset | None = None, window_s: float = 5.0) -> dict:
     ]
     return {
         "mean_http_per_tls": float(ratios.mean()),
-        "mean_tls_per_session": float(
-            np.mean([s.n_tls_transactions for s in dataset])
-        ),
-        "mean_http_per_session": float(
-            np.mean([s.n_http_transactions for s in dataset])
-        ),
+        "mean_tls_per_session": float(np.mean(n_tls)),
+        "mean_http_per_session": float(np.mean(n_http)),
         "sample_tls_intervals": tls_intervals,
         "sample_http_starts": http_starts,
         "paper_http_per_tls": PAPER_HTTP_PER_TLS,

@@ -25,12 +25,12 @@ def run(datasets: dict[str, object] | None = None) -> dict:
     """Bandwidth CDF percentiles and duration-bucket shares."""
     if datasets is None:
         datasets = {svc: get_corpus(svc) for svc in SERVICES}
-    bandwidths = np.array(
-        [s.link_mean_bps for ds in datasets.values() for s in ds]
+    bandwidths = np.concatenate(
+        [ds.column("link_mean_bps") for ds in datasets.values()]
     )
-    durations_min = np.array(
-        [s.session_end / 60.0 for ds in datasets.values() for s in ds]
-    )
+    durations_min = np.concatenate(
+        [ds.column("session_end") for ds in datasets.values()]
+    ) / 60.0
     cdf = {
         p: float(np.percentile(bandwidths, p) / 1e3)  # kbps
         for p in _PERCENTILES

@@ -53,7 +53,7 @@ def run_service(dataset: Dataset, target: str = "combined") -> dict:
         "accuracy": tls.accuracy,
         "recall": tls.recall,
         "records_per_session": float(
-            np.mean([s.n_tls_transactions for s in dataset])
+            np.mean(dataset.column("n_tls_transactions"))
         ),
     }
 
@@ -70,7 +70,7 @@ def run_service(dataset: Dataset, target: str = "combined") -> dict:
     result["packets"] = {
         "accuracy": pkt.accuracy,
         "recall": pkt.recall,
-        "records_per_session": float(np.mean([s.n_packets for s in dataset])),
+        "records_per_session": float(np.mean(dataset.column("n_packets"))),
     }
     return result
 

@@ -48,7 +48,8 @@ def startup_category(delay_s: float) -> int:
 def startup_labels(dataset: Dataset) -> np.ndarray:
     """Startup-delay categories for a corpus."""
     return np.array(
-        [startup_category(s.startup_delay) for s in dataset], dtype=np.int64
+        [startup_category(d) for d in dataset.column("startup_delay").tolist()],
+        dtype=np.int64,
     )
 
 

@@ -8,14 +8,15 @@ temporal features gain resolution the TLS view lacks; packet counters
 additionally enable a mean-packet-size feature family.
 
 Extraction is columnar end to end.  A corpus hands over its transfers
-block by block — an in-memory corpus as one block, a sharded one shard
-by shard, read from the shard's transfer members without decoding it —
-and :func:`~repro.netflow.exporter.export_flow_table` exports each
-block in one array pass into a
-:class:`~repro.tlsproxy.table.TransactionTable` plus packet columns.
-The vectorized TLS kernel and segment reductions for the packet
-statistics then featurize it.  The per-session reference (the
-per-connection exporter and per-session features) lives in
+through its block readers — an in-memory corpus is one block, a sharded
+one has a :class:`~repro.collection.shards.ShardReader` per shard —
+and each block is one pool task (:func:`repro.parallel.parallel_map`,
+``chunksize=1``): the worker reads the block's transfer members, and
+:func:`~repro.netflow.exporter.export_flow_table` exports them in one
+array pass into a :class:`~repro.tlsproxy.table.TransactionTable` plus
+packet columns.  The vectorized TLS kernel and segment reductions for
+the packet statistics then featurize it.  The per-session reference
+(the per-connection exporter and per-session features) lives in
 ``tests/flow_oracle.py``; the two are bit-identical.
 """
 
@@ -27,6 +28,7 @@ from repro import telemetry
 from repro.collection.dataset import Dataset
 from repro.features.tls_features import TLS_FEATURE_NAMES, extract_tls_table
 from repro.netflow.exporter import ExporterConfig, FlowTable, export_flow_table
+from repro.parallel import parallel_map
 from repro.tlsproxy.table import segment_min_med_max, segment_sum
 
 __all__ = ["FLOW_FEATURE_NAMES", "extract_flow_matrix"]
@@ -63,37 +65,47 @@ def _flow_features(flows: FlowTable) -> np.ndarray:
     return np.column_stack([base, med_down, med_up, pkts_per_sec])
 
 
+def _block_flows(task) -> tuple[np.ndarray, np.ndarray | None]:
+    """Worker: one block's flow counts per session and its feature rows
+    (``None`` when a session exports no flow record)."""
+    reader, config = task
+    flows = export_flow_table(*reader.transfer_block(), config)
+    counts = flows.counts
+    if not counts.size or (counts == 0).any():
+        return counts, None
+    return counts, _flow_features(flows)
+
+
 def extract_flow_matrix(
     dataset: Dataset, config: ExporterConfig | None = None
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Flow-feature matrix for a whole corpus (exporting on the fly).
 
-    Each block of :meth:`~repro.collection.dataset.Dataset.transfer_blocks`
-    (the whole corpus, or one shard of a
-    :class:`~repro.collection.shards.ShardedDataset`) is exported in one
-    array pass and featurized columnar; rows stack in session order.
-    Every feature is a within-session reduction, so the block size
-    cannot change any value, and the output is bit-identical to
-    stacking the per-session reference.  A session that exports no flow
-    record raises ``ValueError`` naming it.
+    Each of the corpus's block readers (the in-memory corpus itself, or
+    one per shard of a :class:`~repro.collection.shards.ShardedDataset`)
+    is one pool task over ``REPRO_JOBS`` workers: its block is exported
+    in one array pass and featurized columnar, and rows stack in
+    session order.  Every feature is a within-session reduction, so the
+    block size and worker count cannot change any value, and the output
+    is bit-identical to stacking the per-session reference.  A session
+    that exports no flow record raises ``ValueError`` naming it.
     """
     blocks = []
     first = 0
     n_flows = 0
     with telemetry.span("features.flow", sessions=len(dataset)) as sp:
-        for transfers, offsets in dataset.transfer_blocks():
-            flows = export_flow_table(transfers, offsets, config)
-            counts = flows.counts
+        tasks = [(reader, config) for reader in dataset.block_readers()]
+        for counts, X in parallel_map(_block_flows, tasks, chunksize=1):
             if (counts == 0).any():
                 empty = first + int(np.flatnonzero(counts == 0)[0])
                 raise ValueError(
                     f"session {empty} exports no flow record "
                     "(a session needs at least one flow record)"
                 )
-            if counts.size:
-                blocks.append(_flow_features(flows))
+            if X is not None:
+                blocks.append(X)
             first += counts.size
-            n_flows += flows.records.n_rows
+            n_flows += int(counts.sum())
         sp.set(flows=n_flows)
     if not blocks:
         return np.empty((0, len(FLOW_FEATURE_NAMES))), FLOW_FEATURE_NAMES

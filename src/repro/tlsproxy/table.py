@@ -8,7 +8,10 @@ float64 columns (``start``, ``end``, ``uplink``, ``downlink``) plus a
 session *offset index*: session ``s`` owns rows
 ``[offsets[s], offsets[s + 1])``.  SNI hostnames ride along as an
 optional string column for the consumers that need them (boundary
-detection, serialization).
+detection, serialization).  The constructor checks every row's values
+(:func:`check_rows`), so a table read straight from stored columns
+holds no row a :class:`~repro.tlsproxy.records.TlsTransaction` would
+reject.
 
 The module also provides the segment-reduction primitives the
 vectorized feature extractors are built from.  Bit-identity between the
@@ -32,12 +35,44 @@ from repro.tlsproxy.records import TlsTransaction, transactions_to_columns
 
 __all__ = [
     "TransactionTable",
+    "check_rows",
     "ordered_sum",
     "segment_sum",
     "segment_min_med_max",
 ]
 
 _ZERO_OFFSET = np.zeros(1, dtype=np.intp)
+
+
+def check_rows(
+    start: np.ndarray, end: np.ndarray, uplink: np.ndarray, downlink: np.ndarray
+) -> None:
+    """Reject rows no TLS export can hold, all rows in one array pass.
+
+    The column form of :class:`~repro.tlsproxy.records.TlsTransaction`'s
+    checks: every value finite, no transaction ending before it starts,
+    no negative byte count.  Rows that reach a table without passing
+    through record objects (shard columns, flow export) are checked
+    here.  The ``ValueError`` names the first bad row, and its message
+    starts with the offending column's name.
+    """
+    ok = np.isfinite(start) & np.isfinite(end) & np.isfinite(uplink) & np.isfinite(downlink)
+    ok &= end >= start
+    ok &= uplink >= 0
+    ok &= downlink >= 0
+    if ok.all():
+        return
+    row = int(np.argmin(ok))
+    columns = {"start": start, "end": end, "uplink": uplink, "downlink": downlink}
+    for name, column in columns.items():
+        if not np.isfinite(column[row]):
+            raise ValueError(f"{name} must be finite, got {float(column[row])} at row {row}")
+    if end[row] < start[row]:
+        raise ValueError(f"end is before start at row {row}")
+    name = "uplink" if uplink[row] < 0 else "downlink"
+    raise ValueError(
+        f"{name} must be non-negative, got {float(columns[name][row])} at row {row}"
+    )
 
 
 def ordered_sum(values: np.ndarray) -> float:
@@ -146,10 +181,13 @@ class TransactionTable:
             raise ValueError("offsets must be a non-empty 1-D index")
         if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 0):
             raise ValueError("offsets must rise monotonically from 0 to n_rows")
+        check_rows(self.start, self.end, self.uplink, self.downlink)
         if self.sni is not None:
             sni = tuple(self.sni)
             if len(sni) != n:
                 raise ValueError("sni must have one hostname per row")
+            if "" in sni:
+                raise ValueError(f"sni must be non-empty at row {sni.index('')}")
             object.__setattr__(self, "sni", sni)
 
     # -- construction ---------------------------------------------------
@@ -235,8 +273,12 @@ class TransactionTable:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "TransactionTable":
-        """Inverse of :meth:`to_arrays` (exact round-trip)."""
-        hosts = [str(h) for h in arrays["hosts"]]
+        """Inverse of :meth:`to_arrays` (exact round-trip).
+
+        ``host_codes`` must index ``hosts``; a shard's codes are checked
+        on read (:class:`~repro.collection.shards.ShardReader`).
+        """
+        hosts = np.asarray(arrays["hosts"], dtype=np.str_)
         codes = np.asarray(arrays["host_codes"], dtype=np.int64)
         return cls(
             start=arrays["start"],
@@ -244,7 +286,7 @@ class TransactionTable:
             uplink=arrays["uplink"],
             downlink=arrays["downlink"],
             offsets=arrays["offsets"],
-            sni=tuple(hosts[c] for c in codes),
+            sni=tuple(hosts[codes].tolist()),
         )
 
     @classmethod

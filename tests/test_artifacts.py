@@ -177,6 +177,20 @@ class TestMaintenance:
         # After clearing, entries recompute cleanly.
         store.get_or_compute("alpha", {"i": 1}, lambda: {"v": np.zeros(4)})
 
+    def test_staging_directories_are_counted_and_cleared(self, store, tmp_path):
+        """A staging directory a killed corpus build left behind shows
+        in ``stats`` and goes with ``clear``."""
+        staging = tmp_path / f"{artifacts.STAGING_PREFIX}abc123"
+        staging.mkdir()
+        (staging / "shard-00000.npz").write_bytes(b"x" * 1000)
+        store.get_or_compute("alpha", {"i": 1}, lambda: {"v": np.zeros(4)})
+        stats = store.stats()
+        assert stats["staging"] == {"dirs": 1, "bytes": 1000}
+        assert stats["entries"] == 1
+        assert store.clear() == 3  # payload + meta + the staged shard
+        assert not staging.exists()
+        assert store.stats()["staging"] == {"dirs": 0, "bytes": 0}
+
     def test_clear_leaves_foreign_files_alone(self, store, tmp_path):
         foreign = tmp_path / "foreign.json.gz"
         foreign.write_bytes(b"foreign")

@@ -188,6 +188,28 @@ class TestCacheCommandsHonorConfig:
         assert str(tmp_path) in capsys.readouterr().out
 
 
+    def test_cache_commands_report_staging_directories(self, tmp_path, capsys):
+        """A staging directory a killed corpus build left, holding one
+        shard file: ``cache info`` counts it, ``cache clear`` removes
+        it and says so."""
+        from repro.artifacts import STAGING_PREFIX
+        from repro.cli import main
+
+        staging = tmp_path / f"{STAGING_PREFIX}killed"
+        staging.mkdir()
+        (staging / "shard-00000.npz").write_bytes(b"x" * 2_000_000)
+        with override(cache_dir=tmp_path):
+            self._seed_store()
+            assert main(["cache", "info"]) == 0
+            assert "staging: 1 directories, 2.0 MB" in capsys.readouterr().out
+            assert main(["cache", "clear"]) == 0
+            assert "removed 3 files" in (out := capsys.readouterr().out)
+            assert "and 1 staging directories" in out
+            assert main(["cache", "info"]) == 0
+            assert "staging: 0 directories" in capsys.readouterr().out
+        assert not staging.exists()
+
+
 class TestEnvironIsolation:
     """The lint gate's contract: configuration is parsed in one place."""
 

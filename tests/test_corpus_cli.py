@@ -166,6 +166,38 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
 
+class TestCorruptMember:
+    """A shard member that does not match the manifest reaches every
+    command as one named ``error:`` line and exit 1, not a traceback."""
+
+    @pytest.fixture()
+    def short_labels(self, shard_dir, tmp_path):
+        import shutil
+
+        import numpy as np
+
+        broken = tmp_path / "short-labels.shards"
+        shutil.copytree(shard_dir, broken)
+        path = broken / shard_name(0)
+        with np.load(path) as z:
+            arrays = {member: z[member] for member in z.files}
+        arrays["label_combined"] = arrays["label_combined"][:2]
+        np.savez_compressed(path, **arrays)
+        return broken
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_named_error_line(self, short_labels, tmp_path, command, capsys):
+        argv = [command, "--corpus", str(short_labels), "--trees", "3"]
+        if command == "train":
+            argv += ["-o", str(tmp_path / "model.pkl")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "shard-00000.npz: label_combined holds 2 entries for 4 sessions" in err
+        assert main(["corpus", "verify", str(short_labels)]) == 1
+        assert "shard-00000.npz: digest mismatch" in capsys.readouterr().err
+
+
 class TestShard:
     def test_reshard_monolithic(self, mono_path, tmp_path, capsys):
         out = tmp_path / "resharded.shards"

@@ -10,8 +10,10 @@ table3 numbers whichever path produced the features.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import api
+from repro import api, config
 from repro.collection.harness import collect_corpus
 from repro.collection.shards import ShardedDataset, save_sharded
 from repro.experiments import fig5, table3
@@ -20,6 +22,7 @@ from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
     extract_tls_features,
     extract_tls_matrix,
+    extract_tls_table,
 )
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import cross_val_predict, cross_validate
@@ -84,6 +87,55 @@ class TestTlsGoldenEquivalence:
             extract_tls_matrix(table)
 
 
+@st.composite
+def tls_sessions(draw):
+    """1-6 sessions of 1-40 transactions each.
+
+    Starts sit on a coarse grid, so equal starts (zero inter-arrival
+    times) are common; durations are zero, on the grid or arbitrary;
+    uplink is often zero; byte counts repeat within a session, so
+    medians fall between or on equal values.
+    """
+    grid = draw(st.sampled_from((0.25, 1.0, 2.5)))
+    sessions = []
+    for s in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 40))
+        starts = draw(st.lists(st.integers(0, 80), min_size=n, max_size=n))
+        durations = draw(
+            st.lists(st.sampled_from((0.0, grid, 4 * grid, 37.3)), min_size=n, max_size=n)
+        )
+        uplinks = draw(st.lists(st.sampled_from((0, 0, 517, 1400)), min_size=n, max_size=n))
+        downlinks = draw(
+            st.lists(st.sampled_from((0, 1000, 1000, 73_411, 2_000_000)), min_size=n, max_size=n)
+        )
+        sessions.append(
+            [
+                TlsTransaction(
+                    start=k * grid, end=k * grid + d, uplink_bytes=u,
+                    downlink_bytes=down, sni=f"host{s}.example",
+                )
+                for k, d, u, down in zip(starts, durations, uplinks, downlinks)
+            ]
+        )
+    return sessions
+
+
+class TestTlsKernelProperties:
+    """For any transaction table, the columnar kernel equals stacking
+    the per-session reference, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sessions=tls_sessions(),
+        intervals=st.sampled_from((TEMPORAL_INTERVALS, (1, 3, 60), (10, 45, 300, 900))),
+    )
+    def test_kernel_equals_stacked_reference(self, sessions, intervals):
+        got = extract_tls_table(TransactionTable.from_sessions(sessions), intervals)
+        want = np.vstack([extract_tls_features(s, intervals) for s in sessions])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 #: Two non-default exporters: finer periodic summaries, and eager
 #: idle splits under very short active timeouts.
 EXPORTERS = (
@@ -134,6 +186,17 @@ class TestFlowGoldenEquivalence:
         X_memory, _ = extract_flow_matrix(corpus)
         assert X_sharded.tobytes() == X_memory.tobytes()
         assert sharded.counters["materialized"] == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_fan_out_equals_in_memory_at_any_worker_count(self, corpus, jobs, tmp_path):
+        """One shard per pool task: the matrix equals the in-memory one
+        byte for byte at every worker and shard count."""
+        X_memory, _ = extract_flow_matrix(corpus)
+        for shard_size in (1, 3, 50):
+            sharded = save_sharded(corpus, tmp_path / f"c{shard_size}.shards", shard_size)
+            with config.override(jobs=jobs):
+                X_sharded, _ = extract_flow_matrix(sharded)
+            assert X_sharded.tobytes() == X_memory.tobytes(), shard_size
 
 
 class TestExperimentNumbersUnchanged:

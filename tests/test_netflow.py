@@ -46,8 +46,11 @@ class Block:
     def __len__(self):
         return self.offsets.shape[0] - 1
 
-    def transfer_blocks(self):
-        yield self.transfers, self.offsets
+    def block_readers(self):
+        return (self,)
+
+    def transfer_block(self):
+        return self.transfers, self.offsets
 
 
 def transfer_rows(conn, start, end, up=100.0, down=1000.0, pkts_down=10.0, pkts_up=2.0):

@@ -2,16 +2,26 @@
 atomicity, digest verification, and the lazy-access contract."""
 
 import gzip
+import itertools
 import json
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import api, config
 from repro.collection.dataset import Dataset, DatasetFormatError
+from repro.collection.fleet import extract_tls_sharded
 from repro.collection.harness import collect_corpus
 from repro.collection.shards import (
     MANIFEST_NAME,
+    SESSION_COLUMNS,
     ShardedDataset,
+    column_dtype,
     save_sharded,
     shard_name,
 )
@@ -50,6 +60,55 @@ def _swap(offsets):
 def _shorten_end(offsets):
     offsets[-1] -= 1
     return offsets
+
+
+def _set(row, value):
+    def edit(column):
+        column[row] = value
+        return column
+
+    return edit
+
+
+#: One corrupt member per check the shard reader and the table
+#: validator make: ``(member, edit, message)``.
+BAD_MEMBERS = {
+    "short-label": ("label_combined", lambda labels: labels[:2], "label_combined holds 2 entries"),
+    "nan-start": ("tls_start", _set(0, np.nan), "tls_start must be finite, got nan at row 0"),
+    "end-before-start": ("tls_end", _set(1, -1.0), "tls_end is before start at row 1"),
+    "negative-bytes": ("tls_uplink", _set(2, -5.0), "tls_uplink must be non-negative"),
+    "empty-host": ("tls_hosts", _set(0, ""), "tls_hosts names an empty host"),
+    "host-code-out-of-range": ("tls_host_codes", _set(0, -1), "tls_host_codes must index"),
+}
+
+
+def _reads(sharded, tmp_path):
+    """Every columnar read of a corpus, by name.  The fleet extract
+    gets a fresh artifact store per call, so it always reads shards."""
+    stores = itertools.count()
+
+    def fleet():
+        with config.override(cache_dir=tmp_path / f"store-{next(stores)}"):
+            return extract_tls_sharded(sharded)[0]
+
+    return {
+        "fleet-extract": fleet,
+        "flow-fan-out": lambda: extract_flow_matrix(sharded)[0],
+        "iter-tables": lambda: [
+            (t.start, t.end, t.uplink, t.downlink, t.offsets, t.sni)
+            for t in sharded.iter_tables()
+        ],
+        "column": lambda: [sharded.column(name) for name in SESSION_COLUMNS],
+        "labels": lambda: sharded.labels("combined"),
+    }
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b
 
 
 def assert_records_equal(ra, rb):
@@ -161,6 +220,55 @@ class TestLaziness:
         assert sharded.counters["materialized"] == sharded.n_shards + 1
 
 
+@pytest.fixture(scope="module")
+def kinds():
+    """Corpora of three kinds: on-demand, RTC, and impaired on-demand."""
+    return {
+        "svc1": api.collect_corpus("svc1", n_sessions=5, seed=41, jobs=1),
+        "rtc1": api.collect_corpus("rtc1", n_sessions=5, seed=42, workload="rtc", jobs=1),
+        "svc1-hostile": api.collect_corpus(
+            "svc1", n_sessions=5, seed=43, scenario="hostile", jobs=1
+        ),
+    }
+
+
+class TestColumnarReadProperties:
+    """Records written at any shard size read back identically through
+    every columnar reader and through the decoded shards."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["svc1", "rtc1", "svc1-hostile"]), shard_size=st.integers(1, 6))
+    def test_write_then_read_columns(self, kinds, kind, shard_size):
+        corpus = kinds[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            sharded = save_sharded(corpus, Path(tmp) / "c.shards", shard_size)
+            mono, table = corpus.tls_table(), sharded.tls_table()
+            for name in ("start", "end", "uplink", "downlink", "offsets"):
+                assert _same(getattr(table, name), getattr(mono, name)), name
+            assert table.sni == mono.sni
+            transfers, offsets = corpus.transfer_block()
+            blocks = list(sharded.transfer_blocks())
+            assert _same(np.concatenate([t for t, _ in blocks]), transfers)
+            rebased = [0]
+            for _, block_offsets in blocks:
+                rebased.extend((block_offsets[1:] + rebased[-1]).tolist())
+            assert rebased == offsets.tolist()
+            for target in TARGETS + ("policed",):
+                assert _same(sharded.labels(target), corpus.labels(target)), target
+            for name in SESSION_COLUMNS:
+                want = np.array([getattr(r, name) for r in corpus], dtype=column_dtype(name))
+                assert _same(corpus.column(name), want), name
+                assert _same(sharded.column(name), corpus.column(name)), name
+            assert sharded.counters["materialized"] == 0
+            back = [r for i in range(sharded.n_shards) for r in sharded.shard(i)]
+            assert len(back) == len(corpus)
+            for ra, rb in zip(corpus, back):
+                assert_records_equal(ra, rb)
+                assert (rb.scenario, rb.workload) == (ra.scenario, ra.workload)
+                for name in SESSION_COLUMNS:
+                    assert getattr(rb, name) == getattr(ra, name), name
+
+
 class TestLegacyFormats:
     """The retired single-file formats 1-3 are rejected at the edge
     with a named error; corpora load from format-4 directories only."""
@@ -240,6 +348,49 @@ class TestCorruption:
         (sharded.root / sharded.entries[0].name).unlink()
         with pytest.raises(DatasetFormatError):
             sharded.verify()
+
+    @pytest.mark.parametrize("case", sorted(BAD_MEMBERS))
+    def test_bad_member_is_named_by_every_read_of_it(self, sharded, tmp_path, case):
+        """A read that loads the corrupt member raises a named
+        DatasetFormatError; a read that does not load it returns what it
+        returned before the corruption."""
+        member, edit, message = BAD_MEMBERS[case]
+        reads = _reads(sharded, tmp_path)
+        clean = {name: read() for name, read in reads.items()}
+        shard = sharded.root / sharded.entries[0].name
+        _rewrite_member(shard, member, edit)
+        sharded.drop_caches()
+        reading = {"fleet-extract", "iter-tables"} if member.startswith("tls_") else {"labels"}
+        for name, read in reads.items():
+            if name in reading:
+                with pytest.raises(DatasetFormatError) as excinfo:
+                    read()
+                assert f"{shard.name}: {message}" in str(excinfo.value), name
+            else:
+                assert _same(read(), clean[name]), name
+        with pytest.raises(DatasetFormatError, match=f"{shard.name}: {member}"):
+            sharded.shard(0)
+
+    def test_short_label_member_of_a_svc1_corpus(self, tmp_path):
+        """Six sessions in shards of 3, shard 0 rewritten with two
+        ``label_combined`` entries: no read returns five labels or
+        raises a bare IndexError."""
+        corpus = save_sharded(
+            collect_corpus("svc1", 6, seed=3), tmp_path / "svc1.shards", shard_size=3
+        )
+        _rewrite_member(corpus.root / shard_name(0), "label_combined", lambda a: a[:2])
+        corpus.drop_caches()
+        for read in (
+            lambda: corpus.labels("combined"),
+            lambda: corpus.shard(0),
+            lambda: corpus[0],
+        ):
+            with pytest.raises(
+                DatasetFormatError, match="shard-00000.npz: label_combined holds 2 entries"
+            ):
+                read()
+        X, _ = api.extract_features(corpus)
+        assert X.shape[0] == 6
 
     def test_loading_corrupt_shard_fails_loud(self, sharded):
         (sharded.root / sharded.entries[0].name).write_bytes(b"garbage")

@@ -137,6 +137,39 @@ class TestTransactionTable:
                 downlink=np.zeros(2), offsets=np.array([0, 2]), sni=("a",),
             )
 
+    @pytest.mark.parametrize(
+        "column, row, value, message",
+        [
+            ("start", 0, np.nan, "start must be finite, got nan at row 0"),
+            ("end", 2, np.inf, "end must be finite, got inf at row 2"),
+            ("downlink", 1, -np.inf, "downlink must be finite, got -inf at row 1"),
+            ("end", 1, 0.5, "end is before start at row 1"),
+            ("uplink", 2, -1.0, "uplink must be non-negative, got -1.0 at row 2"),
+            ("downlink", 0, -3.0, "downlink must be non-negative, got -3.0 at row 0"),
+        ],
+    )
+    def test_row_values_are_checked(self, column, row, value, message):
+        """The constructor rejects what ``TlsTransaction`` rejects, for
+        rows that never were record objects."""
+        columns = {
+            "start": np.array([0.0, 1.0, 2.0]),
+            "end": np.array([1.0, 2.0, 2.0]),
+            "uplink": np.array([0.0, 5.0, 5.0]),
+            "downlink": np.array([9.0, 9.0, 0.0]),
+        }
+        TransactionTable(**columns, offsets=np.array([0, 3]))
+        columns[column][row] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransactionTable(**columns, offsets=np.array([0, 3]))
+
+    def test_empty_sni_is_rejected(self):
+        zeros = np.zeros(2)
+        with pytest.raises(ValueError, match="sni must be non-empty at row 1"):
+            TransactionTable(
+                start=zeros, end=zeros, uplink=zeros, downlink=zeros,
+                offsets=np.array([0, 2]), sni=("a", ""),
+            )
+
     def test_iter_sessions(self):
         table = self.make()
         slices = table.iter_sessions()
