@@ -3,7 +3,8 @@ memory ceiling.
 
 Collects a ``REPRO_SCALE``-sized corpus straight into a format-4 shard
 directory, extracts its TLS feature matrix shard-at-a-time and its flow
-matrix one shard per pool task, watching the process's peak RSS via
+matrix one shard per pool task, and builds every record once in one
+sweep, watching the process's peak RSS via
 :func:`resource.getrusage`.  The assertions are the out-of-core
 contract:
 
@@ -14,7 +15,10 @@ contract:
   n_shards, warm hits == n_shards, and the warm pass materializes zero
   shards (it touches only the manifest and the cache);
 * the sharded TLS matrix and the flow matrix are each bit-identical
-  for 1 and 4 workers.
+  for 1 and 4 workers;
+* the record sweep yields one record per session, with the TLS
+  counts the ``n_tls_transactions`` column reads, and reads each block
+  once (``materialized == n_shards``).
 
 Peak RSS, shard counts, and the cache counters land in ``extra_info``
 (published as ``BENCH_oocore.json`` by the CI job).
@@ -77,10 +81,14 @@ def test_sharded_collect_extract_bounded_memory(benchmark, tmp_path_factory):
         for jobs in (1, 4):
             with config.override(jobs=jobs):
                 flows.append(extract_flow_matrix(dataset)[0])
-        return dataset, X_cold, X_warm, cold, warm, warm_materialized, flows
+        # The record path: one sweep builds every record, one session
+        # at a time, from each block's members.
+        dataset.drop_caches()
+        record_tls = [record.n_tls_transactions for record in dataset]
+        return dataset, X_cold, X_warm, cold, warm, warm_materialized, flows, record_tls
 
-    dataset, X_cold, X_warm, cold, warm, warm_materialized, flows = benchmark.pedantic(
-        cycle, rounds=1, iterations=1
+    dataset, X_cold, X_warm, cold, warm, warm_materialized, flows, record_tls = (
+        benchmark.pedantic(cycle, rounds=1, iterations=1)
     )
     peak_mb = _peak_rss_mb()
     growth_mb = peak_mb - baseline_mb
@@ -115,3 +123,7 @@ def test_sharded_collect_extract_bounded_memory(benchmark, tmp_path_factory):
     flow_1, flow_4 = flows
     assert flow_1.shape[0] == n_sessions
     assert flow_1.tobytes() == flow_4.tobytes(), "flow matrix depends on the worker count"
+
+    assert len(record_tls) == n_sessions
+    assert record_tls == dataset.column("n_tls_transactions").tolist()
+    assert dataset.counters["materialized"] == dataset.n_shards, dataset.counters

@@ -37,7 +37,6 @@ import numpy as np
 from repro.collection.dataset import Dataset
 from repro.collection.harness import CollectionConfig
 from repro.collection.harness import collect_corpus as _collect_corpus
-from repro.collection.shards import ShardedDataset
 from repro.features.tls_features import TEMPORAL_INTERVALS, extract_tls_matrix
 from repro.ml.metrics import EvalReport
 from repro.ml.model_selection import cross_validate as _cross_validate
@@ -78,7 +77,7 @@ def collect_corpus(
     jobs: int | None = None,
     out: "str | None" = None,
     shard_size: int | None = None,
-) -> Dataset | ShardedDataset:
+) -> Dataset:
     """Simulate and collect a corpus of streaming sessions.
 
     Parameters
@@ -115,10 +114,9 @@ def collect_corpus(
         Worker processes (default: the resolved config's ``jobs``).
     out:
         Target *directory*: the corpus is written there as format-4
-        shards, and the returned corpus is the lazy
-        :class:`~repro.collection.shards.ShardedDataset` over it.
-        Without it the corpus returns in memory.  Required when
-        ``shard_size`` is given.
+        shards, and the returned corpus reads them on demand.  Without
+        it the corpus returns in memory.  Required when ``shard_size``
+        is given.
     shard_size:
         Sessions per shard (default: ``REPRO_SHARD_SIZE``, then 512).
 
@@ -126,7 +124,7 @@ def collect_corpus(
     -------
     Dataset
         The collected corpus, ready for :func:`extract_features`
-        (a lazy ``ShardedDataset`` when ``out`` is given).
+        (stored when ``out`` is given, else held in memory).
     """
     if scenario is not None:
         import dataclasses
@@ -193,13 +191,12 @@ def list_workloads() -> "list[dict[str, object]]":
     ]
 
 
-def load_corpus(path: "str") -> ShardedDataset:
+def load_corpus(path: "str") -> Dataset:
     """Open a stored corpus: a format-4 shard directory.
 
     ``path`` is the directory (or its ``manifest.json``); the result is
-    a lazy :class:`~repro.collection.shards.ShardedDataset` that reads
-    only the manifest up front and works wherever a :class:`Dataset`
-    does.  Malformed or incomplete directories, and any file (the
+    a :class:`Dataset` that reads only the manifest up front and reads
+    shards on demand.  Malformed or incomplete directories, and any file (the
     retired single-file formats 1-3 included), raise
     :class:`~repro.collection.dataset.DatasetFormatError` naming the
     path.

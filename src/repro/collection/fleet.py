@@ -39,7 +39,8 @@ import numpy as np
 
 from repro import telemetry
 from repro.artifacts import get_store
-from repro.collection.shards import ShardedDataset, ShardReader
+from repro.collection.dataset import Dataset
+from repro.collection.shards import ShardReader
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
     extract_tls_table,
@@ -73,7 +74,7 @@ def _extract_shard(task: tuple[ShardReader, tuple[int, ...]]) -> np.ndarray:
 
 
 def extract_tls_sharded(
-    dataset: ShardedDataset,
+    dataset: Dataset,
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
     n_jobs: int | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -87,8 +88,14 @@ def extract_tls_sharded(
     coordinator, counting one miss each.  Rows are stacked in manifest
     order, so the matrix is bit-identical to
     :func:`~repro.features.tls_features.extract_tls_matrix` on the
-    same corpus for any worker count.
+    same corpus for any worker count.  A corpus held in memory stores
+    no shard digests to key artifacts on and raises ``ValueError``.
     """
+    if not all(entry.sha256 for entry in dataset.entries):
+        raise ValueError(
+            f"extract_tls_sharded keys its cache on stored shard digests, and the "
+            f"{dataset.service} corpus is held in memory (extract_tls_matrix reads it)"
+        )
     names = feature_names(intervals)
     store = get_store()
     stage_config = {"intervals": list(intervals)}
@@ -143,7 +150,7 @@ def _score_shard(task) -> np.ndarray:
 
 def score_sharded(
     model,
-    dataset: ShardedDataset,
+    dataset: Dataset,
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
     n_jobs: int | None = None,
 ) -> np.ndarray:

@@ -10,7 +10,6 @@ simulator and packs the result into a :class:`SessionRecord`.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -20,9 +19,10 @@ import numpy as np
 from repro import telemetry
 from repro.collection.dataset import Dataset, SessionRecord
 from repro.collection.shards import (
-    ShardedDataset,
     ShardEntry,
+    ShardReader,
     commit_shard_dir,
+    held_block,
     manifest_payload,
     open_shard_dir,
     resolve_shard_size,
@@ -292,17 +292,18 @@ def _collect_task(
         Path | None,
         int,
     ],
-) -> list[SessionRecord] | ShardEntry:
+) -> ShardReader | ShardEntry:
     """Pool-worker entry point: collect one task's sessions.
 
     A shard task (``root`` set) writes shard ``index`` itself and
-    returns only its manifest entry, so its sessions never cross the
-    queue; a chunk task returns its records.
+    returns only its manifest entry; a chunk task returns its records
+    encoded into one held block.  Either way no record crosses the
+    queue, and the coordinator never holds a whole corpus of records.
     """
     profile, config, seeds, root, index = task
     records = collect_records(profile, config, seeds)
     if root is None:
-        return records
+        return held_block(profile.name, records)
     return write_shard(root, index, profile.name, records)
 
 
@@ -315,7 +316,7 @@ def collect_corpus(
     workload: str | Workload | None = None,
     out: str | Path | None = None,
     shard_size: int | None = None,
-) -> Dataset | ShardedDataset:
+) -> Dataset:
     """Collect a corpus of sessions for one service.
 
     The paper's corpora are 2,111 (Svc1), 2,216 (Svc2) and 1,440
@@ -331,17 +332,19 @@ def collect_corpus(
     ``np.random.SeedSequence(seed).spawn(n_sessions)``, making the
     corpus bit-identical for every worker count and shard size.
 
-    Without ``out`` the corpus returns in memory as a :class:`Dataset`.
-    With ``out`` it is written to that format-4 shard directory in
-    shards of ``shard_size`` (default ``REPRO_SHARD_SIZE``, 512) and
-    returned as the lazy :class:`~repro.collection.shards.ShardedDataset`;
-    the directory is opened before any session is simulated and its
+    Without ``out`` the corpus returns in memory, each worker's chunk
+    encoded into one held block by the worker.  With ``out`` it is
+    written to that format-4 shard directory in shards of
+    ``shard_size`` (default ``REPRO_SHARD_SIZE``, 512) and returned as
+    the stored :class:`~repro.collection.dataset.Dataset` over it; the
+    directory is opened before any session is simulated and its
     manifest is written last.  The task shape follows from the inputs
     alone: when every worker gets at least one whole shard
     (``n_sessions >= jobs * shard_size``), each task is one shard that
-    its worker writes, so no session crosses the queue; otherwise each
-    worker collects one chunk and the coordinator cuts the returned
-    records into the same shards.
+    its worker writes; otherwise each worker collects one chunk and the
+    coordinator cuts the records of the returned blocks into the same
+    shards, one shard's records at a time.  No record crosses the
+    queue either way.
     """
     if out is None and shard_size is not None:
         raise ValueError("shard_size needs out= (a target shard directory)")
@@ -376,10 +379,12 @@ def collect_corpus(
         if per_shard:
             entries = results
         else:
-            records = itertools.chain.from_iterable(results)
+            corpus = Dataset._held(
+                profile.name, plan.config.scenario.name, plan.config.workload.name, results
+            )
             if root is None:
-                return Dataset(service=profile.name, sessions=list(records))
-            entries = write_shards(root, profile.name, records, shard_size)
+                return corpus
+            entries = write_shards(root, profile.name, corpus, shard_size)
         return commit_shard_dir(
             root,
             manifest_payload(

@@ -21,8 +21,8 @@ its transactions, and a corrupt member is named, never misread.
 
 The manifest carries per-shard session counts, per-target label
 distributions, and the SHA-256 digest of every shard file.  Its
-canonical-JSON digest (:attr:`ShardedDataset.manifest_digest`) is the
-corpus's content address and is what downstream
+canonical-JSON digest (:attr:`~repro.collection.dataset.Dataset.manifest_digest`)
+is the corpus's content address and is what downstream
 :mod:`repro.artifacts` fingerprints hang off — a warm pipeline run
 reads nothing but the manifest.
 
@@ -33,35 +33,36 @@ removes any old manifest; shard files then land, each atomically
 (temp + ``os.replace``); :func:`commit_shard_dir` removes shard files
 the new manifest does not list and writes the manifest **last**.  A
 crash mid-write therefore leaves a directory without a manifest, which
-:meth:`ShardedDataset.load` reports as an incomplete corpus — never a
-silently short one.  :meth:`ShardedDataset.verify`
-re-hashes every shard against the manifest.
+:func:`read_manifest` reports as an incomplete corpus — never a
+silently short one.
 
-Loading a shard directory gives a lazy :class:`ShardedDataset`.  Its
-column readers (labels, per-session scalars, TLS tables, transfer
-blocks) read members shard by shard and build no records; records are
-decoded a whole shard at a time, on demand, through a small LRU
-(``shards.cache_hit`` / ``shards.materialized`` telemetry counters
-prove cache behaviour).  Either way peak memory is bounded by the shard
-size, not the corpus size.
+A block is the dict :func:`encode_shard` writes, and a corpus
+(:class:`~repro.collection.dataset.Dataset`) is a sequence of blocks,
+each behind one :class:`ShardReader`: a stored corpus has one per
+shard file, and an in-memory one holds its single block's members
+(:func:`held_block`).  Column readers read members block by block and
+build no records; :func:`record_at` builds one session's
+:class:`~repro.collection.dataset.SessionRecord` from a block's
+members.  Either way peak memory is bounded by the block size, not the
+corpus size.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 import zipfile
 import zlib
 
 import numpy as np
 
 from repro import telemetry
-from repro.artifacts import atomic_write_bytes, canonical_json
+from repro.artifacts import atomic_write_bytes
 from repro.config import DEFAULT_SHARD_SIZE, get_config
 from repro.qoe.labels import TARGETS, SessionLabels
 from repro.tlsproxy.table import TransactionTable, segment_sum
@@ -76,10 +77,13 @@ __all__ = [
     "CorpusPathError",
     "ShardEntry",
     "ShardReader",
-    "ShardedDataset",
     "column_dtype",
     "commit_shard_dir",
+    "held_block",
+    "label_member",
     "open_shard_dir",
+    "read_manifest",
+    "record_at",
     "resolve_shard_size",
     "save_sharded",
     "shard_bounds",
@@ -95,9 +99,8 @@ MANIFEST_NAME = "manifest.json"
 #: Shard file naming (index -> file name).
 _SHARD_NAME_FMT = "shard-{:05d}.npz"
 
-#: Shards kept materialized per dataset (coordinator needs at most the
-#: one it reads plus one of lookahead).
-_DEFAULT_CACHED_SHARDS = 2
+#: The entry name of an in-memory corpus's one block.
+_HELD_BLOCK_NAME = "held-block"
 
 
 def shard_name(index: int) -> str:
@@ -279,76 +282,56 @@ def encode_shard(service: str, records: "Sequence[SessionRecord]") -> dict:
     return arrays
 
 
-def decode_shard(arrays: dict, table: TransactionTable) -> "Dataset":
-    """Inverse of :func:`encode_shard`: a one-shard :class:`Dataset`.
+def record_at(arrays: dict, table: TransactionTable, i: int) -> "SessionRecord":
+    """Session ``i`` of a block as a record: :func:`encode_shard`
+    inverted one session at a time.
 
-    ``arrays`` holds the shard's members as :meth:`ShardReader.read`
+    ``arrays`` holds the block's members as :meth:`ShardReader.read`
     returns them (checked, offsets as int64, transfers and connections
-    as rows) and ``table`` its TLS slab; :meth:`ShardReader.dataset`
-    is the caller.
+    as rows) and ``table`` its TLS slab (:meth:`ShardReader.block`).
+    The record owns copies of its slices, so holding it never pins the
+    block and mutating it never reaches the block.
     """
-    from repro.collection.dataset import Dataset, SessionRecord
+    from repro.collection.dataset import SessionRecord
 
-    service = str(arrays["service"][0])
-    scenario = str(arrays["scenario"][0]) if "scenario" in arrays else "identity"
-    workload = str(arrays["workload"][0]) if "workload" in arrays else "has"
-    policed = (
-        np.asarray(arrays["label_policed"], dtype=np.int64)
-        if "label_policed" in arrays
-        else None
-    )
-    n = table.n_sessions
-    transfers, connections = arrays["transfers"], arrays["connections"]
-    host_offsets = arrays["session_hosts_offsets"]
-    http_offsets = arrays["http_offsets"]
+    lo, hi = int(arrays["http_offsets"][i]), int(arrays["http_offsets"][i + 1])
+    http = {
+        column: np.asarray(arrays[f"http_{column}"][lo:hi], dtype=dtype).copy()
+        for column, dtype in _HTTP_DTYPES.items()
+    }
     transfer_offsets = arrays["transfer_offsets"]
     connection_offsets = arrays["connection_offsets"]
-    hosts = [str(h) for h in arrays["session_hosts"]]
-    sessions = []
-    for i in range(n):
-        lo, hi = int(http_offsets[i]), int(http_offsets[i + 1])
-        http = {
-            column: np.asarray(
-                arrays[f"http_{column}"][lo:hi], dtype=dtype
-            ).copy()
-            for column, dtype in _HTTP_DTYPES.items()
-        }
-        labels = SessionLabels(
-            rebuffering_ratio=float(arrays["label_rebuffering_ratio"][i]),
-            rebuffering=int(arrays["label_rebuffering"][i]),
-            quality=int(arrays["label_quality"][i]),
-            combined=int(arrays["label_combined"][i]),
-            policed=int(policed[i]) if policed is not None else 0,
-        )
-        sessions.append(
-            SessionRecord(
-                service=service,
-                video_id=str(arrays["video_id"][i]),
-                tls_transactions=table.transactions(i),
-                http=http,
-                transfers=transfers[
-                    transfer_offsets[i]:transfer_offsets[i + 1]
-                ].copy(),
-                connections=connections[
-                    connection_offsets[i]:connection_offsets[i + 1]
-                ].copy(),
-                labels=labels,
-                watch_duration_s=float(arrays["watch_duration_s"][i]),
-                session_end=float(arrays["session_end"][i]),
-                play_time=float(arrays["play_time"][i]),
-                stall_time=float(arrays["stall_time"][i]),
-                startup_delay=float(arrays["startup_delay"][i]),
-                link_mean_bps=float(arrays["link_mean_bps"][i]),
-                session_hosts=tuple(
-                    hosts[host_offsets[i]:host_offsets[i + 1]]
-                ),
-                scenario=scenario,
-                workload=workload,
-            )
-        )
-    dataset = Dataset(service=service, sessions=sessions)
-    dataset._tls_table = table
-    return dataset
+    host_offsets = arrays["session_hosts_offsets"]
+    policed = arrays.get("label_policed")
+    labels = SessionLabels(
+        rebuffering_ratio=float(arrays["label_rebuffering_ratio"][i]),
+        rebuffering=int(arrays["label_rebuffering"][i]),
+        quality=int(arrays["label_quality"][i]),
+        combined=int(arrays["label_combined"][i]),
+        policed=int(policed[i]) if policed is not None else 0,
+    )
+    return SessionRecord(
+        service=str(arrays["service"][0]),
+        video_id=str(arrays["video_id"][i]),
+        tls_transactions=table.transactions(i),
+        http=http,
+        transfers=arrays["transfers"][transfer_offsets[i]:transfer_offsets[i + 1]].copy(),
+        connections=arrays["connections"][
+            connection_offsets[i]:connection_offsets[i + 1]
+        ].copy(),
+        labels=labels,
+        watch_duration_s=float(arrays["watch_duration_s"][i]),
+        session_end=float(arrays["session_end"][i]),
+        play_time=float(arrays["play_time"][i]),
+        stall_time=float(arrays["stall_time"][i]),
+        startup_delay=float(arrays["startup_delay"][i]),
+        link_mean_bps=float(arrays["link_mean_bps"][i]),
+        session_hosts=tuple(
+            arrays["session_hosts"][host_offsets[i]:host_offsets[i + 1]].tolist()
+        ),
+        scenario=str(arrays["scenario"][0]) if "scenario" in arrays else "identity",
+        workload=str(arrays["workload"][0]) if "workload" in arrays else "has",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -427,8 +410,8 @@ _TLS_MEMBERS = tuple(
     for name in ("start", "end", "uplink", "downlink", "offsets", "hosts", "host_codes")
 )
 
-#: Per-session scalar columns (:meth:`ShardedDataset.column`): the
-#: stored ones, then the ones derived from offsets and transfer rows.
+#: Per-session scalar columns (``Dataset.column``): the stored ones,
+#: then the ones derived from offsets and transfer rows.
 SESSION_COLUMNS = _SCALAR_COLUMNS + (
     "n_tls_transactions",
     "n_http_transactions",
@@ -446,7 +429,9 @@ def column_dtype(name: str) -> type:
     raise ValueError(f"unknown column {name!r}; expected one of {SESSION_COLUMNS}")
 
 
-def _label_member(target: str) -> str:
+def label_member(target: str) -> str:
+    """The member holding ``target``'s labels; an unknown target raises
+    ``ValueError``."""
     if target not in TARGETS and target != "policed":
         raise ValueError(
             f"unknown target {target!r}; expected one of "
@@ -457,25 +442,52 @@ def _label_member(target: str) -> str:
 
 @dataclass(frozen=True)
 class ShardReader:
-    """Reads the named npz members of one shard, checked on the way in.
+    """Reads the named members of one block, checked on the way in.
 
-    Every stage that reads shard columns goes through one of these:
-    the lazy corpus's column readers and pool workers alike (a reader
-    is its path plus its manifest entry, so it pickles).  Each
-    :meth:`read` is one ``np.load``, decompressing only the members
-    asked for, and checks each against the entry: per-session members
-    by length, offset indexes against their rows
+    Every stage that reads corpus columns goes through one of these:
+    the corpus's column readers and record reads and pool workers
+    alike.  A stored block is a shard file: its reader is the file's
+    path plus its manifest entry, so it pickles small, and each
+    :meth:`read` is one ``np.load`` decompressing only the members
+    asked for.  A held block (:func:`held_block`) keeps its members in
+    memory instead and pickles with them.  Either way :meth:`read`
+    checks each member against the entry: per-session members by
+    length, offset indexes against their rows
     (:func:`_checked_offsets`), ``transfers``/``connections`` by width,
     and the TLS host codes against the host dictionary.  Every failure
     is a :class:`~repro.collection.dataset.DatasetFormatError` naming
-    the shard and the member.
+    the block and the member.
     """
 
-    path: Path
+    path: Path | None
     entry: ShardEntry
+    #: A held block's members (:func:`encode_shard`'s dict), in place of
+    #: a shard file.
+    members: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Every read of a held block shares its arrays, so none may
+        # write into them.
+        for value in (self.members or {}).values():
+            value.setflags(write=False)
+
+    def __reduce__(self):
+        # Unpickled through the constructor, so a held block a worker
+        # returns (or receives) is read-only there too.
+        return ShardReader, (self.path, self.entry, self.members)
 
     def _error(self, message: str) -> Exception:
-        return _format_error(self.path.parent, f"{self.entry.name}: {message}")
+        root = "(in memory)" if self.path is None else self.path.parent
+        return _format_error(root, f"{self.entry.name}: {message}")
+
+    def _open(self):
+        """The block's members by name: the held dict, or the npz file."""
+        if self.members is not None:
+            return contextlib.nullcontext(self.members)
+        try:
+            return np.load(self.path, allow_pickle=False)
+        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise self._error(f"cannot read: {exc}") from exc
 
     def read(self, *members: str) -> dict[str, np.ndarray]:
         """The named members (every member when none is named).
@@ -484,7 +496,7 @@ class ShardReader:
         ``connections`` as ``(rows, width)`` floats.  Reading any member
         of an offset-indexed group also returns the group's index and
         first row member; reading either TLS host member returns both.
-        Optional members a shard omits are absent from the result.
+        Optional members a block omits are absent from the result.
         """
         names = dict.fromkeys(members or _MEMBERS)
         for member in list(names):
@@ -493,15 +505,11 @@ class ShardReader:
                 names.update(dict.fromkeys((index, _ROW_GROUPS[index][0])))
             if member in ("tls_hosts", "tls_host_codes"):
                 names.update(dict.fromkeys(("tls_hosts", "tls_host_codes")))
-        try:
-            npz = np.load(self.path, allow_pickle=False)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
-            raise self._error(f"cannot read: {exc}") from exc
         arrays = {}
-        with npz:
+        with self._open() as source:
             for name in names:
                 try:
-                    arrays[name] = npz[name]
+                    arrays[name] = source[name]
                 except KeyError:
                     if name not in _OPTIONAL_MEMBERS:
                         raise self._error(f"{name} is missing") from None
@@ -567,7 +575,7 @@ class ShardReader:
             raise self._error(f"tls_{exc}") from exc
 
     def tls_table(self, sni: bool = True) -> TransactionTable:
-        """The shard's TLS slab, read from its ``tls_*`` members alone.
+        """The block's TLS slab, read from its ``tls_*`` members alone.
 
         ``sni=False`` leaves the SNI column out (feature extraction
         never reads it); the host members are read and checked either
@@ -576,14 +584,14 @@ class ShardReader:
         return self._table(self.read(*_TLS_MEMBERS), sni)
 
     def transfer_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """The shard's ``(transfers, offsets)`` block."""
+        """The block's ``(transfers, offsets)`` pair."""
         arrays = self.read("transfers", "transfer_offsets")
         return arrays["transfers"], arrays["transfer_offsets"]
 
     def labels(self, target: str) -> np.ndarray:
-        """One target's labels; a shard without a ``label_policed``
+        """One target's labels; a block without a ``label_policed``
         member (every clean one) reads as all zeros."""
-        member = _label_member(target)
+        member = label_member(target)
         arrays = self.read(member)
         if member not in arrays:
             return np.zeros(self.entry.n_sessions, dtype=np.int64)
@@ -606,10 +614,11 @@ class ShardReader:
         packets = data.astype(np.int64) + 7 * np.diff(arrays["connection_offsets"])
         return np.where(np.diff(offsets) > 0, packets, 0)
 
-    def dataset(self) -> "Dataset":
-        """Every member decoded into records: a one-shard dataset."""
+    def block(self) -> tuple[dict[str, np.ndarray], TransactionTable]:
+        """Every member, checked, and the TLS slab with its SNI column:
+        what :func:`record_at` builds records from."""
         arrays = self.read()
-        return decode_shard(arrays, self._table(arrays, sni=True))
+        return arrays, self._table(arrays, sni=True)
 
 
 def write_shard(
@@ -627,29 +636,48 @@ def write_shard(
     root = Path(root)
     name = shard_name(index)
     with telemetry.span("shard.write", shard=name, sessions=len(records)) as sp:
+        arrays = encode_shard(service, records)
         buffer = io.BytesIO()
-        np.savez_compressed(buffer, **encode_shard(service, records))
+        np.savez_compressed(buffer, **arrays)
         raw = buffer.getvalue()
         sp.set(bytes=len(raw))
         atomic_write_bytes(root / name, raw)
-    label_counts = {
-        target: np.bincount(
-            np.array([r.labels.get(target) for r in records], dtype=np.int64),
-            minlength=3,
-        ).tolist()
-        for target in TARGETS
-    }
-    policed = np.array([r.labels.policed for r in records], dtype=np.int64)
-    if policed.any():
-        # Manifest rows stay unchanged for clean corpora (digest
-        # contract); impaired ones additionally count [clean, policed].
-        label_counts["policed"] = np.bincount(policed, minlength=2).tolist()
     return ShardEntry(
         name=name,
         n_sessions=len(records),
         sha256=hashlib.sha256(raw).hexdigest(),
-        label_counts=label_counts,
+        label_counts=_label_counts(arrays),
     )
+
+
+def _label_counts(arrays: dict) -> dict:
+    """A block's ``target -> [low, medium, high]`` session counts, from
+    its label members.  Only a block with a ``label_policed`` member
+    also counts ``policed`` as ``[clean, policed]``, so manifest rows
+    of clean corpora keep their bytes (digest contract)."""
+    counts = {
+        target: np.bincount(arrays[f"label_{target}"], minlength=3).tolist()
+        for target in TARGETS
+    }
+    if "label_policed" in arrays:
+        counts["policed"] = np.bincount(arrays["label_policed"], minlength=2).tolist()
+    return counts
+
+
+def held_block(service: str, records: "Sequence[SessionRecord]") -> ShardReader:
+    """The records encoded once into a block held in memory.
+
+    Its members are :func:`encode_shard`'s dict, read-only; its entry
+    counts sessions and labels as a shard's does and stores no digest.
+    """
+    arrays = encode_shard(service, records)
+    entry = ShardEntry(
+        name=_HELD_BLOCK_NAME,
+        n_sessions=len(records),
+        sha256="",
+        label_counts=_label_counts(arrays),
+    )
+    return ShardReader(None, entry, arrays)
 
 
 def manifest_payload(
@@ -707,19 +735,56 @@ def open_shard_dir(path: str | Path) -> Path:
     return root
 
 
-def commit_shard_dir(root: Path, payload: dict) -> "ShardedDataset":
+def commit_shard_dir(root: Path, payload: dict) -> "Dataset":
     """Finish a corpus write once every shard has landed.
 
     Shard files the new manifest does not list (left by an earlier,
     larger corpus) are removed first; the manifest is written last, and
-    the lazy view of the committed corpus is returned.
+    the committed corpus is returned, loaded from its directory.
     """
+    from repro.collection.dataset import Dataset
+
     keep = {entry["name"] for entry in payload["shards"]}
     for stale in root.glob("shard-*.npz"):
         if stale.name not in keep:
             stale.unlink()
     write_manifest(root, payload)
-    return ShardedDataset.load(root)
+    return Dataset.load(root)
+
+
+def read_manifest(path: str | Path) -> tuple[Path, dict, list[ShardEntry]]:
+    """A shard directory's root, manifest and shard entries.
+
+    ``path`` is the directory or its ``manifest.json``.  A directory
+    without a manifest (an interrupted write, or not a corpus) and a
+    malformed manifest raise
+    :class:`~repro.collection.dataset.DatasetFormatError` saying so.
+    """
+    root = Path(path)
+    if root.name == MANIFEST_NAME:
+        root = root.parent
+    manifest = root / MANIFEST_NAME
+    if not manifest.is_file():
+        raise _format_error(
+            root,
+            f"no {MANIFEST_NAME} (incomplete shard directory — "
+            "interrupted write? — or not a corpus)",
+        )
+    try:
+        payload = json.loads(manifest.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("manifest is not a JSON object")
+        version = payload.get("format")
+        if version != 4:
+            raise ValueError(f"unknown shard-directory format {version!r}")
+        entries = [ShardEntry.from_dict(e) for e in payload["shards"]]
+        claimed, held = int(payload["n_sessions"]), sum(e.n_sessions for e in entries)
+        if held != claimed:
+            raise ValueError(f"manifest claims {claimed} sessions but shards hold {held}")
+        str(payload["service"]), int(payload["shard_size"])
+    except (KeyError, IndexError, ValueError, TypeError) as exc:
+        raise _format_error(root, str(exc)) from exc
+    return root, payload, entries
 
 
 def write_shards(
@@ -746,25 +811,20 @@ def write_shards(
     return entries
 
 
-def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset":
-    """Write any corpus as a format-4 shard directory.
+def save_sharded(dataset: "Dataset", path: str | Path, shard_size: int) -> "Dataset":
+    """Write a corpus as a format-4 shard directory.
 
-    ``dataset`` is a :class:`~repro.collection.dataset.Dataset` or a
-    :class:`ShardedDataset` (re-sharding); sessions are consumed
-    shard-at-a-time (:func:`write_shards`), so peak memory is bounded
-    by ``shard_size`` even when re-sharding a corpus that does not fit
-    in RAM.  The write follows the module's protocol:
-    :func:`open_shard_dir`, the shard files, then
+    Sessions are consumed shard-at-a-time (:func:`write_shards`), so
+    peak memory is bounded by ``shard_size`` even when re-sharding a
+    stored corpus that does not fit in RAM.  The write follows the
+    module's protocol: :func:`open_shard_dir`, the shard files, then
     :func:`commit_shard_dir`.  Re-sharding a directory onto itself
     raises :class:`CorpusPathError` and leaves it untouched: the write
     would delete the manifest and shards it is reading.
     """
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    if (
-        isinstance(dataset, ShardedDataset)
-        and Path(path).resolve() == dataset.root.resolve()
-    ):
+    if dataset.root is not None and Path(path).resolve() == dataset.root.resolve():
         raise CorpusPathError(
             f"cannot write a corpus to {path}: it is the corpus being read "
             "(choose another output path)"
@@ -783,271 +843,3 @@ def save_sharded(dataset, path: str | Path, shard_size: int) -> "ShardedDataset"
                 workload=dataset.workload,
             ),
         )
-
-
-# ----------------------------------------------------------------------
-# The lazy corpus view
-
-
-def _stacked(parts: Iterable[np.ndarray], dtype: type) -> np.ndarray:
-    """Per-shard columns end to end (an empty corpus: an empty column)."""
-    parts = list(parts)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-
-
-
-class ShardedDataset:
-    """A format-4 corpus: manifest in memory, shards read on demand.
-
-    Duck-compatible with :class:`~repro.collection.dataset.Dataset`
-    everywhere the pipeline reads corpora — ``service``, ``len()``,
-    iteration (shard-at-a-time), ``labels``/``label_distribution``,
-    ``column``, ``transfer_blocks``, ``iter_tables``,
-    ``block_readers``, ``profile`` — plus :meth:`shard`, one shard's
-    decoded records.
-    The column readers read only the npz members they need, through
-    one :class:`ShardReader` per shard, and decode no records.
-    Records (:meth:`shard`, indexing, iteration) are decoded a whole
-    shard at a time and sit in a small LRU; ``counters`` tallies
-    ``materialized``/``cache_hits`` (mirrored as ``shards.*``
-    telemetry counters) so cache behaviour is provable in benchmarks.
-    """
-
-    #: Format version of this layout (the retired formats 1-3 were
-    #: single JSON files).
-    format = 4
-
-    def __init__(
-        self,
-        root: Path,
-        payload: dict,
-        max_cached_shards: int = _DEFAULT_CACHED_SHARDS,
-    ):
-        self.service: str = str(payload["service"])
-        self.scenario: str = str(payload.get("scenario", "identity"))
-        self.workload: str = str(payload.get("workload", "has"))
-        self.shard_size: int = int(payload["shard_size"])
-        self.entries: list[ShardEntry] = [
-            ShardEntry.from_dict(e) for e in payload["shards"]
-        ]
-        self.root = root
-        self.n_sessions: int = int(payload["n_sessions"])
-        self.max_cached_shards = max_cached_shards
-        self.counters = {"materialized": 0, "cache_hits": 0}
-        self._payload = payload
-        self._cache: OrderedDict[int, "Dataset"] = OrderedDict()
-        self._bounds = np.zeros(len(self.entries) + 1, dtype=np.int64)
-        counts = np.fromiter(
-            (e.n_sessions for e in self.entries),
-            dtype=np.int64,
-            count=len(self.entries),
-        )
-        np.cumsum(counts, out=self._bounds[1:])
-        if int(self._bounds[-1]) != self.n_sessions:
-            raise ValueError(
-                f"manifest claims {self.n_sessions} sessions but shards "
-                f"hold {int(self._bounds[-1])}"
-            )
-
-    # -- loading -------------------------------------------------------
-    @classmethod
-    def load(cls, path: str | Path) -> "ShardedDataset":
-        """Open a shard directory (or its ``manifest.json``) lazily.
-
-        Only the manifest is read.  A directory without one — an
-        interrupted write, or simply not a corpus — raises
-        :class:`~repro.collection.dataset.DatasetFormatError` with a
-        message saying so; a malformed manifest likewise.
-        """
-        root = Path(path)
-        if root.name == MANIFEST_NAME:
-            root = root.parent
-        manifest = root / MANIFEST_NAME
-        if not manifest.is_file():
-            raise _format_error(
-                root,
-                f"no {MANIFEST_NAME} (incomplete shard directory — "
-                "interrupted write? — or not a corpus)",
-            )
-        try:
-            payload = json.loads(manifest.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("manifest is not a JSON object")
-            version = payload.get("format")
-            if version != 4:
-                raise ValueError(f"unknown shard-directory format {version!r}")
-            return cls(root, payload)
-        except (KeyError, IndexError, ValueError, TypeError) as exc:
-            raise _format_error(root, str(exc)) from exc
-
-    @property
-    def root(self) -> Path:
-        """The corpus directory; the shard readers follow it when the
-        artifact store moves a built corpus into place."""
-        return self._root
-
-    @root.setter
-    def root(self, path: str | Path) -> None:
-        self._root = Path(path)
-        self._readers = tuple(ShardReader(self._root / e.name, e) for e in self.entries)
-
-    # -- dataset interface ---------------------------------------------
-    @property
-    def profile(self):
-        """The profile this corpus was collected on (workload-aware)."""
-        from repro.workloads import get_workload
-
-        return get_workload(self.workload).get_profile(self.service)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.entries)
-
-    @property
-    def manifest_digest(self) -> str:
-        """Content address of the corpus (SHA-256 of the canonical
-        manifest, which itself contains every shard's digest).  This is
-        what :mod:`repro.artifacts` fingerprints chain from."""
-        return hashlib.sha256(
-            canonical_json(self._payload).encode()
-        ).hexdigest()[:24]
-
-    def __len__(self) -> int:
-        return self.n_sessions
-
-    def __iter__(self) -> "Iterator[SessionRecord]":
-        for i in range(self.n_shards):
-            yield from self.shard(i).sessions
-
-    def __getitem__(self, index: int) -> "SessionRecord":
-        if index < 0:
-            index += self.n_sessions
-        if not 0 <= index < self.n_sessions:
-            raise IndexError(f"session index {index} out of range")
-        s = int(np.searchsorted(self._bounds, index, side="right")) - 1
-        return self.shard(s)[index - int(self._bounds[s])]
-
-    def block_readers(self) -> tuple[ShardReader, ...]:
-        """One :class:`ShardReader` per shard, in manifest order.
-
-        Picklable, so a pool task can read its shard's members in the
-        worker (:mod:`repro.collection.fleet`, flow export); an
-        in-memory :class:`~repro.collection.dataset.Dataset` is its own
-        one block reader.
-        """
-        return self._readers
-
-    def labels(self, target: str) -> np.ndarray:
-        """Ground-truth categories, read from the label members alone.
-
-        No transaction or transfer data is decompressed.  The
-        ``policed`` column is optional on disk (clean shards omit it),
-        so its absence decodes as all-zeros.
-        """
-        _label_member(target)
-        return _stacked((r.labels(target) for r in self._readers), np.int64)
-
-    def column(self, name: str) -> np.ndarray:
-        """One value per session of a :data:`SESSION_COLUMNS` column.
-
-        Stored scalars read their member; ``n_tls_transactions`` and
-        ``n_http_transactions`` come from the offset indexes and
-        ``n_packets`` from the transfer rows, as the records compute
-        them.  No shard is decoded.
-        """
-        dtype = column_dtype(name)
-        return _stacked((r.column(name) for r in self._readers), dtype)
-
-    def transfer_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each shard's ``(transfers, offsets)`` block, in manifest order,
-        read from its ``transfers`` and ``transfer_offsets`` members."""
-        for reader in self._readers:
-            yield reader.transfer_block()
-
-    def label_distribution(self, target: str) -> np.ndarray:
-        """Fraction of sessions per category, straight off the manifest."""
-        if target not in TARGETS:
-            raise ValueError(
-                f"unknown target {target!r}; expected one of {TARGETS}"
-            )
-        counts = np.zeros(3, dtype=np.int64)
-        for entry in self.entries:
-            counts += np.asarray(entry.label_counts[target], dtype=np.int64)
-        if counts.sum() == 0:
-            return np.zeros(3)
-        return counts / counts.sum()
-
-    # -- shard access --------------------------------------------------
-    def shard(self, index: int) -> "Dataset":
-        """Materialize one shard as a :class:`Dataset` (LRU-cached)."""
-        if not 0 <= index < self.n_shards:
-            raise IndexError(f"shard index {index} out of range")
-        cached = self._cache.get(index)
-        if cached is not None:
-            self._cache.move_to_end(index)
-            self.counters["cache_hits"] += 1
-            telemetry.count("shards.cache_hit")
-            return cached
-        with telemetry.span("shard.load", shard=self.entries[index].name) as sp:
-            dataset = self._readers[index].dataset()
-            sp.set(sessions=len(dataset))
-        self.counters["materialized"] += 1
-        telemetry.count("shards.materialized")
-        self._cache[index] = dataset
-        while len(self._cache) > self.max_cached_shards:
-            self._cache.popitem(last=False)
-        return dataset
-
-    def iter_tables(self) -> Iterator[TransactionTable]:
-        """Per-shard transaction tables, for shard-at-a-time reduction,
-        read from each shard's ``tls_*`` members alone."""
-        for reader in self._readers:
-            yield reader.tls_table()
-
-    def tls_table(self) -> TransactionTable:
-        """The whole corpus's transactions as one table.
-
-        Reads every shard's ``tls_*`` members and holds all of the
-        corpus's transactions at once — it exists for consumers that
-        genuinely need the corpus-level view; out-of-core paths should
-        use :meth:`iter_tables`.
-        """
-        return TransactionTable.concat(list(self.iter_tables()))
-
-    def drop_caches(self) -> None:
-        """Forget materialized shards (benchmarks simulate cold reads)."""
-        self._cache.clear()
-
-    def to_dataset(self) -> "Dataset":
-        """Materialize the whole corpus as a monolithic dataset."""
-        from repro.collection.dataset import Dataset
-
-        return Dataset(service=self.service, sessions=list(self))
-
-    # -- integrity -----------------------------------------------------
-    def verify(self) -> dict:
-        """Re-hash every shard file against the manifest.
-
-        Returns ``{"shards": n, "bytes": total}`` on success; raises
-        :class:`~repro.collection.dataset.DatasetFormatError` naming
-        every missing or corrupt shard otherwise.
-        """
-        problems = []
-        total = 0
-        for entry in self.entries:
-            path = self.root / entry.name
-            try:
-                raw = path.read_bytes()
-            except OSError:
-                problems.append(f"{entry.name}: missing")
-                continue
-            total += len(raw)
-            actual = hashlib.sha256(raw).hexdigest()
-            if actual != entry.sha256:
-                problems.append(
-                    f"{entry.name}: digest mismatch "
-                    f"(manifest {entry.sha256[:12]}..., file {actual[:12]}...)"
-                )
-        if problems:
-            raise _format_error(self.root, "; ".join(problems))
-        return {"shards": self.n_shards, "bytes": total}

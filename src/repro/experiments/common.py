@@ -10,12 +10,11 @@ directly; they go through the helpers here, which fingerprint each
 stage by (stage name, upstream artifact digests, config dict,
 ``CACHE_VERSION``) so identical work is computed once per cache, ever.
 
-Every stored corpus is a lazy format-4 shard directory
-(:class:`~repro.collection.shards.ShardedDataset`) carrying its
-artifact digest (:func:`dataset_digest`); helpers fed a digest-less
-in-memory :class:`~repro.collection.dataset.Dataset` (the unit tests
-build tiny ad-hoc corpora) simply compute without caching — the cache
-is an optimization, never a requirement.
+Every corpus the store builds is a stored format-4 shard directory
+(:class:`~repro.collection.dataset.Dataset`) carrying its artifact
+digest (:func:`dataset_digest`); helpers fed a digest-less corpus held
+in memory (the unit tests build tiny ad-hoc corpora) simply compute
+without caching — the cache is an optimization, never a requirement.
 
 Scale control: ``REPRO_SCALE`` (float, default 1.0) multiplies the
 paper's corpus sizes — ``REPRO_SCALE=0.2`` runs every experiment on a
@@ -39,7 +38,6 @@ from repro.artifacts import CACHE_VERSION, STAGING_PREFIX, cache_dir, get_store
 from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.fleet import extract_tls_sharded
 from repro.collection.harness import CollectionConfig, collect_corpus
-from repro.collection.shards import ShardedDataset
 from repro.config import DEFAULT_SHARD_SIZE, get_config
 from repro.net.scenarios import resolve_scenario
 from repro.features.packet_features import extract_ml16_matrix
@@ -105,8 +103,8 @@ class CorpusCodec:
 
     ``save`` *moves* the corpus directory into the store (the build
     stages it under the same cache root, so the move is a rename) and
-    re-roots the live :class:`~repro.collection.shards.ShardedDataset`
-    at its committed location; ``load`` is just the lazy manifest read.
+    re-roots the live stored :class:`~repro.collection.dataset.Dataset`
+    at its committed location; ``load`` is just the manifest read.
     Entries that earlier in-memory builds wrote with ``Dataset.save``
     are the same kind of directory and load the same way.
     """
@@ -114,7 +112,7 @@ class CorpusCodec:
     extension = ".shards"
     load_errors = (OSError, DatasetFormatError)
 
-    def save(self, value: ShardedDataset, path) -> None:
+    def save(self, value: Dataset, path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():
@@ -122,42 +120,39 @@ class CorpusCodec:
         shutil.move(str(value.root), str(path))
         value.root = path
 
-    def load(self, path) -> ShardedDataset:
-        return ShardedDataset.load(path)
+    def load(self, path) -> Dataset:
+        return Dataset.load(path)
 
 
 CORPUS_CODEC = CorpusCodec()
 
 
-def dataset_digest(dataset: Dataset | ShardedDataset) -> str | None:
+def dataset_digest(dataset: Dataset) -> str | None:
     """The content digest feature/CV stages should chain from, if any.
 
     Corpora produced by :func:`get_corpus` / :func:`dataset_stage`
-    carry their artifact digest; any other sharded corpus carries its
+    carry their artifact digest; any other stored corpus carries its
     manifest digest (itself covering every shard's SHA-256).  Ad-hoc
-    in-memory corpora (unit tests) return None and downstream helpers
-    skip caching for them.
+    corpora held in memory (unit tests) return None and downstream
+    helpers skip caching for them.
     """
-    key = getattr(dataset, "_artifact_digest", None)
-    if key is not None:
-        return key
-    return getattr(dataset, "manifest_digest", None)
+    return dataset._artifact_digest or dataset.manifest_digest
 
 
 def dataset_stage(
     stage: str,
     config: dict,
-    build: Callable[[Path, int], ShardedDataset],
-) -> ShardedDataset:
+    build: Callable[[Path, int], Dataset],
+) -> Dataset:
     """A corpus-valued artifact stage.
 
     On a miss, ``build(staging, shard_size)`` writes the corpus into a
     fresh staging directory, in shards of ``REPRO_SHARD_SIZE``, and
-    returns its lazy view; the store then keeps the directory
+    returns the stored corpus; the store then keeps the directory
     (:class:`CorpusCodec`).  Staging sits under the cache root so that
     keeping it is a same-filesystem rename.  A build that raises has
     its staging directory removed.  Either way the caller
-    gets the lazy corpus, tagged with its digest.  The shard size
+    gets the stored corpus, tagged with its digest.  The shard size
     joins ``config`` only when it is not the default, so default-size
     entries keep their keys.
     """
@@ -165,7 +160,7 @@ def dataset_stage(
     if shard_size != DEFAULT_SHARD_SIZE:
         config = {**config, "shard_size": shard_size}
 
-    def staged_build() -> ShardedDataset:
+    def staged_build() -> Dataset:
         cache_dir().mkdir(parents=True, exist_ok=True)
         staging = Path(tempfile.mkdtemp(dir=cache_dir(), prefix=STAGING_PREFIX))
         try:
@@ -186,12 +181,12 @@ def get_corpus(
     n_sessions: int | None = None,
     seed: int | None = None,
     scenario: str | None = None,
-) -> ShardedDataset:
+) -> Dataset:
     """The evaluation corpus for one service — the ``corpus`` stage.
 
     ``n_sessions`` defaults to the paper's (scaled) corpus size and
     ``seed`` to the service's canonical collection seed.  The corpus is
-    a lazy :class:`~repro.collection.shards.ShardedDataset`
+    a stored :class:`~repro.collection.dataset.Dataset`
     (:func:`dataset_stage`): a warm run reads only its manifest.
 
     ``scenario`` (default: ``REPRO_SCENARIO``) collects the corpus
@@ -225,7 +220,7 @@ def scenario_corpus(
     scenario: str,
     n_sessions: int | None = None,
     seed: int | None = None,
-) -> ShardedDataset:
+) -> Dataset:
     """The evaluation corpus collected under a named scenario.
 
     A thin, explicit wrapper over :func:`get_corpus` for the robustness
@@ -236,7 +231,7 @@ def scenario_corpus(
 
 def profile_corpus(
     variant: str, profile, n_sessions: int, seed: int
-) -> ShardedDataset:
+) -> Dataset:
     """A corpus collected on a non-standard service profile.
 
     Profiles hold callables, so they cannot be fingerprinted
@@ -257,7 +252,7 @@ def profile_corpus(
 
 
 def features_for(
-    dataset: Dataset | ShardedDataset,
+    dataset: Dataset,
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The TLS feature matrix of a corpus.

@@ -62,9 +62,9 @@ def collect_interactive_corpus(
     config = config or CollectionConfig()
     catalog = profile.make_catalog(seed=config.catalog_seed)
     rng = np.random.default_rng(seed)
-    dataset = Dataset(service=profile.name)
     from repro.collection.harness import default_tcp_params
 
+    records = []
     for _ in range(n_sessions):
         trace = config.sample_trace(rng)
         player = PlayerSession(
@@ -76,8 +76,8 @@ def collect_interactive_corpus(
             tcp_params_factory=default_tcp_params,
             behavior=behavior,
         )
-        dataset.sessions.append(SessionRecord.from_trace(player.run(), profile))
-    return dataset
+        records.append(SessionRecord.from_trace(player.run(), profile))
+    return Dataset(service=profile.name, sessions=records)
 
 
 def run(

@@ -63,8 +63,8 @@ def run(dataset: Dataset | None = None, target: str = "combined") -> dict:
         def build(window=window) -> dict[str, np.ndarray]:
             rows = []
             keep = []
-            for i, record in enumerate(dataset):
-                vector = prefix_features(record.tls_transactions, window)
+            for i, transactions in enumerate(dataset.iter_transactions()):
+                vector = prefix_features(transactions, window)
                 if vector is not None:
                     rows.append(vector)
                     keep.append(i)

@@ -278,13 +278,12 @@ def extract_tls_matrix(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Feature matrix for a whole corpus — the columnar fast path.
 
-    ``dataset`` is a :class:`~repro.tlsproxy.table.TransactionTable`,
-    or any corpus with ``iter_tables()``: a
-    :class:`~repro.collection.dataset.Dataset` yields its one cached
-    table, and a :class:`~repro.collection.shards.ShardedDataset` one
-    table per shard, reduced *shard at a time* (one slab materialized
-    at once, rows stacked in manifest order), bounding peak memory by
-    the shard size.
+    ``dataset`` is a :class:`~repro.tlsproxy.table.TransactionTable`
+    or a :class:`~repro.collection.dataset.Dataset`, whose
+    ``iter_tables()`` yields one table per block (a stored corpus's
+    shards, or the one block a corpus in memory holds), reduced *block
+    at a time* (one slab materialized at once, rows stacked in order),
+    bounding peak memory by the block size.
     Returns ``(X, names)`` with one row per session; ``names`` equals
     :data:`TLS_FEATURE_NAMES` for the default interval grid.  Output is
     bit-identical to stacking :func:`extract_tls_features` per session:

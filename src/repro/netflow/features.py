@@ -81,9 +81,9 @@ def extract_flow_matrix(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Flow-feature matrix for a whole corpus (exporting on the fly).
 
-    Each of the corpus's block readers (the in-memory corpus itself, or
-    one per shard of a :class:`~repro.collection.shards.ShardedDataset`)
-    is one pool task over ``REPRO_JOBS`` workers: its block is exported
+    Each of the corpus's block readers (one per shard of a stored
+    corpus, or the one block a corpus in memory holds) is one pool
+    task over ``REPRO_JOBS`` workers: its block is exported
     in one array pass and featurized columnar, and rows stack in
     session order.  Every feature is a within-session reduction, so the
     block size and worker count cannot change any value, and the output

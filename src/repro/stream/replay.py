@@ -8,22 +8,25 @@ load generator for the concurrency benchmarks — plus the
 equivalence check the CLI ``--batch-check`` flag and CI use to prove
 streaming verdicts equal the batch pipeline's.
 
-Format-4 shard directories replay lazily: :func:`dataset_streams`
-only iterates the corpus, and a
-:class:`~repro.collection.shards.ShardedDataset` iterates
-shard-at-a-time, so replaying an out-of-core corpus never
-materializes more than one shard of sessions at once.
+Corpora replay block by block: :func:`dataset_streams` reads each
+block's TLS members alone
+(:meth:`~repro.collection.dataset.Dataset.iter_transactions`), so
+replaying a stored corpus decodes one shard's TLS slab at a time and
+builds no records.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.sessions.boundary import transaction_sort_key
 from repro.stream.engine import StreamDetector, StreamVerdict, batch_pipeline_verdicts
 from repro.tlsproxy.records import TlsTransaction
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.collection.dataset import Dataset
 
 __all__ = [
     "demo_streams",
@@ -71,7 +74,7 @@ def demo_streams(
 
 
 def dataset_streams(
-    dataset,
+    dataset: Dataset,
     n_streams: int,
     gap_s: float = 4.0,
 ) -> dict[str, list[TlsTransaction]]:
@@ -88,10 +91,8 @@ def dataset_streams(
         raise ValueError("gap must be non-negative")
     streams: dict[str, list[TlsTransaction]] = {}
     cursors: dict[str, float] = {}
-    service = getattr(dataset, "service", "corpus")
-    for i, record in enumerate(dataset):
-        key = f"user{i % n_streams:03d}/{service}"
-        transactions = record.tls_transactions
+    for i, transactions in enumerate(dataset.iter_transactions()):
+        key = f"user{i % n_streams:03d}/{dataset.service}"
         if not transactions:
             continue
         cursor = cursors.get(key, 0.0)

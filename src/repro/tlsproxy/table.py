@@ -276,17 +276,18 @@ class TransactionTable:
         """Inverse of :meth:`to_arrays` (exact round-trip).
 
         ``host_codes`` must index ``hosts``; a shard's codes are checked
-        on read (:class:`~repro.collection.shards.ShardReader`).
+        on read (:class:`~repro.collection.shards.ShardReader`).  Rows
+        of one host share one ``str`` object.
         """
-        hosts = np.asarray(arrays["hosts"], dtype=np.str_)
-        codes = np.asarray(arrays["host_codes"], dtype=np.int64)
+        hosts = np.asarray(arrays["hosts"], dtype=np.str_).tolist()
+        codes = np.asarray(arrays["host_codes"], dtype=np.int64).tolist()
         return cls(
             start=arrays["start"],
             end=arrays["end"],
             uplink=arrays["uplink"],
             downlink=arrays["downlink"],
             offsets=arrays["offsets"],
-            sni=tuple(hosts[codes].tolist()),
+            sni=tuple(map(hosts.__getitem__, codes)),
         )
 
     @classmethod

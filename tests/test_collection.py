@@ -1,5 +1,7 @@
 """Tests for repro.collection (harness + dataset)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,26 @@ class TestCollectCorpus:
         ds = collect_corpus(get_service("svc3"), 2, seed=1)
         assert ds.service == "svc3"
 
+    def test_in_memory_chunks_are_held_blocks(self):
+        """Each worker returns its chunk as one held block: the blocks
+        follow the worker count, the sessions do not."""
+        one = collect_corpus("svc3", 5, seed=9, n_jobs=1)
+        two = collect_corpus("svc3", 5, seed=9, n_jobs=2)
+        assert [e.n_sessions for e in one.entries] == [5]
+        assert [e.n_sessions for e in two.entries] == [2, 3]
+        assert two.root is None and two.manifest_digest is None
+        assert one.tls_table().sni == two.tls_table().sni
+        np.testing.assert_array_equal(one.labels("combined"), two.labels("combined"))
+        for ra, rb in zip(one, two):
+            assert ra.tls_transactions == rb.tls_transactions
+            assert ra.labels == rb.labels
+            np.testing.assert_array_equal(ra.transfers, rb.transfers)
+        # Held members are shared by every read, across the pool too.
+        for corpus in (one, two):
+            transfers, _ = next(corpus.transfer_blocks())
+            with pytest.raises(ValueError, match="read-only"):
+                transfers[0, 0] = -1.0
+
 
 class TestSessionRecord:
     def test_counts(self, small_corpus):
@@ -151,10 +173,27 @@ class TestDatasetSerialization:
                 ra.http["resource_code"], rb.http["resource_code"]
             )
 
-    def test_extend_enforces_service(self, small_corpus):
-        other = Dataset(service="svc2")
-        with pytest.raises(ValueError):
-            other.extend(small_corpus.sessions[:1])
+    # A block stores service, scenario and workload once, so a corpus
+    # built from records of mixed values would silently relabel some.
+    def test_constructor_enforces_service(self, small_corpus):
+        records = small_corpus.sessions[:2]
+        with pytest.raises(ValueError, match="record 0 has service 'svc1'"):
+            Dataset(service="svc2", sessions=records[:1])
+        mixed = [records[0], dataclasses.replace(records[1], service="svc2")]
+        with pytest.raises(ValueError, match="record 1 has service 'svc2'"):
+            Dataset(service="svc1", sessions=mixed)
+
+    def test_constructor_enforces_scenario(self, small_corpus):
+        records = small_corpus.sessions[:3]
+        records[2] = dataclasses.replace(records[2], scenario="hostile")
+        with pytest.raises(ValueError, match="record 2 has scenario 'hostile'"):
+            Dataset(service="svc1", sessions=records)
+
+    def test_constructor_enforces_workload(self, small_corpus):
+        records = small_corpus.sessions[:2]
+        records[0] = dataclasses.replace(records[0], workload="live")
+        with pytest.raises(ValueError, match="record 1 has workload 'has'"):
+            Dataset(service="svc1", sessions=records)
 
     def test_empty_distribution(self):
         ds = Dataset(service="svc1")

@@ -102,11 +102,11 @@ class TestCommon:
         assert not orphan.exists()
 
     def test_get_corpus_returns_the_lazy_corpus(self, tmp_path, monkeypatch):
-        from repro.collection.shards import ShardedDataset
+        from repro.collection.dataset import Dataset
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         corpus = get_corpus("svc3", n_sessions=3, seed=12)
-        assert isinstance(corpus, ShardedDataset)
+        assert isinstance(corpus, Dataset) and corpus.manifest_digest is not None
         assert corpus.root.parent == tmp_path / "artifacts" / "corpus"
         assert not list(tmp_path.glob(".corpus-staging-*"))
 
@@ -115,7 +115,7 @@ class TestCommon:
         path (how in-memory corpora were kept) is a disk hit that
         returns the lazy corpus, under an unchanged key."""
         from repro.artifacts import canonical_json, digest, fingerprint, get_store
-        from repro.collection.shards import ShardedDataset
+        from repro.collection.dataset import Dataset
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         store = get_store()
@@ -131,7 +131,7 @@ class TestCommon:
         assert store.counter_snapshot()["stages"]["corpus"] == {
             "memory_hits": 0, "hits": 1, "misses": 0,
         }
-        assert isinstance(corpus, ShardedDataset)
+        assert isinstance(corpus, Dataset) and corpus.root is not None
         assert corpus._artifact_digest == key
         assert [record_bytes(r) for r in corpus] == [
             record_bytes(r) for r in stored

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api, config
+from repro.collection.dataset import Dataset
 from repro.collection.harness import collect_corpus
-from repro.collection.shards import ShardedDataset, save_sharded
+from repro.collection.shards import save_sharded
 from repro.experiments import fig5, table3
 from repro.experiments.common import default_forest
 from repro.features.tls_features import (
@@ -181,7 +182,7 @@ class TestFlowGoldenEquivalence:
         """Shard by shard, off the transfer members alone: no shard is
         decoded, and the matrix equals the in-memory one byte for byte."""
         save_sharded(corpus, tmp_path / "c.shards", shard_size)
-        sharded = ShardedDataset.load(tmp_path / "c.shards")
+        sharded = Dataset.load(tmp_path / "c.shards")
         X_sharded, _ = extract_flow_matrix(sharded)
         X_memory, _ = extract_flow_matrix(corpus)
         assert X_sharded.tobytes() == X_memory.tobytes()

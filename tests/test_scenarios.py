@@ -213,12 +213,13 @@ class TestRoundTrips:
             assert "label_policed" not in arrays
 
     def test_format4_roundtrip_preserves_scenario_and_policed(self, tmp_path):
-        from repro.collection.shards import ShardedDataset, save_sharded
+        from repro.collection.dataset import Dataset
+        from repro.collection.shards import save_sharded
 
         ds = self.make_policed(5)
         out = save_sharded(ds, tmp_path / "shards", shard_size=2)
         assert out.scenario == "policed-512kbps"
-        loaded = ShardedDataset.load(tmp_path / "shards")
+        loaded = Dataset.load(tmp_path / "shards")
         assert loaded.scenario == "policed-512kbps"
         np.testing.assert_array_equal(
             loaded.labels("policed"), ds.labels("policed")
@@ -252,13 +253,14 @@ class TestRoundTrips:
             assert other.manifest_digest == sd.manifest_digest
 
     def test_policed_labels_survive_mixed_shards(self, tmp_path):
-        from repro.collection.shards import ShardedDataset, save_sharded
+        from repro.collection.dataset import Dataset
+        from repro.collection.shards import save_sharded
 
         # A corpus where some shards have zero policed sessions still
         # round-trips: absent label_policed members decode as zeros.
         ds = collect_corpus("svc1", 4, seed=9)
         save_sharded(ds, tmp_path / "clean", shard_size=2)
-        loaded = ShardedDataset.load(tmp_path / "clean")
+        loaded = Dataset.load(tmp_path / "clean")
         np.testing.assert_array_equal(
             loaded.labels("policed"), np.zeros(4, dtype=np.int64)
         )

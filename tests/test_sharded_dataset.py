@@ -1,5 +1,6 @@
-"""Format-4 sharded corpus tests: round-trips, retired formats, crash
-atomicity, digest verification, and the lazy-access contract."""
+"""Corpus tests: format-4 round-trips, retired formats, crash
+atomicity, digest verification, the lazy-access contract, and records
+built one session at a time from stored and in-memory blocks."""
 
 import gzip
 import itertools
@@ -16,17 +17,23 @@ from hypothesis import strategies as st
 from repro import api, config
 from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.fleet import extract_tls_sharded
-from repro.collection.harness import collect_corpus
+from repro.collection.harness import (
+    CollectionConfig,
+    collect_corpus,
+    collect_records,
+    plan_collection,
+)
 from repro.collection.shards import (
     MANIFEST_NAME,
     SESSION_COLUMNS,
-    ShardedDataset,
     column_dtype,
     save_sharded,
     shard_name,
 )
+from repro.net.scenarios import resolve_scenario
 from repro.netflow.features import extract_flow_matrix
 from repro.qoe.labels import TARGETS
+from repro.tlsproxy.table import TransactionTable
 
 
 @pytest.fixture(scope="module")
@@ -136,15 +143,15 @@ class TestRoundTrip:
             assert_records_equal(ra, rb)
 
     def test_dataset_save_dispatches(self, corpus, tmp_path):
+        assert corpus.root is None and corpus.manifest_digest is None
         out = corpus.save(tmp_path / "via-save.shards", shard_size=5)
-        assert isinstance(out, ShardedDataset)
+        assert isinstance(out, Dataset) and out.root == tmp_path / "via-save.shards"
         assert out.n_shards == 3
 
     def test_dataset_load_dispatches(self, sharded):
         via_dir = Dataset.load(sharded.root)
         via_manifest = Dataset.load(sharded.root / MANIFEST_NAME)
-        assert isinstance(via_dir, ShardedDataset)
-        assert isinstance(via_manifest, ShardedDataset)
+        assert via_dir.root == via_manifest.root == sharded.root
         assert via_dir.manifest_digest == via_manifest.manifest_digest
 
     def test_getitem_crosses_shard_bounds(self, corpus, sharded):
@@ -212,61 +219,113 @@ class TestLaziness:
 
     def test_lru_keeps_two_shards(self, sharded):
         sharded.drop_caches()
-        list(sharded)  # shard-at-a-time sweep
+        list(sharded)  # a sweep reads each block once and caches none
         assert sharded.counters["materialized"] == sharded.n_shards
-        sharded.shard(2), sharded.shard(1)  # both still cached
+        sharded[8], sharded[4]  # blocks 2 and 1, read and cached
+        sharded[9], sharded[5]  # both still cached
         assert sharded.counters["cache_hits"] == 2
-        sharded.shard(0)  # evicted by the sweep, re-materializes
-        assert sharded.counters["materialized"] == sharded.n_shards + 1
+        sharded[0]  # block 0 evicts block 2
+        sharded[8]  # block 2 evicts block 1
+        assert sharded.counters["materialized"] == sharded.n_shards + 4
+        list(sharded)  # reuses the cached blocks 0 and 2, reads block 1
+        assert sharded.counters["materialized"] == sharded.n_shards + 5
+        assert sharded.counters["cache_hits"] == 4
+
+
+def _collected(service, n_sessions, seed, **kwargs):
+    """Records as the collector builds them, before any encoding."""
+    plan = plan_collection(service, n_sessions, seed, n_jobs=1, **kwargs)
+    return collect_records(plan.profile, plan.config, plan.seeds)
 
 
 @pytest.fixture(scope="module")
 def kinds():
-    """Corpora of three kinds: on-demand, RTC, and impaired on-demand."""
+    """Collected records of three kinds: on-demand, RTC, and impaired
+    on-demand."""
     return {
-        "svc1": api.collect_corpus("svc1", n_sessions=5, seed=41, jobs=1),
-        "rtc1": api.collect_corpus("rtc1", n_sessions=5, seed=42, workload="rtc", jobs=1),
-        "svc1-hostile": api.collect_corpus(
-            "svc1", n_sessions=5, seed=43, scenario="hostile", jobs=1
+        "svc1": _collected("svc1", 5, 41),
+        "rtc1": _collected("rtc1", 5, 42, workload="rtc"),
+        "svc1-hostile": _collected(
+            "svc1", 5, 43, config=CollectionConfig(scenario=resolve_scenario("hostile"))
         ),
     }
 
 
+def _both_forms(records, tmp, shard_size):
+    """The records as a fresh in-memory corpus and a fresh stored one."""
+    service = records[0].service
+    save_sharded(Dataset(service, records), Path(tmp) / "c.shards", shard_size)
+    return {"memory": Dataset(service, records), "stored": Dataset.load(Path(tmp) / "c.shards")}
+
+
+KIND = st.sampled_from(["svc1", "rtc1", "svc1-hostile"])
+
+
 class TestColumnarReadProperties:
-    """Records written at any shard size read back identically through
-    every columnar reader and through the decoded shards."""
+    """Records written at any shard size read back identically, on the
+    corpus held in memory and on the stored one: through every columnar
+    reader, and through records built one session at a time."""
 
     @settings(max_examples=20, deadline=None)
-    @given(kind=st.sampled_from(["svc1", "rtc1", "svc1-hostile"]), shard_size=st.integers(1, 6))
+    @given(kind=KIND, shard_size=st.integers(1, 6))
     def test_write_then_read_columns(self, kinds, kind, shard_size):
-        corpus = kinds[kind]
+        records = kinds[kind]
+        mono = TransactionTable.from_sessions([r.tls_transactions for r in records])
+        transfers = np.concatenate([r.transfers for r in records])
+        offsets = np.cumsum([0] + [r.transfers.shape[0] for r in records]).tolist()
         with tempfile.TemporaryDirectory() as tmp:
-            sharded = save_sharded(corpus, Path(tmp) / "c.shards", shard_size)
-            mono, table = corpus.tls_table(), sharded.tls_table()
-            for name in ("start", "end", "uplink", "downlink", "offsets"):
-                assert _same(getattr(table, name), getattr(mono, name)), name
-            assert table.sni == mono.sni
-            transfers, offsets = corpus.transfer_block()
-            blocks = list(sharded.transfer_blocks())
-            assert _same(np.concatenate([t for t, _ in blocks]), transfers)
-            rebased = [0]
-            for _, block_offsets in blocks:
-                rebased.extend((block_offsets[1:] + rebased[-1]).tolist())
-            assert rebased == offsets.tolist()
-            for target in TARGETS + ("policed",):
-                assert _same(sharded.labels(target), corpus.labels(target)), target
-            for name in SESSION_COLUMNS:
-                want = np.array([getattr(r, name) for r in corpus], dtype=column_dtype(name))
-                assert _same(corpus.column(name), want), name
-                assert _same(sharded.column(name), corpus.column(name)), name
-            assert sharded.counters["materialized"] == 0
-            back = [r for i in range(sharded.n_shards) for r in sharded.shard(i)]
-            assert len(back) == len(corpus)
-            for ra, rb in zip(corpus, back):
-                assert_records_equal(ra, rb)
-                assert (rb.scenario, rb.workload) == (ra.scenario, ra.workload)
+            for form, corpus in _both_forms(records, tmp, shard_size).items():
+                table = corpus.tls_table()
+                for name in ("start", "end", "uplink", "downlink", "offsets"):
+                    assert _same(getattr(table, name), getattr(mono, name)), (form, name)
+                assert table.sni == mono.sni, form
+                blocks = list(corpus.transfer_blocks())
+                assert _same(np.concatenate([t for t, _ in blocks]), transfers), form
+                rebased = [0]
+                for _, block_offsets in blocks:
+                    rebased.extend((block_offsets[1:] + rebased[-1]).tolist())
+                assert rebased == offsets, form
+                for target in TARGETS + ("policed",):
+                    want = np.array([r.labels.get(target) for r in records], dtype=np.int64)
+                    assert _same(corpus.labels(target), want), (form, target)
                 for name in SESSION_COLUMNS:
-                    assert getattr(rb, name) == getattr(ra, name), name
+                    want = np.array([getattr(r, name) for r in records], dtype=column_dtype(name))
+                    assert _same(corpus.column(name), want), (form, name)
+                assert corpus.counters["materialized"] == 0, form
+                back = list(corpus)
+                assert len(back) == len(records), form
+                for ra, rb in zip(records, back):
+                    assert_records_equal(ra, rb)
+                    assert (rb.service, rb.scenario, rb.workload) == (
+                        ra.service, ra.scenario, ra.workload
+                    ), form
+                    for name in SESSION_COLUMNS:
+                        assert getattr(rb, name) == getattr(ra, name), (form, name)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=KIND, shard_size=st.integers(1, 6), data=st.data())
+    def test_records_built_one_session_at_a_time(self, kinds, kind, shard_size, data):
+        records = kinds[kind]
+        n = len(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            for form, corpus in _both_forms(records, tmp, shard_size).items():
+                i = data.draw(st.integers(-n, n - 1), label="cold index")
+                assert_records_equal(corpus[i], records[i])
+                # A cold corpus reads exactly the one block holding i.
+                assert corpus.counters["materialized"] == 1, form
+                for i in range(-n, n):
+                    assert_records_equal(corpus[i], records[i])
+                with pytest.raises(IndexError):
+                    corpus[n]
+                assert [r.video_id for r in corpus] == [r.video_id for r in records], form
+                # Records own their slices: mutating a held one reaches
+                # neither the cached block nor the records built later.
+                held = corpus[-1]
+                held.transfers += 1.0
+                held.connections[:] = -1.0
+                held.http["start"] += 1.0
+                assert_records_equal(corpus[-1], records[-1])
+                assert_records_equal(list(corpus)[-1], records[-1])
 
 
 class TestLegacyFormats:
@@ -312,7 +371,7 @@ class TestCorruption:
         silently short corpus."""
         (sharded.root / MANIFEST_NAME).unlink()
         with pytest.raises(DatasetFormatError, match="incomplete"):
-            ShardedDataset.load(sharded.root)
+            Dataset.load(sharded.root)
 
     def test_empty_dir_is_not_a_corpus(self, tmp_path):
         with pytest.raises(DatasetFormatError):
@@ -321,14 +380,14 @@ class TestCorruption:
     def test_manifest_garbage(self, sharded):
         (sharded.root / MANIFEST_NAME).write_text("{not json")
         with pytest.raises(DatasetFormatError):
-            ShardedDataset.load(sharded.root)
+            Dataset.load(sharded.root)
 
     def test_unknown_format_version(self, sharded):
         payload = json.loads((sharded.root / MANIFEST_NAME).read_text())
         payload["format"] = 99
         (sharded.root / MANIFEST_NAME).write_text(json.dumps(payload))
         with pytest.raises(DatasetFormatError, match="99"):
-            ShardedDataset.load(sharded.root)
+            Dataset.load(sharded.root)
 
     def test_verify_ok(self, sharded):
         report = sharded.verify()
@@ -369,7 +428,7 @@ class TestCorruption:
             else:
                 assert _same(read(), clean[name]), name
         with pytest.raises(DatasetFormatError, match=f"{shard.name}: {member}"):
-            sharded.shard(0)
+            sharded[0]
 
     def test_short_label_member_of_a_svc1_corpus(self, tmp_path):
         """Six sessions in shards of 3, shard 0 rewritten with two
@@ -382,8 +441,8 @@ class TestCorruption:
         corpus.drop_caches()
         for read in (
             lambda: corpus.labels("combined"),
-            lambda: corpus.shard(0),
             lambda: corpus[0],
+            lambda: list(corpus),
         ):
             with pytest.raises(
                 DatasetFormatError, match="shard-00000.npz: label_combined holds 2 entries"
@@ -396,15 +455,15 @@ class TestCorruption:
         (sharded.root / sharded.entries[0].name).write_bytes(b"garbage")
         _truncate(sharded.root / sharded.entries[1].name)
         sharded.drop_caches()
-        for i in (0, 1):
-            with pytest.raises(DatasetFormatError, match=sharded.entries[i].name):
-                sharded.shard(i)
+        for i in (0, 4):  # the first session of shards 0 and 1
+            with pytest.raises(DatasetFormatError, match=sharded.entries[i // 4].name):
+                sharded[i]
 
 
 class TestCorruptOffsets:
     """An offset index that does not fit its column is named with its
-    shard, both when the shard is decoded and when flow export reads
-    the shard's transfer members."""
+    shard, both when a record is built from the shard and when flow
+    export reads the shard's transfer members."""
 
     @pytest.mark.parametrize("corrupt", [_swap, _shorten_end], ids=["swap", "short-end"])
     @pytest.mark.parametrize(
@@ -417,7 +476,7 @@ class TestCorruptOffsets:
         _rewrite_member(shard, name, corrupt)
         sharded.drop_caches()
         with pytest.raises(DatasetFormatError, match=f"{shard.name}: {name}"):
-            sharded.shard(1)
+            sharded[4]
         if name == "transfer_offsets":
             with pytest.raises(DatasetFormatError, match=f"{shard.name}: {name}"):
                 extract_flow_matrix(sharded)
@@ -429,7 +488,7 @@ class TestCorruptOffsets:
         shard = sharded.root / sharded.entries[0].name
         _rewrite_member(shard, "transfers", lambda t: t.ravel()[:-1])
         sharded.drop_caches()
-        for read in (lambda: sharded.shard(0), lambda: extract_flow_matrix(sharded)):
+        for read in (lambda: sharded[0], lambda: extract_flow_matrix(sharded)):
             with pytest.raises(DatasetFormatError, match="transfers does not reshape"):
                 read()
 

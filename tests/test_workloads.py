@@ -231,15 +231,13 @@ class TestCorpusDeterminismAndFormats:
                 assert record_bytes(ra) == record_bytes(rb)
 
     def test_workload_round_trips_format4(self, tmp_path):
-        from repro.collection.shards import ShardedDataset
-
         collect_corpus(
             "live1", 5, seed=3, workload="live", n_jobs=1,
             out=tmp_path / "shards", shard_size=2,
         )
         manifest = json.loads((tmp_path / "shards" / "manifest.json").read_text())
         assert manifest["workload"] == "live"
-        loaded = ShardedDataset.load(tmp_path / "shards")
+        loaded = Dataset.load(tmp_path / "shards")
         assert loaded.workload == "live"
         assert all(r.workload == "live" for r in loaded)
 
