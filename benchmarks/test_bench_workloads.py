@@ -22,9 +22,8 @@ import statistics
 import numpy as np
 
 from repro import telemetry
-from repro.collection.harness import collect_corpus
+from repro.collection.harness import collect_corpus, collect_session
 from repro.config import get_config
-from repro.rtc.collect import rtc_session_source
 from repro.rtc.model import RTC_SERVICES
 
 from conftest import alternating_pairs, run_once
@@ -82,13 +81,14 @@ def test_rtc_counters_reconcile_with_telemetry(benchmark):
     n = max(10, _n_sessions() // 4)
 
     def run():
-        collect_one = rtc_session_source(profile, config)
+        catalog = profile.make_catalog(seed=config.catalog_seed)
         freezes = 0
         frames_dropped = 0.0
         ticks = 0
         with telemetry.tracing() as tracer:
             for seed_seq in np.random.SeedSequence(27).spawn(n):
-                trace = collect_one(np.random.default_rng(seed_seq))
+                rng = np.random.default_rng(seed_seq)
+                trace = collect_session(profile, catalog.sample(rng), rng, config=config)
                 freezes += len(trace.stalls)
                 frames_dropped += trace.app_stats["frames_dropped"]
                 ticks += len(trace.play_events)

@@ -1,10 +1,12 @@
 """Session-collection harness (paper §4.1).
 
 Streams sessions under emulated network conditions: each session draws
-a bandwidth trace from the FCC/3G/LTE mixture, a title from the
-service's catalog, a watch duration from 10-1200 seconds, and
-per-connection path parameters (RTT, loss), then runs the player
-simulator and packs the result into a :class:`SessionRecord`.
+a title from the profile's catalog (a video, or a call shape for RTC),
+a bandwidth trace from the FCC/3G/LTE mixture, a watch duration from
+30-1200 seconds, and per-connection path parameters (RTT, loss), then
+runs the simulator the profile names and packs the result into a
+:class:`SessionRecord`.  One :func:`collect_session` serves every
+workload.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from repro.collection.shards import (
     write_shard,
     write_shards,
 )
-from repro.has.player import PlayerSession, SessionTrace
-from repro.has.services import ServiceProfile
-from repro.has.video import Video
+from repro.has.player import SessionTrace
+from repro.has.services import SessionProfile
 from repro.config import get_config
 from repro.net.bandwidth import BandwidthTrace, TraceFamily, generate_trace
 from repro.net.scenarios import Scenario, resolve_scenario
@@ -40,6 +41,8 @@ from repro.net.tcp import TcpParams
 from repro.parallel import parallel_map, resolve_jobs_for
 
 if TYPE_CHECKING:
+    from repro.has.video import Video
+    from repro.rtc.model import RtcCallSpec
     from repro.workloads import Workload
 
 __all__ = [
@@ -93,6 +96,9 @@ class CollectionConfig:
 
     min_watch_s: float = 30.0
     max_watch_s: float = 1200.0
+    #: Trace mixture, weighted toward cellular (the paper's focus on
+    #: capacity-constrained cellular networks) while keeping the
+    #: broadband tail that pushes the Figure-3 CDF out to ~100 Mbps.
     trace_weights: dict[TraceFamily, float] = field(
         default_factory=lambda: {
             TraceFamily.FCC: 0.30,
@@ -172,8 +178,8 @@ def resolve_collection_workload(
 
 
 def collect_session(
-    profile: ServiceProfile,
-    video: Video,
+    profile: SessionProfile,
+    video: Video | RtcCallSpec,
     rng: np.random.Generator,
     trace: BandwidthTrace | None = None,
     watch_duration_s: float | None = None,
@@ -181,23 +187,31 @@ def collect_session(
     warm_start: bool = False,
     scenario: str | Scenario | None = None,
 ) -> SessionTrace:
-    """Stream one session and return the full simulation trace."""
+    """Stream one session and return the full simulation trace.
+
+    ``video`` is the title from the profile's catalog (a call shape
+    for RTC profiles), and the session runs the simulator the profile
+    names (``profile.simulator``).  Unless given, the bandwidth trace
+    and then the watch duration are drawn from ``rng``, before the
+    simulator draws its connection pool's and hostnames' randomness.
+    An RTC profile rejects ``warm_start=True``.
+    """
     config = config or CollectionConfig()
     sc = resolve_collection_scenario(config, scenario)
     if trace is None:
         trace = config.sample_trace(rng)
     if watch_duration_s is None:
         watch_duration_s = config.sample_watch_duration(rng)
-    player = PlayerSession(
-        profile=profile,
-        video=video,
-        link=sc.build_path(trace),
-        rng=rng,
-        watch_duration_s=watch_duration_s,
-        tcp_params_factory=default_tcp_params,
+    session = profile.simulator(
+        profile,
+        video,
+        sc.build_path(trace),
+        rng,
+        watch_duration_s,
+        default_tcp_params,
         warm_start=warm_start,
     )
-    return player.run()
+    return session.run()
 
 
 @dataclass(frozen=True)
@@ -206,7 +220,7 @@ class CollectionPlan:
     (:func:`plan_collection`) before :func:`collect_corpus` cuts them
     into tasks."""
 
-    profile: ServiceProfile
+    profile: SessionProfile
     #: The caller's config with the resolved scenario and workload
     #: pinned: pool workers re-parse their own environment, so a
     #: coordinator-side override would otherwise silently degrade to
@@ -219,7 +233,7 @@ class CollectionPlan:
 
 
 def plan_collection(
-    service: str | ServiceProfile,
+    service: str | SessionProfile,
     n_sessions: int,
     seed: int = 0,
     config: CollectionConfig | None = None,
@@ -253,7 +267,7 @@ def plan_collection(
 
 
 def collect_records(
-    profile: ServiceProfile,
+    profile: SessionProfile,
     config: CollectionConfig,
     seeds: list[np.random.SeedSequence],
 ) -> list[SessionRecord]:
@@ -265,18 +279,18 @@ def collect_records(
     count.  This is the unit of work every :func:`collect_corpus` task
     executes.
 
-    The workload's session source is built once per chunk (that is
-    where catalogs are constructed), then driven once per seed — the
-    exact draw order of the pre-registry harness, so default-workload
-    corpora are bit-identical to it.
+    The profile's catalog is built once per chunk, then each seed draws
+    a title from it and runs :func:`collect_session` — the exact draw
+    order of the pre-registry harness, so default-workload corpora are
+    bit-identical to it.
     """
     with telemetry.span("collect_chunk", sessions=len(seeds)):
         wl = resolve_collection_workload(config)
-        collect_one = wl.session_source(profile, config)
+        catalog = profile.make_catalog(seed=config.catalog_seed)
         records = []
         for seed_seq in seeds:
             rng = np.random.default_rng(seed_seq)
-            trace = collect_one(rng)
+            trace = collect_session(profile, catalog.sample(rng), rng, config=config)
             records.append(
                 SessionRecord.from_trace(trace, profile, workload=wl.name)
             )
@@ -286,7 +300,7 @@ def collect_records(
 
 def _collect_task(
     task: tuple[
-        ServiceProfile,
+        SessionProfile,
         CollectionConfig,
         list[np.random.SeedSequence],
         Path | None,
@@ -308,7 +322,7 @@ def _collect_task(
 
 
 def collect_corpus(
-    service: str | ServiceProfile,
+    service: str | SessionProfile,
     n_sessions: int,
     seed: int = 0,
     config: CollectionConfig | None = None,

@@ -23,7 +23,7 @@ from repro.has.services import SVC1, SVC2, SVC3, ServiceProfile
 from repro.has.video import QualityLadder
 from repro.tlsproxy.hosts import ServiceHostModel
 
-__all__ = ["LIVE_SERVICES", "get_live_service"]
+__all__ = ["LIVE_SERVICES"]
 
 
 # Module-level named factories (not lambdas) so live profiles pickle
@@ -102,12 +102,3 @@ LIVE_SERVICES: dict[str, ServiceProfile] = {
     p.name: p for p in (LIVE1, LIVE2, LIVE3)
 }
 
-
-def get_live_service(name: str) -> ServiceProfile:
-    """Look up a live profile by name (``live1``/``live2``/``live3``)."""
-    try:
-        return LIVE_SERVICES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown live service {name!r}; expected one of {sorted(LIVE_SERVICES)}"
-        ) from None

@@ -1,27 +1,38 @@
-"""The HAS player session simulator.
+"""The session shell and the HAS player session simulator.
 
-Drives one playback session end to end, standing in for the paper's
-browser-automation framework: it fetches the player page, manifest and
-(optionally) a DRM license, then runs the segment download loop — ABR
-decision, video segment fetch, grouped audio fetches, telemetry beacons
-— against the TLS connection pool, pacing downloads against the
-playback buffer.  It returns everything every downstream consumer
-needs: the proxy's TLS transactions, the HTTP transactions (Figure 2),
-the raw transfers and connections (packet-trace synthesis for ML16),
-and the playback schedule (ground-truth QoE).
+:class:`SessionShell` is the part of a simulated session every
+application shares: the session's TLS connection pool and hostnames,
+one HTTP fetch through them, and the wind-down — closing beacon, pool
+shutdown, the network path's counters, the transparent proxy's export
+— that packs everything into a :class:`SessionTrace`.  Each
+application subclasses it with its own loop only: :class:`PlayerSession`
+here (HAS and live-HAS) and :class:`~repro.rtc.model.RtcSession` (RTC
+calls).  A profile class names the simulator its sessions run
+(``simulator``), and :func:`~repro.collection.harness.collect_session`
+builds it.
+
+:class:`PlayerSession` drives one playback session end to end,
+standing in for the paper's browser-automation framework: it fetches
+the player page, manifest and (optionally) a DRM license, then runs the
+segment download loop — ABR decision, video segment fetch, grouped
+audio fetches, telemetry beacons — against the TLS connection pool,
+pacing downloads against the playback buffer.  The trace holds
+everything every downstream consumer needs: the proxy's TLS
+transactions, the HTTP transactions (Figure 2), the raw transfers and
+connections (packet-trace synthesis for ML16), and the playback
+schedule (ground-truth QoE).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro import telemetry
 from repro.has.buffer import PlaybackSchedule, PlayEvent, Stall
 from repro.has.abr import AbrState
-from repro.has.services import ServiceProfile
 from repro.has.video import Video
 from repro.net.link import Link
 from repro.net.tcp import TcpParams, Transfer
@@ -30,7 +41,16 @@ from repro.tlsproxy.hosts import SessionHosts
 from repro.tlsproxy.proxy import TransparentProxy
 from repro.tlsproxy.records import HttpTransaction, ResourceType, TlsTransaction
 
-__all__ = ["SessionTrace", "PlayerSession", "ConnectionMeta", "UserBehavior"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.has.services import ServiceProfile, SessionProfile
+
+__all__ = [
+    "SessionTrace",
+    "SessionShell",
+    "PlayerSession",
+    "ConnectionMeta",
+    "UserBehavior",
+]
 
 #: EWMA weight of the newest throughput sample.
 _THROUGHPUT_EWMA_ALPHA = 0.3
@@ -157,50 +177,43 @@ class SessionTrace:
         return schedule.per_second_quality(horizon=self.session_end)
 
 
-class PlayerSession:
-    """Simulates one playback session of ``video`` on ``profile``.
+class SessionShell:
+    """The part of one simulated session every application shares.
+
+    Sets up the session's TLS connection pool and draws its hostnames
+    (in that order, after the caller's trace and watch-duration
+    draws), issues HTTP fetches through them (:meth:`_fetch`), and
+    winds the session down into its :class:`SessionTrace`
+    (:meth:`_close`).  Subclasses add the application loop as
+    :meth:`run`.
 
     Parameters
     ----------
     profile:
-        The service being streamed (ABR, buffer sizes, TLS behaviour).
-    video:
-        The title to play.
+        The service being simulated (TLS behaviour, hostnames, request
+        header sizes).
     link:
         The access link: a bare :class:`~repro.net.link.Link` or a
         :class:`~repro.net.path.NetPath` with impairment stages.
     rng:
         Randomness source for this session.
     watch_duration_s:
-        Wall-clock viewing budget; the session ends at this time or
-        when the content finishes playing, whichever is earlier.
+        Wall-clock budget of the session; the trace reports it.
     tcp_params_factory:
         Draws per-connection path parameters (RTT, loss).
-    warm_start:
-        The user navigated here from within the service (back-to-back
-        viewing): the heavy player page is already cached and only a
-        small navigation payload is fetched.
     """
 
     def __init__(
         self,
-        profile: ServiceProfile,
-        video: Video,
+        profile: SessionProfile,
         link: Link,
         rng: np.random.Generator,
         watch_duration_s: float,
         tcp_params_factory: Callable[[np.random.Generator], TcpParams],
-        warm_start: bool = False,
-        behavior: UserBehavior | None = None,
     ):
         if watch_duration_s <= 0:
             raise ValueError("watch duration must be positive")
-        self.warm_start = warm_start
-        self.behavior = behavior
-        self._n_pauses = 0
-        self._n_seeks = 0
         self.profile = profile
-        self.video = video
         self.link = link
         self.rng = rng
         self.watch_duration_s = watch_duration_s
@@ -214,7 +227,10 @@ class PlayerSession:
         self._hosts = profile.host_model.sample_session_hosts(rng)
         self._http: list[HttpTransaction] = []
         self._transfers: list[Transfer] = []
-        self._throughput_bps: float | None = None
+
+    def run(self) -> SessionTrace:
+        """Execute the session and return its complete trace."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def _request_bytes(self) -> int:
@@ -238,10 +254,113 @@ class PlayerSession:
         self._transfers.append(result.transfer)
         return result.http
 
-    def _observe_throughput(self, nbytes: int, transfer: Transfer) -> None:
-        if transfer.duration <= 0:
+    def _close(
+        self,
+        session_end: float,
+        video_id: str,
+        play_events: list[PlayEvent],
+        stalls: list[Stall],
+        startup_delay: float | None,
+        **extra,
+    ) -> SessionTrace:
+        """Wind the session down at ``session_end`` and return its trace.
+
+        Sends the closing beacon as the client shuts down, closes the
+        pool, publishes the path's ``path.*`` counters and exports the
+        proxy's TLS transactions.  ``extra`` holds the application's
+        own trace fields (``n_pauses``/``n_seeks``, ``app_stats``).
+        """
+        self._fetch(session_end, ResourceType.BEACON, int(self.rng.integers(200, 800)))
+        self._pool.shutdown(session_end)
+
+        # The link may be a NetPath; a bare Link reports identity with
+        # no stats, so this block is free on the unimpaired path.
+        scenario = getattr(self.link, "scenario", "identity")
+        stats_fn = getattr(self.link, "stats", None)
+        path_stats: dict[str, dict[str, float]] = stats_fn() if stats_fn else {}
+        for stage, counters in path_stats.items():
+            for key, value in counters.items():
+                telemetry.count(f"path.{stage}.{key}", value)
+        policed = bool(path_stats.get("policer", {}).get("dropped_packets", 0))
+
+        proxy = TransparentProxy()
+        proxy.observe_all(self._pool.all_connections)
+        connections = [
+            ConnectionMeta(
+                connection_id=conn.connection_id,
+                host=host,
+                opened_at=conn.opened_at,
+                rtt_s=conn.params.rtt_s,
+            )
+            for host, conn in self._pool.all_connections
+        ]
+        return SessionTrace(
+            service_name=self.profile.name,
+            video_id=video_id,
+            watch_duration_s=self.watch_duration_s,
+            session_end=session_end,
+            tls_transactions=proxy.export(),
+            http_transactions=list(self._http),
+            transfers=list(self._transfers),
+            connections=connections,
+            play_events=play_events,
+            stalls=stalls,
+            startup_delay=startup_delay or 0.0,
+            hosts=self._hosts,
+            link_mean_bps=self.link.trace.mean_bps,
+            scenario=scenario,
+            policed=policed,
+            path_stats=path_stats,
+            **extra,
+        )
+
+
+class PlayerSession(SessionShell):
+    """Simulates one playback session of ``video`` on ``profile``.
+
+    Parameters
+    ----------
+    profile:
+        The service being streamed (ABR, buffer sizes, TLS behaviour).
+    video:
+        The title to play.
+    link, rng, tcp_params_factory:
+        As for :class:`SessionShell`.
+    watch_duration_s:
+        Wall-clock viewing budget; the session ends at this time or
+        when the content finishes playing, whichever is earlier.
+    warm_start:
+        The user navigated here from within the service (back-to-back
+        viewing): the heavy player page is already cached and only a
+        small navigation payload is fetched.
+    behavior:
+        Pauses and seeks drawn during playback (none by default).
+    """
+
+    def __init__(
+        self,
+        profile: ServiceProfile,
+        video: Video,
+        link: Link,
+        rng: np.random.Generator,
+        watch_duration_s: float,
+        tcp_params_factory: Callable[[np.random.Generator], TcpParams],
+        warm_start: bool = False,
+        behavior: UserBehavior | None = None,
+    ):
+        super().__init__(profile, link, rng, watch_duration_s, tcp_params_factory)
+        self.video = video
+        self.warm_start = warm_start
+        self.behavior = behavior
+        self._n_pauses = 0
+        self._n_seeks = 0
+        self._throughput_bps: float | None = None
+
+    def _observe_throughput(self, nbytes: int, seconds: float) -> None:
+        """Feed the throughput estimator (an EWMA) one download sample."""
+        if seconds <= 0:
             return
-        sample = nbytes * 8.0 / transfer.duration
+        sample = nbytes * 8.0 / seconds
         if self._throughput_bps is None:
             self._throughput_bps = sample
         else:
@@ -264,12 +383,12 @@ class PlayerSession:
             ResourceType.PLAYER_PAGE,
             int(rng.integers(page_lo, page_hi)),
         )
-        self._observe_throughput(page.response_bytes, self._transfers[-1])
+        self._observe_throughput(page.response_bytes, self._transfers[-1].duration)
         t = page.end
         manifest = self._fetch(
             t, ResourceType.MANIFEST, int(rng.integers(*profile.manifest_bytes))
         )
-        self._observe_throughput(manifest.response_bytes, self._transfers[-1])
+        self._observe_throughput(manifest.response_bytes, self._transfers[-1].duration)
         t = manifest.end
         if profile.uses_drm_license:
             license_txn = self._fetch(
@@ -339,51 +458,15 @@ class PlayerSession:
         else:
             session_end = min(watch_end, max(t, content_end))
         schedule.finish(session_end)
-        next_beacon = self._fetch_due_beacons(next_beacon, session_end)
-        # Closing beacon as the player shuts down.
-        self._fetch(session_end, ResourceType.BEACON, int(rng.integers(200, 800)))
-        self._pool.shutdown(session_end)
-
-        # The link may be a NetPath; a bare Link reports identity with
-        # no stats, so this block is free on the unimpaired path.
-        scenario = getattr(self.link, "scenario", "identity")
-        stats_fn = getattr(self.link, "stats", None)
-        path_stats: dict[str, dict[str, float]] = stats_fn() if stats_fn else {}
-        for stage, counters in path_stats.items():
-            for key, value in counters.items():
-                telemetry.count(f"path.{stage}.{key}", value)
-        policed = bool(path_stats.get("policer", {}).get("dropped_packets", 0))
-
-        proxy = TransparentProxy()
-        proxy.observe_all(self._pool.all_connections)
-        connections = [
-            ConnectionMeta(
-                connection_id=conn.connection_id,
-                host=host,
-                opened_at=conn.opened_at,
-                rtt_s=conn.params.rtt_s,
-            )
-            for host, conn in self._pool.all_connections
-        ]
-        return SessionTrace(
-            service_name=profile.name,
+        self._fetch_due_beacons(next_beacon, session_end)
+        return self._close(
+            session_end,
             video_id=video.video_id,
-            watch_duration_s=self.watch_duration_s,
-            session_end=session_end,
-            tls_transactions=proxy.export(),
-            http_transactions=list(self._http),
-            transfers=list(self._transfers),
-            connections=connections,
             play_events=list(schedule.events),
             stalls=list(schedule.stalls),
-            startup_delay=schedule.startup_delay or 0.0,
-            hosts=self._hosts,
-            link_mean_bps=self.link.trace.mean_bps,
+            startup_delay=schedule.startup_delay,
             n_pauses=self._n_pauses,
             n_seeks=self._n_seeks,
-            scenario=scenario,
-            policed=policed,
-            path_stats=path_stats,
         )
 
     def _fetch_segment(self, at: float, seg: int, quality: int, size: int) -> float:
@@ -411,15 +494,8 @@ class PlayerSession:
             if first_start is None:
                 first_start = self._transfers[-1].start
             t = txn.end
-        if first_start is not None and t > first_start:
-            sample = size * 8.0 / (t - first_start)
-            if self._throughput_bps is None:
-                self._throughput_bps = sample
-            else:
-                self._throughput_bps = (
-                    _THROUGHPUT_EWMA_ALPHA * sample
-                    + (1.0 - _THROUGHPUT_EWMA_ALPHA) * self._throughput_bps
-                )
+        if first_start is not None:
+            self._observe_throughput(size, t - first_start)
         return t
 
     def _maybe_interact(self, t: float, seg: int, schedule: PlaybackSchedule) -> int:

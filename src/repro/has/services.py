@@ -25,22 +25,49 @@ coalesce into TLS transactions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.has.abr import AbrAlgorithm, BufferBasedAbr, HybridAbr, ThroughputAbr
+from repro.has.player import PlayerSession, SessionShell
 from repro.has.video import QualityLadder, QualityLevel, VideoCatalog
 from repro.tlsproxy.hosts import ServiceHostModel
 
-__all__ = ["ServiceProfile", "SERVICES", "get_service"]
+__all__ = ["SessionProfile", "ServiceProfile", "SERVICES", "get_service"]
+
+
+class SessionProfile:
+    """What every session profile shares, HAS, live and RTC alike.
+
+    A profile class names the simulator its sessions run
+    (``simulator``: a :class:`~repro.has.player.SessionShell` subclass,
+    built by :func:`~repro.collection.harness.collect_session`) and maps
+    ladder rungs to the paper's quality categories.  Subclasses are
+    frozen dataclasses with ``ladder``, ``quality_low_max_resolution``
+    and ``quality_medium_max_resolution`` fields.
+    """
+
+    simulator: ClassVar[type[SessionShell]]
+
+    def quality_category(self, quality_index: int) -> int:
+        """Map a ladder index to 0 (low), 1 (medium), 2 (high)."""
+        resolution = self.ladder[quality_index].resolution
+        if resolution <= self.quality_low_max_resolution:
+            return 0
+        if resolution <= self.quality_medium_max_resolution:
+            return 1
+        return 2
 
 
 @dataclass(frozen=True)
-class ServiceProfile:
+class ServiceProfile(SessionProfile):
     """Everything service-specific the simulator needs.
 
     See the module docstring for how the three instances map onto the
     paper's descriptions.
     """
+
+    #: HAS and live-HAS sessions run the buffered player.
+    simulator = PlayerSession
 
     name: str
     ladder: QualityLadder
@@ -101,15 +128,6 @@ class ServiceProfile:
             seed=seed,
             audio_bitrate_bps=self.audio_bitrate_bps,
         )
-
-    def quality_category(self, quality_index: int) -> int:
-        """Map a ladder index to 0 (low), 1 (medium), 2 (high)."""
-        resolution = self.ladder[quality_index].resolution
-        if resolution <= self.quality_low_max_resolution:
-            return 0
-        if resolution <= self.quality_medium_max_resolution:
-            return 1
-        return 2
 
 
 # ABR factories are module-level named functions (not lambdas) so that

@@ -15,7 +15,6 @@ from repro.net.bandwidth import (
     generate_trace,
     hsdpa_trace,
     lte_trace,
-    trace_corpus,
 )
 from repro.net.impairments import (
     Droplist,
@@ -47,7 +46,6 @@ __all__ = [
     "hsdpa_trace",
     "lte_trace",
     "generate_trace",
-    "trace_corpus",
     "Link",
     "NetPath",
     "ImpairmentStage",

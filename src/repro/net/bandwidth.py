@@ -33,7 +33,6 @@ __all__ = [
     "hsdpa_trace",
     "lte_trace",
     "generate_trace",
-    "trace_corpus",
 ]
 
 #: Bandwidth floor (bps).  Real cellular outages still trickle a little
@@ -310,16 +309,6 @@ _GENERATORS = {
     TraceFamily.LTE: lte_trace,
 }
 
-#: Corpus mixture.  Weighted toward cellular, matching the paper's focus
-#: on capacity-constrained cellular networks while keeping the broadband
-#: tail that pushes the Figure-3 CDF out to ~100 Mbps.
-_FAMILY_WEIGHTS = {
-    TraceFamily.FCC: 0.30,
-    TraceFamily.HSDPA_3G: 0.40,
-    TraceFamily.LTE: 0.30,
-}
-
-
 def generate_trace(
     family: TraceFamily | str,
     rng: np.random.Generator,
@@ -330,23 +319,3 @@ def generate_trace(
     family = TraceFamily(family)
     return _GENERATORS[family](rng, duration=duration, mean_bps=mean_bps)
 
-
-def trace_corpus(
-    rng: np.random.Generator,
-    n_traces: int,
-    duration: float = 1300.0,
-    weights: dict[TraceFamily, float] | None = None,
-) -> list[BandwidthTrace]:
-    """Generate a mixed corpus of traces (paper §4.1, Figure 3).
-
-    Families are drawn with the configured mixture weights so the
-    average-bandwidth CDF spans roughly 100 kbps to 100 Mbps.
-    """
-    if n_traces < 0:
-        raise ValueError("n_traces must be non-negative")
-    weights = weights or _FAMILY_WEIGHTS
-    families = list(weights)
-    probs = np.array([weights[f] for f in families], dtype=float)
-    probs = probs / probs.sum()
-    picks = rng.choice(len(families), size=n_traces, p=probs)
-    return [generate_trace(families[i], rng, duration=duration) for i in picks]

@@ -18,13 +18,13 @@ so traces are synthesized on demand and never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.net.tcp import Transfer
 
-__all__ = ["PacketTrace", "ConnectionInfo", "synthesize_packet_trace"]
+__all__ = ["PacketTrace", "synthesize_packet_trace"]
 
 #: Wire bytes of TCP/IP(v4) + Ethernet framing per packet.
 _HEADER_BYTES = 66
@@ -38,21 +38,6 @@ _TLS_HANDSHAKE_UP = 517  # client hello
 #: Direction codes.
 DOWNLINK = 1
 UPLINK = -1
-
-
-class ConnectionInfo(Protocol):
-    """The connection attributes packet synthesis needs.
-
-    :class:`repro.net.tcp.TcpConnection` satisfies this, as does the
-    compact connection record stored in datasets.
-    """
-
-    connection_id: int
-    opened_at: float
-
-    @property
-    def rtt(self) -> float:  # pragma: no cover - protocol definition
-        ...
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,21 @@ through the same pipeline as HAS: a :class:`~repro.has.player.SessionTrace`
 whose TLS transactions, QoE labels, and scenario counters flow through
 datasets, shards, features, and the streaming detector untouched.
 
-Profiles register under the ``rtc`` workload in :mod:`repro.workloads`.
+:class:`~repro.rtc.model.RtcSession` is the call's application loop on
+the session shell the HAS player uses
+(:class:`~repro.has.player.SessionShell`), and
+:class:`~repro.rtc.model.RtcProfile` names it as its simulator, so
+:func:`repro.collection.harness.collect_session` collects calls like
+any other session.  Profiles register under the ``rtc`` workload in
+:mod:`repro.workloads`.
 """
 
-from repro.rtc.collect import collect_rtc_session, rtc_session_source
 from repro.rtc.model import (
     RTC_SERVICES,
     RtcCallCatalog,
     RtcCallSpec,
     RtcProfile,
     RtcSession,
-    get_rtc_service,
 )
 
 __all__ = [
@@ -27,7 +31,4 @@ __all__ = [
     "RtcCallSpec",
     "RtcProfile",
     "RtcSession",
-    "collect_rtc_session",
-    "get_rtc_service",
-    "rtc_session_source",
 ]

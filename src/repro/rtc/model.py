@@ -27,14 +27,13 @@ import numpy as np
 
 from repro import telemetry
 from repro.has.buffer import PlayEvent, Stall
-from repro.has.player import ConnectionMeta, SessionTrace
+from repro.has.player import SessionShell, SessionTrace
+from repro.has.services import SessionProfile
 from repro.has.video import QualityLadder, QualityLevel
 from repro.net.link import Link
-from repro.net.tcp import TcpParams, Transfer
-from repro.tlsproxy.connection import TlsConnectionPool
+from repro.net.tcp import TcpParams
 from repro.tlsproxy.hosts import ServiceHostModel
-from repro.tlsproxy.proxy import TransparentProxy
-from repro.tlsproxy.records import HttpTransaction, ResourceType
+from repro.tlsproxy.records import ResourceType
 
 __all__ = [
     "RTC_SERVICES",
@@ -42,7 +41,6 @@ __all__ = [
     "RtcCallSpec",
     "RtcProfile",
     "RtcSession",
-    "get_rtc_service",
 ]
 
 #: Multiplicative backoff applied to the measured throughput on overuse.
@@ -127,59 +125,7 @@ class RtcCallCatalog:
         return self._calls[int(rng.integers(len(self._calls)))]
 
 
-@dataclass(frozen=True)
-class RtcProfile:
-    """Everything service-specific the RTC simulator needs.
-
-    Duck-types the slice of :class:`~repro.has.services.ServiceProfile`
-    the downstream pipeline consumes (``name``, ``ladder``,
-    ``quality_category``, ``make_catalog``, ``host_model``), so session
-    records, labels, shards, and features need no RTC-specific code.
-    """
-
-    name: str
-    ladder: QualityLadder
-    host_model: ServiceHostModel
-    #: Resolution thresholds mapping rungs to low/medium/high, like HAS.
-    quality_low_max_resolution: int
-    quality_medium_max_resolution: int
-    #: Seconds of media per wire batch (the adaptation interval).
-    tick_s: float = 2.0
-    start_rate_bps: float = 600_000.0
-    min_rate_bps: float = 120_000.0
-    max_rate_bps: float = 4_000_000.0
-    #: RTCP-style stats beacons (separate telemetry connection).
-    beacon_interval_s: float = 25.0
-    idle_timeout_s: float = 30.0
-    max_requests_per_connection: int = 64
-    request_header_bytes: tuple[int, int] = (300, 700)
-    n_catalog_calls: int = 50
-    #: Workload this profile belongs to (`repro.workloads` registry).
-    workload: str = "rtc"
-
-    def __post_init__(self) -> None:
-        if self.tick_s <= 0:
-            raise ValueError("tick duration must be positive")
-        if not 0 < self.min_rate_bps <= self.start_rate_bps <= self.max_rate_bps:
-            raise ValueError("rates must satisfy min <= start <= max")
-        if self.quality_low_max_resolution >= self.quality_medium_max_resolution:
-            raise ValueError("quality thresholds must ascend")
-
-    def make_catalog(self, seed: int = 0) -> RtcCallCatalog:
-        """Build the call-shape library (catalog contract)."""
-        return RtcCallCatalog(n_calls=self.n_catalog_calls, seed=seed)
-
-    def quality_category(self, quality_index: int) -> int:
-        """Map a ladder rung to 0 (low), 1 (medium), 2 (high)."""
-        resolution = self.ladder[quality_index].resolution
-        if resolution <= self.quality_low_max_resolution:
-            return 0
-        if resolution <= self.quality_medium_max_resolution:
-            return 1
-        return 2
-
-
-class RtcSession:
+class RtcSession(SessionShell):
     """Simulates one bidirectional call of ``call`` on ``profile``.
 
     The loop per tick: pick the highest ladder rung the current rate
@@ -190,6 +136,11 @@ class RtcSession:
     miss their playout deadline open freezes; ticks the wire falls a
     whole tick behind on are skipped (dropped frames), which is what
     drags the mean frame rate down under congestion.
+
+    The user hangs up at ``min(call.duration_s, watch_duration_s)``:
+    calls end for the same impatience reasons HAS sessions do, and the
+    trace reports that length as its watch duration.  A call has no
+    warm start (no cached player page), so ``warm_start=True`` raises.
     """
 
     def __init__(
@@ -198,48 +149,23 @@ class RtcSession:
         call: RtcCallSpec,
         link: Link,
         rng: np.random.Generator,
-        duration_s: float,
+        watch_duration_s: float,
         tcp_params_factory: Callable[[np.random.Generator], TcpParams],
+        warm_start: bool = False,
     ):
-        if duration_s <= 0:
-            raise ValueError("call duration must be positive")
-        self.profile = profile
-        self.call = call
-        self.link = link
-        self.rng = rng
-        self.duration_s = duration_s
-        self._pool = TlsConnectionPool(
+        if warm_start:
+            raise ValueError(
+                f"profile {profile.name!r} simulates RTC calls, which have "
+                f"no warm start"
+            )
+        super().__init__(
+            profile,
             link,
             rng,
+            min(call.duration_s, watch_duration_s),
             tcp_params_factory,
-            idle_timeout=profile.idle_timeout_s,
-            max_requests_per_connection=profile.max_requests_per_connection,
         )
-        self._hosts = profile.host_model.sample_session_hosts(rng)
-        self._http: list[HttpTransaction] = []
-        self._transfers: list[Transfer] = []
-
-    # ------------------------------------------------------------------
-    def _request_bytes(self) -> int:
-        lo, hi = self.profile.request_header_bytes
-        return int(self.rng.integers(lo, hi + 1))
-
-    def _fetch(
-        self,
-        at: float,
-        resource: ResourceType,
-        response_bytes: int,
-        quality_index: int = -1,
-        request_bytes: int | None = None,
-    ) -> HttpTransaction:
-        host = self._hosts.host_for(resource, self.rng)
-        req = request_bytes if request_bytes is not None else self._request_bytes()
-        result = self._pool.fetch(
-            at, host, req, response_bytes, resource, quality_index=quality_index
-        )
-        self._http.append(result.http)
-        self._transfers.append(result.transfer)
-        return result.http
+        self.call = call
 
     # ------------------------------------------------------------------
     def run(self) -> SessionTrace:
@@ -263,7 +189,7 @@ class RtcSession:
         events: list[PlayEvent] = []
         stalls: list[Stall] = []
         playout = 0.0  # wall clock when the previous batch finishes playing
-        media_end = t + self.duration_s
+        media_end = t + self.watch_duration_s
         next_beacon = t + profile.beacon_interval_s
         startup_delay: float | None = None
         ticks_total = 0
@@ -331,8 +257,6 @@ class RtcSession:
 
         # --- Wind down. ------------------------------------------------
         session_end = max(media_end, playout)
-        self._fetch(session_end, ResourceType.BEACON, int(rng.integers(200, 800)))
-        self._pool.shutdown(session_end)
 
         # Clip playout past the hangup: the receiver stops rendering.
         events = [
@@ -345,58 +269,71 @@ class RtcSession:
             for s in stalls
             if s.start < session_end
         ]
-
-        # Same scenario/path accounting as the HAS player: a bare Link
-        # reports identity with no stats, so this is free when clean.
-        scenario = getattr(self.link, "scenario", "identity")
-        stats_fn = getattr(self.link, "stats", None)
-        path_stats: dict[str, dict[str, float]] = stats_fn() if stats_fn else {}
-        for stage, counters in path_stats.items():
-            for key, value in counters.items():
-                telemetry.count(f"path.{stage}.{key}", value)
-        policed = bool(path_stats.get("policer", {}).get("dropped_packets", 0))
-
         mean_fps = call.frame_rate * (ticks_sent / ticks_total if ticks_total else 0.0)
-        app_stats = {
-            "mean_fps": mean_fps,
-            "freeze_count": float(len(stalls)),
-            "frames_dropped": frames_dropped,
-            "final_rate_bps": rate,
-        }
+        trace = self._close(
+            session_end,
+            video_id=call.call_id,
+            play_events=events,
+            stalls=stalls,
+            startup_delay=startup_delay,
+            app_stats={
+                "mean_fps": mean_fps,
+                "freeze_count": float(len(stalls)),
+                "frames_dropped": frames_dropped,
+                "final_rate_bps": rate,
+            },
+        )
         telemetry.count("rtc.ticks", ticks_sent)
         telemetry.count("rtc.freezes", len(stalls))
         telemetry.count("rtc.frames_dropped", frames_dropped)
+        return trace
 
-        proxy = TransparentProxy()
-        proxy.observe_all(self._pool.all_connections)
-        connections = [
-            ConnectionMeta(
-                connection_id=conn.connection_id,
-                host=host,
-                opened_at=conn.opened_at,
-                rtt_s=conn.params.rtt_s,
-            )
-            for host, conn in self._pool.all_connections
-        ]
-        return SessionTrace(
-            service_name=profile.name,
-            video_id=call.call_id,
-            watch_duration_s=self.duration_s,
-            session_end=session_end,
-            tls_transactions=proxy.export(),
-            http_transactions=list(self._http),
-            transfers=list(self._transfers),
-            connections=connections,
-            play_events=events,
-            stalls=stalls,
-            startup_delay=startup_delay or 0.0,
-            hosts=self._hosts,
-            link_mean_bps=self.link.trace.mean_bps,
-            scenario=scenario,
-            policed=policed,
-            path_stats=path_stats,
-            app_stats=app_stats,
-        )
+
+@dataclass(frozen=True)
+class RtcProfile(SessionProfile):
+    """Everything service-specific the RTC simulator needs.
+
+    Offers the slice of :class:`~repro.has.services.ServiceProfile` the
+    downstream pipeline consumes (``name``, ``ladder``, ``make_catalog``,
+    ``host_model``, and ``quality_category`` from their shared
+    :class:`~repro.has.services.SessionProfile`), so session records,
+    labels, shards, and features need no RTC-specific code.
+    """
+
+    #: RTC sessions run the call simulator.
+    simulator = RtcSession
+
+    name: str
+    ladder: QualityLadder
+    host_model: ServiceHostModel
+    #: Resolution thresholds mapping rungs to low/medium/high, like HAS.
+    quality_low_max_resolution: int
+    quality_medium_max_resolution: int
+    #: Seconds of media per wire batch (the adaptation interval).
+    tick_s: float = 2.0
+    start_rate_bps: float = 600_000.0
+    min_rate_bps: float = 120_000.0
+    max_rate_bps: float = 4_000_000.0
+    #: RTCP-style stats beacons (separate telemetry connection).
+    beacon_interval_s: float = 25.0
+    idle_timeout_s: float = 30.0
+    max_requests_per_connection: int = 64
+    request_header_bytes: tuple[int, int] = (300, 700)
+    n_catalog_calls: int = 50
+    #: Workload this profile belongs to (`repro.workloads` registry).
+    workload: str = "rtc"
+
+    def __post_init__(self) -> None:
+        if self.tick_s <= 0:
+            raise ValueError("tick duration must be positive")
+        if not 0 < self.min_rate_bps <= self.start_rate_bps <= self.max_rate_bps:
+            raise ValueError("rates must satisfy min <= start <= max")
+        if self.quality_low_max_resolution >= self.quality_medium_max_resolution:
+            raise ValueError("quality thresholds must ascend")
+
+    def make_catalog(self, seed: int = 0) -> RtcCallCatalog:
+        """Build the call-shape library (catalog contract)."""
+        return RtcCallCatalog(n_calls=self.n_catalog_calls, seed=seed)
 
 
 def _rtc_ladder(*levels: tuple[str, int, float]) -> QualityLadder:
@@ -431,13 +368,3 @@ RTC1 = RtcProfile(
 
 #: Registered RTC services, by name.
 RTC_SERVICES: dict[str, RtcProfile] = {RTC1.name: RTC1}
-
-
-def get_rtc_service(name: str) -> RtcProfile:
-    """Look up an RTC profile by name (``rtc1``)."""
-    try:
-        return RTC_SERVICES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown RTC service {name!r}; expected one of {sorted(RTC_SERVICES)}"
-        ) from None

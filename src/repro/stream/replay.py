@@ -9,10 +9,12 @@ equivalence check the CLI ``--batch-check`` flag and CI use to prove
 streaming verdicts equal the batch pipeline's.
 
 Corpora replay block by block: :func:`dataset_streams` reads each
-block's TLS members alone
-(:meth:`~repro.collection.dataset.Dataset.iter_transactions`), so
-replaying a stored corpus decodes one shard's TLS slab at a time and
-builds no records.
+block's TLS table alone
+(:meth:`~repro.collection.dataset.Dataset.iter_tables`), so replaying
+a stored corpus decodes one shard's TLS slab at a time and builds no
+session records; each row becomes one already-shifted
+:class:`~repro.tlsproxy.records.TlsTransaction` whose ``sni`` is the
+table's shared host string.
 """
 
 from __future__ import annotations
@@ -91,15 +93,19 @@ def dataset_streams(
         raise ValueError("gap must be non-negative")
     streams: dict[str, list[TlsTransaction]] = {}
     cursors: dict[str, float] = {}
-    for i, transactions in enumerate(dataset.iter_transactions()):
-        key = f"user{i % n_streams:03d}/{dataset.service}"
-        if not transactions:
-            continue
-        cursor = cursors.get(key, 0.0)
-        shift = cursor - min(t.start for t in transactions)
-        shifted = [t.shifted(shift) for t in transactions]
-        streams.setdefault(key, []).extend(shifted)
-        cursors[key] = max(t.end for t in shifted) + gap_s
+    i = 0
+    for table in dataset.iter_tables():
+        for j in range(table.n_sessions):
+            key = f"user{i % n_streams:03d}/{dataset.service}"
+            i += 1
+            lo, hi = table.session_rows(j)
+            if lo == hi:
+                continue
+            # Shift the session's columns, then build one record per row.
+            shift = cursors.get(key, 0.0) - float(table.start[lo:hi].min())
+            shifted = table.transactions(j, shift=shift)
+            streams.setdefault(key, []).extend(shifted)
+            cursors[key] = max(t.end for t in shifted) + gap_s
     return streams
 
 

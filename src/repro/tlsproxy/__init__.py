@@ -26,7 +26,6 @@ from repro.tlsproxy.table import (
 from repro.tlsproxy.proxy import (
     TransparentProxy,
     connection_to_transaction,
-    merge_streams,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "FetchResult",
     "TransparentProxy",
     "connection_to_transaction",
-    "merge_streams",
 ]

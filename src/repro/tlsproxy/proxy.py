@@ -14,7 +14,7 @@ top of application payload.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro import telemetry
 from repro.net.tcp import TcpConnection
@@ -97,32 +97,3 @@ def connection_to_transaction(host: str, connection: TcpConnection) -> TlsTransa
         downlink_bytes=downlink,
         sni=host,
     )
-
-
-def merge_streams(
-    streams: Sequence[Sequence[TlsTransaction]], offsets: Sequence[float]
-) -> list[TlsTransaction]:
-    """Place per-session transaction streams onto one shared timeline.
-
-    Stream ``i`` (on its own zero-based timeline) is shifted to start at
-    absolute time ``offsets[i]``.  Because lingering connections close
-    late, the result interleaves transactions across session boundaries
-    exactly as a proxy observing back-to-back viewing would.
-
-    Parameters
-    ----------
-    streams:
-        Per-session transaction lists, each on its own zero-based
-        timeline.
-    offsets:
-        One absolute start offset (seconds) per stream, non-decreasing.
-    """
-    if len(offsets) != len(streams):
-        raise ValueError("need exactly one offset per stream")
-    if any(b < a for a, b in zip(offsets, offsets[1:])):
-        raise ValueError("offsets must be non-decreasing")
-    merged: list[TlsTransaction] = []
-    for stream, offset in zip(streams, offsets):
-        merged.extend(t.shifted(offset) for t in stream)
-    merged.sort(key=lambda r: (r.start, r.end))
-    return merged

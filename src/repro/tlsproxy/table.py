@@ -345,11 +345,17 @@ class TransactionTable:
             sni=self.sni[lo:hi] if self.sni is not None else None,
         )
 
-    def transactions(self, index: int | None = None) -> list[TlsTransaction]:
+    def transactions(
+        self, index: int | None = None, shift: float | None = None
+    ) -> list[TlsTransaction]:
         """Materialize dataclass records (one session, or every row).
 
         This is the compatibility bridge for consumers that still want
         row objects; columnar consumers should read the columns.
+        ``shift`` translates every start and end by that many seconds
+        before the records are built (what
+        :meth:`~repro.tlsproxy.records.TlsTransaction.shifted` gives,
+        one object per row).
         """
         if self.sni is None:
             raise ValueError("table has no SNI column to materialize records from")
@@ -357,13 +363,16 @@ class TransactionTable:
             lo, hi = 0, self.n_rows
         else:
             lo, hi = self.session_rows(index)
+        start, end = self.start[lo:hi], self.end[lo:hi]
+        if shift is not None:
+            start, end = start + shift, end + shift
         return [
             TlsTransaction(
                 start=s, end=e, uplink_bytes=int(u), downlink_bytes=int(d), sni=h
             )
             for s, e, u, d, h in zip(
-                self.start[lo:hi].tolist(),
-                self.end[lo:hi].tolist(),
+                start.tolist(),
+                end.tolist(),
                 self.uplink[lo:hi].tolist(),
                 self.downlink[lo:hi].tolist(),
                 self.sni[lo:hi],

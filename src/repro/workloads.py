@@ -9,38 +9,32 @@ the way :mod:`repro.net.scenarios` did for the network and
 :mod:`repro.experiments.registry` did for experiments:
 
 >>> import repro
->>> repro.list_workloads()
+>>> [wl["name"] for wl in repro.list_workloads()]
 ['has', 'live', 'rtc']
 >>> ds = repro.collect_corpus("rtc1", n_sessions=50, workload="rtc")
 
-Each :class:`Workload` bundles a dict of named profiles with a
-*session source*: a factory that, given a profile and a
-:class:`~repro.collection.harness.CollectionConfig`, returns the
-per-seed callable the harness drives.  Resolution follows one chain —
-explicit argument > ``CollectionConfig.workload`` > ``REPRO_WORKLOAD``
-— and the default ``has`` workload reproduces the pre-registry
-pipeline bit for bit (pinned by ``tests/test_golden_identity.py``).
+Each :class:`Workload` is plain registry data: a name, a title and
+description for ``repro workload --list``, and a dict of named
+profiles.  The profile names the simulator its sessions run (its
+class's ``simulator``), so one
+:func:`~repro.collection.harness.collect_session` collects every
+workload.  Resolution follows one chain — explicit argument >
+``CollectionConfig.workload`` > ``REPRO_WORKLOAD`` — and the default
+``has`` workload reproduces the pre-registry pipeline bit for bit
+(pinned by ``tests/test_golden_identity.py``).
 
-Workloads are picklable (module-level session sources + frozen
-profiles) so a resolved :class:`Workload` can be pinned into the
-collection config and shipped to pool workers.
+Workloads are picklable (frozen profiles) so a resolved
+:class:`Workload` can be pinned into the collection config and shipped
+to pool workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
-
-import numpy as np
 
 from repro.has.live import LIVE_SERVICES
-from repro.has.services import SERVICES
-from repro.rtc.model import RTC_SERVICES, RtcProfile
-
-if TYPE_CHECKING:
-    from repro.collection.harness import CollectionConfig
-    from repro.has.player import SessionTrace
-    from repro.has.services import ServiceProfile
+from repro.has.services import SERVICES, SessionProfile
+from repro.rtc.model import RTC_SERVICES
 
 __all__ = [
     "DEFAULT_WORKLOAD",
@@ -49,7 +43,6 @@ __all__ = [
     "all_workloads",
     "get_workload",
     "resolve_workload",
-    "workload",
     "workload_names",
 ]
 
@@ -59,14 +52,6 @@ DEFAULT_WORKLOAD = "has"
 
 class UnknownWorkloadError(ValueError):
     """Raised when a workload name is not in the registry."""
-
-
-#: A session source: called once per collection chunk with (profile,
-#: config), returns the callable the harness invokes once per seed.
-SessionSource = Callable[
-    ["ServiceProfile | RtcProfile", "CollectionConfig"],
-    Callable[[np.random.Generator], "SessionTrace"],
-]
 
 
 @dataclass(frozen=True)
@@ -82,17 +67,12 @@ class Workload:
     profiles:
         Named profiles this workload offers (e.g. ``svc1`` → its
         :class:`~repro.has.services.ServiceProfile`).
-    session_source:
-        Module-level factory ``(profile, config) -> (rng -> trace)``;
-        the outer call runs once per collection chunk (catalog build),
-        the inner once per session seed.
     """
 
     name: str
     title: str
     description: str
     profiles: dict
-    session_source: SessionSource
 
     @property
     def is_default(self) -> bool:
@@ -103,7 +83,7 @@ class Workload:
         """Names of this workload's profiles, sorted."""
         return sorted(self.profiles)
 
-    def get_profile(self, name: str) -> "ServiceProfile | RtcProfile":
+    def get_profile(self, name: str) -> SessionProfile:
         """Look up one of this workload's profiles by name."""
         try:
             return self.profiles[name.lower()]
@@ -115,46 +95,45 @@ class Workload:
             ) from None
 
 
-_REGISTRY: dict[str, Workload] = {}
-
-
-def workload(
-    name: str,
-    *,
-    title: str,
-    description: str,
-    profiles: dict,
-) -> Callable[[SessionSource], SessionSource]:
-    """Register a session-source factory as a named workload.
-
-    Mirrors :func:`repro.experiments.registry.experiment`: decorate the
-    module-level session source, and the workload becomes resolvable by
-    name everywhere (facade, CLI, ``REPRO_WORKLOAD``).
-    """
-    if not name or not name.islower() or not name.isidentifier():
-        raise ValueError(f"workload name must be a lowercase identifier: {name!r}")
-
-    def decorate(source: SessionSource) -> SessionSource:
-        if name in _REGISTRY:
-            raise ValueError(f"duplicate workload name: {name!r}")
-        if not profiles:
-            raise ValueError(f"workload {name!r} must offer at least one profile")
-        _REGISTRY[name] = Workload(
-            name=name,
-            title=title,
-            description=description,
-            profiles=dict(profiles),
-            session_source=source,
-        )
-        return source
-
-    return decorate
+_REGISTRY: dict[str, Workload] = {
+    wl.name: wl
+    for wl in (
+        Workload(
+            name="has",
+            title="On-demand HAS video (the paper's workload)",
+            description=(
+                "Buffered adaptive-bitrate players (svc1/svc2/svc3) streaming "
+                "on-demand titles; deep buffers, ABR ladders, DRM, beacons."
+            ),
+            profiles=SERVICES,
+        ),
+        Workload(
+            name="live",
+            title="Live-HAS video (low-latency, rebuffer-prone)",
+            description=(
+                "Live variants of the HAS services (live1/live2/live3): 2s "
+                "segments, 3-6s latency-target buffers, aggressive ABR — any "
+                "bandwidth dip longer than the buffer rebuffers."
+            ),
+            profiles=LIVE_SERVICES,
+        ),
+        Workload(
+            name="rtc",
+            title="Real-time video calls (GCC-style congestion control)",
+            description=(
+                "Bidirectional, latency-bound calls (rtc1): send rate tracks "
+                "estimated bandwidth with delay-gradient backoff; no playback "
+                "buffer, so late media freezes the call and drops frames."
+            ),
+            profiles=RTC_SERVICES,
+        ),
+    )
+}
 
 
 def workload_names() -> list[str]:
     """Registered workload names, default first, then alphabetical."""
-    rest = sorted(n for n in _REGISTRY if n != DEFAULT_WORKLOAD)
-    return ([DEFAULT_WORKLOAD] if DEFAULT_WORKLOAD in _REGISTRY else []) + rest
+    return [DEFAULT_WORKLOAD] + sorted(n for n in _REGISTRY if n != DEFAULT_WORKLOAD)
 
 
 def all_workloads() -> list[Workload]:
@@ -189,68 +168,3 @@ def resolve_workload(value: "str | Workload | None") -> Workload:
     raise TypeError(
         f"expected workload name, Workload, or None; got {type(value).__name__}"
     )
-
-
-# ----------------------------------------------------------------------
-# Built-in workloads.
-# ----------------------------------------------------------------------
-
-def _player_session_source(profile, config):
-    """Shared buffered-player source for ``has`` and ``live``.
-
-    Reproduces the harness's pre-registry draw order exactly — catalog
-    built once per chunk, then per seed: sample a title, run a session
-    — so default-workload corpora stay bit-identical.
-    """
-    from repro.collection.harness import collect_session
-
-    catalog = profile.make_catalog(seed=config.catalog_seed)
-
-    def collect_one(rng: np.random.Generator):
-        video = catalog.sample(rng)
-        return collect_session(profile, video, rng, config=config)
-
-    return collect_one
-
-
-@workload(
-    "has",
-    title="On-demand HAS video (the paper's workload)",
-    description=(
-        "Buffered adaptive-bitrate players (svc1/svc2/svc3) streaming "
-        "on-demand titles; deep buffers, ABR ladders, DRM, beacons."
-    ),
-    profiles=SERVICES,
-)
-def _has_session_source(profile, config):
-    return _player_session_source(profile, config)
-
-
-@workload(
-    "live",
-    title="Live-HAS video (low-latency, rebuffer-prone)",
-    description=(
-        "Live variants of the HAS services (live1/live2/live3): 2s "
-        "segments, 3-6s latency-target buffers, aggressive ABR — any "
-        "bandwidth dip longer than the buffer rebuffers."
-    ),
-    profiles=LIVE_SERVICES,
-)
-def _live_session_source(profile, config):
-    return _player_session_source(profile, config)
-
-
-@workload(
-    "rtc",
-    title="Real-time video calls (GCC-style congestion control)",
-    description=(
-        "Bidirectional, latency-bound calls (rtc1): send rate tracks "
-        "estimated bandwidth with delay-gradient backoff; no playback "
-        "buffer, so late media freezes the call and drops frames."
-    ),
-    profiles=RTC_SERVICES,
-)
-def _rtc_session_source(profile, config):
-    from repro.rtc.collect import rtc_session_source
-
-    return rtc_session_source(profile, config)

@@ -109,10 +109,14 @@ def test_explicit_has_workload_matches_golden(tmp_path):
 # ----------------------------------------------------------------------
 #: Format-4 manifest digests of a small corpus on every collection
 #: path: each registered workload x profile over identity, each
-#: registered scenario over svc1, and svc2 over hostile.  Pinned on
-#: commit 978e263, before the simulator's scalar hot path, so any
-#: arithmetic reorder or moved generator draw in the trace, link, TCP,
-#: impairment, pool, HAS, live or RTC code fails here.
+#: registered scenario over svc1, and svc2 and rtc1 over hostile.
+#: Pinned on commit 978e263, before the simulator's scalar hot path, so
+#: any arithmetic reorder or moved generator draw in the trace, link,
+#: TCP, impairment, pool, HAS, live or RTC code fails here.  rtc1 over
+#: hostile (5 of its 12 sessions policed) was pinned on commit e0fd946,
+#: before the HAS and RTC simulators shared one session shell, so the
+#: RTC simulator's ``path.*`` counters and ``policed`` flag have a byte
+#: check too.
 PATH_SESSIONS = 12
 PATH_SEED = 19
 PATH_SHARD_SIZE = 5
@@ -132,6 +136,7 @@ GOLDEN_PATH_DIGESTS = {
     ("has", "svc1", "reorder-50ms"): "8b1242f0270c4b94e920210b",
     ("has", "svc1", "shaped-2mbps"): "4f16c2a5028542c765f95cc8",
     ("has", "svc2", "hostile"): "b23c3c570ec980e2349f3c3f",
+    ("rtc", "rtc1", "hostile"): "a0e0bda3988a4954d6f5bc42",
 }
 
 

@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.collection.harness import collect_corpus
 from repro.ml.metrics import EvalReport
-from repro.tlsproxy.proxy import merge_streams
-from repro.tlsproxy.records import TlsTransaction
 
 
 class TestEvalReport:
@@ -22,34 +18,6 @@ class TestEvalReport:
         rows = report.confusion_row_percent()
         np.testing.assert_allclose(rows[0], [0.0, 0.0])
         np.testing.assert_allclose(rows[1], [0.0, 100.0])
-
-
-class TestMergeStreamsProperties:
-    @given(
-        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
-        gap=st.floats(min_value=0.0, max_value=100.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_preserves_count_and_order(self, sizes, gap):
-        streams = [
-            [
-                TlsTransaction(
-                    start=float(i), end=float(i) + 0.5, uplink_bytes=1,
-                    downlink_bytes=1, sni=f"s{k}",
-                )
-                for i in range(n)
-            ]
-            for k, n in enumerate(sizes)
-        ]
-        offsets = [k * gap for k in range(len(streams))]
-        merged = merge_streams(streams, offsets)
-        assert len(merged) == sum(sizes)
-        starts = [t.start for t in merged]
-        assert starts == sorted(starts)
-
-    def test_empty_streams(self):
-        assert merge_streams([], []) == []
-        assert merge_streams([[]], [0.0]) == []
 
 
 class TestVideoLevelJitter:

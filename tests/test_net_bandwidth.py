@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collection.harness import CollectionConfig
 from repro.net.bandwidth import (
     BandwidthTrace,
     TraceFamily,
@@ -12,7 +13,6 @@ from repro.net.bandwidth import (
     generate_trace,
     hsdpa_trace,
     lte_trace,
-    trace_corpus,
 )
 
 
@@ -232,25 +232,31 @@ class TestGenerators:
 
 
 class TestTraceCorpus:
+    """The collection's trace mixture: traces drawn one per session by
+    ``CollectionConfig().sample_trace``, each covering the longest
+    watch duration."""
+
+    @staticmethod
+    def corpus(rng, n_traces):
+        config = CollectionConfig()
+        return [config.sample_trace(rng) for _ in range(n_traces)]
+
     def test_corpus_size(self):
         rng = np.random.default_rng(0)
-        corpus = trace_corpus(rng, 25, duration=30.0)
+        corpus = self.corpus(rng, 25)
         assert len(corpus) == 25
-
-    def test_corpus_rejects_negative(self):
-        with pytest.raises(ValueError):
-            trace_corpus(np.random.default_rng(0), -1)
+        assert {t.duration for t in corpus} == {CollectionConfig().max_watch_s + 100.0}
 
     def test_corpus_mixes_families(self):
         rng = np.random.default_rng(0)
-        corpus = trace_corpus(rng, 120, duration=30.0)
+        corpus = self.corpus(rng, 120)
         families = {t.family for t in corpus}
         assert families == {TraceFamily.FCC, TraceFamily.HSDPA_3G, TraceFamily.LTE}
 
     def test_corpus_spans_bandwidth_decades(self):
         """Figure 3a: the avg-bandwidth CDF spans ~100 kbps to ~100 Mbps."""
         rng = np.random.default_rng(1)
-        corpus = trace_corpus(rng, 200, duration=120.0)
+        corpus = self.corpus(rng, 200)
         means = np.array([t.mean_bps for t in corpus])
         assert means.min() < 1e6
         assert means.max() > 2e7

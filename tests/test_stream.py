@@ -28,6 +28,7 @@ from repro.sessions.workload import back_to_back_stream
 from repro.stream.engine import StreamConfig, StreamDetector
 from repro.stream.replay import (
     check_batch_equivalence,
+    dataset_streams,
     demo_streams,
     interleave,
     replay,
@@ -538,3 +539,54 @@ class TestReplayProperties:
         assert engine.stats()["late_dropped"] == 0
         check_batch_equivalence(streams, verdicts, model, config=config)
         assert {v.stream for v in verdicts} == set(streams)
+
+
+def two_step_feed(ds, n_streams, gap_s=4.0):
+    """The corpus feed built the two-step way: every session's records
+    first, then a shifted copy of each."""
+    streams, cursors = {}, {}
+    for i, transactions in enumerate(ds.iter_transactions()):
+        key = f"user{i % n_streams:03d}/{ds.service}"
+        if not transactions:
+            continue
+        shift = cursors.get(key, 0.0) - min(t.start for t in transactions)
+        shifted = [t.shifted(shift) for t in transactions]
+        streams.setdefault(key, []).extend(shifted)
+        cursors[key] = max(t.end for t in shifted) + gap_s
+    return streams
+
+
+def event_bits(streams):
+    return {
+        key: [(t.start.hex(), t.end.hex(), t.uplink_bytes, t.downlink_bytes, t.sni)
+              for t in events]
+        for key, events in streams.items()
+    }
+
+
+class TestDatasetStreams:
+    def test_feed_equals_two_step_construction(self, tmp_path):
+        """Shifting a session's columns and building one record per row
+        gives the two-step feed, event for event and bit for bit, from
+        a corpus in memory and from one stored in several shards."""
+        held = api.collect_corpus("svc1", n_sessions=10, seed=4, jobs=1)
+        stored = api.collect_corpus(
+            "svc1", n_sessions=10, seed=4, jobs=1,
+            out=str(tmp_path / "c.shards"), shard_size=3,
+        )
+        assert (held.n_shards, stored.n_shards) == (1, 4)
+        for ds in (held, stored):
+            for n_streams, gap_s in ((3, 4.0), (10, 0.0)):
+                feed = dataset_streams(ds, n_streams=n_streams, gap_s=gap_s)
+                want = two_step_feed(ds, n_streams, gap_s)
+                assert event_bits(feed) == event_bits(want)
+                assert feed == want
+
+    def test_events_share_the_tables_host_strings(self):
+        # One block: its table holds one string per host, and every
+        # event naming that host holds that very string.
+        held = api.collect_corpus("svc1", n_sessions=10, seed=4, jobs=1)
+        (table,) = held.iter_tables()
+        snis = [t.sni for events in dataset_streams(held, 3).values() for t in events]
+        assert len(snis) == table.n_rows
+        assert len({id(h) for h in snis}) == len(set(snis)) < len(snis)

@@ -12,9 +12,8 @@ from repro.tlsproxy.proxy import (
     HANDSHAKE_UP_BYTES,
     TransparentProxy,
     connection_to_transaction,
-    merge_streams,
 )
-from repro.tlsproxy.records import ResourceType, TlsTransaction
+from repro.tlsproxy.records import ResourceType
 
 
 def make_pool(idle_timeout=15.0, max_requests=16, bps=40e6, seed=0):
@@ -152,34 +151,3 @@ class TestTransparentProxy:
         r = pool.fetch(0.0, "h.example", 400, 1000, ResourceType.VIDEO_SEGMENT)
         with pytest.raises(ValueError):
             connection_to_transaction("h.example", r.connection)
-
-
-class TestMergeStreams:
-    def make_stream(self, n, sni="a.example"):
-        return [
-            TlsTransaction(start=float(i), end=float(i) + 0.5, uplink_bytes=1,
-                           downlink_bytes=1, sni=sni)
-            for i in range(n)
-        ]
-
-    def test_offsets_applied(self):
-        merged = merge_streams(
-            [self.make_stream(2), self.make_stream(2, sni="b.example")], [0.0, 100.0]
-        )
-        assert len(merged) == 4
-        assert merged[-1].start == pytest.approx(101.0)
-
-    def test_requires_one_offset_per_stream(self):
-        with pytest.raises(ValueError):
-            merge_streams([self.make_stream(1)], [0.0, 1.0])
-
-    def test_rejects_decreasing_offsets(self):
-        with pytest.raises(ValueError):
-            merge_streams([self.make_stream(1), self.make_stream(1)], [5.0, 1.0])
-
-    def test_result_sorted(self):
-        merged = merge_streams(
-            [self.make_stream(3), self.make_stream(3, sni="b.example")], [0.0, 1.5]
-        )
-        starts = [t.start for t in merged]
-        assert starts == sorted(starts)

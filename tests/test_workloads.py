@@ -26,9 +26,8 @@ from repro.collection.harness import (
     resolve_collection_workload,
 )
 from repro.config import override
-from repro.has.live import LIVE_SERVICES, get_live_service
+from repro.has.live import LIVE_SERVICES
 from repro.net.bandwidth import BandwidthTrace, TraceFamily
-from repro.rtc.collect import collect_rtc_session
 from repro.rtc.model import RTC_SERVICES, RtcCallSpec, RtcProfile
 from repro.workloads import (
     UnknownWorkloadError,
@@ -81,6 +80,21 @@ class TestRegistry:
     def test_profile_lookup_error_names_choices(self):
         with pytest.raises(ValueError, match=r"expected one of \['rtc1'\]"):
             get_workload("rtc").get_profile("svc1")
+
+    def test_every_profile_names_its_simulator(self):
+        # One collect_session serves every workload: the profile class
+        # names the session-shell subclass its sessions run.
+        from repro.has.player import PlayerSession, SessionShell
+        from repro.rtc.model import RtcSession
+
+        simulators = {
+            name: {p.simulator for p in get_workload(name).profiles.values()}
+            for name in workload_names()
+        }
+        assert simulators == {
+            "has": {PlayerSession}, "live": {PlayerSession}, "rtc": {RtcSession},
+        }
+        assert all(issubclass(s, SessionShell) for s in (PlayerSession, RtcSession))
 
     def test_workloads_picklable(self):
         import pickle
@@ -136,9 +150,9 @@ class TestRtcModel:
         down the resolution ladder, and freeze at least once."""
         profile = RTC_SERVICES["rtc1"]
         trace = step_trace(3_000_000.0, 150_000.0, step_at=60.0, duration=300.0)
-        out = collect_rtc_session(
+        out = collect_session(
             profile, self._call(), np.random.default_rng(0),
-            trace=trace, duration_s=150.0,
+            trace=trace, watch_duration_s=150.0,
         )
         early = [e.quality for e in out.play_events if e.start < 50.0]
         late = [e.quality for e in out.play_events if e.start > 100.0]
@@ -151,9 +165,9 @@ class TestRtcModel:
     def test_steady_link_climbs_to_top_rung(self):
         profile = RTC_SERVICES["rtc1"]
         trace = step_trace(6_000_000.0, 6_000_000.0, step_at=1.0, duration=300.0)
-        out = collect_rtc_session(
+        out = collect_session(
             profile, self._call(), np.random.default_rng(1),
-            trace=trace, duration_s=120.0,
+            trace=trace, watch_duration_s=120.0,
         )
         top = len(profile.ladder) - 1
         late = [e.quality for e in out.play_events if e.start > 60.0]
@@ -168,9 +182,9 @@ class TestRtcModel:
 
         profile = RTC_SERVICES["rtc1"]
         trace = step_trace(2_500_000.0, 120_000.0, step_at=40.0, duration=300.0)
-        out = collect_rtc_session(
+        out = collect_session(
             profile, self._call(), np.random.default_rng(2),
-            trace=trace, duration_s=120.0,
+            trace=trace, watch_duration_s=120.0,
         )
         labels = compute_labels(out, profile)
         # Class 0 is "low QoE": a call starved to 120 kbps must land
@@ -178,6 +192,26 @@ class TestRtcModel:
         assert labels.rebuffering_ratio > 0.1
         assert labels.rebuffering == 0
         assert labels.combined == 0
+
+    def test_call_hangs_up_at_the_shorter_of_call_and_watch(self):
+        profile = RTC_SERVICES["rtc1"]
+        trace = step_trace(3_000_000.0, 3_000_000.0, step_at=1.0, duration=300.0)
+        for call_s, watch_s, want in ((60.0, 150.0, 60.0), (600.0, 90.0, 90.0)):
+            out = collect_session(
+                profile, self._call(duration_s=call_s), np.random.default_rng(4),
+                trace=trace, watch_duration_s=watch_s,
+            )
+            assert out.watch_duration_s == want
+            assert out.play_events[-1].end <= out.session_end
+
+    def test_warm_start_is_rejected_naming_the_profile(self):
+        # A simulator never ignores an argument: a call has no cached
+        # player page to warm-start from.
+        with pytest.raises(ValueError, match="'rtc1'.*no warm start"):
+            collect_session(
+                RTC_SERVICES["rtc1"], self._call(), np.random.default_rng(0),
+                warm_start=True,
+            )
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -198,7 +232,7 @@ class TestLiveModel:
         trace = step_trace(
             20_000_000.0, 80_000.0, step_at=60.0, duration=600.0, recover_at=90.0
         )
-        live = get_live_service("live1")
+        live = LIVE_SERVICES["live1"]
         rng = np.random.default_rng(3)
         video = live.make_catalog(seed=0).sample(rng)
         live_out = collect_session(
