@@ -1,11 +1,13 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one of the paper's tables or figures via the
-corresponding :mod:`repro.experiments` driver and attaches the computed
-rows to ``benchmark.extra_info`` so the numbers appear in the report.
+``test_bench_claims.py`` runs every registered :mod:`repro.experiments`
+driver once and checks the paper claims it declares; the other modules
+time one layer each (kernels, features, the store, the fleet, the
+stream engine) and attach their numbers to ``benchmark.extra_info``.
 
-Scale: benchmarks honour ``REPRO_SCALE`` like the experiment CLIs but
-default to 0.25 (a quarter of the paper's corpus sizes) so the whole
+Scale: benchmarks honour ``REPRO_SCALE`` like the experiment CLI but
+default to ``registry.CLAIMS_SCALE`` (0.25, a quarter of the paper's
+corpus sizes — the scale the claims were declared at) so the whole
 suite runs in minutes; set ``REPRO_SCALE=1.0`` to regenerate everything
 at paper scale.  Corpora are cached on disk across runs.
 """
@@ -13,17 +15,9 @@ at paper scale.  Corpora are cached on disk across runs.
 import pytest
 
 from repro.config import set_env_default
+from repro.experiments import common, registry
 
-set_env_default("REPRO_SCALE", "0.25")
-
-from repro.experiments import common, registry  # noqa: E402
-
-
-@pytest.fixture(scope="session")
-def experiments():
-    """Registered experiment specs by name, from the declarative
-    registry — the same source ``run_all`` and the CLI resolve."""
-    return {spec.name: spec for spec in registry.all_experiments()}
+set_env_default("REPRO_SCALE", str(registry.CLAIMS_SCALE))
 
 
 @pytest.fixture(scope="session")

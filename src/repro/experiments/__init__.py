@@ -2,8 +2,13 @@
 
 Each module exposes ``run(...) -> dict`` returning the numeric rows or
 series the corresponding plot/table is built from, plus a ``main()``
-that prints them next to the paper's reported values.  The benchmark
-suite (``benchmarks/``) wraps these same entry points.
+that prints them next to the paper's reported values, registered with
+:func:`repro.experiments.registry.experiment` together with the paper
+claims its result must keep.  Run a driver with
+``python -m repro experiment NAME`` (``all`` runs the suite); every
+registry run prints each claim's paper value, measured value and
+verdict, and ``benchmarks/test_bench_claims.py`` fails on any claim
+that does not hold.
 
 | Module   | Paper artifact                                            |
 |----------|-----------------------------------------------------------|
@@ -26,7 +31,9 @@ Beyond the paper's artifacts (its stated future work and limitations):
 |-------------------|--------------------------------------------------|
 | ablations         | temporal-interval grid + forest-size sweeps      |
 | netflow_tradeoff  | TLS < NetFlow < packets granularity spectrum     |
-| generalization    | cross-service train/test matrix                  |
+| generalization    | train/test matrices across services (38 TLS      |
+|                   | features) and across HAS/live/RTC (TLS vs the    |
+|                   | application-agnostic subset)                     |
 | interactions      | pause/seek impact on inference accuracy          |
 | realtime          | partial-session (detection-latency) curve        |
 | startup           | startup-delay estimation from the same features  |
@@ -34,8 +41,6 @@ Beyond the paper's artifacts (its stated future work and limitations):
 |                   | adversarial networks (policing, bufferbloat, ...)|
 | policing          | detect *that* a session was policed from the     |
 |                   | 38 TLS features (clean vs policed corpora)       |
-| generalization2   | cross-application transfer (HAS vs live vs RTC), |
-|                   | 38 TLS features vs the agnostic subset           |
 """
 
 from repro.experiments import common

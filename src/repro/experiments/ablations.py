@@ -20,7 +20,7 @@ from repro.experiments.common import (
     format_table,
     get_corpus,
 )
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 
 __all__ = ["INTERVAL_GRIDS", "interval_ablation", "forest_size_ablation", "main"]
 
@@ -31,6 +31,21 @@ INTERVAL_GRIDS = {
     "paper": (30, 60, 120, 240, 480, 720, 960, 1200),
     "early-heavy": (10, 20, 30, 45, 60, 90, 120, 1200),
 }
+
+
+def _no_worse(by_key: dict, a, b, slack: float) -> tuple:
+    accuracies = (by_key[a]["accuracy"], by_key[b]["accuracy"])
+    return accuracies, accuracies[0] >= accuracies[1] - slack
+
+
+CLAIMS = (
+    # Fine intervals near session start carry the buffer-empty signal,
+    # and more trees must not meaningfully hurt.
+    Claim("paper interval grid accuracy >= coarse grid's - 0.03", "a hyperparameter (§3)",
+          lambda r: _no_worse(r["intervals"], "paper", "coarse", 0.03)),
+    Claim("60-tree forest accuracy >= 5-tree forest's - 0.01", "-",
+          lambda r: _no_worse(r["forest_size"], 60, 5, 0.01)),
+)
 
 
 def interval_ablation(dataset: Dataset | None = None, target: str = "combined") -> dict:
@@ -82,6 +97,7 @@ def forest_size_ablation(
     paper_ref="§3 (hyperparameters)",
     description="Temporal-interval grid and forest-size sweeps",
     order=130,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print both ablations."""
@@ -108,7 +124,3 @@ def main() -> dict:
         )
     )
     return {"intervals": intervals, "forest_size": trees}
-
-
-if __name__ == "__main__":
-    main()

@@ -53,7 +53,6 @@ __all__ = [
     "scale",
     "corpus_size",
     "get_corpus",
-    "scenario_corpus",
     "dataset_stage",
     "CorpusCodec",
     "profile_corpus",
@@ -215,20 +214,6 @@ def get_corpus(
     )
 
 
-def scenario_corpus(
-    service: str,
-    scenario: str,
-    n_sessions: int | None = None,
-    seed: int | None = None,
-) -> Dataset:
-    """The evaluation corpus collected under a named scenario.
-
-    A thin, explicit wrapper over :func:`get_corpus` for the robustness
-    and policing drivers — same sizes, same seeds, different network.
-    """
-    return get_corpus(service, n_sessions=n_sessions, seed=seed, scenario=scenario)
-
-
 def profile_corpus(
     variant: str, profile, n_sessions: int, seed: int
 ) -> Dataset:
@@ -287,23 +272,31 @@ def ml16_features_for(
     return value["X"], ML16_FEATURE_NAMES
 
 
-def flow_features_for(dataset: Dataset, config=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The NetFlow feature matrix — ``flow-features`` stage."""
+def flow_features_for(dataset: Dataset, config=None) -> tuple[np.ndarray, np.ndarray]:
+    """The NetFlow feature matrix and the flow records each session
+    exported, both from one export — the ``flow-features`` stage."""
     import dataclasses
 
-    from repro.netflow.features import FLOW_FEATURE_NAMES, extract_flow_matrix
+    from repro.netflow.features import export_flow_features
 
     key = dataset_digest(dataset)
     if key is None:
-        return extract_flow_matrix(dataset, config)
+        return export_flow_features(dataset, config)
     exporter = dataclasses.asdict(config) if config is not None else "default"
+
+    def build() -> dict[str, np.ndarray]:
+        X, counts = export_flow_features(dataset, config)
+        return {"X": X, "counts": counts}
+
     value, _ = get_store().get_or_compute(
         "flow-features",
-        {"exporter": exporter},
-        lambda: {"X": extract_flow_matrix(dataset, config)[0]},
+        # "payload" keys these entries apart from those stored before
+        # the stage kept the record counts.
+        {"exporter": exporter, "payload": ("X", "counts")},
+        build,
         deps=(key,),
     )
-    return value["X"], FLOW_FEATURE_NAMES
+    return value["X"], value["counts"]
 
 
 def matrix_stage(
@@ -405,7 +398,7 @@ def default_forest(random_state: int = 0) -> RandomForestClassifier:
 
 
 def cv_predictions_for(
-    dataset: Dataset,
+    dataset: Dataset | tuple[Dataset, ...],
     X: np.ndarray,
     y: np.ndarray,
     stage_config: dict,
@@ -416,8 +409,11 @@ def cv_predictions_for(
 ) -> np.ndarray:
     """Out-of-fold predictions — the ``cv-predictions`` stage.
 
+    ``dataset`` is the corpus ``(X, y)`` derive from, or a tuple of the
+    corpora whose rows ``X`` stacks; the stage chains from every
+    corpus's digest, so any of them changing invalidates the vector.
     ``stage_config`` must uniquely describe how ``(X, y)`` derive from
-    the corpus (feature family, column subset, target, ...); the model
+    the corpora (feature family, column subset, target, ...); the model
     config, fold count and fold seed are appended automatically.  The
     computation itself is :func:`~repro.ml.model_selection.cross_val_predict`
     (deterministic for any worker count), so a cached vector is
@@ -426,8 +422,9 @@ def cv_predictions_for(
     if model_config is None:
         model_config = default_forest_config()
     estimator = build_model(model_config)
-    key = dataset_digest(dataset)
-    if key is None:
+    corpora = dataset if isinstance(dataset, tuple) else (dataset,)
+    keys = tuple(dataset_digest(corpus) for corpus in corpora)
+    if None in keys:
         return cross_val_predict(
             estimator, X, y, n_splits=n_splits, random_state=random_state,
             n_jobs=n_jobs,
@@ -446,7 +443,7 @@ def cv_predictions_for(
                 random_state=random_state, n_jobs=n_jobs,
             )
         },
-        deps=(key,),
+        deps=keys,
     )
     return value["y_pred"]
 

@@ -12,12 +12,24 @@ import numpy as np
 
 from repro.collection.dataset import Dataset
 from repro.experiments.common import format_table, get_corpus
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 
 __all__ = ["run", "main"]
 
 #: Paper-reported average HTTP transactions per TLS transaction (Svc1).
 PAPER_HTTP_PER_TLS = 12.1
+
+CLAIMS = (
+    Claim("HTTP transactions per TLS transaction > 2", f"{PAPER_HTTP_PER_TLS}",
+          lambda r: (r["mean_http_per_tls"], r["mean_http_per_tls"] > 2.0)),
+    # The sample session's first seconds show the Figure-2 picture:
+    # several concurrent TLS transactions with HTTP inside them.
+    Claim("sample's first 5 s: TLS transactions >= 2", "several",
+          lambda r: (len(r["sample_tls_intervals"]), len(r["sample_tls_intervals"]) >= 2)),
+    Claim("sample's first 5 s: HTTP transactions > TLS transactions", "several per TLS",
+          lambda r: ((len(r["sample_http_starts"]), len(r["sample_tls_intervals"])),
+                     len(r["sample_http_starts"]) > len(r["sample_tls_intervals"]))),
+)
 
 
 def run(dataset: Dataset | None = None, window_s: float = 5.0) -> dict:
@@ -67,6 +79,7 @@ def run(dataset: Dataset | None = None, window_s: float = 5.0) -> dict:
     paper_ref="§3.1, Fig. 2",
     description="TLS transactions vs the HTTP transactions inside them",
     order=10,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print Figure 2's numbers."""
@@ -100,7 +113,3 @@ def main() -> dict:
             f"{inside} HTTP transactions overlap"
         )
     return result
-
-
-if __name__ == "__main__":
-    main()

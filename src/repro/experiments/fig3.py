@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import SERVICES, format_table, get_corpus
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 
 __all__ = ["run", "main", "DURATION_BUCKETS"]
 
@@ -19,6 +19,17 @@ DURATION_BUCKETS = ((0, 1), (1, 2), (2, 5), (5, 20))
 
 #: CDF percentiles reported for the bandwidth distribution.
 _PERCENTILES = (5, 10, 25, 50, 75, 90, 95)
+
+CLAIMS = (
+    # Figure 3a spans roughly 10^2 to 10^5 kbps; 3b populates every bucket.
+    Claim("slowest trace's mean < 1,000 kbps", "~10^2 kbps",
+          lambda r: (r["min_bandwidth_kbps"], r["min_bandwidth_kbps"] < 1_000)),
+    Claim("fastest trace's mean > 30,000 kbps", "~10^5 kbps",
+          lambda r: (r["max_bandwidth_kbps"], r["max_bandwidth_kbps"] > 30_000)),
+    Claim("every duration bucket holds > 5% of sessions", "all populated",
+          lambda r: (min(shares := r["duration_bucket_shares"].values()),
+                     all(share > 0.05 for share in shares))),
+)
 
 
 def run(datasets: dict[str, object] | None = None) -> dict:
@@ -54,6 +65,7 @@ def run(datasets: dict[str, object] | None = None) -> dict:
     paper_ref="§4.1, Fig. 3",
     description="Bandwidth-trace CDF and session-duration buckets",
     order=20,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print Figure 3's numbers."""
@@ -68,11 +80,6 @@ def main() -> dict:
             ],
         )
     )
-    print(
-        f"range: {result['min_bandwidth_kbps']:,.0f} - "
-        f"{result['max_bandwidth_kbps']:,.0f} kbps "
-        "(paper: ~10^2 to ~10^5 kbps)"
-    )
     print("\nFigure 3b — session duration buckets")
     print(
         format_table(
@@ -84,7 +91,3 @@ def main() -> dict:
         )
     )
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ Svc1 degrades *quality* while Svc2 (and to a lesser extent Svc3)
 from __future__ import annotations
 
 from repro.experiments.common import SERVICES, format_table, get_corpus
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 from repro.qoe.metrics import COMBINED_NAMES, QUALITY_NAMES, REBUFFERING_NAMES
 
 __all__ = ["run", "main"]
@@ -20,6 +20,22 @@ _TARGET_NAMES = {
     "quality": QUALITY_NAMES,
     "combined": COMBINED_NAMES,
 }
+
+
+def _worst_shares(result: dict, target: str) -> list[float]:
+    """Each service's share of the worst category (stored first)."""
+    return [result[target][svc][0] for svc in SERVICES]
+
+
+# Svc1's large buffer trades quality for stall avoidance; Svc2 stalls.
+CLAIMS = (
+    Claim("high re-buffering share of svc1/svc2/svc3: svc1's smallest", "svc1 smallest",
+          lambda r: (s := _worst_shares(r, "rebuffering"), s[0] == min(s))),
+    Claim("high re-buffering share of svc1/svc2/svc3: svc2's largest", "svc2 largest",
+          lambda r: (s := _worst_shares(r, "rebuffering"), s[1] == max(s))),
+    Claim("low-quality share of svc1/svc2/svc3: svc1's >= svc2's", "svc1 largest",
+          lambda r: (s := _worst_shares(r, "quality"), s[0] >= s[1])),
+)
 
 
 def run(datasets: dict[str, object] | None = None) -> dict:
@@ -41,6 +57,7 @@ def run(datasets: dict[str, object] | None = None) -> dict:
     paper_ref="§4.1, Fig. 4",
     description="Ground-truth QoE category distributions per service",
     order=30,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print Figure 4's numbers."""
@@ -54,13 +71,4 @@ def main() -> dict:
             )
         # Categories are stored worst-first (index 0 = worst).
         print(format_table(["service", *names], rows))
-    print(
-        "\npaper shape check: Svc1's 'high' re-buffering share should be the "
-        "smallest of the three services, while its low-quality share is the "
-        "largest (large buffer trades quality for stall avoidance)."
-    )
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -16,13 +16,40 @@ from repro.experiments.common import (
     get_corpus,
     importances_for,
 )
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 from repro.features.tls_features import TLS_FEATURE_NAMES
 
 __all__ = ["run", "main", "PAPER_COMMON_FEATURES"]
 
 #: The four features the paper reports as common to all three services.
 PAPER_COMMON_FEATURES = ("SDR_DL", "TDR_MED", "D2U_MED", "CUM_DL_60s")
+
+#: Early cumulative-downlink and downlink-rate features.
+_DOWNLINK_FEATURES = frozenset(
+    {"CUM_DL_30s", "CUM_DL_60s", "CUM_DL_120s", "SDR_DL", "TDR_MED", "TDR_MAX"}
+)
+
+
+def _downlink_in_top(result: dict, svc: str) -> tuple:
+    found = sorted(_DOWNLINK_FEATURES & set(result["per_service"][svc]["top_features"]))
+    return ", ".join(found), bool(found)
+
+
+CLAIMS = (
+    # A handful of features is important everywhere, and some matter
+    # for only one service...
+    Claim("features common to every top-10 >= 2", ", ".join(PAPER_COMMON_FEATURES),
+          lambda r: (", ".join(r["common_features"]), len(r["common_features"]) >= 2)),
+    Claim("features in exactly one service's top-10 >= 3", "8",
+          lambda r: (n := sum(map(len, r["exclusive_features"].values())), n >= 3)),
+    # ...and early downlink volume/rate dominates every service's top-10.
+    *(
+        Claim(f"{svc} top-10 holds a downlink volume or rate feature",
+              "SDR_DL, TDR_MED, CUM_DL_60s in all",
+              lambda r, svc=svc: _downlink_in_top(r, svc))
+        for svc in SERVICES
+    ),
+)
 
 
 def run_service(
@@ -76,6 +103,7 @@ def run(
     paper_ref="§4.3, Fig. 6",
     description="Top-10 Random-Forest feature importances per service",
     order=70,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print Figure 6."""
@@ -93,16 +121,4 @@ def main() -> dict:
                 ],
             )
         )
-    print(
-        f"\ncommon to all services: {', '.join(result['common_features'])}"
-        f"\n(paper: {', '.join(PAPER_COMMON_FEATURES)})"
-    )
-    n_exclusive = sum(len(v) for v in result["exclusive_features"].values())
-    print(
-        f"features in exactly one service's top-10: {n_exclusive} (paper: 8)"
-    )
     return result
-
-
-if __name__ == "__main__":
-    main()

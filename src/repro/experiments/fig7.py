@@ -22,11 +22,31 @@ import numpy as np
 
 from repro.collection.dataset import Dataset
 from repro.experiments.common import features_for, format_table, get_corpus
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 
 __all__ = ["run", "run_panel", "main"]
 
 _QUARTILES = (25, 50, 75)
+
+
+def _low_downloads_less(result: dict) -> tuple:
+    """Svc1's low- vs high-QoE median ``CUM_DL_60s``; not checked with
+    fewer than 3 matched sessions in either class."""
+    low, high = (result["svc1"]["per_class"][c] for c in ("low", "high"))
+    medians = (low["quartiles"][1], high["quartiles"][1])
+    if low["n"] < 3 or high["n"] < 3:
+        return medians, None
+    return medians, medians[0] < medians[1]
+
+
+CLAIMS = (
+    # Among sessions with matched session-level features, low-QoE Svc1
+    # sessions still downloaded less in their first minute.
+    Claim("svc1 matched sessions: low-QoE median CUM_DL_60s < high-QoE", "21 MB < 24 MB",
+          _low_downloads_less),
+    Claim("svc1 matched sessions >= 5", "a band with every QoE class",
+          lambda r: (r["svc1"]["n_matched"], r["svc1"]["n_matched"] >= 5)),
+)
 
 
 def run_panel(
@@ -90,6 +110,7 @@ def run(datasets: dict[str, Dataset] | None = None) -> dict:
     paper_ref="§4.3, Fig. 7",
     description="Feature distributions among session-level-matched sessions",
     order=80,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print Figure 7."""
@@ -110,16 +131,4 @@ def main() -> dict:
                 [cls, str(stats["n"]), f"{q25:,.0f}", f"{q50:,.0f}", f"{q75:,.0f}"]
             )
         print(format_table(["QoE class", "n", "p25", "p50", "p75"], rows))
-    low = result["svc1"]["per_class"]["low"]
-    high = result["svc1"]["per_class"]["high"]
-    if low["n"] and high["n"]:
-        print(
-            "\nshape check (paper): low-QoE sessions download less in the "
-            f"first minute — median CUM_DL_60s low={low['quartiles'][1]:,.0f} "
-            f"vs high={high['quartiles'][1]:,.0f} bytes"
-        )
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -21,22 +21,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.artifacts import get_store
-from repro.collection.dataset import Dataset
 from repro.experiments.common import (
     SERVICES,
-    build_model,
-    dataset_digest,
-    default_forest_config,
+    cv_predictions_for,
     features_for,
     format_percent,
     format_table,
     get_corpus,
-    scenario_corpus,
 )
 from repro.experiments.registry import experiment
 from repro.ml.metrics import evaluate_predictions
-from repro.ml.model_selection import cross_val_predict
 
 __all__ = ["POLICED_SCENARIO", "run", "main"]
 
@@ -44,66 +38,29 @@ __all__ = ["POLICED_SCENARIO", "run", "main"]
 POLICED_SCENARIO = "policed-2mbps"
 
 
-def _stacked_cv(
-    clean: Dataset,
-    policed: Dataset,
-    X: np.ndarray,
-    y: np.ndarray,
-    model_config: dict,
-) -> np.ndarray:
-    """Out-of-fold predictions over the stacked pair, store-cached.
-
-    :func:`~repro.experiments.common.cv_predictions_for` chains from a
-    single corpus; this stage chains from both digests so either corpus
-    changing invalidates the vector.  Digest-less (ad-hoc) corpora
-    compute without caching, same contract as the shared helpers.
-    """
-
-    def build() -> dict[str, np.ndarray]:
-        estimator = build_model(model_config)
-        return {
-            "y_pred": cross_val_predict(
-                estimator, X, y, n_splits=5, random_state=0
-            )
-        }
-
-    clean_key = dataset_digest(clean)
-    policed_key = dataset_digest(policed)
-    if clean_key is None or policed_key is None:
-        return build()["y_pred"]
-    value, _ = get_store().get_or_compute(
-        "cv-predictions",
-        {
-            "derivation": {
-                "features": "tls",
-                "target": "policed",
-                "scenario": POLICED_SCENARIO,
-                "stacked": True,
-            },
-            "model": model_config,
-            "n_splits": 5,
-            "random_state": 0,
-        },
-        build,
-        deps=(clean_key, policed_key),
-    )
-    return value["y_pred"]
-
-
 def run(services: tuple[str, ...] = SERVICES) -> dict:
     """Policing-detection A/R/P per service (positive class = policed)."""
-    model_config = default_forest_config()
     result: dict = {}
     for service in services:
         clean = get_corpus(service)
-        policed = scenario_corpus(service, POLICED_SCENARIO)
+        policed = get_corpus(service, scenario=POLICED_SCENARIO)
         X_clean, _ = features_for(clean)
         X_policed, _ = features_for(policed)
         X = np.vstack([X_clean, X_policed])
         y = np.concatenate(
             [clean.labels("policed"), policed.labels("policed")]
         )
-        y_pred = _stacked_cv(clean, policed, X, y, model_config)
+        y_pred = cv_predictions_for(
+            (clean, policed),
+            X,
+            y,
+            {
+                "features": "tls",
+                "target": "policed",
+                "scenario": POLICED_SCENARIO,
+                "stacked": True,
+            },
+        )
         report = evaluate_predictions(y, y_pred, positive=1, n_classes=2)
         result[service] = {
             "accuracy": report.accuracy,
@@ -147,7 +104,3 @@ def main() -> dict:
         )
     )
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ from repro.experiments.common import (
     get_corpus,
     matrix_stage,
 )
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 from repro.features.tls_features import extract_tls_features
 from repro.tlsproxy.records import TlsTransaction
 
@@ -34,6 +34,25 @@ __all__ = ["WINDOWS_S", "prefix_features", "run", "main"]
 
 #: Observation windows (seconds from session start); None = full session.
 WINDOWS_S = (30.0, 60.0, 120.0, 240.0, 480.0, None)
+
+
+def _full_beats_first_30s(result: dict) -> tuple:
+    """Not checked when too few sessions are observable at 30 s to
+    train a model (NaN accuracy)."""
+    accuracies = (result["full"]["accuracy"], result["30s"]["accuracy"])
+    if np.isnan(accuracies[1]):
+        return accuracies, None
+    return accuracies, accuracies[0] >= accuracies[1] - 0.02
+
+
+# Longer observation windows never lose much accuracy, and
+# observability grows with the window.
+CLAIMS = (
+    Claim("accuracy: full session >= first 30 s - 0.02", "not real-time",
+          _full_beats_first_30s),
+    Claim("sessions observable: full session >= first 30 s", "not real-time",
+          lambda r: (v := (r["full"]["coverage"], r["30s"]["coverage"]), v[0] >= v[1])),
+)
 
 
 def prefix_features(
@@ -106,6 +125,7 @@ def run(dataset: Dataset | None = None, target: str = "combined") -> dict:
     paper_ref="§5, limitation #3",
     description="Accuracy vs observation-window length",
     order=170,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print the detection-latency curve."""
@@ -125,12 +145,4 @@ def main() -> dict:
             ["window", "accuracy", "low-QoE recall", "sessions observable"], rows
         )
     )
-    print(
-        "\nthe paper's caveat quantified: accuracy approaches the full-"
-        "session number only once most transactions have closed."
-    )
     return result
-
-
-if __name__ == "__main__":
-    main()

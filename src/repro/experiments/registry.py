@@ -19,6 +19,13 @@ forget to update.  ``order`` fixes the paper presentation order
 (figures/tables first, extensions after); :func:`all_experiments`
 returns specs sorted by it.
 
+A driver declares the paper's claims about its result once, as
+``claims=(Claim(...), ...)`` on its registration.  Every registry run
+prints one line per claim after ``main()`` returns — the paper's
+value, the measured value and the verdict — and
+``benchmarks/test_bench_claims.py`` fails on any claim that does not
+hold.  Claims are declared for corpora at :data:`CLAIMS_SCALE`.
+
 Registration names must match the defining module's basename — that is
 what makes ``python -m repro experiment <name>`` and the registry
 agree — and are enforced unique.
@@ -30,11 +37,16 @@ import functools
 import importlib
 import pkgutil
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
+
+import numpy as np
 
 from repro import telemetry
+from repro.config import get_config
 
 __all__ = [
+    "CLAIMS_SCALE",
+    "Claim",
     "Experiment",
     "UnknownExperimentError",
     "all_experiments",
@@ -43,6 +55,66 @@ __all__ = [
     "load_all",
     "names",
 ]
+
+
+#: The ``REPRO_SCALE`` every claim's threshold was set at.
+CLAIMS_SCALE = 0.25
+
+_VERDICTS = {True: "holds", False: "fails", None: "not checked"}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim about a driver's returned result.
+
+    ``check(result)`` returns ``(measured, holds)``: the measured value
+    (a number, or the numbers compared as a sequence or a dict) and
+    ``True`` or ``False`` — or ``None`` when the result lacks the data
+    the claim needs (too few sessions in a band, an undefined
+    accuracy), which reads "not checked".
+    """
+
+    name: str
+    #: The paper's value or statement, as printed.
+    paper: str
+    check: Callable[[Any], tuple[Any, bool | None]]
+
+    def evaluate(self, result: Any) -> tuple[Any, str]:
+        """``(measured, verdict)``: the measured value as plain Python
+        numbers and one of ``holds``, ``fails`` or ``not checked``."""
+        measured, holds = self.check(result)
+        verdict = _VERDICTS[None if holds is None else bool(holds)]
+        return np.asarray(measured).tolist(), verdict
+
+
+def _format(measured: Any) -> str:
+    if isinstance(measured, dict):
+        return ", ".join(f"{key} {_format(v)}" for key, v in measured.items())
+    if isinstance(measured, list):
+        return " vs ".join(_format(v) for v in measured)
+    if isinstance(measured, float):
+        return f"{measured:,.3f}" if abs(measured) < 100 else f"{measured:,.0f}"
+    return str(measured)
+
+
+def _claims_report(claims: tuple[Claim, ...], result: Any) -> str:
+    """One line per claim: verdict, name, paper value, measured value.
+
+    The block opens by saying so when this run's ``REPRO_SCALE`` is not
+    the one the claims were declared at.
+    """
+    run_scale = get_config().scale
+    header = "paper claims"
+    if run_scale != CLAIMS_SCALE:
+        header += f" (declared at scale {CLAIMS_SCALE}; this run: {run_scale})"
+    lines = [f"\n{header}:"]
+    for claim in claims:
+        measured, verdict = claim.evaluate(result)
+        lines.append(
+            f"  {verdict:<11}  {claim.name} "
+            f"(paper: {claim.paper}; measured: {_format(measured)})"
+        )
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -55,6 +127,7 @@ class Experiment:
     description: str
     run: Callable[[], object]
     order: int
+    claims: tuple[Claim, ...] = ()
 
     @property
     def module(self) -> str:
@@ -89,9 +162,11 @@ def experiment(
     paper_ref: str,
     description: str,
     order: int,
+    claims: tuple[Claim, ...] = (),
 ) -> Callable[[Callable[[], object]], Callable[[], object]]:
     """Register the decorated function as experiment ``name``'s entry
-    point.  The function itself is returned unchanged."""
+    point, with the paper ``claims`` its result is checked against.
+    The function itself is returned unchanged."""
 
     def decorate(run: Callable[[], object]) -> Callable[[], object]:
         expected_module = f"{__package__}.{name}"
@@ -108,11 +183,15 @@ def experiment(
 
         # Every registry-driven invocation (run_all, the CLI, the
         # benchmark suite) runs under one experiment span, so traces
-        # attribute the whole pipeline to the driver that asked for it.
+        # attribute the whole pipeline to the driver that asked for it,
+        # and reports the driver's claims.
         @functools.wraps(run)
         def traced_run() -> object:
             with telemetry.span("experiment", name=name):
-                return run()
+                result = run()
+            if claims:
+                print(_claims_report(claims, result))
+            return result
 
         spec = Experiment(
             name=name,
@@ -121,6 +200,7 @@ def experiment(
             description=description,
             run=traced_run,
             order=order,
+            claims=tuple(claims),
         )
         clash = next(
             (e for e in _REGISTRY.values() if e.order == order and e.name != name),

@@ -30,7 +30,7 @@ from repro.experiments.common import (
     features_for,
     format_percent,
     format_table,
-    scenario_corpus,
+    get_corpus,
 )
 from repro.experiments.registry import experiment
 from repro.net.scenarios import get_scenario
@@ -76,7 +76,7 @@ def run(
     for scenario in scenarios:
         per_service: dict = {}
         for service in services:
-            dataset = scenario_corpus(service, scenario)
+            dataset = get_corpus(service, scenario=scenario)
             X, _ = features_for(dataset)
             y = dataset.labels(target)
             # Identity cells share the exact cv-predictions artifacts of
@@ -165,7 +165,3 @@ def main() -> dict:
     MATRIX_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True))
     print(f"matrix written to {MATRIX_PATH}")
     return result
-
-
-if __name__ == "__main__":
-    main()

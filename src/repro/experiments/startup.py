@@ -25,13 +25,20 @@ from repro.experiments.common import (
     format_table,
     get_corpus,
 )
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 
 __all__ = ["startup_category", "startup_labels", "run", "main"]
 
 #: Category thresholds in seconds (fast <= FAST_MAX < medium <= MEDIUM_MAX).
 FAST_MAX_S = 5.0
 MEDIUM_MAX_S = 15.0
+
+# Early byte counts recover startup delay clearly better than the
+# majority-class baseline.
+CLAIMS = (
+    Claim("accuracy > majority-class share + 0.05", "not estimated",
+          lambda r: (v := (r["accuracy"], max(r["distribution"])), v[0] > v[1] + 0.05)),
+)
 
 
 def startup_category(delay_s: float) -> int:
@@ -77,6 +84,7 @@ def run(dataset: Dataset | None = None) -> dict:
     paper_ref="§2.1 (unestimated QoE factor)",
     description="Categorical startup delay from the 38 TLS features",
     order=180,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print the startup-delay study."""
@@ -100,7 +108,3 @@ def main() -> dict:
         )
     )
     return result
-
-
-if __name__ == "__main__":
-    main()

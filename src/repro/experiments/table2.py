@@ -18,11 +18,29 @@ import numpy as np
 from repro.collection.dataset import Dataset
 from repro.experiments.common import format_table, get_corpus
 from repro.experiments.fig5 import run_service
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 
 __all__ = ["run", "main", "PAPER_ROW_PERCENT"]
 
 PAPER_ROW_PERCENT = np.array([[72, 21, 8], [25, 43, 32], [5, 12, 84]])
+
+CLAIMS = (
+    # Strong low/high diagonals, a weaker medium diagonal...
+    *(
+        Claim(f"{name}-QoE diagonal > 60%", f"{PAPER_ROW_PERCENT[i, i]}%",
+              lambda r, i=i: (r["row_percent"][i, i], r["row_percent"][i, i] > 60))
+        for i, name in ((0, "low"), (2, "high"))
+    ),
+    *(
+        Claim(f"medium-QoE diagonal < {name}-QoE diagonal",
+              f"{PAPER_ROW_PERCENT[1, 1]}% < {PAPER_ROW_PERCENT[i, i]}%",
+              lambda r, i=i: (d := r["row_percent"].diagonal()[[1, i]], d[0] < d[1]))
+        for i, name in ((0, "low"), (2, "high"))
+    ),
+    # ...and errors concentrated between neighbouring classes.
+    Claim("share of errors in a neighbouring class > 0.5", "most",
+          lambda r: (r["neighbour_error_share"], r["neighbour_error_share"] > 0.5)),
+)
 
 
 def run(dataset: Dataset | None = None, fig5_result: dict | None = None) -> dict:
@@ -53,6 +71,7 @@ def run(dataset: Dataset | None = None, fig5_result: dict | None = None) -> dict
     paper_ref="§4.2, Table 2",
     description="Confusion matrix for Svc1's combined QoE",
     order=50,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print Table 2."""
@@ -67,13 +86,4 @@ def main() -> dict:
             [name, str(int(result["confusion"][i].sum())), measured, paper]
         )
     print(format_table(["actual", "#", "pred low/med/high", "paper"], rows))
-    print(
-        f"errors falling in a neighbouring class: "
-        f"{result['neighbour_error_share']:.0%} "
-        "(paper: most misclassifications are between neighbours)"
-    )
     return result
-
-
-if __name__ == "__main__":
-    main()

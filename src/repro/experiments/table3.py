@@ -22,7 +22,7 @@ from repro.experiments.common import (
     format_table,
     get_corpus,
 )
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 from repro.features.tls_features import TLS_FEATURE_NAMES, feature_groups
 
 __all__ = ["run", "main", "FEATURE_SETS", "PAPER_TABLE3"]
@@ -46,6 +46,35 @@ PAPER_TABLE3 = {
     ("SL+TS+Temporal", "svc2"): (0.71, 0.78, 0.71),
     ("SL+TS+Temporal", "svc3"): (0.73, 0.85, 0.75),
 }
+
+_FULL = FEATURE_SETS[-1][0]
+
+
+def _recalls(by_set: dict) -> list[float]:
+    """Recall with the full feature set and with SL alone."""
+    return [by_set[_FULL]["recall"], by_set["SL"]["recall"]]
+
+
+CLAIMS = (
+    # Transaction statistics and temporal features do not cost recall
+    # over session-level features alone, and gain on most services.
+    *(
+        Claim(f"{svc} recall: full feature set >= SL - 0.02",
+              f"{PAPER_TABLE3[_FULL, svc][1]:.0%} vs {PAPER_TABLE3['SL', svc][1]:.0%}",
+              lambda r, svc=svc: (v := _recalls(r[svc]), v[0] >= v[1] - 0.02))
+        for svc in SERVICES
+    ),
+    *(
+        Claim(f"{name} has {n} features", f"{n}",
+              lambda r, name=name, n=n: (
+                  counts := sorted({by_set[name]["n_features"] for by_set in r.values()}),
+                  counts == [n],
+              ))
+        for name, n in (("SL", 4), ("SL+TS", 22), (_FULL, 38))
+    ),
+    Claim("services whose recall gains from SL to the full set >= 2", "3 (+6-12%)",
+          lambda r: (n := sum(v[0] > v[1] for v in map(_recalls, r.values())), n >= 2)),
+)
 
 
 def _columns_for(group_names: tuple[str, ...]) -> np.ndarray:
@@ -89,6 +118,7 @@ def run(datasets: dict[str, Dataset] | None = None) -> dict:
     paper_ref="§4.3, Table 3",
     description="Incremental feature-set ablation for combined QoE",
     order=60,
+    claims=CLAIMS,
 )
 def main() -> dict:
     """Run and print Table 3."""
@@ -112,13 +142,4 @@ def main() -> dict:
     for svc in result:
         headers.extend([svc, f"{svc} paper"])
     print(format_table(headers, rows))
-    for svc in result:
-        gain = (
-            result[svc]["SL+TS+Temporal"]["recall"] - result[svc]["SL"]["recall"]
-        )
-        print(f"{svc}: recall gain SL -> full feature set: {gain:+.0%} (paper: +6-12%)")
     return result
-
-
-if __name__ == "__main__":
-    main()

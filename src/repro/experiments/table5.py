@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import format_table
-from repro.experiments.registry import experiment
+from repro.experiments.registry import Claim, experiment
 from repro.sessions.boundary import (
     BoundaryConfig,
     detect_session_starts,
@@ -27,6 +27,33 @@ from repro.sessions.workload import back_to_back_stream
 __all__ = ["run", "sweep", "main", "PAPER_ROW_PERCENT"]
 
 PAPER_ROW_PERCENT = np.array([[98.0, 2.0], [11.0, 89.0]])
+
+#: Window lengths (seconds) the parameter sweep covers.
+SWEEP_WINDOWS_S = (1.0, 3.0, 6.0, 10.0)
+
+
+def _new_recall_by_delta(result: dict, window: float) -> tuple:
+    """Sweep rows at ``window`` and N_min=2, by growing δ_min: demanding
+    a bigger newer-server majority can only detect fewer starts."""
+    rows = sorted(
+        (r for r in result["sweep"] if r["window_s"] == window and r["n_min"] == 2),
+        key=lambda r: r["delta_min"],
+    )
+    series = [r["new_correct"] for r in rows]
+    return series, all(a >= b - 1e-9 for a, b in zip(series, series[1:]))
+
+
+CLAIMS = (
+    Claim("existing-session transactions correct > 0.85", f"{PAPER_ROW_PERCENT[0, 0]:.0f}%",
+          lambda r: (r["existing_correct"], r["existing_correct"] > 0.85)),
+    Claim("new-session transactions correct > 0.6", f"{PAPER_ROW_PERCENT[1, 1]:.0f}%",
+          lambda r: (r["new_correct"], r["new_correct"] > 0.6)),
+    *(
+        Claim(f"W={w:.0f} s: 'new' recall never grows with δ_min", "not swept",
+              lambda r, w=w: _new_recall_by_delta(r, w))
+        for w in SWEEP_WINDOWS_S
+    ),
+)
 
 
 def _streams(service: str, n_streams: int, sessions_per_stream: int, seed: int):
@@ -73,7 +100,7 @@ def sweep(
     """Sensitivity of the heuristic to its three parameters."""
     streams = _streams(service, n_streams, sessions_per_stream, seed)
     rows = []
-    for window in (1.0, 3.0, 6.0, 10.0):
+    for window in SWEEP_WINDOWS_S:
         for n_min in (1, 2, 3):
             for delta_min in (0.3, 0.5, 0.7):
                 config = BoundaryConfig(
@@ -98,9 +125,11 @@ def sweep(
     paper_ref="§4.4, Table 5",
     description="Session-identification accuracy on back-to-back streams",
     order=100,
+    claims=CLAIMS,
 )
 def main() -> dict:
-    """Run and print Table 5 (+ parameter sweep highlights)."""
+    """Run and print Table 5 (+ parameter sweep highlights); the sweep
+    rows join the result under ``"sweep"``."""
     result = run()
     print(
         f"Table 5 — session identification over {result['n_sessions']} "
@@ -138,8 +167,4 @@ def main() -> dict:
         f"N_min={best['n_min']}, δ_min={best['delta_min']:.1f} "
         f"({best['existing_correct']:.0%}/{best['new_correct']:.0%})"
     )
-    return result
-
-
-if __name__ == "__main__":
-    main()
+    return {**result, "sweep": sweep_rows}

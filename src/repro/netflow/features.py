@@ -31,7 +31,7 @@ from repro.netflow.exporter import ExporterConfig, FlowTable, export_flow_table
 from repro.parallel import parallel_map
 from repro.tlsproxy.table import segment_min_med_max, segment_sum
 
-__all__ = ["FLOW_FEATURE_NAMES", "extract_flow_matrix"]
+__all__ = ["FLOW_FEATURE_NAMES", "extract_flow_matrix", "export_flow_features"]
 
 #: Flow features: the TLS schema over slices + packet-size statistics.
 FLOW_FEATURE_NAMES: tuple[str, ...] = TLS_FEATURE_NAMES + (
@@ -90,7 +90,15 @@ def extract_flow_matrix(
     is bit-identical to stacking the per-session reference.  A session
     that exports no flow record raises ``ValueError`` naming it.
     """
-    blocks = []
+    return export_flow_features(dataset, config)[0], FLOW_FEATURE_NAMES
+
+
+def export_flow_features(
+    dataset: Dataset, config: ExporterConfig | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`extract_flow_matrix`'s matrix and, from the same export,
+    the number of flow records each session exported."""
+    blocks, block_counts = [], []
     first = 0
     n_flows = 0
     with telemetry.span("features.flow", sessions=len(dataset)) as sp:
@@ -104,9 +112,11 @@ def extract_flow_matrix(
                 )
             if X is not None:
                 blocks.append(X)
+            block_counts.append(counts)
             first += counts.size
             n_flows += int(counts.sum())
         sp.set(flows=n_flows)
+    counts = np.concatenate(block_counts) if block_counts else np.zeros(0, np.int64)
     if not blocks:
-        return np.empty((0, len(FLOW_FEATURE_NAMES))), FLOW_FEATURE_NAMES
-    return np.vstack(blocks), FLOW_FEATURE_NAMES
+        return np.empty((0, len(FLOW_FEATURE_NAMES))), counts
+    return np.vstack(blocks), counts

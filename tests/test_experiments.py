@@ -28,6 +28,20 @@ from repro.experiments import (
 from repro.experiments.common import corpus_size, format_table, get_corpus
 from tests.records import record_bytes
 
+#: SHA-256 of each generalization axis's result as canonical JSON, on
+#: this module's corpora plus rtc1 and live1 corpora of 40 sessions
+#: (seeds 404 and 505), pinned from the separate cross-service and
+#: cross-application drivers before they became one.
+GENERALIZATION_DIGESTS = {
+    "services": "d82416859605ba8300e337b77460005429a969e3d42606a60aa18e818b063d88",
+    "applications": "904c470d5cfba2a05065ea6d2db30341fea89ba1d162a52d949d2939d3248e84",
+}
+
+#: Manifest digest of ``collect_interactive_corpus("svc1", 6, seed=6)``
+#: saved in shards of 4, pinned before the collector built its network
+#: path from the scenario: the identity corpus keeps its bytes.
+INTERACTIVE_IDENTITY_DIGEST = "28a869dddf25082cb5bd2647"
+
 
 @pytest.fixture(scope="module")
 def corpora():
@@ -267,11 +281,54 @@ class TestDrivers:
             > result["tls"]["records_per_session"]
         )
 
+    def test_flow_stage_keeps_each_sessions_record_count(self, tmp_path):
+        """A stored corpus's flow stage holds the record count of every
+        session from its one export, and a disk hit returns the same."""
+        from repro import config
+        from repro.artifacts import get_store
+        from repro.experiments.common import flow_features_for
+        from repro.netflow.exporter import export_flow_table
+        from repro.netflow.features import extract_flow_matrix
+
+        with config.override(cache_dir=tmp_path):
+            stored = get_corpus("svc3", n_sessions=12, seed=9)
+            X, counts = flow_features_for(stored)
+            get_store().clear_memory()
+            X_disk, counts_disk = flow_features_for(stored)
+        expected = np.concatenate(
+            [export_flow_table(*block).counts for block in stored.transfer_blocks()]
+        )
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(counts_disk, expected)
+        assert X.tobytes() == X_disk.tobytes() == extract_flow_matrix(stored)[0].tobytes()
+
     def test_generalization_matrix(self, corpora):
-        small = {svc: corpora[svc] for svc in ("svc1", "svc2")}
-        result = generalization.run(small)
-        assert set(result) == {"svc1", "svc2"}
-        assert set(result["svc1"]) == {"svc1", "svc2"}
+        """Both axes equal, bit for bit, what the separate drivers
+        computed before they merged."""
+        import hashlib
+        import json
+
+        from repro.has.live import LIVE_SERVICES
+        from repro.rtc.model import RTC_SERVICES
+
+        applications = {
+            "has": corpora["svc1"],
+            "rtc": collect_corpus(RTC_SERVICES["rtc1"], 40, seed=404),
+            "live": collect_corpus(LIVE_SERVICES["live1"], 40, seed=505),
+        }
+        result = generalization.run(
+            {"services": corpora, "applications": applications}
+        )
+        assert set(result["services"]["tls"]["svc1"]) == {"svc1", "svc2", "svc3"}
+        by_axis = {
+            "services": result["services"]["tls"],
+            "applications": result["applications"],
+        }
+        digests = {
+            axis: hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest()
+            for axis, r in by_axis.items()
+        }
+        assert digests == GENERALIZATION_DIGESTS
 
     def test_interactions_protocols(self, corpora):
         interactive = interactions.collect_interactive_corpus("svc1", 100, seed=5)
@@ -302,6 +359,20 @@ class TestDrivers:
         stored = tmp_path / "artifacts" / "corpus-interactive"
         assert len(list(stored.glob("*.shards/manifest.json"))) == 1
         assert set(result) >= {"clean->interactive", "interactive->interactive"}
+
+    def test_interactive_identity_corpus_keeps_its_bytes(self, tmp_path):
+        ds = interactions.collect_interactive_corpus("svc1", 6, seed=6)
+        saved = ds.save(tmp_path / "interactive.shards", shard_size=4)
+        assert saved.manifest_digest == INTERACTIVE_IDENTITY_DIGEST
+
+    def test_interactive_corpus_follows_its_scenario(self):
+        from repro.collection.harness import CollectionConfig
+
+        ds = interactions.collect_interactive_corpus(
+            "svc1", 3, seed=6, config=CollectionConfig(scenario="hostile")
+        )
+        assert ds.scenario == "hostile"
+        assert [record.scenario for record in ds] == ["hostile"] * 3
 
     def test_interactive_corpus_has_interactions(self):
         """The interactive harness must actually pause/seek."""

@@ -115,6 +115,73 @@ class TestDecoratorValidation:
             decorator(run)
 
 
+class TestClaims:
+    """Claims declared on a registration are reported after every
+    registry run, and the run's result passes through untouched."""
+
+    RESULT = {"value": 3}
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        registry.load_all()
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+
+        def main():
+            return self.RESULT
+
+        main.__module__ = "repro.experiments.fake_claims"
+        registry.experiment(
+            "fake_claims",
+            title="Fake",
+            paper_ref="-",
+            description="-",
+            order=99_999,
+            claims=(
+                registry.Claim(
+                    "value above two", paper="2",
+                    check=lambda r: (r["value"], r["value"] > 2),
+                ),
+                registry.Claim(
+                    "value above five", paper="5",
+                    check=lambda r: (r["value"], r["value"] > 5),
+                ),
+                registry.Claim(
+                    "value unmeasurable", paper="-",
+                    check=lambda r: (r["value"], None),
+                ),
+            ),
+        )(main)
+
+    def test_one_line_per_claim_with_its_verdict(self, fake, capsys):
+        from repro import api, config
+
+        with config.override(scale=registry.CLAIMS_SCALE):
+            assert api.run_experiment("fake_claims") is self.RESULT
+        out = capsys.readouterr().out
+        lines = {
+            name: [line.split() for line in out.splitlines() if name in line]
+            for name in ("value above two", "value above five", "value unmeasurable")
+        }
+        assert lines["value above two"][0][0] == "holds"
+        assert lines["value above five"][0][0] == "fails"
+        assert lines["value unmeasurable"][0][:2] == ["not", "checked"]
+        assert all(len(found) == 1 for found in lines.values())
+        assert "this run" not in out
+
+    def test_another_scale_is_said_once(self, fake, capsys):
+        from repro import config
+
+        with config.override(scale=0.1):
+            registry.get("fake_claims").run()
+        out = capsys.readouterr().out
+        assert out.count(f"declared at scale {registry.CLAIMS_SCALE}") == 1
+
+    def test_claim_names_distinct_within_each_experiment(self):
+        for spec in registry.all_experiments():
+            names = [claim.name for claim in spec.claims]
+            assert len(names) == len(set(names)), spec.name
+
+
 class TestCliIntegration:
     def test_list_prints_registry(self, capsys):
         from repro.cli import main

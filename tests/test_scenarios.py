@@ -295,18 +295,18 @@ class TestLabels:
 
 class TestExperimentPlumbing:
     def test_scenario_corpus_stage_is_distinct(self, tmp_path):
-        from repro.experiments.common import get_corpus, scenario_corpus
+        from repro.experiments.common import get_corpus
 
         with config.override(cache_dir=tmp_path / "cache"):
             clean = get_corpus("svc1", n_sessions=3, seed=2)
-            impaired = scenario_corpus(
-                "svc1", "policed-512kbps", n_sessions=3, seed=2
+            impaired = get_corpus(
+                "svc1", n_sessions=3, seed=2, scenario="policed-512kbps"
             )
             assert clean._artifact_digest != impaired._artifact_digest
             assert impaired.scenario == "policed-512kbps"
             # Warm lookups hit for both, independently.
-            again = scenario_corpus(
-                "svc1", "policed-512kbps", n_sessions=3, seed=2
+            again = get_corpus(
+                "svc1", n_sessions=3, seed=2, scenario="policed-512kbps"
             )
             assert again._artifact_digest == impaired._artifact_digest
 
