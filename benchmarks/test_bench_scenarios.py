@@ -32,7 +32,7 @@ from repro.collection.harness import (
     collect_session,
 )
 from repro.config import get_config
-from repro.has.services import get_service
+from repro.workloads import get_profile
 
 from conftest import alternating_pairs, run_once
 
@@ -87,7 +87,7 @@ def test_impaired_collection_walltime_ceiling(benchmark):
 
 
 def test_stage_counters_reconcile_with_telemetry(benchmark):
-    profile = get_service("svc1")
+    profile = get_profile("svc1")
     config = CollectionConfig(scenario="hostile")
     n = max(10, _n_sessions() // 4)
 

@@ -46,7 +46,7 @@ def test_rtc_collection_walltime_ceiling(benchmark):
         return collect_corpus("svc1", n, seed=51, n_jobs=1)
 
     def rtc():
-        return collect_corpus("rtc1", n, seed=51, workload="rtc", n_jobs=1)
+        return collect_corpus("rtc1", n, seed=51, n_jobs=1)
 
     pairs, (has_ds, rtc_ds) = run_once(benchmark, alternating_pairs, has, rtc, PAIRS)
     assert len(has_ds) == len(rtc_ds) == n
@@ -121,7 +121,7 @@ def test_collection_sessions_counter_exact(benchmark):
 
     def run():
         with telemetry.tracing() as tracer:
-            dataset = collect_corpus("rtc1", n, seed=61, workload="rtc", n_jobs=1)
+            dataset = collect_corpus("rtc1", n, seed=61, n_jobs=1)
             return len(dataset), tracer.counters.get("collection.sessions", 0)
 
     collected, counted = benchmark.pedantic(run, rounds=1, iterations=1)

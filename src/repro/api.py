@@ -43,6 +43,7 @@ from repro.ml.model_selection import cross_validate as _cross_validate
 from repro.sessions.boundary import BoundaryConfig, split_sessions
 from repro.stream.engine import StreamConfig, StreamDetector, StreamVerdict
 from repro.tlsproxy.records import TlsTransaction
+from repro.workloads import get_profile, get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netflow.exporter import ExporterConfig
@@ -83,9 +84,12 @@ def collect_corpus(
     Parameters
     ----------
     service:
-        Profile name within the resolved workload (``"svc1"`` for
-        ``has``, ``"live1"`` for ``live``, ``"rtc1"`` for ``rtc``; see
-        :func:`list_workloads`).
+        Profile name (``"svc1"``-``"svc3"``, ``"live1"``-``"live3"``,
+        ``"rtc1"``; see :func:`list_workloads`).  The profile names its
+        own workload, so the name alone chooses the application model.
+        Unknown names raise
+        :class:`~repro.workloads.UnknownProfileError` before any session
+        is simulated.
     n_sessions:
         Sessions to collect (the paper's corpora are 2111/2216/1440).
     seed:
@@ -98,18 +102,15 @@ def collect_corpus(
     scenario:
         Network-impairment scenario name to stream every session over
         (see :func:`list_scenarios`).  Default: the ``config``
-        argument's scenario, then ``REPRO_SCENARIO``, then identity.
-        Unknown names raise
+        argument's scenario, else identity.  Unknown names raise
         :class:`~repro.net.scenarios.UnknownScenarioError` before any
         session is simulated.
     workload:
-        Application model to generate (see :func:`list_workloads`).
-        Default: the ``config`` argument's workload, then
-        ``REPRO_WORKLOAD``, then ``has`` (the paper's on-demand HAS
-        pipeline, bit-identical to pre-registry corpora).  Unknown
-        names raise
-        :class:`~repro.workloads.UnknownWorkloadError` before any
-        session is simulated.
+        Optional check, selecting nothing: the workload the caller
+        expects ``service`` to belong to.  An unknown name raises
+        :class:`~repro.workloads.UnknownWorkloadError`, and another
+        workload's name raises ``ValueError``, both before any session
+        is simulated.
     jobs:
         Worker processes (default: the resolved config's ``jobs``).
     out:
@@ -126,25 +127,23 @@ def collect_corpus(
         The collected corpus, ready for :func:`extract_features`
         (stored when ``out`` is given, else held in memory).
     """
+    profile = get_profile(service)
+    if workload is not None and get_workload(workload).name != profile.workload:
+        raise ValueError(
+            f"profile {service!r} belongs to workload {profile.workload!r}, "
+            f"not {workload!r}"
+        )
     if scenario is not None:
         import dataclasses
 
         from repro.net.scenarios import resolve_scenario
 
-        # Validate before any session is simulated, and pin into the
-        # config so pool workers see the same resolution.
         config = dataclasses.replace(
             config or CollectionConfig(), scenario=resolve_scenario(scenario)
         )
-    if workload is not None:
-        from repro.workloads import resolve_workload
-
-        # Validate before any session is simulated; the harness pins
-        # the resolution into the config for pool workers.
-        workload = resolve_workload(workload)
     return _collect_corpus(
-        service, n_sessions, seed=seed, config=config, n_jobs=jobs,
-        workload=workload, out=out, shard_size=shard_size,
+        profile, n_sessions, seed=seed, config=config, n_jobs=jobs,
+        out=out, shard_size=shard_size,
     )
 
 
@@ -153,8 +152,7 @@ def list_scenarios() -> "list[dict[str, str]]":
 
     Each entry is ``{"name", "title", "description", "pipeline"}`` —
     plain strings, ready for display.  Pass an entry's ``name`` as
-    :func:`collect_corpus`'s ``scenario`` (or set ``REPRO_SCENARIO``)
-    to stream a corpus over it.
+    :func:`collect_corpus`'s ``scenario`` to stream a corpus over it.
     """
     from repro.net.scenarios import all_scenarios
 
@@ -174,9 +172,8 @@ def list_workloads() -> "list[dict[str, object]]":
 
     Each entry is ``{"name", "title", "description", "profiles"}``
     where ``profiles`` lists the profile names :func:`collect_corpus`
-    accepts as ``service`` for that workload.  Pass an entry's ``name``
-    as ``workload=`` (or set ``REPRO_WORKLOAD``) to generate that
-    application's traffic.
+    accepts as ``service`` for that workload: pass one of them to
+    generate that application's traffic.
     """
     from repro.workloads import all_workloads
 

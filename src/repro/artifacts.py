@@ -55,6 +55,7 @@ from repro.config import CACHE_DIR_ENV_VAR, get_config
 __all__ = [
     "CACHE_DIR_ENV_VAR",
     "CACHE_VERSION",
+    "MAX_MEMORY_ITEMS",
     "STAGING_PREFIX",
     "ArraysCodec",
     "ArtifactStore",
@@ -77,6 +78,10 @@ CACHE_VERSION = 5
 #: (:func:`repro.experiments.common.dataset_stage`).  A build killed
 #: before that leaves the directory behind.
 STAGING_PREFIX = ".corpus-staging-"
+
+#: Artifact values an :class:`ArtifactStore` keeps in its in-process
+#: LRU; eviction drops only the memory copy.
+MAX_MEMORY_ITEMS = 64
 
 
 def _tree_bytes(path: Path) -> int:
@@ -225,14 +230,13 @@ class StageCounters:
 class ArtifactStore:
     """One cache root: disk entries plus an in-process LRU.
 
-    The LRU holds the most recently used artifact *values* (corpora,
-    matrices) keyed by digest, so one process never deserializes the
-    same artifact twice; eviction only drops the memory copy — the
-    disk entry stays.
+    The LRU holds the :data:`MAX_MEMORY_ITEMS` most recently used
+    artifact *values* (corpora, matrices) keyed by digest, so one
+    process never deserializes the same artifact twice; eviction only
+    drops the memory copy — the disk entry stays.
     """
 
     root: Path
-    max_memory_items: int = 64
     _memory: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _counters: dict[str, StageCounters] = field(default_factory=dict, repr=False)
 
@@ -269,7 +273,7 @@ class ArtifactStore:
     def _memory_put(self, key: str, value: Any) -> None:
         self._memory[key] = value
         self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_items:
+        while len(self._memory) > MAX_MEMORY_ITEMS:
             self._memory.popitem(last=False)
 
     # -- disk layer ----------------------------------------------------
@@ -319,14 +323,12 @@ class ArtifactStore:
         build: Callable[[], Any],
         deps: tuple[str, ...] = (),
         codec=ARRAYS,
-        use_disk: bool = True,
     ) -> tuple[Any, str]:
         """The artifact for (stage, config, deps), computing on miss.
 
         Returns ``(value, digest)`` — the digest is what downstream
         stages put in their ``deps``.  ``build`` runs only on a miss;
-        its result is committed to disk (unless ``use_disk=False``) and
-        to the memory LRU.
+        its result is committed to disk and to the memory LRU.
         """
         fp = fingerprint(stage, config, deps)
         key = digest(fp)
@@ -338,20 +340,18 @@ class ArtifactStore:
                 telemetry.count(f"cache.{stage}.memory_hit")
                 sp.set(outcome="memory_hit")
                 return value, key
-            if use_disk:
-                value = self._disk_get(stage, key, fp, codec)
-                if value is not None:
-                    counters.hits += 1
-                    telemetry.count(f"cache.{stage}.hit")
-                    sp.set(outcome="hit")
-                    self._memory_put(key, value)
-                    return value, key
+            value = self._disk_get(stage, key, fp, codec)
+            if value is not None:
+                counters.hits += 1
+                telemetry.count(f"cache.{stage}.hit")
+                sp.set(outcome="hit")
+                self._memory_put(key, value)
+                return value, key
             counters.misses += 1
             telemetry.count(f"cache.{stage}.miss")
             sp.set(outcome="miss")
             value = build()
-            if use_disk:
-                self.write(stage, key, fp, value, codec)
+            self.write(stage, key, fp, value, codec)
             self._memory_put(key, value)
             return value, key
 

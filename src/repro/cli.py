@@ -6,7 +6,7 @@ library would run::
     python -m repro collect  --service svc1 -n 500 -o corpus.shards
     python -m repro collect  --service svc1 -n 5000 --shard-size 512 -o corpus.shards
     python -m repro collect  --service svc1 -n 500 --scenario policed-2mbps -o policed.shards
-    python -m repro collect  --service rtc1 --workload rtc -n 500 -o calls.shards
+    python -m repro collect  --service rtc1 -n 500 -o calls.shards
     python -m repro corpus   info|verify|shard DIR [-o DIR --shard-size N]
     python -m repro scenario [--list] [NAME ...]
     python -m repro workload [--list] [NAME ...]
@@ -114,13 +114,14 @@ def _scenario_name(text: str) -> str:
     return text
 
 
-def _workload_name(text: str) -> str:
-    """Validate a ``--workload`` value against the registry up front."""
-    from repro.workloads import UnknownWorkloadError, get_workload
+def _profile_name(text: str) -> str:
+    """Validate a ``--service`` value against every workload's profiles
+    up front, as ``--scenario`` is."""
+    from repro.workloads import UnknownProfileError, get_profile
 
     try:
-        get_workload(text)
-    except UnknownWorkloadError as exc:
+        get_profile(text)
+    except UnknownProfileError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
 
@@ -129,8 +130,8 @@ def _resolve_cli_scenario(args: argparse.Namespace):
     """The scenario ``collect`` should stream over, or an error string.
 
     Returns ``(scenario_or_None, None)`` on success — ``None`` meaning
-    "no flag given, let ``REPRO_SCENARIO`` decide" — or
-    ``(None, message)`` when the override flags are inconsistent.
+    "no flag given": identity — or ``(None, message)`` when the
+    override flags are inconsistent.
     """
     from repro.net import scenarios as scenarios_mod
 
@@ -159,95 +160,84 @@ def _resolve_cli_scenario(args: argparse.Namespace):
 
 def _cmd_collect(args: argparse.Namespace) -> int:
     from repro.api import collect_corpus
-    from repro.collection.harness import (
-        CollectionConfig,
-        resolve_collection_scenario,
-        resolve_collection_workload,
-    )
+    from repro.collection.harness import CollectionConfig
     from repro.collection.shards import CorpusPathError
 
     scenario, error = _resolve_cli_scenario(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    config = CollectionConfig(scenario=scenario, workload=args.workload)
-    resolved = resolve_collection_scenario(config)
-    over = "" if resolved.is_identity else f" over scenario {resolved.name}"
-    wl = resolve_collection_workload(config)
-    try:
-        wl.get_profile(args.service)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    as_workload = "" if wl.is_default else f" ({wl.name} workload)"
-
     try:
         # The collector opens OUTPUT before any session is simulated: a
         # file there raises CorpusPathError and is left untouched.
         dataset = collect_corpus(
             args.service, n_sessions=args.sessions, seed=args.seed,
-            config=config, jobs=args.jobs,
+            config=CollectionConfig(scenario=scenario), jobs=args.jobs,
             out=args.output, shard_size=args.shard_size,
         )
     except CorpusPathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    as_workload = "" if dataset.workload == "has" else f" ({dataset.workload} workload)"
+    impaired = dataset.scenario != "identity"
+    over = f" over scenario {dataset.scenario}" if impaired else ""
     dist = dataset.label_distribution("combined")
     print(
         f"collected {len(dataset)} {args.service} sessions{as_workload}{over} "
         f"-> {args.output} ({dataset.n_shards} shards of <= {dataset.shard_size}) "
         f"(combined QoE: {dist[0]:.0%}/{dist[1]:.0%}/{dist[2]:.0%} low/med/high)"
     )
-    if not resolved.is_identity:
+    if impaired:
         policed = dataset.labels("policed")
         print(
-            f"  pipeline: {resolved.describe()}\n"
+            f"  pipeline: {scenario.describe()}\n"
             f"  policed sessions: {int(policed.sum())}/{len(dataset)}"
         )
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.net import scenarios as scenarios_mod
-
-    if args.list or not args.names:
-        name_w = max(len(n) for n in scenarios_mod.scenario_names())
-        for name in scenarios_mod.scenario_names():
-            sc = scenarios_mod.get_scenario(name)
-            print(f"{name:<{name_w}}  {sc.description}")
+def _show_registry(
+    kind: str, entries: list[dict], names: list[str], summary: str, detail: str
+) -> int:
+    """``repro scenario``/``repro workload``: with no ``names``, one line
+    per entry (name and its ``summary`` field); else each named entry's
+    title, description and ``detail`` line.  An unknown name prints
+    every valid one and exits 2 before anything is shown."""
+    by_name = {entry["name"]: entry for entry in entries}
+    if not names:
+        name_w = max(len(name) for name in by_name)
+        for name, entry in by_name.items():
+            print(f"{name:<{name_w}}  {entry[summary]}")
         return 0
-    try:
-        picked = [scenarios_mod.get_scenario(name) for name in args.names]
-    except scenarios_mod.UnknownScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(
+            f"error: unknown {kind} {unknown[0]!r}; valid {kind}s: {', '.join(by_name)}",
+            file=sys.stderr,
+        )
         return 2
-    for sc in picked:
-        print(f"{sc.name}: {sc.title}")
-        print(f"  {sc.description}")
-        print(f"  pipeline: {sc.describe()}")
+    for name in names:
+        entry = by_name[name]
+        print(f"{name}: {entry['title']}")
+        print(f"  {entry['description']}")
+        print(f"  {detail}: {entry[detail]}")
     return 0
+
+
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.api import list_scenarios
+
+    names = [] if args.list else args.names
+    return _show_registry("scenario", list_scenarios(), names, "description", "pipeline")
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    from repro import workloads as workloads_mod
+    from repro.api import list_workloads
 
-    if args.list or not args.names:
-        names = workloads_mod.workload_names()
-        name_w = max(len(n) for n in names)
-        for name in names:
-            wl = workloads_mod.get_workload(name)
-            print(f"{name:<{name_w}}  {wl.title}")
-        return 0
-    try:
-        picked = [workloads_mod.get_workload(name) for name in args.names]
-    except workloads_mod.UnknownWorkloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for wl in picked:
-        print(f"{wl.name}: {wl.title}")
-        print(f"  {wl.description}")
-        print(f"  profiles: {', '.join(wl.profile_names())}")
-    return 0
+    entries = [{**wl, "profiles": ", ".join(wl["profiles"])} for wl in list_workloads()]
+    # Workload names are case-insensitive, as in every other lookup.
+    names = [] if args.list else [name.lower() for name in args.names]
+    return _show_registry("workload", entries, names, "title", "profiles")
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -642,15 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect", help="simulate and store a session corpus")
     p.add_argument(
-        "--service", required=True, metavar="NAME",
-        help="profile within the workload: svc1/svc2/svc3 (has), "
-             "live1/live2/live3 (live), rtc1 (rtc) — "
+        "--service", required=True, type=_profile_name, metavar="NAME",
+        help="profile to collect, which also names its workload: "
+             "svc1/svc2/svc3 (has), live1/live2/live3 (live), rtc1 (rtc) — "
              "see 'repro workload --list'",
-    )
-    p.add_argument(
-        "--workload", type=_workload_name, default=None, metavar="NAME",
-        help="application model to generate: has (default), live, rtc "
-             "(also: REPRO_WORKLOAD; see 'repro workload --list')",
     )
     p.add_argument("-n", "--sessions", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -664,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scenario", type=_scenario_name, default=None, metavar="NAME",
         help="stream every session over a network-impairment scenario "
-             "(also: REPRO_SCENARIO; see 'repro scenario --list'; "
+             "(see 'repro scenario --list'; "
              "default: identity, the unimpaired pipeline)",
     )
     p.add_argument(

@@ -47,7 +47,7 @@ from repro.collection.shards import (
     save_sharded,
 )
 from repro.has.player import SessionTrace
-from repro.has.services import ServiceProfile
+from repro.has.services import SessionProfile
 from repro.net.packets import PacketTrace, synthesize_packet_trace
 from repro.net.tcp import Transfer
 from repro.qoe.labels import TARGETS, SessionLabels, compute_labels
@@ -150,10 +150,10 @@ class SessionRecord:
     def from_trace(
         cls,
         trace: SessionTrace,
-        profile: ServiceProfile,
-        workload: str = "has",
+        profile: SessionProfile,
     ) -> "SessionRecord":
-        """Reduce a full simulation trace to its stored record."""
+        """Reduce a full simulation trace to its stored record (tagged
+        with the profile's workload)."""
         http = {
             "start": np.array([t.start for t in trace.http_transactions]),
             "end": np.array([t.end for t in trace.http_transactions]),
@@ -209,7 +209,7 @@ class SessionRecord:
             link_mean_bps=trace.link_mean_bps,
             session_hosts=tuple(sorted(trace.hosts.all_hosts)),
             scenario=getattr(trace, "scenario", "identity"),
-            workload=workload,
+            workload=profile.workload,
         )
 
     # ------------------------------------------------------------------
@@ -248,12 +248,8 @@ class SessionRecord:
                 rtt_s=float(row[9]),
             )
 
-    def packet_trace(self, seed: int = 0, pacing: str = "uniform") -> PacketTrace:
-        """Synthesize this session's packet trace on demand.
-
-        ``pacing="burst"`` front-loads data packets within each
-        transfer — the token-bucket policing wire signature.
-        """
+    def packet_trace(self, seed: int = 0) -> PacketTrace:
+        """Synthesize this session's packet trace on demand."""
         connections = [
             (int(row[0]), float(row[1]), float(row[2])) for row in self.connections
         ]
@@ -261,7 +257,6 @@ class SessionRecord:
             self.iter_transfers(),
             connections,
             rng=np.random.default_rng(seed),
-            pacing=pacing,
         )
 
     def resource_mask(self, resource: ResourceType) -> np.ndarray:
@@ -457,18 +452,6 @@ class Dataset:
         return {"shards": self.n_shards, "bytes": total}
 
     # -- columns -------------------------------------------------------
-    @property
-    def profile(self) -> ServiceProfile:
-        """The profile this corpus was collected on.
-
-        Resolved through the workload registry (imported lazily to
-        keep this module importable without :mod:`repro.workloads`), so
-        RTC and live corpora return their own profile types.
-        """
-        from repro.workloads import get_workload
-
-        return get_workload(self.workload).get_profile(self.service)
-
     def labels(self, target: str) -> np.ndarray:
         """Ground-truth categories for a target (``combined`` etc.),
         read from the label members alone.  The ``policed`` member is

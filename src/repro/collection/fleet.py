@@ -2,7 +2,7 @@
 
 The out-of-core readers of a format-4 corpus: a coordinator process
 hands *shards* (not sessions) to a worker pool, one pool task per shard
-(:func:`repro.parallel.parallel_map` with ``chunksize=1``), workers
+(:func:`repro.parallel.parallel_map`), workers
 pulling the next shard as they free up, so corpus size never bounds
 peak memory — only ``shard_size`` does.  A task carries the shard's
 :class:`~repro.collection.shards.ShardReader` (its path and manifest
@@ -118,9 +118,7 @@ def extract_tls_sharded(
         if missing:
             readers = dataset.block_readers()
             tasks = [(readers[i], intervals) for i in missing]
-            computed = parallel_map(
-                _extract_shard, tasks, n_jobs=n_jobs, chunksize=1
-            )
+            computed = parallel_map(_extract_shard, tasks, n_jobs=n_jobs)
             for i, X in zip(missing, computed):
                 value, _ = store.get_or_compute(
                     TLS_SHARD_STAGE,
@@ -165,7 +163,7 @@ def score_sharded(
         "fleet.score", shards=dataset.n_shards, sessions=len(dataset)
     ):
         tasks = [(model, reader, intervals) for reader in dataset.block_readers()]
-        parts = parallel_map(_score_shard, tasks, n_jobs=jobs, chunksize=1)
+        parts = parallel_map(_score_shard, tasks, n_jobs=jobs)
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)

@@ -34,24 +34,21 @@ from repro.collection.shards import (
 )
 from repro.has.player import SessionTrace
 from repro.has.services import SessionProfile
-from repro.config import get_config
 from repro.net.bandwidth import BandwidthTrace, TraceFamily, generate_trace
 from repro.net.scenarios import Scenario, resolve_scenario
 from repro.net.tcp import TcpParams
 from repro.parallel import parallel_map, resolve_jobs_for
+from repro.workloads import get_profile
 
 if TYPE_CHECKING:
     from repro.has.video import Video
     from repro.rtc.model import RtcCallSpec
-    from repro.workloads import Workload
 
 __all__ = [
     "CollectionConfig",
     "CollectionPlan",
     "default_tcp_params",
     "plan_collection",
-    "resolve_collection_scenario",
-    "resolve_collection_workload",
     "collect_session",
     "collect_records",
     "collect_corpus",
@@ -84,14 +81,10 @@ class CollectionConfig:
     populated) and the FCC/3G/LTE trace mixture.
 
     ``scenario`` names the network-impairment scenario every session
-    streams over; ``None`` inherits ``REPRO_SCENARIO`` (resolved at
-    collection time and pinned into the config before worker dispatch,
-    so pool workers never re-read the coordinator's environment).
-
-    ``workload`` names the application model sessions run
-    (:mod:`repro.workloads`); ``None`` inherits ``REPRO_WORKLOAD`` and
-    is pinned the same way.  The default resolves to ``has``, which
-    reproduces the pre-registry pipeline bit for bit.
+    streams over (a registry name or a
+    :class:`~repro.net.scenarios.Scenario`); ``None`` is identity, the
+    unimpaired pipeline.  The application model is not a knob here:
+    each profile names its own workload.
     """
 
     min_watch_s: float = 30.0
@@ -108,7 +101,6 @@ class CollectionConfig:
     )
     catalog_seed: int = 0
     scenario: str | Scenario | None = None
-    workload: str | Workload | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.min_watch_s <= self.max_watch_s:
@@ -138,45 +130,6 @@ class CollectionConfig:
         return generate_trace(family, rng, duration=self.max_watch_s + 100.0)
 
 
-def resolve_collection_scenario(
-    config: CollectionConfig | None = None,
-    scenario: str | Scenario | None = None,
-) -> Scenario:
-    """Resolve the scenario a collection run streams over.
-
-    Precedence: an explicit ``scenario`` argument beats the config's
-    pinned scenario, which beats the process environment
-    (``REPRO_SCENARIO``).  Callers that fan work out to pool workers
-    must pin the result into the config first — workers re-read their
-    own environment, which may not match a coordinator-side override.
-    """
-    if scenario is not None:
-        return resolve_scenario(scenario)
-    if config is not None and config.scenario is not None:
-        return resolve_scenario(config.scenario)
-    return resolve_scenario(get_config().scenario)
-
-
-def resolve_collection_workload(
-    config: CollectionConfig | None = None,
-    workload: str | Workload | None = None,
-) -> Workload:
-    """Resolve the workload a collection run generates.
-
-    Same precedence chain as :func:`resolve_collection_scenario`:
-    explicit argument > ``CollectionConfig.workload`` >
-    ``REPRO_WORKLOAD``.  Imported lazily so this module stays importable
-    without :mod:`repro.workloads` (which imports the profile modules).
-    """
-    from repro.workloads import resolve_workload
-
-    if workload is not None:
-        return resolve_workload(workload)
-    if config is not None and config.workload is not None:
-        return resolve_workload(config.workload)
-    return resolve_workload(get_config().workload)
-
-
 def collect_session(
     profile: SessionProfile,
     video: Video | RtcCallSpec,
@@ -185,19 +138,18 @@ def collect_session(
     watch_duration_s: float | None = None,
     config: CollectionConfig | None = None,
     warm_start: bool = False,
-    scenario: str | Scenario | None = None,
 ) -> SessionTrace:
     """Stream one session and return the full simulation trace.
 
     ``video`` is the title from the profile's catalog (a call shape
     for RTC profiles), and the session runs the simulator the profile
-    names (``profile.simulator``).  Unless given, the bandwidth trace
-    and then the watch duration are drawn from ``rng``, before the
-    simulator draws its connection pool's and hostnames' randomness.
-    An RTC profile rejects ``warm_start=True``.
+    names (``profile.simulator``), over the config's scenario.  Unless
+    given, the bandwidth trace and then the watch duration are drawn
+    from ``rng``, before the simulator draws its connection pool's and
+    hostnames' randomness.  An RTC profile rejects ``warm_start=True``.
     """
     config = config or CollectionConfig()
-    sc = resolve_collection_scenario(config, scenario)
+    sc = resolve_scenario(config.scenario)
     if trace is None:
         trace = config.sample_trace(rng)
     if watch_duration_s is None:
@@ -221,10 +173,8 @@ class CollectionPlan:
     into tasks."""
 
     profile: SessionProfile
-    #: The caller's config with the resolved scenario and workload
-    #: pinned: pool workers re-parse their own environment, so a
-    #: coordinator-side override would otherwise silently degrade to
-    #: the defaults (and break bit-identity between worker counts).
+    #: The caller's config with its scenario resolved (validated before
+    #: any session is simulated; its name goes into the manifest).
     config: CollectionConfig
     jobs: int
     #: ``SeedSequence(seed).spawn(n_sessions)``: session ``i`` draws
@@ -238,26 +188,18 @@ def plan_collection(
     seed: int = 0,
     config: CollectionConfig | None = None,
     n_jobs: int | None = None,
-    workload: str | Workload | None = None,
 ) -> CollectionPlan:
     """Resolve a collection run's arguments (see :class:`CollectionPlan`).
 
-    String ``service`` names are looked up among the resolved
-    workload's profiles; a profile *object* carries its own workload
-    tag, which wins over config/environment when no explicit
-    ``workload`` is given.  Jobs fall back to 1 when the profile does
-    not pickle.
+    A ``service`` name is looked up with
+    :func:`~repro.workloads.get_profile`; the profile names its own
+    workload.  Jobs fall back to 1 when the profile does not pickle.
     """
     if n_sessions < 0:
         raise ValueError("n_sessions must be non-negative")
     config = config or CollectionConfig()
-    if workload is None and not isinstance(service, str):
-        workload = getattr(service, "workload", None)
-    wl = resolve_collection_workload(config, workload)
-    profile = wl.get_profile(service) if isinstance(service, str) else service
-    config = dataclasses.replace(
-        config, scenario=resolve_collection_scenario(config), workload=wl
-    )
+    profile = get_profile(service) if isinstance(service, str) else service
+    config = dataclasses.replace(config, scenario=resolve_scenario(config.scenario))
     return CollectionPlan(
         profile=profile,
         config=config,
@@ -285,15 +227,12 @@ def collect_records(
     bit-identical to it.
     """
     with telemetry.span("collect_chunk", sessions=len(seeds)):
-        wl = resolve_collection_workload(config)
         catalog = profile.make_catalog(seed=config.catalog_seed)
         records = []
         for seed_seq in seeds:
             rng = np.random.default_rng(seed_seq)
             trace = collect_session(profile, catalog.sample(rng), rng, config=config)
-            records.append(
-                SessionRecord.from_trace(trace, profile, workload=wl.name)
-            )
+            records.append(SessionRecord.from_trace(trace, profile))
         telemetry.count("collection.sessions", len(seeds))
     return records
 
@@ -327,7 +266,6 @@ def collect_corpus(
     seed: int = 0,
     config: CollectionConfig | None = None,
     n_jobs: int | None = None,
-    workload: str | Workload | None = None,
     out: str | Path | None = None,
     shard_size: int | None = None,
 ) -> Dataset:
@@ -337,8 +275,9 @@ def collect_corpus(
     (Svc3) sessions; pass those counts to regenerate the evaluation at
     full scale, or fewer for quick runs.
 
-    ``workload`` selects the application model (``has``/``live``/
-    ``rtc``); arguments resolve through :func:`plan_collection`.
+    ``service`` is a profile or its name (``svc1``, ``live1``,
+    ``rtc1``, ...), which also chooses the application model; arguments
+    resolve through :func:`plan_collection`.
 
     Sessions are independent, so collection fans out over a process
     pool (``n_jobs``; defaults to ``REPRO_JOBS``/all cores).  Each
@@ -362,7 +301,7 @@ def collect_corpus(
     """
     if out is None and shard_size is not None:
         raise ValueError("shard_size needs out= (a target shard directory)")
-    plan = plan_collection(service, n_sessions, seed, config, n_jobs, workload)
+    plan = plan_collection(service, n_sessions, seed, config, n_jobs)
     profile, jobs = plan.profile, plan.jobs
     root = None
     if out is not None:
@@ -389,12 +328,12 @@ def collect_corpus(
             (profile, plan.config, plan.seeds[lo:hi], root if per_shard else None, i)
             for i, (lo, hi) in enumerate(bounds)
         ]
-        results = parallel_map(_collect_task, tasks, n_jobs=jobs, chunksize=1)
+        results = parallel_map(_collect_task, tasks, n_jobs=jobs)
         if per_shard:
             entries = results
         else:
             corpus = Dataset._held(
-                profile.name, plan.config.scenario.name, plan.config.workload.name, results
+                profile.name, plan.config.scenario.name, profile.workload, results
             )
             if root is None:
                 return corpus
@@ -406,6 +345,6 @@ def collect_corpus(
                 shard_size,
                 entries,
                 scenario=plan.config.scenario.name,
-                workload=plan.config.workload.name,
+                workload=profile.workload,
             ),
         )

@@ -3,12 +3,15 @@ environment.
 
 Every knob the pipeline honours (``REPRO_JOBS``, ``REPRO_SCALE``,
 ``REPRO_CACHE_DIR``, ``REPRO_SMOKE``, ``REPRO_TRACE``,
-``REPRO_SHARD_SIZE``, ``REPRO_SCENARIO``, ``REPRO_WORKLOAD``) is parsed here,
-exactly once per distinct environment, into one frozen
-:class:`Config`.  Downstream modules call :func:`get_config` (or take
-a ``Config`` argument) instead of reading ``os.environ`` themselves —
-a lint gate (ruff ``TID251`` plus a CI grep) forbids direct
-``os.environ`` access anywhere else under ``src/repro``.
+``REPRO_SHARD_SIZE``) is parsed here, exactly once per distinct
+environment, into one frozen :class:`Config`.  Downstream modules call
+:func:`get_config` (or take a ``Config`` argument) instead of reading
+``os.environ`` themselves — a lint gate (ruff ``TID251`` plus a CI
+grep) forbids direct ``os.environ`` access anywhere else under
+``src/repro``.  What a collection generates is never ambient: the
+profile name and the scenario are arguments, and the retired
+``REPRO_SCENARIO`` / ``REPRO_WORKLOAD`` are refused when set
+(:data:`RETIRED_ENV_VARS`).
 
 Why one place matters: the knobs interact (worker processes must see
 ``jobs=1``; the CLI ``--jobs``/``--trace`` flags override the
@@ -42,12 +45,11 @@ __all__ = [
     "DEFAULT_TRACE_FILENAME",
     "ENV_VARS",
     "JOBS_ENV_VAR",
+    "RETIRED_ENV_VARS",
     "SCALE_ENV_VAR",
-    "SCENARIO_ENV_VAR",
     "SHARD_SIZE_ENV_VAR",
     "SMOKE_ENV_VAR",
     "TRACE_ENV_VAR",
-    "WORKLOAD_ENV_VAR",
     "get_config",
     "override",
     "set_env_default",
@@ -60,8 +62,6 @@ CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 SMOKE_ENV_VAR = "REPRO_SMOKE"
 TRACE_ENV_VAR = "REPRO_TRACE"
 SHARD_SIZE_ENV_VAR = "REPRO_SHARD_SIZE"
-SCENARIO_ENV_VAR = "REPRO_SCENARIO"
-WORKLOAD_ENV_VAR = "REPRO_WORKLOAD"
 
 #: The variables that participate in a :class:`Config`, in display order.
 ENV_VARS = (
@@ -71,9 +71,19 @@ ENV_VARS = (
     SMOKE_ENV_VAR,
     TRACE_ENV_VAR,
     SHARD_SIZE_ENV_VAR,
-    SCENARIO_ENV_VAR,
-    WORKLOAD_ENV_VAR,
 )
+
+#: Variables that once chose what a collection generates, and what
+#: replaces each.  A set value raises instead of being ignored, so a
+#: shell that still exports one never silently collects a clean corpus
+#: it meant to impair, or another workload than it named.
+RETIRED_ENV_VARS = {
+    "REPRO_SCENARIO": "the scenario= argument (CLI: --scenario)",
+    "REPRO_WORKLOAD": "the profile name, service= (CLI: --service)",
+}
+
+#: Every variable :func:`get_config` watches.
+_WATCHED = (*ENV_VARS, *RETIRED_ENV_VARS)
 
 #: Sessions per shard when neither the caller nor ``REPRO_SHARD_SIZE``
 #: says otherwise — large enough to amortize per-shard overhead, small
@@ -112,18 +122,6 @@ class Config:
         Sessions per shard of every corpus written without an explicit
         size, experiment corpora included (``REPRO_SHARD_SIZE``;
         default :data:`DEFAULT_SHARD_SIZE`).
-    scenario:
-        Network-impairment scenario every collection run streams over
-        (``REPRO_SCENARIO``; default ``"identity"``, the unimpaired
-        pipeline).  The name is validated against the scenario registry
-        at collection time, not here — config must stay importable
-        without :mod:`repro.net`.
-    workload:
-        Traffic workload every collection run generates
-        (``REPRO_WORKLOAD``; default ``"has"``, the paper's on-demand
-        HTTP adaptive streaming services).  The name is validated
-        against the workload registry at collection time, not here —
-        config must stay importable without :mod:`repro.workloads`.
     sources:
         ``field name -> provenance`` ("env", "default", or an override
         label such as "--trace"), for ``config show``.
@@ -136,8 +134,6 @@ class Config:
     trace: bool = False
     trace_path: Path | None = None
     shard_size: int = DEFAULT_SHARD_SIZE
-    scenario: str = "identity"
-    workload: str = "has"
     sources: Mapping[str, str] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -154,8 +150,6 @@ class Config:
             ("smoke", str(self.smoke), SMOKE_ENV_VAR),
             ("trace", trace_value, TRACE_ENV_VAR),
             ("shard_size", str(self.shard_size), SHARD_SIZE_ENV_VAR),
-            ("scenario", self.scenario, SCENARIO_ENV_VAR),
-            ("workload", self.workload, WORKLOAD_ENV_VAR),
         ]
         return [
             (name, value, var, self.sources.get(name, "default"))
@@ -202,22 +196,6 @@ def _parse_shard_size(raw: str | None) -> int:
     return value
 
 
-def _parse_scenario(raw: str | None) -> str:
-    if raw is None or not raw.strip():
-        return "identity"
-    # Name validation (with the list of registered scenarios in the
-    # error) happens in repro.net.scenarios at collection time.
-    return raw.strip()
-
-
-def _parse_workload(raw: str | None) -> str:
-    if raw is None or not raw.strip():
-        return "has"
-    # Name validation (with the list of registered workloads in the
-    # error) happens in repro.workloads at collection time.
-    return raw.strip()
-
-
 def _parse_trace(raw: str | None) -> tuple[bool, Path | None]:
     if raw is None or raw.strip().lower() in ("", "0", "false", "off", "no"):
         return False, None
@@ -227,8 +205,13 @@ def _parse_trace(raw: str | None) -> tuple[bool, Path | None]:
 
 
 def _parse(snapshot: tuple[str | None, ...]) -> Config:
-    """Build a :class:`Config` from an :data:`ENV_VARS` value snapshot."""
-    raw = dict(zip(ENV_VARS, snapshot))
+    """Build a :class:`Config` from a snapshot of the watched values."""
+    raw = dict(zip(_WATCHED, snapshot))
+    for var, replacement in RETIRED_ENV_VARS.items():
+        if raw[var]:
+            raise ValueError(
+                f"{var} is no longer read; unset it and use {replacement}"
+            )
     sources = {
         name: "env" if raw[var] not in (None, "") else "default"
         for name, var in (
@@ -238,8 +221,6 @@ def _parse(snapshot: tuple[str | None, ...]) -> Config:
             ("smoke", SMOKE_ENV_VAR),
             ("trace", TRACE_ENV_VAR),
             ("shard_size", SHARD_SIZE_ENV_VAR),
-            ("scenario", SCENARIO_ENV_VAR),
-            ("workload", WORKLOAD_ENV_VAR),
         )
     }
     sources["trace_path"] = sources["trace"]
@@ -253,15 +234,13 @@ def _parse(snapshot: tuple[str | None, ...]) -> Config:
         trace=trace,
         trace_path=trace_path,
         shard_size=_parse_shard_size(raw[SHARD_SIZE_ENV_VAR]),
-        scenario=_parse_scenario(raw[SCENARIO_ENV_VAR]),
-        workload=_parse_workload(raw[WORKLOAD_ENV_VAR]),
         sources=sources,
     )
 
 
 # One parse per distinct environment: the cache key is the raw value
 # tuple, so monkeypatched env changes are picked up on the next call
-# while steady-state calls cost five dict lookups.
+# while steady-state calls cost one dict lookup per watched variable.
 _CACHED: tuple[tuple[str | None, ...], Config] | None = None
 
 # Overrides are a stack so nested ``override()`` contexts compose.
@@ -269,14 +248,14 @@ _OVERRIDES: list[Config] = []
 
 
 def _env_snapshot() -> tuple[str | None, ...]:
-    return tuple(os.environ.get(var) for var in ENV_VARS)
+    return tuple(os.environ.get(var) for var in _WATCHED)
 
 
 def get_config() -> Config:
     """The current resolved configuration.
 
     An active :func:`override` wins; otherwise the environment is
-    (re-)parsed iff any of :data:`ENV_VARS` changed since last call.
+    (re-)parsed iff any watched variable changed since last call.
     """
     if _OVERRIDES:
         return _OVERRIDES[-1]

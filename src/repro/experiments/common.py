@@ -188,8 +188,8 @@ def get_corpus(
     a stored :class:`~repro.collection.dataset.Dataset`
     (:func:`dataset_stage`): a warm run reads only its manifest.
 
-    ``scenario`` (default: ``REPRO_SCENARIO``) collects the corpus
-    over a network-impairment scenario.  The scenario name joins the
+    ``scenario`` (default: identity) collects the corpus over a
+    network-impairment scenario.  The scenario name joins the
     stage fingerprint only when non-identity, so impaired and clean
     corpora cache side by side and existing identity cache entries
     stay valid.
@@ -198,9 +198,7 @@ def get_corpus(
         n_sessions = corpus_size(service)
     if seed is None:
         seed = _CORPUS_SEEDS[service]
-    sc = resolve_scenario(
-        scenario if scenario is not None else get_config().scenario
-    )
+    sc = resolve_scenario(scenario)
     stage_config = {"service": service, "n_sessions": n_sessions, "seed": seed}
     if not sc.is_identity:
         stage_config["scenario"] = sc.name

@@ -17,13 +17,15 @@ train x test accuracy matrix per axis and featurization:
   and GCC-style congestion-controlled video calls (:mod:`repro.rtc`),
   each on the 38 TLS features and on the application-agnostic subset
   (session + per-transaction aggregates only, Berger et al. style — no
-  temporal grid).  Do the 38 features, whose temporal-interval grid
-  encodes HAS's periodic segment cadence, carry a model across
-  applications, and does the agnostic subset transfer better at the
-  cost of some in-application accuracy?  Expected shape: the full set
-  dominates the diagonal, while off the diagonal the temporal features
-  become a liability (RTC sends continuously; live-HAS beats at 2 s,
-  not 5 s) and the agnostic subset loses less.
+  temporal grid).  The axis asks a question and asserts no answer: do
+  the 38 features, whose temporal-interval grid encodes HAS's periodic
+  segment cadence (RTC sends continuously; live-HAS beats at 2 s, not
+  5 s), carry a model across applications, and does the agnostic
+  subset lose less off the diagonal at the cost of some
+  in-application accuracy?  No claim covers this axis: at
+  ``REPRO_SCALE=0.25`` the mean off-diagonal accuracy read 42% on the
+  38 features and 41% on the agnostic subset, so the subset did not
+  lose less on average, though single cells moved both ways.
 
 ``main()`` also writes the applications axis to
 ``cross-app-matrix.json`` — the artifact the CI ``workloads`` job

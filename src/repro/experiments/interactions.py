@@ -23,11 +23,7 @@ import dataclasses
 import numpy as np
 
 from repro.collection.dataset import Dataset, SessionRecord
-from repro.collection.harness import (
-    CollectionConfig,
-    default_tcp_params,
-    resolve_collection_scenario,
-)
+from repro.collection.harness import CollectionConfig, default_tcp_params
 from repro.experiments.common import (
     corpus_size,
     cv_report_for,
@@ -40,8 +36,9 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import Claim, experiment
 from repro.has.player import PlayerSession, UserBehavior
-from repro.has.services import get_service
 from repro.ml.metrics import evaluate_predictions
+from repro.net.scenarios import resolve_scenario
+from repro.workloads import get_profile
 
 __all__ = ["collect_interactive_corpus", "run", "main", "DEFAULT_BEHAVIOR"]
 
@@ -77,10 +74,13 @@ def collect_interactive_corpus(
     config: CollectionConfig | None = None,
 ) -> Dataset:
     """A corpus whose viewers pause and seek, over the config's network
-    scenario (default: ``REPRO_SCENARIO``)."""
-    profile = get_service(service)
+    scenario (default: identity).  ``service`` names a HAS or live
+    profile: only the player models a viewer's pauses and seeks."""
+    profile = get_profile(service)
+    if profile.simulator is not PlayerSession:
+        raise ValueError(f"profile {service!r} has no player to pause or seek")
     config = config or CollectionConfig()
-    scenario = resolve_collection_scenario(config)
+    scenario = resolve_scenario(config.scenario)
     catalog = profile.make_catalog(seed=config.catalog_seed)
     rng = np.random.default_rng(seed)
 
@@ -110,21 +110,16 @@ def run(
     clean = clean if clean is not None else get_corpus(service)
     if interactive is None:
         n_sessions = corpus_size(service)
-        config = CollectionConfig(scenario=resolve_collection_scenario())
-        stage_config = {
-            "service": service,
-            "n_sessions": n_sessions,
-            "seed": 777,
-            "behavior": dataclasses.asdict(DEFAULT_BEHAVIOR),
-        }
-        # Like get_corpus: identity corpora keep their stage keys.
-        if not config.scenario.is_identity:
-            stage_config["scenario"] = config.scenario.name
         interactive = dataset_stage(
             "corpus-interactive",
-            stage_config,
+            {
+                "service": service,
+                "n_sessions": n_sessions,
+                "seed": 777,
+                "behavior": dataclasses.asdict(DEFAULT_BEHAVIOR),
+            },
             lambda out, shard_size: collect_interactive_corpus(
-                service, n_sessions, seed=777, config=config
+                service, n_sessions, seed=777
             ).save(out, shard_size),
         )
     X_clean, _ = features_for(clean)

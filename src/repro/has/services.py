@@ -32,7 +32,7 @@ from repro.has.player import PlayerSession, SessionShell
 from repro.has.video import QualityLadder, QualityLevel, VideoCatalog
 from repro.tlsproxy.hosts import ServiceHostModel
 
-__all__ = ["SessionProfile", "ServiceProfile", "SERVICES", "get_service"]
+__all__ = ["SessionProfile", "ServiceProfile", "SERVICES"]
 
 
 class SessionProfile:
@@ -42,8 +42,10 @@ class SessionProfile:
     (``simulator``: a :class:`~repro.has.player.SessionShell` subclass,
     built by :func:`~repro.collection.harness.collect_session`) and maps
     ladder rungs to the paper's quality categories.  Subclasses are
-    frozen dataclasses with ``ladder``, ``quality_low_max_resolution``
-    and ``quality_medium_max_resolution`` fields.
+    frozen dataclasses with ``name``, ``workload`` (the
+    :mod:`repro.workloads` entry the profile belongs to), ``ladder``,
+    ``quality_low_max_resolution`` and ``quality_medium_max_resolution``
+    fields; :func:`repro.workloads.get_profile` looks one up by name.
     """
 
     simulator: ClassVar[type[SessionShell]]
@@ -249,13 +251,3 @@ SVC3 = ServiceProfile(
 
 #: The three services of the paper's evaluation, by name.
 SERVICES: dict[str, ServiceProfile] = {p.name: p for p in (SVC1, SVC2, SVC3)}
-
-
-def get_service(name: str) -> ServiceProfile:
-    """Look up a service profile by name (``svc1``/``svc2``/``svc3``)."""
-    try:
-        return SERVICES[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown service {name!r}; expected one of {sorted(SERVICES)}"
-        ) from None

@@ -154,9 +154,7 @@ class GradientBoostingClassifier:
                 for lo, hi in zip(bounds[:-1], bounds[1:])
             ]
             if len(tasks) > 1:
-                batches = parallel_map(
-                    _fit_round_trees, tasks, n_jobs=jobs, chunksize=1
-                )
+                batches = parallel_map(_fit_round_trees, tasks, n_jobs=jobs)
             else:
                 batches = [_fit_round_trees(tasks[0])]
             round_trees = [tree for batch in batches for tree in batch]

@@ -182,7 +182,7 @@ class RandomForestClassifier:
                 (codes, y_enc, params, specs[lo:hi], self.binner_)
                 for lo, hi in self._batches(self.n_estimators, jobs)
             ]
-            batches = parallel_map(_fit_tree_batch, tasks, n_jobs=jobs, chunksize=1)
+            batches = parallel_map(_fit_tree_batch, tasks, n_jobs=jobs)
             self.trees_ = [tree for batch in batches for tree in batch]
         else:
             self.trees_ = _fit_tree_batch((codes, y_enc, params, specs, self.binner_))

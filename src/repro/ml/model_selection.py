@@ -130,7 +130,7 @@ def cross_val_predict(
         splitter = StratifiedKFold(n_splits=n_splits, random_state=random_state)
         splits = list(splitter.split(y))
         tasks = [(estimator, X, y, train, test) for train, test in splits]
-        fold_preds = parallel_map(_fit_predict_fold, tasks, n_jobs=n_jobs, chunksize=1)
+        fold_preds = parallel_map(_fit_predict_fold, tasks, n_jobs=n_jobs)
         for (_, test), pred in zip(splits, fold_preds):
             predictions[test] = pred
         telemetry.count("cv.folds", n_splits)

@@ -114,7 +114,7 @@ class PacketTrace:
 
 
 def _transfer_packets(
-    transfer: Transfer, rng: np.random.Generator, pacing: str = "uniform"
+    transfer: Transfer, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Packets (times, sizes, directions, retx flags) for one transfer."""
     mss_wire = _HEADER_BYTES + 1460
@@ -142,13 +142,6 @@ def _transfer_packets(
     if n_down > 0:
         span = max(transfer.end - transfer.response_start, 1e-6)
         u = np.sort(rng.random(n_down))
-        if pacing == "burst":
-            # Policed transfers front-load: the token-bucket burst goes
-            # out at line rate, then the policed trickle.  Cubing the
-            # sorted uniforms clusters packets near the response start
-            # while consuming the same rng draws as the uniform path,
-            # so default pacing stays bit-identical.
-            u = u**3.0
         down_times = transfer.response_start + u * span
         down_sizes = np.full(n_down, mss_wire, dtype=np.int32)
         tail = transfer.response_bytes % 1460
@@ -218,7 +211,6 @@ def synthesize_packet_trace(
     transfers: Iterable[Transfer],
     connections: Sequence[tuple[int, float, float]] = (),
     rng: np.random.Generator | None = None,
-    pacing: str = "uniform",
 ) -> PacketTrace:
     """Build the packet-level view of a set of transfers.
 
@@ -232,20 +224,12 @@ def synthesize_packet_trace(
     rng:
         Randomness for packet pacing within transfers; a fixed default
         seed is used when omitted so traces are reproducible.
-    pacing:
-        ``"uniform"`` spreads data packets across the response interval
-        (the default, unchanged); ``"burst"`` front-loads them — the
-        token-bucket policing signature of an initial burst at line
-        rate followed by a policed trickle.  Both consume identical rng
-        draws, so the default remains bit-identical.
 
     Returns
     -------
     PacketTrace
         All packets sorted by timestamp.
     """
-    if pacing not in ("uniform", "burst"):
-        raise ValueError(f"pacing must be 'uniform' or 'burst', got {pacing!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     parts_t: list[np.ndarray] = []
     parts_s: list[np.ndarray] = []
@@ -262,7 +246,7 @@ def synthesize_packet_trace(
         parts_c.append(c)
 
     for transfer in transfers:
-        t, s, d, r = _transfer_packets(transfer, rng, pacing)
+        t, s, d, r = _transfer_packets(transfer, rng)
         parts_t.append(t)
         parts_s.append(s)
         parts_d.append(d)

@@ -8,10 +8,11 @@ into a fresh :class:`~repro.net.path.NetPath` per session.  The
 not an empty `NetPath` — so the TCP model's impairment branch is never
 entered and existing corpora stay bit-identical.
 
-Scenario names travel everywhere a corpus does: `REPRO_SCENARIO` /
-``--scenario`` select one, the collection harness pins it into worker
-configs, session traces and serialized corpora record it, and shard
-manifests carry it so impaired and clean corpora cache side by side.
+Scenario names travel everywhere a corpus does: the ``scenario=``
+argument and ``--scenario`` select one, the collection harness resolves
+it once into the config its workers get, session traces and serialized
+corpora record it, and shard manifests carry it so impaired and clean
+corpora cache side by side.
 """
 
 from __future__ import annotations

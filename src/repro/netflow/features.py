@@ -10,8 +10,8 @@ additionally enable a mean-packet-size feature family.
 Extraction is columnar end to end.  A corpus hands over its transfers
 through its block readers — an in-memory corpus is one block, a sharded
 one has a :class:`~repro.collection.shards.ShardReader` per shard —
-and each block is one pool task (:func:`repro.parallel.parallel_map`,
-``chunksize=1``): the worker reads the block's transfer members, and
+and each block is one pool task (:func:`repro.parallel.parallel_map`):
+the worker reads the block's transfer members, and
 :func:`~repro.netflow.exporter.export_flow_table` exports them in one
 array pass into a :class:`~repro.tlsproxy.table.TransactionTable` plus
 packet columns.  The vectorized TLS kernel and segment reductions for
@@ -103,7 +103,7 @@ def export_flow_features(
     n_flows = 0
     with telemetry.span("features.flow", sessions=len(dataset)) as sp:
         tasks = [(reader, config) for reader in dataset.block_readers()]
-        for counts, X in parallel_map(_block_flows, tasks, chunksize=1):
+        for counts, X in parallel_map(_block_flows, tasks):
             if (counts == 0).any():
                 empty = first + int(np.flatnonzero(counts == 0)[0])
                 raise ValueError(

@@ -12,11 +12,11 @@ work out over processes:
   :func:`resolve_jobs_for` also drops to ``1`` when the payload every
   task ships does not pickle.
 * :func:`parallel_map` is an ordered ``map`` over a reusable
-  :class:`~concurrent.futures.ProcessPoolExecutor`, with chunking, a
-  sequential fallback, and recovery from broken pools.  Coarse tasks
-  (one corpus shard or chunk each) pass ``chunksize=1``: every item is
-  its own pool task, submitted up front, and workers pull the next one
-  as they free up.
+  :class:`~concurrent.futures.ProcessPoolExecutor`, with a sequential
+  fallback and recovery from broken pools.  Every caller hands it
+  coarse tasks (a corpus shard or chunk, a batch of trees, a CV fold),
+  so every item is its own pool task, submitted up front, and workers
+  pull the next one as they free up.
 
 Determinism is the callers' contract — every parallelized site draws
 its per-task randomness up front (``SeedSequence.spawn`` for corpus
@@ -29,7 +29,6 @@ centrally here via a pool initializer.
 from __future__ import annotations
 
 import atexit
-import math
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -155,7 +154,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T] | Sequence[T],
     n_jobs: int | None = None,
-    chunksize: int | None = None,
 ) -> list[R]:
     """``[fn(x) for x in items]``, fanned out over processes.
 
@@ -178,13 +176,9 @@ def parallel_map(
         return [fn(item) for item in items]
     tracer = telemetry.active_tracer()
     task = _TracedTask(fn) if tracer is not None else fn
-    if chunksize is None:
-        # ~4 chunks per worker: coarse enough to amortize pickling,
-        # fine enough to balance uneven task durations.
-        chunksize = max(1, math.ceil(len(items) / (4 * jobs)))
     executor = _executor(jobs)
     try:
-        raw = list(executor.map(task, items, chunksize=chunksize))
+        raw = list(executor.map(task, items))
     except BrokenProcessPool:
         _EXECUTORS.pop(jobs, None)
         raw = [task(item) for item in items]

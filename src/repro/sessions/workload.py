@@ -12,14 +12,15 @@ that defeats timeout-based splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.collection.harness import CollectionConfig, collect_session
-from repro.has.services import ServiceProfile, get_service
+from repro.has.services import SessionProfile
 from repro.qoe.labels import compute_labels
 from repro.tlsproxy.records import TlsTransaction
+from repro.workloads import get_profile
 
 __all__ = ["MergedStream", "back_to_back_stream"]
 
@@ -59,7 +60,7 @@ class MergedStream:
 
 
 def back_to_back_stream(
-    service: str | ServiceProfile,
+    service: str | SessionProfile,
     n_sessions: int,
     seed: int = 0,
     browse_gap_s: float = 4.0,
@@ -71,6 +72,9 @@ def back_to_back_stream(
     All sessions share one bandwidth trace (same network) and the
     service's catalog; watch durations vary per session.  This is the
     paper's "extreme case" evaluation: every boundary is back-to-back.
+    ``service`` is a profile or its name (HAS or live); every session
+    after the first is a warm start, which an RTC profile rejects with
+    a ``ValueError``.
 
     ``scenario`` (a name or :class:`~repro.net.scenarios.Scenario`)
     streams every session over the same impairment scenario — each
@@ -81,8 +85,10 @@ def back_to_back_stream(
         raise ValueError("need at least one session")
     if browse_gap_s < 0:
         raise ValueError("browse gap must be non-negative")
-    profile = service if isinstance(service, ServiceProfile) else get_service(service)
+    profile = service if isinstance(service, SessionProfile) else get_profile(service)
     config = config or CollectionConfig()
+    if scenario is not None:
+        config = replace(config, scenario=scenario)
     rng = np.random.default_rng(seed)
     catalog = profile.make_catalog(seed=config.catalog_seed)
     trace = config.sample_trace(rng)
@@ -99,7 +105,6 @@ def back_to_back_stream(
             trace=trace,
             config=config,
             warm_start=i > 0,
-            scenario=scenario,
         )
         per_session.append(session.tls_transactions)
         offsets.append(cursor)

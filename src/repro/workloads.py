@@ -11,21 +11,18 @@ the way :mod:`repro.net.scenarios` did for the network and
 >>> import repro
 >>> [wl["name"] for wl in repro.list_workloads()]
 ['has', 'live', 'rtc']
->>> ds = repro.collect_corpus("rtc1", n_sessions=50, workload="rtc")
+>>> ds = repro.collect_corpus("rtc1", n_sessions=50)
 
 Each :class:`Workload` is plain registry data: a name, a title and
 description for ``repro workload --list``, and a dict of named
-profiles.  The profile names the simulator its sessions run (its
-class's ``simulator``), so one
-:func:`~repro.collection.harness.collect_session` collects every
-workload.  Resolution follows one chain — explicit argument >
-``CollectionConfig.workload`` > ``REPRO_WORKLOAD`` — and the default
-``has`` workload reproduces the pre-registry pipeline bit for bit
-(pinned by ``tests/test_golden_identity.py``).
-
-Workloads are picklable (frozen profiles) so a resolved
-:class:`Workload` can be pinned into the collection config and shipped
-to pool workers.
+profiles.  Profile names are unique across workloads and every
+profile names its workload (``profile.workload``) and the simulator
+its sessions run (its class's ``simulator``), so one lookup,
+:func:`get_profile`, turns a name into the whole choice of application
+model, and one :func:`~repro.collection.harness.collect_session`
+collects every workload.  The ``has`` profiles reproduce the
+pre-registry pipeline bit for bit (pinned by
+``tests/test_golden_identity.py``).
 """
 
 from __future__ import annotations
@@ -38,11 +35,12 @@ from repro.rtc.model import RTC_SERVICES
 
 __all__ = [
     "DEFAULT_WORKLOAD",
+    "UnknownProfileError",
     "UnknownWorkloadError",
     "Workload",
     "all_workloads",
+    "get_profile",
     "get_workload",
-    "resolve_workload",
     "workload_names",
 ]
 
@@ -52,6 +50,10 @@ DEFAULT_WORKLOAD = "has"
 
 class UnknownWorkloadError(ValueError):
     """Raised when a workload name is not in the registry."""
+
+
+class UnknownProfileError(ValueError):
+    """Raised when a profile name belongs to no registered workload."""
 
 
 @dataclass(frozen=True)
@@ -74,25 +76,9 @@ class Workload:
     description: str
     profiles: dict
 
-    @property
-    def is_default(self) -> bool:
-        """True for the pre-registry ``has`` workload."""
-        return self.name == DEFAULT_WORKLOAD
-
     def profile_names(self) -> list[str]:
         """Names of this workload's profiles, sorted."""
         return sorted(self.profiles)
-
-    def get_profile(self, name: str) -> SessionProfile:
-        """Look up one of this workload's profiles by name."""
-        try:
-            return self.profiles[name.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown profile {name!r} for workload {self.name!r}; "
-                f"expected one of {self.profile_names()} "
-                f"(see `repro workload --list` for other workloads)"
-            ) from None
 
 
 _REGISTRY: dict[str, Workload] = {
@@ -151,20 +137,24 @@ def get_workload(name: str) -> Workload:
         ) from None
 
 
-def resolve_workload(value: "str | Workload | None") -> Workload:
-    """Normalize a name/instance/None to a :class:`Workload`.
+#: Every registered profile by name (names are unique across workloads).
+_PROFILES: dict[str, SessionProfile] = {
+    name: profile for wl in _REGISTRY.values() for name, profile in wl.profiles.items()
+}
 
-    ``None`` (and blank strings) resolve to the default ``has``
-    workload, preserving the pre-registry behaviour.
+
+def get_profile(name: str) -> SessionProfile:
+    """Look up a session profile by name, case-insensitively.
+
+    The profile names its own workload (``profile.workload``) and
+    simulator, so the name alone chooses the application model.
     """
-    if value is None:
-        return _REGISTRY[DEFAULT_WORKLOAD]
-    if isinstance(value, Workload):
-        return value
-    if isinstance(value, str):
-        if not value.strip():
-            return _REGISTRY[DEFAULT_WORKLOAD]
-        return get_workload(value.strip())
-    raise TypeError(
-        f"expected workload name, Workload, or None; got {type(value).__name__}"
-    )
+    try:
+        return _PROFILES[name.lower()]
+    except KeyError:
+        by_workload = ", ".join(
+            f"{wl.name} ({', '.join(wl.profile_names())})" for wl in all_workloads()
+        )
+        raise UnknownProfileError(
+            f"unknown profile {name!r}; profiles by workload: {by_workload}"
+        ) from None

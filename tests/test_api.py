@@ -13,7 +13,7 @@ import pytest
 import repro
 import repro.api as api
 from repro import telemetry
-from repro.config import get_config, override
+from repro.config import get_config
 
 
 @pytest.fixture(scope="module")

@@ -106,12 +106,6 @@ class TestGetOrCompute:
         np.testing.assert_array_equal(value["v"], [1, 2, 3])
         assert store.counter_snapshot()["hits"] == 1
 
-    def test_use_disk_false_writes_nothing(self, store, tmp_path):
-        store.get_or_compute(
-            "stage", {"a": 1}, lambda: {"v": np.zeros(1)}, use_disk=False
-        )
-        assert not (tmp_path / "artifacts").exists()
-
     def test_corrupted_payload_recomputed(self, store):
         build_calls = []
 
@@ -151,8 +145,9 @@ class TestGetOrCompute:
         value, _ = store.get_or_compute("stage", {"a": 1}, lambda: {"v": np.ones(2)})
         np.testing.assert_array_equal(value["v"], [1, 1])
 
-    def test_memory_lru_evicts_oldest(self, tmp_path):
-        store = ArtifactStore(root=tmp_path, max_memory_items=2)
+    def test_memory_lru_evicts_oldest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifacts, "MAX_MEMORY_ITEMS", 2)
+        store = ArtifactStore(root=tmp_path)
         for i in range(3):
             store.get_or_compute("stage", {"i": i}, lambda i=i: {"v": np.array([i])})
         assert len(store._memory) == 2

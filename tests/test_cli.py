@@ -54,6 +54,57 @@ class TestCollect:
         assert dataset.service == "svc3"
 
 
+class TestRegistryListings:
+    """``repro scenario`` and ``repro workload`` print the facade's
+    listings; the expected text was recorded from the registry-reading
+    commands they replaced."""
+
+    def test_workload_list_and_case_insensitive_detail(self, capsys):
+        assert main(["workload", "--list"]) == 0
+        assert capsys.readouterr().out == (
+            "has   On-demand HAS video (the paper's workload)\n"
+            "live  Live-HAS video (low-latency, rebuffer-prone)\n"
+            "rtc   Real-time video calls (GCC-style congestion control)\n"
+        )
+        assert main(["workload", "RTC"]) == 0
+        assert capsys.readouterr().out == (
+            "rtc: Real-time video calls (GCC-style congestion control)\n"
+            "  Bidirectional, latency-bound calls (rtc1): send rate tracks estimated "
+            "bandwidth with delay-gradient backoff; no playback buffer, so late media "
+            "freezes the call and drops frames.\n"
+            "  profiles: rtc1\n"
+        )
+
+    def test_scenario_list_and_detail(self, capsys):
+        from repro.api import list_scenarios
+
+        assert main(["scenario"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [sc["name"] for sc in list_scenarios()]
+        assert lines[0].startswith("identity         The polite network of the source paper")
+        assert main(["scenario", "policed-2mbps"]) == 0
+        assert capsys.readouterr().out == (
+            "policed-2mbps: Token-bucket policing at 2 Mbps\n"
+            "  A 2 Mbps / 256 KB token-bucket policer that drops excess traffic — the "
+            "Flach et al. signature: initial burst at line rate, then a policed trickle "
+            "with heavy retransmission.\n"
+            "  pipeline: policer(burst_bytes=256000, rate_bps=2000000)\n"
+        )
+
+    @pytest.mark.parametrize("kind", ["scenario", "workload"])
+    def test_unknown_name_exits_2_naming_every_valid_one(self, capsys, kind):
+        from repro.api import list_scenarios, list_workloads
+
+        entries = list_scenarios() if kind == "scenario" else list_workloads()
+        names = [entry["name"] for entry in entries]
+        assert main([kind, names[-1], "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: unknown {kind} 'nope'; valid {kind}s: {', '.join(names)}\n"
+        )
+
+
 class TestTrainEvaluate:
     def test_model_file_created(self, model_path):
         assert model_path.exists()

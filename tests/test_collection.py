@@ -12,9 +12,9 @@ from repro.collection.harness import (
     collect_session,
     default_tcp_params,
 )
-from repro.has.services import get_service
 from repro.net.bandwidth import TraceFamily
 from repro.tlsproxy.records import ResourceType
+from repro.workloads import get_profile
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ class TestDefaultTcpParams:
 
 class TestCollectSession:
     def test_returns_full_trace(self):
-        profile = get_service("svc2")
+        profile = get_profile("svc2")
         video = profile.make_catalog()[0]
         trace = collect_session(profile, video, np.random.default_rng(1))
         assert trace.service_name == "svc2"
@@ -90,7 +90,7 @@ class TestCollectCorpus:
             assert ra.labels == rb.labels
 
     def test_accepts_profile_object(self):
-        ds = collect_corpus(get_service("svc3"), 2, seed=1)
+        ds = collect_corpus(get_profile("svc3"), 2, seed=1)
         assert ds.service == "svc3"
 
     def test_in_memory_chunks_are_held_blocks(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro import config
-from repro.config import Config, get_config, override
+from repro.config import get_config, override
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -95,6 +95,26 @@ class TestParsing:
         cfg = get_config()
         assert cfg.trace is True
         assert cfg.trace_path == Path("/tmp/my-trace.jsonl")
+
+
+class TestRetiredCollectionVars:
+    @pytest.mark.parametrize(
+        "var,value,replacement",
+        [("REPRO_SCENARIO", "hostile", "--scenario"), ("REPRO_WORKLOAD", "rtc", "--service")],
+    )
+    def test_set_value_is_refused_by_name(self, monkeypatch, tmp_path, var, value, replacement):
+        from repro.cli import main
+
+        monkeypatch.setenv(var, "")
+        get_config()  # set but empty: nothing chosen, nothing to refuse
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ValueError, match=f"{var} is no longer read.*{replacement}"):
+            get_config()
+        out = tmp_path / "never.shards"
+        with pytest.raises(ValueError, match=replacement):
+            main(["collect", "--service", "svc1", "-n", "1", "-o", str(out)])
+        assert not out.exists()
+        assert var not in config.ENV_VARS
 
 
 class TestSourcesAndShow:

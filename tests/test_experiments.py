@@ -365,6 +365,12 @@ class TestDrivers:
         saved = ds.save(tmp_path / "interactive.shards", shard_size=4)
         assert saved.manifest_digest == INTERACTIVE_IDENTITY_DIGEST
 
+    def test_interactive_corpus_needs_a_player_profile(self):
+        with pytest.raises(ValueError, match="'rtc1' has no player"):
+            interactions.collect_interactive_corpus("rtc1", 1, seed=6)
+        ds = interactions.collect_interactive_corpus("live1", 1, seed=6)
+        assert (ds.service, ds.workload) == ("live1", "live")
+
     def test_interactive_corpus_follows_its_scenario(self):
         from repro.collection.harness import CollectionConfig
 

@@ -86,18 +86,12 @@ def test_explicit_identity_config_matches_default(tmp_path):
 
 
 def test_explicit_has_workload_matches_golden(tmp_path):
-    # The workload registry's default ("has") path must reproduce the
-    # pre-registry corpus byte for byte, whether resolved implicitly or
-    # requested explicitly — same RNG draw order, no serialized
-    # ``workload`` key.
-    from repro.collection.harness import CollectionConfig
+    # The "has" profiles must reproduce the pre-registry corpus byte for
+    # byte, with the workload named through the facade or not — same
+    # RNG draw order, no serialized ``workload`` key.
+    from repro.api import collect_corpus as api_collect
 
-    explicit = collect_corpus(
-        SERVICE,
-        N_SESSIONS,
-        seed=SEED,
-        config=CollectionConfig(workload="has"),
-    )
+    explicit = api_collect(SERVICE, n_sessions=N_SESSIONS, seed=SEED, workload="has")
     saved = explicit.save(tmp_path / "explicit.shards", shard_size=SHARD_SIZE)
     assert saved.manifest_digest == GOLDEN_MANIFEST_DIGEST, (
         "explicit workload='has' perturbed the golden corpus bytes"
@@ -179,3 +173,62 @@ def test_collection_path_matches_golden(tmp_path, workload, service, scenario, n
     assert sharded.manifest_digest == GOLDEN_PATH_DIGESTS[
         (workload, service, scenario)
     ], f"{workload}/{service} over {scenario}: corpus bytes changed"
+
+
+# ----------------------------------------------------------------------
+# A profile name is the whole choice of application model
+# ----------------------------------------------------------------------
+#: Format-4 manifest digest and shard SHA-256 prefix of 16 sessions at
+#: seed 5 (one shard), collected through the facade with the workload
+#: named explicitly, pinned on commit 26025c9, before a profile name
+#: chose its own workload.  The profile's workload is read off the
+#: profile, so the same bytes come back with ``workload=`` given or
+#: omitted, and from the CLI given only ``--service``.
+PROFILE_SESSIONS = 16
+PROFILE_SEED = 5
+PROFILE_WORKLOADS = {"svc1": "has", "live1": "live", "rtc1": "rtc"}
+GOLDEN_PROFILE_DIGESTS = {
+    ("svc1", "identity"): ("0fb8a0d4fffcc61dc69aae86", "305c0d023489908a"),
+    ("live1", "identity"): ("b7869046031551c67b4ae05c", "45fdaa57f589b8e0"),
+    ("rtc1", "identity"): ("67cccadd5fd093b413481f10", "f16352a9761c33e4"),
+    ("svc1", "hostile"): ("14c97c793dac3131cbd239af", "919d5ff2be8237c1"),
+}
+
+
+@pytest.mark.parametrize("name_workload", [True, False], ids=["given", "omitted"])
+@pytest.mark.parametrize(
+    "service,scenario", sorted(GOLDEN_PROFILE_DIGESTS), ids=lambda v: str(v)
+)
+def test_profile_name_collects_its_workload(tmp_path, service, scenario, name_workload):
+    from repro.api import collect_corpus as api_collect
+
+    workload = PROFILE_WORKLOADS[service]
+    sharded = api_collect(
+        service,
+        n_sessions=PROFILE_SESSIONS,
+        seed=PROFILE_SEED,
+        scenario=scenario,
+        jobs=1,
+        out=str(tmp_path / "profile.shards"),
+        **({"workload": workload} if name_workload else {}),
+    )
+    manifest, shard = GOLDEN_PROFILE_DIGESTS[(service, scenario)]
+    assert (sharded.workload, sharded.scenario) == (workload, scenario)
+    assert sharded.manifest_digest == manifest, f"{service} over {scenario}"
+    assert [entry.sha256[:16] for entry in sharded.entries] == [shard]
+
+
+def test_cli_collect_without_workload_flag(tmp_path, capsys):
+    from repro.cli import main
+    from repro.collection.dataset import Dataset
+
+    out = tmp_path / "rtc.shards"
+    argv = ["collect", "--service", "rtc1", "-n", str(PROFILE_SESSIONS),
+            "--seed", str(PROFILE_SEED), "-o", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        f"collected 16 rtc1 sessions (rtc workload) -> {out} (1 shards of <= 512) "
+        "(combined QoE: 31%/56%/12% low/med/high)\n"
+    )
+    manifest, _ = GOLDEN_PROFILE_DIGESTS[("rtc1", "identity")]
+    assert Dataset.load(out).manifest_digest == manifest

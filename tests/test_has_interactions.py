@@ -5,10 +5,10 @@ import pytest
 
 from repro.has.buffer import PlaybackSchedule, PlayEvent
 from repro.has.player import PlayerSession, UserBehavior
-from repro.has.services import get_service
 from repro.net.bandwidth import BandwidthTrace, TraceFamily
 from repro.net.link import Link
 from repro.net.tcp import TcpParams
+from repro.workloads import get_profile
 
 
 class TestUserBehaviorValidation:
@@ -93,7 +93,7 @@ class TestScheduleSeek:
 
 class TestInteractivePlayer:
     def run_session(self, behavior, seed=0, watch=600.0):
-        profile = get_service("svc1")
+        profile = get_profile("svc1")
         catalog = profile.make_catalog(seed=1)
         longest = max(range(len(catalog)), key=lambda i: catalog[i].duration_s)
         trace = BandwidthTrace(

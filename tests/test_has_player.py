@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.has.player import PlayerSession
-from repro.has.services import get_service
 from repro.net.bandwidth import BandwidthTrace, TraceFamily
 from repro.net.link import Link
 from repro.net.tcp import TcpParams
 from repro.tlsproxy.records import ResourceType
+from repro.workloads import get_profile
 
 
 def flat_trace(bps, duration=1400.0):
@@ -25,7 +25,7 @@ def params_factory(rng):
 
 
 def run_session(service="svc1", bps=6e6, watch=120.0, seed=0, video_idx=0):
-    profile = get_service(service)
+    profile = get_profile(service)
     catalog = profile.make_catalog(seed=1)
     return PlayerSession(
         profile=profile,
@@ -39,7 +39,7 @@ def run_session(service="svc1", bps=6e6, watch=120.0, seed=0, video_idx=0):
 
 class TestPlayerSession:
     def test_rejects_nonpositive_watch(self):
-        profile = get_service("svc1")
+        profile = get_profile("svc1")
         catalog = profile.make_catalog()
         with pytest.raises(ValueError):
             PlayerSession(
@@ -111,7 +111,7 @@ class TestPlayerSession:
         assert trace.stall_time < 0.02 * max(trace.play_time, 1.0)
 
     def test_short_video_ends_session_early(self):
-        profile = get_service("svc1")
+        profile = get_profile("svc1")
         catalog = profile.make_catalog(seed=1)
         shortest = min(range(len(catalog)), key=lambda i: catalog[i].duration_s)
         video = catalog[shortest]
@@ -128,7 +128,7 @@ class TestPlayerSession:
 
     def test_play_events_ordered_and_qualities_valid(self):
         trace = run_session(watch=200.0)
-        n_levels = len(get_service("svc1").ladder)
+        n_levels = len(get_profile("svc1").ladder)
         for a, b in zip(trace.play_events, trace.play_events[1:]):
             assert a.end <= b.start + 1e-9
         assert all(0 <= e.quality < n_levels for e in trace.play_events)
@@ -153,7 +153,7 @@ class TestPlayerSession:
             t for t in trace.http_transactions
             if t.resource_type is ResourceType.BEACON
         ]
-        interval = get_service("svc1").beacon_interval_s
+        interval = get_profile("svc1").beacon_interval_s
         assert len(beacons) >= int(200.0 / interval) - 1
 
     def test_per_second_quality_log_shape(self):
@@ -164,7 +164,7 @@ class TestPlayerSession:
 
     def test_buffer_capacity_paces_downloads(self):
         """Downloads must not run arbitrarily ahead of playback."""
-        profile = get_service("svc2")  # 60 s buffer
+        profile = get_profile("svc2")  # 60 s buffer
         trace = run_session("svc2", bps=50e6, watch=400.0, video_idx=1)
         segs = [
             t for t in trace.http_transactions

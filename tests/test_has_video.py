@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.has.services import get_service
 from repro.has.video import QualityLadder, QualityLevel, Video, VideoCatalog
+from repro.workloads import get_profile
 
 
 def make_ladder():
@@ -156,5 +156,5 @@ class TestVideoCatalog:
     def test_service_catalog_sizes_match_paper(self):
         """The paper curates 50-75 titles per service."""
         for name in ("svc1", "svc2", "svc3"):
-            profile = get_service(name)
+            profile = get_profile(name)
             assert 50 <= len(profile.make_catalog()) <= 75

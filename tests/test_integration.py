@@ -10,14 +10,14 @@ import pytest
 
 from repro.collection.harness import collect_corpus, collect_session
 from repro.features.tls_features import extract_tls_features
-from repro.has.services import get_service
 from repro.net.bandwidth import BandwidthTrace, TraceFamily
 from repro.tlsproxy.proxy import HANDSHAKE_DOWN_BYTES, HANDSHAKE_UP_BYTES, RECORD_OVERHEAD
+from repro.workloads import get_profile
 
 
 @pytest.fixture(scope="module")
 def sessions():
-    profile = get_service("svc1")
+    profile = get_profile("svc1")
     catalog = profile.make_catalog(seed=0)
     rng = np.random.default_rng(33)
     return [
@@ -118,7 +118,7 @@ class TestFeatureLabelAlignment:
 
 class TestExtremes:
     def test_very_short_watch(self):
-        profile = get_service("svc2")
+        profile = get_profile("svc2")
         catalog = profile.make_catalog(seed=0)
         rng = np.random.default_rng(1)
         trace = collect_session(
@@ -130,7 +130,7 @@ class TestExtremes:
         assert np.isfinite(vector).all()
 
     def test_starved_network_session_still_collects(self):
-        profile = get_service("svc3")
+        profile = get_profile("svc3")
         catalog = profile.make_catalog(seed=0)
         rng = np.random.default_rng(2)
         slow = BandwidthTrace(
@@ -148,7 +148,7 @@ class TestExtremes:
         assert trace.tls_transactions
 
     def test_blazing_network_full_quality(self):
-        profile = get_service("svc2")
+        profile = get_profile("svc2")
         catalog = profile.make_catalog(seed=0)
         rng = np.random.default_rng(3)
         fast = BandwidthTrace(

@@ -65,9 +65,9 @@ class TestVideoLevelJitter:
             )
 
     def test_catalog_titles_differ_per_level(self):
-        from repro.has.services import get_service
+        from repro.workloads import get_profile
 
-        catalog = get_service("svc1").make_catalog(seed=2)
+        catalog = get_profile("svc1").make_catalog(seed=2)
         sizes = {
             round(catalog[i].segment_bytes(0, 3) / catalog[i].segment_play_duration(0))
             for i in range(20)

@@ -17,10 +17,10 @@ from repro import parallel
 from repro.collection.dataset import Dataset, DatasetFormatError
 from repro.collection.harness import CollectionConfig, collect_corpus
 from repro.collection.shards import MANIFEST_NAME, shard_name
-from repro.has.services import get_service
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import cross_val_predict
+from repro.workloads import get_profile
 from tests.records import record_bytes
 
 
@@ -83,7 +83,7 @@ class TestCorpusDeterminism:
                 assert record_bytes(ra) == record_bytes(rb)
 
     def test_profile_object_supported(self):
-        profile = get_service("svc3")
+        profile = get_profile("svc3")
         a = collect_corpus(profile, 3, seed=2, n_jobs=1)
         b = collect_corpus(profile, 3, seed=2, n_jobs=2)
         assert [record_bytes(s) for s in a] == [record_bytes(s) for s in b]

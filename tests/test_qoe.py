@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.has.buffer import PlayEvent
 from repro.has.player import PlayerSession
-from repro.has.services import get_service
 from repro.net.bandwidth import BandwidthTrace, TraceFamily
 from repro.net.link import Link
 from repro.net.tcp import TcpParams
@@ -19,6 +18,7 @@ from repro.qoe.metrics import (
     rebuffering_ratio,
     video_quality_category,
 )
+from repro.workloads import get_profile
 
 
 class TestRebufferingRatio:
@@ -115,7 +115,7 @@ class TestSessionLabels:
 
 class TestComputeLabels:
     def run(self, service="svc1", bps=6e6, watch=150.0):
-        profile = get_service(service)
+        profile = get_profile(service)
         trace = BandwidthTrace(
             times=np.array([0.0]),
             bandwidth_bps=np.array([bps]),
@@ -152,4 +152,4 @@ class TestComputeLabels:
     def test_profile_mismatch_rejected(self):
         session, _ = self.run("svc1")
         with pytest.raises(ValueError):
-            compute_labels(session, get_service("svc2"))
+            compute_labels(session, get_profile("svc2"))

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.collection.harness import (
-    CollectionConfig,
-    collect_corpus,
-    resolve_collection_scenario,
-)
+from repro.collection.harness import CollectionConfig, collect_corpus
 from repro.collection.dataset import Dataset
 from repro.net.scenarios import (
-    Scenario,
     UnknownScenarioError,
     all_scenarios,
     customize,
@@ -111,31 +106,6 @@ class TestCustomize:
         ds = collect_corpus("svc1", 3, seed=1, config=CollectionConfig(scenario=sc))
         assert ds.scenario == sc.name
         assert ds.labels("policed").sum() > 0
-
-
-class TestResolution:
-    def test_precedence_arg_over_config_over_env(self):
-        cc = CollectionConfig(scenario="hostile")
-        assert resolve_collection_scenario(cc, scenario="reorder-50ms").name == (
-            "reorder-50ms"
-        )
-        assert resolve_collection_scenario(cc).name == "hostile"
-        with config.override(scenario="bufferbloat-1mb"):
-            assert resolve_collection_scenario(None).name == "bufferbloat-1mb"
-            assert resolve_collection_scenario(cc).name == "hostile"
-        assert resolve_collection_scenario(None).name == "identity"
-
-    def test_repro_scenario_env_reaches_collection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCENARIO", "policed-512kbps")
-        ds = collect_corpus("svc1", 3, seed=1)
-        assert ds.scenario == "policed-512kbps"
-        assert ds.labels("policed").sum() > 0
-
-    def test_config_parses_scenario(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCENARIO", "  hostile  ")
-        assert config.get_config().scenario == "hostile"
-        monkeypatch.setenv("REPRO_SCENARIO", "")
-        assert config.get_config().scenario == "identity"
 
 
 class TestCollectionIntegration:

@@ -244,7 +244,7 @@ def kinds():
     on-demand."""
     return {
         "svc1": _collected("svc1", 5, 41),
-        "rtc1": _collected("rtc1", 5, 42, workload="rtc"),
+        "rtc1": _collected("rtc1", 5, 42),
         "svc1-hostile": _collected(
             "svc1", 5, 43, config=CollectionConfig(scenario=resolve_scenario("hostile"))
         ),

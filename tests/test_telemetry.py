@@ -1,7 +1,5 @@
 """Tests for the telemetry layer (spans, metrics, traces, merging)."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from repro.telemetry import (
     NOOP_SPAN,
     TRACE_SCHEMA_VERSION,
     TraceValidationError,
-    Tracer,
     active_tracer,
     read_trace,
     render_report,

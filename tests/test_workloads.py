@@ -1,9 +1,9 @@
 """Tests for the workload registry and the RTC / live-HAS models.
 
-The registry contract mirrors the scenario engine's: one resolution
-chain (explicit argument > ``CollectionConfig.workload`` >
-``REPRO_WORKLOAD``), unknown names fail before any session is
-simulated, and the default ``has`` workload is byte-identical to the
+The registry contract: a profile name is the whole choice of
+application model (one lookup, :func:`repro.workloads.get_profile`,
+across every workload), unknown names fail before any session is
+simulated, and the ``has`` profiles are byte-identical to the
 pre-registry pipeline (pinned separately by
 ``tests/test_golden_identity.py``).  The model tests pin the physics
 the new workloads exist for: RTC rate adaptation backs off and freezes
@@ -19,21 +19,18 @@ import pytest
 
 import repro.api as api
 from repro.collection.dataset import Dataset
-from repro.collection.harness import (
-    CollectionConfig,
-    collect_corpus,
-    collect_session,
-    resolve_collection_workload,
-)
-from repro.config import override
+from repro.collection.harness import collect_corpus, collect_session
 from repro.has.live import LIVE_SERVICES
 from repro.net.bandwidth import BandwidthTrace, TraceFamily
 from repro.rtc.model import RTC_SERVICES, RtcCallSpec, RtcProfile
+from repro.sessions.workload import back_to_back_stream
 from repro.workloads import (
+    UnknownProfileError,
     UnknownWorkloadError,
     Workload,
+    all_workloads,
+    get_profile,
     get_workload,
-    resolve_workload,
     workload_names,
 )
 from tests.records import record_arrays, record_bytes
@@ -68,18 +65,23 @@ class TestRegistry:
         with pytest.raises(UnknownWorkloadError, match="expected one of"):
             get_workload("quic-gaming")
 
-    def test_resolve_chain(self):
-        assert resolve_workload(None).name == "has"
-        assert resolve_workload("  ").name == "has"
-        assert resolve_workload("live").name == "live"
-        wl = get_workload("rtc")
-        assert resolve_workload(wl) is wl
-        with pytest.raises(TypeError, match="expected workload name"):
-            resolve_workload(42)
-
     def test_profile_lookup_error_names_choices(self):
-        with pytest.raises(ValueError, match=r"expected one of \['rtc1'\]"):
-            get_workload("rtc").get_profile("svc1")
+        with pytest.raises(UnknownProfileError) as exc:
+            get_profile("rtc2")
+        message = str(exc.value)
+        assert "'rtc2'" in message
+        for wl in all_workloads():
+            assert f"{wl.name} ({', '.join(wl.profile_names())})" in message
+
+    def test_profile_names_are_unique_and_carry_their_workload(self):
+        # One name space across workloads: the name alone picks the
+        # profile, and the profile names its workload.
+        names = [name for wl in all_workloads() for name in wl.profiles]
+        assert len(names) == len(set(names))
+        for wl in all_workloads():
+            for name, profile in wl.profiles.items():
+                assert get_profile(name.upper()) is profile
+                assert profile.workload == wl.name
 
     def test_every_profile_names_its_simulator(self):
         # One collect_session serves every workload: the profile class
@@ -105,18 +107,15 @@ class TestRegistry:
 
 
 class TestResolutionPrecedence:
-    def test_argument_beats_config_beats_env(self):
-        config = CollectionConfig(workload="live")
-        assert resolve_collection_workload(config, "rtc").name == "rtc"
-        assert resolve_collection_workload(config).name == "live"
-        with override("test", workload="rtc"):
-            assert resolve_collection_workload(None).name == "rtc"
-            assert resolve_collection_workload(config).name == "live"
-        assert resolve_collection_workload(None).name == "has"
+    def test_unknown_workload_fails_before_collection(self, monkeypatch):
+        def no_sessions(*args, **kwargs):
+            pytest.fail("a session was simulated")
 
-    def test_unknown_workload_fails_before_collection(self):
+        monkeypatch.setattr("repro.collection.harness.collect_session", no_sessions)
         with pytest.raises(UnknownWorkloadError):
-            collect_corpus("svc1", 2, seed=0, workload="nope")
+            api.collect_corpus("svc1", n_sessions=2, workload="nope", jobs=1)
+        with pytest.raises(UnknownProfileError):
+            api.collect_corpus("svc9", n_sessions=2, jobs=1)
 
     def test_profile_object_carries_its_workload(self):
         ds = collect_corpus(RTC_SERVICES["rtc1"], 2, seed=0, n_jobs=1)
@@ -130,7 +129,7 @@ class TestResolutionPrecedence:
         )
         assert ds.workload == "rtc"
         assert ds.service == "rtc1"
-        with pytest.raises(ValueError, match="unknown profile"):
+        with pytest.raises(ValueError, match="'svc1' belongs to workload 'has', not 'rtc'"):
             api.collect_corpus("svc1", n_sessions=2, workload="rtc", jobs=1)
 
     def test_list_workloads_facade(self):
@@ -227,8 +226,6 @@ class TestLiveModel:
     def test_outage_rebuffers_live_but_not_on_demand(self):
         """A 30 s outage is longer than live1's 6 s buffer target but
         well inside svc1's 240 s one: live stalls, on-demand doesn't."""
-        from repro.has.services import get_service
-
         trace = step_trace(
             20_000_000.0, 80_000.0, step_at=60.0, duration=600.0, recover_at=90.0
         )
@@ -240,7 +237,7 @@ class TestLiveModel:
         )
         assert live_out.stall_time > 0.0
 
-        svc = get_service("svc1")
+        svc = get_profile("svc1")
         rng = np.random.default_rng(3)
         video = svc.make_catalog(seed=0).sample(rng)
         vod_out = collect_session(
@@ -255,18 +252,33 @@ class TestLiveModel:
             assert profile.workload == "live"
 
 
+class TestBackToBackStream:
+    def test_live_profile_streams_back_to_back(self):
+        stream = back_to_back_stream("live1", 2, seed=4)
+        assert stream.n_sessions == 2
+        assert stream.is_new.sum() == 2
+        by_profile = back_to_back_stream(LIVE_SERVICES["live1"], 2, seed=4)
+        assert by_profile.transactions == stream.transactions
+
+    @pytest.mark.parametrize("service", ["rtc1", RTC_SERVICES["rtc1"]], ids=["name", "profile"])
+    def test_rtc_profile_rejects_the_warm_start(self, service):
+        # Every session after the first is a warm start; a call has none.
+        with pytest.raises(ValueError, match="'rtc1'.*no warm start"):
+            back_to_back_stream(service, 2, seed=4)
+
+
 class TestCorpusDeterminismAndFormats:
     def test_rtc_corpus_bit_identical_across_workers(self):
-        base = collect_corpus("rtc1", 6, seed=11, workload="rtc", n_jobs=1)
+        base = collect_corpus("rtc1", 6, seed=11, n_jobs=1)
         for jobs in (2, 4):
-            other = collect_corpus("rtc1", 6, seed=11, workload="rtc", n_jobs=jobs)
+            other = collect_corpus("rtc1", 6, seed=11, n_jobs=jobs)
             assert len(other) == len(base)
             for ra, rb in zip(base, other):
                 assert record_bytes(ra) == record_bytes(rb)
 
     def test_workload_round_trips_format4(self, tmp_path):
         collect_corpus(
-            "live1", 5, seed=3, workload="live", n_jobs=1,
+            "live1", 5, seed=3, n_jobs=1,
             out=tmp_path / "shards", shard_size=2,
         )
         manifest = json.loads((tmp_path / "shards" / "manifest.json").read_text())
@@ -276,12 +288,12 @@ class TestCorpusDeterminismAndFormats:
         assert all(r.workload == "live" for r in loaded)
 
     def test_workload_round_trips_dataset_save(self, tmp_path):
-        ds = collect_corpus("rtc1", 3, seed=5, workload="rtc", n_jobs=1)
+        ds = collect_corpus("rtc1", 3, seed=5, n_jobs=1)
         assert all(str(record_arrays(r)["workload"][0]) == "rtc" for r in ds)
         ds.save(tmp_path / "rtc.shards")
         loaded = Dataset.load(tmp_path / "rtc.shards")
         assert loaded.workload == "rtc"
-        assert isinstance(loaded.profile, RtcProfile)
+        assert isinstance(get_profile(loaded.service), RtcProfile)
 
     def test_default_corpora_omit_workload_key(self, tmp_path):
         ds = collect_corpus("svc3", 2, seed=1, n_jobs=1)
@@ -321,4 +333,4 @@ class TestDeprecationShims:
     def test_deep_import_path_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.has.services import get_service  # noqa: F401
+            from repro.has.services import SERVICES  # noqa: F401
