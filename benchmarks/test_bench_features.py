@@ -2,26 +2,41 @@
 
 The columnar data plane replaces a per-session ``extract_tls_features``
 loop (one ``np.vstack`` of S small vectors) with segment reductions
-over one :class:`~repro.tlsproxy.table.TransactionTable`, and the
+over one :class:`~repro.tlsproxy.table.TransactionTable`, the
 per-connection NetFlow exporter with one array pass per block of
-sessions.  This benchmark measures each pair on the same corpus,
-asserts the outputs are bit-identical (the data plane's core
-contract) and the TLS columnar path is at least 3x faster, and reports
+sessions, and the per-transfer packet synthesis and per-connection
+ML16 featurizer with whole-session array ops.  This benchmark measures
+each pair on the same corpus, asserts the outputs are bit-identical
+(the data plane's core contract), that the TLS columnar path is at
+least 3x faster and the ML16 path at least 1.95x, and reports
 sessions/sec for each in ``benchmark.extra_info``.
 
-Run it from the repository root with ``python -m pytest``: the flow
-reference is imported from ``tests/flow_oracle.py``.
+Run it from the repository root with ``python -m pytest``: the flow and
+packet references are imported from ``tests/flow_oracle.py`` and
+``tests/packet_oracle.py``, and the ML16 pairs are scaled by
+``perfbench/hostspeed.py``.
 """
 
+import statistics
 import time
 
 import numpy as np
 
+from repro import config
+from repro.features.packet_features import extract_ml16_matrix
 from repro.features.tls_features import extract_tls_features, extract_tls_matrix
 from repro.netflow.features import extract_flow_matrix
 from tests.flow_oracle import reference_flow_matrix
+from tests.packet_oracle import reference_ml16_matrix
 
-from conftest import run_once
+from conftest import alternating_pairs, run_once
+
+#: Oracle/columnar ML16 run pairs; the floor gates their median ratio.
+ML16_PAIRS = 3
+#: Half the one-process speed-up of the ML16 path over the oracle loop
+#: measured on a 2-vCPU host: 3.92x and 3.96x in two runs on the
+#: 211-session svc1 corpus at REPRO_SCALE=0.1.
+ML16_SPEEDUP_FLOOR = 1.95
 
 
 def _timed(fn):
@@ -98,6 +113,50 @@ def test_bench_flow_extraction(benchmark, svc1_corpus):
             "loop_sessions_per_sec": round(n / loop_s, 1),
             "columnar_sessions_per_sec": round(n / fast_s, 1),
             "speedup": round(loop_s / fast_s, 2),
+            "bit_identical": identical,
+        }
+    )
+
+
+def test_bench_ml16_extraction(benchmark, svc1_corpus):
+    """ML16 matrix: the per-session oracle loop vs the columnar path.
+
+    The reference (``tests/packet_oracle.py``) synthesizes each
+    session's packets one transfer at a time and featurizes them with
+    one boolean mask per connection; ``extract_ml16_matrix`` builds each
+    trace from the block's transfer and connection rows and featurizes
+    it after one sort by connection.  Both run in one process
+    (``jobs=1``), so the floor holds on any core count; the pool
+    fan-out's gain is the benchmark's eval-has ``features.ml16`` layer
+    (``perfbench/``).  The matrix must be bit-identical.
+    """
+    n = len(svc1_corpus)
+
+    def columnar():
+        with config.override(jobs=1):
+            return extract_ml16_matrix(svc1_corpus)[0]
+
+    pairs, (X_loop, X_fast) = run_once(
+        benchmark, alternating_pairs,
+        lambda: reference_ml16_matrix(svc1_corpus), columnar, ML16_PAIRS,
+    )
+    identical = X_fast.dtype == X_loop.dtype and X_fast.tobytes() == X_loop.tobytes()
+    assert identical
+    speedup = statistics.median(loop / fast for loop, fast in pairs)
+    assert speedup >= ML16_SPEEDUP_FLOOR, (
+        f"ML16 path only {speedup:.1f}x faster than the oracle loop over "
+        f"{n} sessions (pairs: {pairs})"
+    )
+    loop_s = statistics.median(loop for loop, _ in pairs)
+    fast_s = statistics.median(fast for _, fast in pairs)
+    benchmark.extra_info.update(
+        {
+            "n_sessions": n,
+            "loop_s": round(loop_s, 4),
+            "columnar_s": round(fast_s, 4),
+            "loop_sessions_per_sec": round(n / loop_s, 1),
+            "columnar_sessions_per_sec": round(n / fast_s, 1),
+            "speedup": round(speedup, 2),
             "bit_identical": identical,
         }
     )

@@ -813,10 +813,17 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        # Export so every layer (corpus collection, forest fits, CV
-        # folds, experiment drivers) resolves the same worker count.
-        config_mod.set_jobs(args.jobs)
+    try:
+        if args.jobs is not None:
+            # Export so every layer (corpus collection, forest fits, CV
+            # folds, experiment drivers) resolves the same worker count.
+            config_mod.set_jobs(args.jobs)
+        # Resolved once, up front: a bad --jobs or environment value is
+        # a usage error, reported the way the argument validators do.
+        config_mod.get_config()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     with ExitStack() as stack:
         if args.trace:
             stack.enter_context(

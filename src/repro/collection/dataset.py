@@ -48,7 +48,7 @@ from repro.collection.shards import (
 )
 from repro.has.player import SessionTrace
 from repro.has.services import SessionProfile
-from repro.net.packets import PacketTrace, synthesize_packet_trace
+from repro.net.packets import PacketTrace, synthesize_from_rows, transfer_rows
 from repro.net.tcp import Transfer
 from repro.qoe.labels import TARGETS, SessionLabels, compute_labels
 from repro.tlsproxy.records import ResourceType, TlsTransaction
@@ -88,21 +88,6 @@ def _file_format(raw: bytes) -> str:
     return f"unknown format {version!r}, not a corpus"
 
 
-#: Columns of the transfer array, in order.
-_TRANSFER_COLUMNS = (
-    "connection_id",
-    "start",
-    "response_start",
-    "end",
-    "request_bytes",
-    "response_bytes",
-    "n_packets_down",
-    "n_packets_up",
-    "n_retransmits",
-    "rtt_s",
-)
-
-
 @dataclass
 class SessionRecord:
     """One collected session, compact enough to hold thousands of.
@@ -121,7 +106,7 @@ class SessionRecord:
         ``quality`` (dict of numpy arrays).
     transfers:
         Transport transfers as a ``(n, 10)`` float array with columns
-        :data:`_TRANSFER_COLUMNS`; feeds packet-trace synthesis.
+        :data:`~repro.net.packets.TRANSFER_COLUMNS`; feeds packet-trace synthesis.
     connections:
         ``(connection_id, opened_at, rtt_s)`` rows, ``(m, 3)`` floats.
     labels:
@@ -171,24 +156,6 @@ class SessionRecord:
                 [t.quality_index for t in trace.http_transactions], dtype=np.int8
             ),
         }
-        transfers = np.array(
-            [
-                (
-                    t.connection_id,
-                    t.start,
-                    t.response_start,
-                    t.end,
-                    t.request_bytes,
-                    t.response_bytes,
-                    t.n_packets_down,
-                    t.n_packets_up,
-                    t.n_retransmits,
-                    t.rtt_s,
-                )
-                for t in trace.transfers
-            ],
-            dtype=np.float64,
-        ).reshape(-1, len(_TRANSFER_COLUMNS))
         connections = np.array(
             [(c.connection_id, c.opened_at, c.rtt_s) for c in trace.connections],
             dtype=np.float64,
@@ -198,7 +165,7 @@ class SessionRecord:
             video_id=trace.video_id,
             tls_transactions=list(trace.tls_transactions),
             http=http,
-            transfers=transfers,
+            transfers=transfer_rows(trace.transfers),
             connections=connections,
             labels=compute_labels(trace, profile),
             watch_duration_s=trace.watch_duration_s,
@@ -249,14 +216,10 @@ class SessionRecord:
             )
 
     def packet_trace(self, seed: int = 0) -> PacketTrace:
-        """Synthesize this session's packet trace on demand."""
-        connections = [
-            (int(row[0]), float(row[1]), float(row[2])) for row in self.connections
-        ]
-        return synthesize_packet_trace(
-            self.iter_transfers(),
-            connections,
-            rng=np.random.default_rng(seed),
+        """Synthesize this session's packet trace on demand, from its
+        transfer and connection rows."""
+        return synthesize_from_rows(
+            self.transfers, self.connections, np.random.default_rng(seed)
         )
 
     def resource_mask(self, resource: ResourceType) -> np.ndarray:

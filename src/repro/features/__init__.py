@@ -15,7 +15,6 @@ from repro.features.packet_features import (
     ML16_FEATURE_NAMES,
     extract_ml16_features,
 )
-from repro.features.segments import reconstruct_segments
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
     TLS_FEATURE_NAMES,
@@ -36,5 +35,4 @@ __all__ = [
     "temporal_feature_names",
     "ML16_FEATURE_NAMES",
     "extract_ml16_features",
-    "reconstruct_segments",
 ]

@@ -6,6 +6,13 @@ downlink bytes that follow it (until the next request on the same
 connection) are the response.  Responses above a size threshold are
 video/audio segments; the rest are control traffic.  ML16's segment
 features are computed on this reconstruction, never on ground truth.
+
+Reconstruction is columnar: :class:`ConnectionPackets` sorts a trace
+once by connection (stable, so each connection keeps its time order),
+and :func:`segments_by_connection` assigns every data packet to its
+request and reduces each response with whole-trace array ops.  The
+per-connection reference it replaced lives in ``tests/packet_oracle.py``;
+the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.net.packets import PacketTrace
+from repro.net.packets import _ACK_BYTES, DOWNLINK, PacketTrace
 
-__all__ = ["ReconstructedSegments", "reconstruct_segments"]
+__all__ = ["ConnectionPackets", "ReconstructedSegments", "segments_by_connection"]
 
 #: Uplink packets with more payload than this are treated as requests
 #: (pure ACKs are 66 bytes; HTTP request headers are hundreds).
@@ -50,58 +57,88 @@ class ReconstructedSegments:
         return np.diff(np.sort(self.start_times))
 
 
-def reconstruct_segments(
-    trace: PacketTrace,
-    min_request_bytes: int = _REQUEST_WIRE_BYTES,
-    min_segment_bytes: int = _MIN_SEGMENT_BYTES,
-) -> ReconstructedSegments:
-    """Recover (start, size, duration) of media segments from packets.
+@dataclass(frozen=True)
+class ConnectionPackets:
+    """A packet trace's packets grouped by connection, ascending, each
+    connection's packets in time order: connection ``k`` owns rows
+    ``bounds[k]:bounds[k + 1]``."""
 
-    Works per connection: request packets delimit responses; each
-    response's bytes and span are accumulated from the downlink data
-    packets between two requests.
-    """
-    empty = np.empty(0)
-    if trace.n_packets == 0:
-        return ReconstructedSegments(empty, empty, empty)
+    timestamps: np.ndarray
+    sizes: np.ndarray
+    directions: np.ndarray
+    bounds: np.ndarray
 
-    starts: list[float] = []
-    sizes: list[float] = []
-    durations: list[float] = []
-    for conn in np.unique(trace.connection_ids):
-        rows = trace.connection_ids == conn
-        ts = trace.timestamps[rows]
-        sz = trace.sizes[rows]
-        down = trace.directions[rows] == 1
-        is_request = (~down) & (sz >= min_request_bytes)
-        req_times = ts[is_request]
-        if req_times.size == 0:
-            continue
-        # Responses run from one request to the next (or trace end).
-        bounds = np.append(req_times, np.inf)
-        down_ts = ts[down & (sz > 66)]
-        down_sz = sz[down & (sz > 66)].astype(np.float64)
-        if down_ts.size == 0:
-            continue
-        which = np.searchsorted(bounds, down_ts, side="right") - 1
-        valid = which >= 0
-        n_req = req_times.size
-        byte_sums = np.zeros(n_req)
-        np.add.at(byte_sums, which[valid], down_sz[valid])
-        first_ts = np.full(n_req, np.inf)
-        np.minimum.at(first_ts, which[valid], down_ts[valid])
-        last_ts = np.full(n_req, -np.inf)
-        np.maximum.at(last_ts, which[valid], down_ts[valid])
-        keep = byte_sums >= min_segment_bytes
-        starts.extend(req_times[keep].tolist())
-        sizes.extend(byte_sums[keep].tolist())
-        durations.extend(
-            np.maximum(last_ts[keep] - first_ts[keep], 1e-6).tolist()
+    @classmethod
+    def of(cls, trace: PacketTrace) -> "ConnectionPackets":
+        """Group a time-sorted trace by one stable sort on its
+        connection ids."""
+        ids = trace.connection_ids
+        if ids.size and int(ids.max()) - int(ids.min()) < 1 << 15:
+            # Equal ordering on small offsets, which numpy sorts by radix.
+            ids = (ids - ids.min()).astype(np.int16)
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        return cls(
+            timestamps=trace.timestamps[order],
+            sizes=trace.sizes[order],
+            directions=trace.directions[order],
+            bounds=np.concatenate(([0], starts, [ids.shape[0]])),
         )
 
-    order = np.argsort(starts) if starts else np.empty(0, dtype=np.int64)
+    def first_times(self, direction: int) -> np.ndarray:
+        """Each connection's first packet time in ``direction`` (NaN
+        without one)."""
+        rows = np.flatnonzero(self.directions == direction)
+        first = np.searchsorted(rows, self.bounds[:-1])
+        hit = first < rows.shape[0]
+        hit[hit] = rows[first[hit]] < self.bounds[1:][hit]
+        times = np.full(first.shape[0], np.nan)
+        times[hit] = self.timestamps[rows[first[hit]]]
+        return times
+
+
+def segments_by_connection(packets: ConnectionPackets) -> ReconstructedSegments:
+    """Recover (start, size, duration) of media segments from packets.
+
+    On each connection, request packets delimit responses: a downlink
+    data packet belongs to the connection's last request sent at or
+    before it (a data packet at a request's own timestamp included),
+    and each response's bytes and span come from its data packets.
+    Segments are ordered by ``np.argsort`` of their starts listed in
+    (connection, request) order, the order the per-connection code
+    listed them in, so tied starts order as they did.
+    """
+    ts, sz, bounds = packets.timestamps, packets.sizes, packets.bounds
+    down = packets.directions == DOWNLINK
+    requests = np.flatnonzero(~down & (sz >= _REQUEST_WIRE_BYTES))
+    data = np.flatnonzero(down & (sz > _ACK_BYTES))
+    req_times = ts[requests]
+    conn = np.searchsorted(bounds, requests, side="right") - 1
+    # Request j's response is a run of the connection's time-ordered
+    # data packets, from the first at or after it to the next request's
+    # run (or the connection's end).
+    lo = np.searchsorted(data, requests)
+    conn_lo = np.searchsorted(data, bounds[conn])
+    if data.size:
+        # Data packets at a request's own timestamp join it, also where
+        # the time sort put them ahead of it.
+        tied = (lo > conn_lo) & (ts[data[lo - 1]] == req_times)
+        while tied.any():
+            lo -= tied
+            tied &= (lo > conn_lo) & (ts[data[lo - 1]] == req_times)
+    hi = np.searchsorted(data, bounds[conn + 1])
+    same = conn[1:] == conn[:-1]
+    hi[:-1][same] = lo[1:][same]
+    # Byte counts are integers, exact in float64.
+    cumulative = np.concatenate(([0], np.cumsum(sz[data])))
+    byte_sums = (cumulative[hi] - cumulative[lo]).astype(np.float64)
+    keep = byte_sums >= _MIN_SEGMENT_BYTES
+    starts = req_times[keep]
+    spans = ts[data[hi[keep] - 1]] - ts[data[lo[keep]]]
+    order = np.argsort(starts)
     return ReconstructedSegments(
-        start_times=np.asarray(starts)[order],
-        sizes_bytes=np.asarray(sizes)[order],
-        durations=np.asarray(durations)[order],
+        start_times=starts[order],
+        sizes_bytes=byte_sums[keep][order],
+        durations=np.maximum(spans, 1e-6)[order],
     )

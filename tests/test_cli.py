@@ -242,6 +242,36 @@ class TestArgumentValidation:
         assert "[0, 1]" in capsys.readouterr().err
 
 
+class TestBadEnvironment:
+    """An environment value ``repro.config`` rejects ends the CLI with
+    one ``error:`` line and exit code 2, before any command runs."""
+
+    @pytest.mark.parametrize(
+        "var,value,message",
+        [
+            ("REPRO_JOBS", "garbage", "REPRO_JOBS must be an integer (>= 1 or -1), got 'garbage'"),
+            ("REPRO_SCENARIO", "hostile", "REPRO_SCENARIO is no longer read; unset it and use"),
+        ],
+    )
+    def test_one_error_line_exit_2(self, monkeypatch, capsys, var, value, message):
+        monkeypatch.setenv(var, value)
+        assert main(["config", "show"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_jobs_flag_replaces_a_bad_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "garbage")
+        assert main(["--jobs", "1", "config", "show"]) == 0
+        assert "[REPRO_JOBS, from env]" in capsys.readouterr().out
+
+    def test_bad_jobs_flag(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert main(["--jobs", "0", "config", "show"]) == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1 or -1, got 0\n"
+
+
 class TestSplitDegenerateInputs:
     def test_empty_transaction_file(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

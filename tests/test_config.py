@@ -102,7 +102,9 @@ class TestRetiredCollectionVars:
         "var,value,replacement",
         [("REPRO_SCENARIO", "hostile", "--scenario"), ("REPRO_WORKLOAD", "rtc", "--service")],
     )
-    def test_set_value_is_refused_by_name(self, monkeypatch, tmp_path, var, value, replacement):
+    def test_set_value_is_refused_by_name(
+        self, monkeypatch, tmp_path, capsys, var, value, replacement
+    ):
         from repro.cli import main
 
         monkeypatch.setenv(var, "")
@@ -111,8 +113,9 @@ class TestRetiredCollectionVars:
         with pytest.raises(ValueError, match=f"{var} is no longer read.*{replacement}"):
             get_config()
         out = tmp_path / "never.shards"
-        with pytest.raises(ValueError, match=replacement):
-            main(["collect", "--service", "svc1", "-n", "1", "-o", str(out)])
+        # The CLI refuses it as a usage error: one line, exit 2.
+        assert main(["collect", "--service", "svc1", "-n", "1", "-o", str(out)]) == 2
+        assert replacement in capsys.readouterr().err
         assert not out.exists()
         assert var not in config.ENV_VARS
 

@@ -9,12 +9,12 @@ from repro.features.packet_features import (
     extract_ml16_features,
     extract_ml16_matrix,
 )
-from repro.features.segments import reconstruct_segments
 from repro.net.bandwidth import BandwidthTrace, TraceFamily
 from repro.net.link import Link
 from repro.net.packets import synthesize_packet_trace
 from repro.net.tcp import TcpConnection, TcpParams
 from repro.tlsproxy.records import ResourceType
+from tests.packet_oracle import reconstruct_segments
 
 
 @pytest.fixture(scope="module")

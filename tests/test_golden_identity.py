@@ -232,3 +232,57 @@ def test_cli_collect_without_workload_flag(tmp_path, capsys):
     )
     manifest, _ = GOLDEN_PROFILE_DIGESTS[("rtc1", "identity")]
     assert Dataset.load(out).manifest_digest == manifest
+
+
+# ----------------------------------------------------------------------
+# ML16 packet-baseline matrices
+# ----------------------------------------------------------------------
+#: SHA-256 prefixes of ``extract_ml16_matrix`` (shape, dtype and bytes)
+#: on three corpora, pinned on commit 447ecdd, before packet traces were
+#: synthesized from block columns and featurized columnar: a stored
+#: svc1 corpus in three shards, a live1 corpus held in memory (trace
+#: seed 11, so session ``i`` draws from seed ``11 + i``) and an rtc1
+#: corpus over ``hostile``.  Any reordered random draw, reordered
+#: packet or re-associated float sum in synthesis or featurization
+#: fails here, at any worker count.
+GOLDEN_ML16_DIGESTS = {
+    "svc1": "90e3c2f8080b6d0cf98bdd97",
+    "live1": "6b24f8c75c8b2da27970603a",
+    "rtc1-hostile": "1a006f3811e9721b8f1c9da5",
+}
+
+
+@pytest.fixture(scope="module")
+def ml16_corpora(tmp_path_factory):
+    from repro.api import collect_corpus as api_collect
+
+    out = tmp_path_factory.mktemp("ml16") / "svc1.shards"
+    return {
+        "svc1": (api_collect("svc1", n_sessions=13, seed=3, jobs=1,
+                             out=str(out), shard_size=5), 0),
+        "live1": (api_collect("live1", n_sessions=8, seed=4, jobs=1), 11),
+        "rtc1-hostile": (api_collect("rtc1", n_sessions=10, seed=6,
+                                     scenario="hostile", jobs=1), 0),
+    }
+
+
+def ml16_digest(X) -> str:
+    import hashlib
+
+    import numpy as np
+
+    h = hashlib.sha256(repr((X.shape, X.dtype.str)).encode())
+    h.update(np.ascontiguousarray(X).tobytes())
+    return h.hexdigest()[:24]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(GOLDEN_ML16_DIGESTS))
+def test_ml16_matrix_matches_golden(ml16_corpora, name, n_jobs):
+    from repro import config
+    from repro.features.packet_features import extract_ml16_matrix
+
+    dataset, seed = ml16_corpora[name]
+    with config.override(jobs=n_jobs):
+        X, _ = extract_ml16_matrix(dataset, seed=seed)
+    assert ml16_digest(X) == GOLDEN_ML16_DIGESTS[name], f"{name}: ML16 matrix changed"
