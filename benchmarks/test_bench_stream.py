@@ -9,9 +9,10 @@ a paper-sized (60-tree) hist-trained Random Forest, so the scoring
 floor exercises the flattened batched predictor
 (:class:`repro.ml.tree.FlatEnsemble`) end to end — the old per-row
 walk could not hold this floor.  The floors sit far below the
-throughput measured on a 2-vCPU development container (about 130k
-events/s, 11k sessions/s scored through the model, p99 micro-batch
-about 17 ms), so they trip on algorithmic regressions — an accidental
+throughput measured on a 2-vCPU development container (medians of
+eight runs: 152k events/s, 12.7k sessions/s scored through the model,
+p99 micro-batch 14.5 ms; single runs spread from 114k to 169k
+events/s), so they trip on algorithmic regressions — an accidental
 O(n²) in a stream's row log, per-row prediction — not on
 machine-to-machine noise.
 """

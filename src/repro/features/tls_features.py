@@ -22,13 +22,22 @@ Two extraction paths produce bit-identical output:
 
 * :func:`extract_tls_features` — the per-session reference
   implementation (one transaction list in, one vector out).
-* :func:`extract_tls_matrix` — the columnar fast path: one
-  :class:`~repro.tlsproxy.table.TransactionTable` for the whole corpus,
-  every feature computed with segment reductions, no per-session loop.
+* :func:`extract_tls_table` — the columnar kernel, one fused pass over a
+  :class:`~repro.tlsproxy.table.TransactionTable` with no per-session
+  and no per-interval loop.  The two session sums and the two temporal
+  sums of each of the ``k`` intervals are rows of one ``(2 + 2k, n)``
+  stack, reduced by one ``np.add.reduceat``; the five per-transaction
+  metrics are one ``(5, n)`` stack, sorted within sessions in one call;
+  IAT sorts the starts, then its own gaps, the same way.  The result
+  fills one preallocated matrix.  :func:`extract_tls_matrix` runs it
+  block by block over a corpus, and so do the stream's score batches,
+  the flow features and the fleet scorer.
 
-Both paths sum with the sequential left-to-right order of
-``np.add.reduceat`` (see :mod:`repro.tlsproxy.table`), which is what
-makes ``np.array_equal`` between them hold exactly.
+Both paths sum through ``np.add.reduceat`` (see
+:mod:`repro.tlsproxy.table`): a session's values reach the same
+reduction loop whether they are the reference's whole column or one
+segment of a stacked row, which is what makes ``np.array_equal``
+between them hold exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from repro.tlsproxy.table import (
     TransactionTable,
     ordered_sum,
     segment_min_med_max,
+    segment_sort,
     segment_sum,
 )
 
@@ -195,12 +205,12 @@ def extract_tls_table(
     table: TransactionTable,
     intervals: tuple[int, ...] = TEMPORAL_INTERVALS,
 ) -> np.ndarray:
-    """Columnar kernel: the whole corpus's features via segment reductions.
+    """Columnar kernel: the whole corpus's features in one fused pass.
 
     One row per table session, bit-identical to running
-    :func:`extract_tls_features` on each session's transactions.  No
-    per-session Python loop: every feature is a reduction
-    (``reduceat``/sorted-offset arithmetic) over the flat columns.
+    :func:`extract_tls_features` on each session's transactions, with
+    no per-session and no per-interval loop (the module docstring lists
+    the pass's stacks).
     """
     counts = table.counts
     if np.any(counts == 0):
@@ -215,61 +225,64 @@ def extract_tls_table(
     offsets = table.offsets
     lo = offsets[:-1]
     segment_ids = table.session_ids
+    out = np.empty((table.n_sessions, len(feature_names(intervals))))
 
     session_start = np.minimum.reduceat(starts, lo)
     session_end = np.maximum.reduceat(ends, lo)
     ses_dur = np.maximum(session_end - session_start, 1e-9)
 
-    columns = [
-        segment_sum(downlink, offsets) / ses_dur,  # SDR_DL
-        segment_sum(uplink, offsets) / ses_dur,  # SDR_UL
-        ses_dur,  # SES_DUR
-        counts.astype(np.float64) / ses_dur,  # TRANS_PER_SEC
-    ]
+    # Temporal: pro-rata share of each transaction inside [0, X], one
+    # (k, n) row per interval X.  Rows 2 + 2i and 3 + 2i of the stack
+    # are interval i's downlink and uplink shares, which makes the
+    # reduced stack's tail the feature order.
+    row_start = session_start[segment_ids]
+    rel_start = starts - row_start
+    rel_end = ends - row_start
+    span = np.maximum(rel_end - rel_start, 1e-9)
+    share = np.minimum(rel_end, np.asarray(intervals, dtype=np.float64)[:, None])
+    share -= rel_start
+    np.clip(share, 0.0, None, out=share)  # the overlap with [0, X]
+    share /= span
+    np.minimum(share, 1.0, out=share)
+    stack = np.empty((2 + 2 * len(intervals), table.n_rows))
+    stack[0] = downlink
+    stack[1] = uplink
+    np.multiply(downlink, share, out=stack[2::2])
+    np.multiply(uplink, share, out=stack[3::2])
+    sums = segment_sum(stack, offsets)
+
+    out[:, 0] = sums[0] / ses_dur  # SDR_DL
+    out[:, 1] = sums[1] / ses_dur  # SDR_UL
+    out[:, 2] = ses_dur  # SES_DUR
+    out[:, 3] = counts.astype(np.float64) / ses_dur  # TRANS_PER_SEC
+    out[:, 22:] = sums[2:].T  # CUM_DL_Xs, CUM_UL_Xs for each X
 
     durations = ends - starts
     with np.errstate(divide="ignore", invalid="ignore"):
         tdr = np.where(durations > 0, downlink / np.maximum(durations, 1e-9), downlink)
         d2u = np.where(uplink > 0, downlink / np.maximum(uplink, 1e-9), downlink)
+    mins, meds, maxs = segment_min_med_max(
+        np.stack([downlink, uplink, durations, tdr, d2u]), offsets, segment_ids
+    )
+    out[:, 4:19:3] = mins.T  # DL_SIZE_MIN, UL_SIZE_MIN, ..., D2U_MIN
+    out[:, 5:19:3] = meds.T
+    out[:, 6:19:3] = maxs.T
 
-    # IAT: diffs of within-session sorted start times.  Sorting the
-    # flat column by (session, start) keeps sessions contiguous, so the
-    # per-row diff is valid everywhere except the first row of each
-    # session, which is dropped.
-    sorted_starts = starts[np.lexsort((starts, segment_ids))]
+    # IAT: diffs of within-session sorted start times.  Sessions stay
+    # contiguous in the sorted column, so the per-row diff is valid
+    # everywhere except the first row of each session, which is dropped.
+    sorted_starts = segment_sort(starts, segment_ids)
     diffs = sorted_starts[1:] - sorted_starts[:-1]
     keep = np.ones(max(table.n_rows - 1, 0), dtype=bool)
     keep[lo[1:] - 1] = False
-    iat = diffs[keep]
     iat_counts = counts - 1
     iat_offsets = np.zeros(offsets.shape[0], dtype=np.int64)
     np.cumsum(iat_counts, out=iat_offsets[1:])
     iat_ids = np.repeat(np.arange(table.n_sessions, dtype=np.int64), iat_counts)
-
-    for metric, m_offsets, m_ids in (
-        (downlink, offsets, segment_ids),
-        (uplink, offsets, segment_ids),
-        (durations, offsets, segment_ids),
-        (tdr, offsets, segment_ids),
-        (d2u, offsets, segment_ids),
-        (iat, iat_offsets, iat_ids),
-    ):
-        columns.extend(segment_min_med_max(metric, m_offsets, m_ids))
-
-    # Temporal: pro-rata share of each transaction inside [0, X].
-    rel_start = starts - session_start[segment_ids]
-    rel_end = ends - session_start[segment_ids]
-    span = np.maximum(rel_end - rel_start, 1e-9)
-    for x in intervals:
-        overlap = np.clip(np.minimum(rel_end, x) - rel_start, 0.0, None)
-        share = np.minimum(overlap / span, 1.0)
-        columns.append(segment_sum(downlink * share, offsets))
-        columns.append(segment_sum(uplink * share, offsets))
-
-    matrix = np.column_stack(columns)
-    if matrix.shape[1] != len(feature_names(intervals)):
-        raise AssertionError("feature matrix width drifted from the schema")
-    return matrix
+    out[:, 19], out[:, 20], out[:, 21] = segment_min_med_max(
+        diffs[keep], iat_offsets, iat_ids
+    )
+    return out
 
 
 def extract_tls_matrix(

@@ -258,9 +258,11 @@ class RandomForestClassifier:
         X = as_2d_float(X)
         check_n_features(self, X)
         leaf = self._flat_ensemble().leaf_values(X)
-        proba = np.zeros((X.shape[0], self.classes_.shape[0]))
-        for t in range(len(self.trees_)):
-            proba += leaf[t]
+        # A running sum adds the trees one after another at any shape;
+        # ``leaf.sum(axis=0)`` sums them pairwise when there is one row
+        # and one class.  Leaf values are class shares, never -0.0, so
+        # starting from the first tree equals starting from zeros.
+        proba = np.cumsum(leaf, axis=0)[-1]
         return proba / len(self.trees_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

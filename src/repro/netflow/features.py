@@ -52,9 +52,9 @@ def _flow_features(flows: FlowTable) -> np.ndarray:
         )
         size_up = np.where(pkts_up > 0, table.uplink / np.maximum(pkts_up, 1), 0.0)
     offsets = table.offsets
-    segment_ids = table.session_ids
-    _, med_down, _ = segment_min_med_max(size_down, offsets, segment_ids)
-    _, med_up, _ = segment_min_med_max(size_up, offsets, segment_ids)
+    _, (med_down, med_up), _ = segment_min_med_max(
+        np.stack([size_down, size_up]), offsets, table.session_ids
+    )
     lo = offsets[:-1]
     session_span = np.maximum.reduceat(table.end, lo) - np.minimum.reduceat(
         table.start, lo

@@ -173,14 +173,10 @@ def transactions_to_columns(
     this is the single conversion point between row objects and the
     columnar data plane (:mod:`repro.tlsproxy.table`).
     """
-    n = len(transactions)
-    start = np.empty(n, dtype=np.float64)
-    end = np.empty(n, dtype=np.float64)
-    uplink = np.empty(n, dtype=np.float64)
-    downlink = np.empty(n, dtype=np.float64)
-    for i, t in enumerate(transactions):
-        start[i] = t.start
-        end[i] = t.end
-        uplink[i] = t.uplink_bytes
-        downlink[i] = t.downlink_bytes
-    return start, end, uplink, downlink, tuple(t.sni for t in transactions)
+    return (
+        np.array([t.start for t in transactions], dtype=np.float64),
+        np.array([t.end for t in transactions], dtype=np.float64),
+        np.array([t.uplink_bytes for t in transactions], dtype=np.float64),
+        np.array([t.downlink_bytes for t in transactions], dtype=np.float64),
+        tuple(t.sni for t in transactions),
+    )

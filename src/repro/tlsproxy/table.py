@@ -13,14 +13,25 @@ detection, serialization).  The constructor checks every row's values
 holds no row a :class:`~repro.tlsproxy.records.TlsTransaction` would
 reject.
 
-The module also provides the segment-reduction primitives the
-vectorized feature extractors are built from.  Bit-identity between the
-columnar fast path and the per-session reference extractors hinges on
-one contract: **all sums are sequential left-to-right**
-(``np.add.reduceat`` order).  ``np.ndarray.sum`` uses pairwise/SIMD
-summation whose grouping depends on array length and build flags, so it
-cannot be reproduced segment-wise; :func:`ordered_sum` gives scalar
-code the exact summation order :func:`segment_sum` applies per segment.
+The module also provides the segment primitives the vectorized
+feature extractors are built from.  Each takes one ``(n,)`` column or a
+``(k, n)`` stack of columns cut into the same segments, and each row of
+a stack comes out as the column alone would, bit for bit.
+
+* :func:`segment_sum` — per-segment sums.  Bit-identity between the
+  columnar kernels and the per-session reference extractors hinges on
+  one contract: **every sum is an** ``np.add.reduceat`` **sum**.  A
+  segment's values reach the same reduction loop, with the same count,
+  whether they are a whole column (:func:`ordered_sum`, for scalar
+  code), one segment of a column or one segment of a stack's row, so
+  the sums agree whatever order numpy adds in inside that loop.
+* :func:`segment_sort` — every segment sorted ascending, each row
+  equal to a stable ``np.lexsort`` by (segment, value): one value
+  ``argsort``, then one integer sort of ``segment * n + rank``.  The value sort need
+  not be stable, because values that compare equal have equal bits;
+  the one exception, ``-0.0`` against ``0.0``, is put back in row order.
+* :func:`segment_min_med_max` — min, median and max read off the
+  sorted segments at their offsets.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ __all__ = [
     "check_rows",
     "ordered_sum",
     "segment_sum",
+    "segment_sort",
     "segment_min_med_max",
 ]
 
@@ -76,11 +88,11 @@ def check_rows(
 
 
 def ordered_sum(values: np.ndarray) -> float:
-    """Sequential left-to-right sum of a 1-D array.
+    """Sum of a 1-D array, added as :func:`segment_sum` adds a segment.
 
-    This is the summation order :func:`np.add.reduceat` applies to each
-    segment, so per-session reference code using ``ordered_sum`` is
-    bit-identical to corpus-level code using :func:`segment_sum`.
+    Both reduce through :func:`np.add.reduceat`, so per-session
+    reference code using ``ordered_sum`` is bit-identical to
+    corpus-level code using :func:`segment_sum`.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.size == 0:
@@ -89,22 +101,61 @@ def ordered_sum(values: np.ndarray) -> float:
 
 
 def segment_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sequential sums: one value per ``offsets`` segment.
+    """Per-segment sums: one value per ``offsets`` segment.
 
     ``offsets`` is an ``(S + 1,)`` monotone index array; segment ``s``
-    covers ``values[offsets[s]:offsets[s + 1]]``.  Empty segments sum
-    to ``0.0`` (plain ``np.add.reduceat`` would repeat a neighbouring
-    element there).
+    covers ``values[..., offsets[s]:offsets[s + 1]]``.  ``values`` is
+    one ``(n,)`` column or a ``(k, n)`` stack of columns summed row by
+    row in one call; each row's sums equal the column's own, bit for
+    bit.  Empty segments sum to ``0.0`` (plain ``np.add.reduceat``
+    would repeat a neighbouring element there).
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     counts = np.diff(offsets)
-    out = np.zeros(counts.shape[0], dtype=np.float64)
+    out = np.zeros(values.shape[:-1] + counts.shape, dtype=np.float64)
     nonempty = counts > 0
-    if values.size and nonempty.any():
+    if values.shape[-1] and nonempty.any():
         # Empty segments occupy no rows, so the start offsets of the
         # non-empty segments alone delimit exactly their rows.
-        out[nonempty] = np.add.reduceat(values, offsets[:-1][nonempty])
+        out[..., nonempty] = np.add.reduceat(
+            values, offsets[:-1][nonempty], axis=-1
+        )
     return out
+
+
+def segment_sort(values: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
+    """Sort every segment's values ascending, segments left in place.
+
+    ``values`` is one ``(n,)`` column or a ``(k, n)`` stack sorted row
+    by row; ``segment_ids`` gives each position's segment and never
+    decreases (segments are contiguous).  Each row comes back equal,
+    bit for bit, to ``row[np.lexsort((row, segment_ids))]``.
+
+    One value sort ranks the row, then one integer sort of ``segment *
+    n + rank`` groups the ranks by segment.  The value sort need not be
+    stable: values that compare equal have equal bits, except ``-0.0``
+    and ``0.0``.  Those are restored afterwards: a segment's zeros are
+    one run of its sorted values, and the zeros in position order are,
+    segment by segment, the order a stable sort gives them.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    rows = np.atleast_2d(values)
+    k, n = rows.shape
+    order = np.argsort(rows, axis=-1)
+    base = np.asarray(segment_ids, dtype=np.int64) * n
+    keys = base[order]
+    keys += np.arange(n)
+    keys.sort(axis=-1)
+    keys -= base
+    # Row-local positions to positions in the flattened stack, so both
+    # gathers are flat takes.
+    shift = np.arange(k)[:, None] * n
+    keys += shift
+    order += shift
+    ranked = rows.reshape(-1)[order.reshape(-1)[keys]]
+    if np.signbit(rows).any():
+        ranked[ranked == 0] = rows[rows == 0]
+    return ranked.reshape(values.shape)
 
 
 def segment_min_med_max(
@@ -114,30 +165,33 @@ def segment_min_med_max(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-segment (min, median, max), zeros for empty segments.
 
-    Matches ``(v.min(), np.median(v), v.max())`` per segment bit for
-    bit: the median of ``n`` sorted values is the middle element (odd
-    ``n``) or the exact mean ``(a + b) / 2`` of the two middle elements
-    (even ``n``), which is what ``np.median`` computes.
+    ``values`` is one ``(n,)`` column, giving three ``(S,)`` arrays, or
+    a ``(k, n)`` stack, giving three ``(k, S)`` arrays from one
+    :func:`segment_sort`.  Matches ``(v.min(), np.median(v),
+    v.max())`` per segment bit for bit: the median of ``n`` sorted
+    values is the middle element (odd ``n``) or the exact mean ``(a +
+    b) / 2`` of the two middle elements (even ``n``), which is what
+    ``np.median`` computes.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     counts = np.diff(offsets)
-    n_segments = counts.shape[0]
-    mins = np.zeros(n_segments, dtype=np.float64)
-    meds = np.zeros(n_segments, dtype=np.float64)
-    maxs = np.zeros(n_segments, dtype=np.float64)
+    shape = values.shape[:-1] + counts.shape
+    mins = np.zeros(shape, dtype=np.float64)
+    meds = np.zeros(shape, dtype=np.float64)
+    maxs = np.zeros(shape, dtype=np.float64)
     nonempty = counts > 0
-    if values.size == 0 or not nonempty.any():
+    if values.shape[-1] == 0 or not nonempty.any():
         return mins, meds, maxs
     if segment_ids is None:
-        segment_ids = np.repeat(np.arange(n_segments), counts)
-    # Stable sort by (segment, value): values ascending within segments.
-    ranked = values[np.lexsort((values, segment_ids))]
-    lo = offsets[:-1]
-    mins[nonempty] = ranked[lo[nonempty]]
-    maxs[nonempty] = ranked[(offsets[1:] - 1)[nonempty]]
-    med_lo = lo + (counts - 1) // 2
-    med_hi = lo + counts // 2
-    meds[nonempty] = (ranked[med_lo[nonempty]] + ranked[med_hi[nonempty]]) / 2.0
+        segment_ids = np.repeat(np.arange(counts.shape[0]), counts)
+    ranked = segment_sort(values, segment_ids)
+    lo = offsets[:-1][nonempty]
+    counts = counts[nonempty]
+    mins[..., nonempty] = ranked[..., lo]
+    maxs[..., nonempty] = ranked[..., lo + counts - 1]
+    meds[..., nonempty] = (
+        ranked[..., lo + (counts - 1) // 2] + ranked[..., lo + counts // 2]
+    ) / 2.0
     return mins, meds, maxs
 
 

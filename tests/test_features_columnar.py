@@ -32,6 +32,7 @@ from repro.netflow.features import extract_flow_matrix
 from repro.tlsproxy.records import TlsTransaction
 from repro.tlsproxy.table import TransactionTable
 from tests.flow_oracle import reference_flow_matrix
+from tests.scoring_oracle import loop_tls_table
 
 
 def reference_matrix(dataset, intervals=TEMPORAL_INTERVALS):
@@ -121,20 +122,63 @@ def tls_sessions(draw):
     return sessions
 
 
+#: Interval grids: the paper's, one interval (the temporal block is a
+#: ``(4, n)`` stack), more intervals than the paper's eight, and two
+#: others.
+GRIDS = (
+    TEMPORAL_INTERVALS,
+    (5,),
+    (1, 3, 60),
+    (10, 45, 300, 900),
+    (2, 5, 10, 20, 30, 45, 60, 90, 120, 240, 600, 1200),
+)
+
+
+@st.composite
+def signed_zero_tables(draw):
+    """Tables whose starts, ends and byte counts mix ``-0.0`` and
+    ``0.0``: a record accepts ``-0.0`` everywhere ``0.0`` is accepted,
+    so a duration, a rate or an inter-arrival time can be ``-0.0``."""
+    sessions = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows = []
+        for _ in range(draw(st.integers(1, 12))):
+            start = draw(st.sampled_from((-0.0, 0.0, 0.0, 1.0, 2.0)))
+            end = draw(st.sampled_from((start, -0.0, start + 1.0, start + 30.0)))
+            if end < start:
+                end = start
+            rows.append(
+                TlsTransaction(
+                    start=start, end=end,
+                    uplink_bytes=draw(st.sampled_from((-0.0, 0.0, 0, 517))),
+                    downlink_bytes=draw(st.sampled_from((-0.0, 0.0, 0, 1000))),
+                    sni="a.example",
+                )
+            )
+        sessions.append(rows)
+    return TransactionTable.from_sessions(sessions)
+
+
 class TestTlsKernelProperties:
     """For any transaction table, the columnar kernel equals stacking
-    the per-session reference, byte for byte."""
+    the per-session reference, and the loop kernel it replaced, byte
+    for byte."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        sessions=tls_sessions(),
-        intervals=st.sampled_from((TEMPORAL_INTERVALS, (1, 3, 60), (10, 45, 300, 900))),
-    )
+    @given(sessions=tls_sessions(), intervals=st.sampled_from(GRIDS))
     def test_kernel_equals_stacked_reference(self, sessions, intervals):
-        got = extract_tls_table(TransactionTable.from_sessions(sessions), intervals)
+        table = TransactionTable.from_sessions(sessions)
+        got = extract_tls_table(table, intervals)
         want = np.vstack([extract_tls_features(s, intervals) for s in sessions])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == loop_tls_table(table, intervals).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=signed_zero_tables(), intervals=st.sampled_from(GRIDS))
+    def test_signed_zeros_read_as_the_loop_kernel_reads_them(self, table, intervals):
+        got = extract_tls_table(table, intervals)
+        assert got.tobytes() == loop_tls_table(table, intervals).tobytes()
 
 
 #: Two non-default exporters: finer periodic summaries, and eager

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from tests.scoring_oracle import per_tree_proba
 
 
 @st.composite
@@ -89,6 +90,17 @@ class TestRegressorProperties:
         assert pred.max() <= y.max() + 1e-9
 
 
+class _PresetLeaves:
+    """Stands in for a forest's stacked trees: every traversal returns
+    the same ``(n_trees, n_rows, n_classes)`` leaf values."""
+
+    def __init__(self, leaf):
+        self.leaf = leaf
+
+    def leaf_values(self, X):
+        return self.leaf
+
+
 class TestEnsembleProperties:
     @given(data=classification_data())
     @settings(max_examples=15, deadline=None)
@@ -98,6 +110,28 @@ class TestEnsembleProperties:
         proba = forest.predict_proba(X)
         assert (proba >= 0).all()
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        n_classes=st.sampled_from((1, 2)),
+        n_rows=st.sampled_from((1, 64)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_forest_proba_sums_trees_in_tree_order(self, seed, n_classes, n_rows):
+        """Equal to adding the trees one at a time from zeros, byte for
+        byte, at one row and one class too, where a reduction over the
+        tree axis sums pairwise.  A one-class forest's leaves all read
+        1.0, so preset leaf values stand in for the traversal's as well."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(30, 3))
+        y = np.arange(30) % n_classes
+        forest = RandomForestClassifier(
+            n_estimators=60, random_state=seed, n_jobs=1
+        ).fit(X, y)
+        rows = rng.normal(size=(n_rows, 3))
+        assert forest.predict_proba(rows).tobytes() == per_tree_proba(forest, rows).tobytes()
+        forest._flat = _PresetLeaves(rng.random((60, n_rows, n_classes)))
+        assert forest.predict_proba(rows).tobytes() == per_tree_proba(forest, rows).tobytes()
 
     @given(data=classification_data())
     @settings(max_examples=10, deadline=None)

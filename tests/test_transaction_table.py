@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tlsproxy.proxy import TransparentProxy
 from repro.tlsproxy.records import TlsTransaction, transactions_to_columns
@@ -9,8 +11,10 @@ from repro.tlsproxy.table import (
     TransactionTable,
     ordered_sum,
     segment_min_med_max,
+    segment_sort,
     segment_sum,
 )
+from tests.scoring_oracle import columns_per_row
 
 
 def txn(start, end, up=10, down=100, sni="edge.cdn.example"):
@@ -58,7 +62,111 @@ class TestSegmentPrimitives:
         assert (mins[1], meds[1], maxs[1]) == (1.0, 3.0, 5.0)
 
 
+@st.composite
+def segmented_stacks(draw, values):
+    """A ``(k, n)`` stack of ``values`` cut into 1-8 contiguous segments;
+    segments may be empty or hold one row."""
+    counts = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+    n = sum(counts)
+    k = draw(st.integers(1, 4))
+    stack = np.array(
+        draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=k, max_size=k)),
+        dtype=np.float64,
+    ).reshape(k, n)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return stack, offsets
+
+
+#: Few distinct values, so segments hold ties.
+TIED = st.sampled_from((0.0, 1.0, 1.0, 2.5, 7.0, -3.0, 1e9))
+#: Both signs of zero, often tied with each other.
+SIGNED_ZEROS = st.sampled_from((-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 2.5))
+
+
+class TestSegmentKernelProperties:
+    """The stacked primitives against per-segment numpy and the
+    ``np.lexsort`` they replaced, bit for bit."""
+
+    # ``v + 0.0`` turns ``-0.0`` into ``0.0``: numpy's min and median
+    # may read either zero of a tie, where the kernel reads a stable
+    # sort's (held by the lexsort property below).
+    @settings(max_examples=200, deadline=None)
+    @given(data=segmented_stacks(TIED | st.floats(-1e6, 1e6).map(lambda v: v + 0.0)))
+    def test_min_med_max_equals_numpy_per_segment(self, data):
+        stack, offsets = data
+        mins, meds, maxs = segment_min_med_max(stack, offsets)
+        assert mins.shape == meds.shape == maxs.shape == (stack.shape[0], offsets.size - 1)
+        for r, row in enumerate(stack):
+            one = segment_min_med_max(row, offsets)
+            assert np.stack(one).tobytes() == np.stack([mins[r], meds[r], maxs[r]]).tobytes()
+            for s, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+                seg = row[lo:hi]
+                want = (seg.min(), np.median(seg), seg.max()) if seg.size else (0.0, 0.0, 0.0)
+                assert np.array(want).tobytes() == np.array(
+                    [mins[r, s], meds[r, s], maxs[r, s]]
+                ).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=segmented_stacks(SIGNED_ZEROS | TIED))
+    def test_segment_sort_equals_lexsort(self, data):
+        """Equal values keep their bits wherever the value sort put
+        them, except the two zeros, which come back in row order."""
+        stack, offsets = data
+        ids = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        got = segment_sort(stack, ids)
+        for r, row in enumerate(stack):
+            assert got[r].tobytes() == row[np.lexsort((row, ids))].tobytes()
+            assert segment_sort(row, ids).tobytes() == got[r].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=segmented_stacks(st.floats(0, 1e7)))
+    def test_stacked_sums_equal_each_row(self, data):
+        stack, offsets = data
+        sums = segment_sum(stack, offsets)
+        for r, row in enumerate(stack):
+            assert sums[r].tobytes() == segment_sum(row, offsets).tobytes()
+
+
+#: Record fields as callers pass them: Python ints (byte counts past
+#: 2**53 and 2**63 included), floats, and numpy scalars.
+TIMES = st.floats(0, 1e9) | st.integers(0, 2**40) | st.integers(0, 10).map(np.int64)
+BYTES = (
+    st.integers(0, 2**70)
+    | st.sampled_from((2**53 + 1, 2**63 - 1, 2**63 + 1, 2**64 + 3))
+    | st.floats(0, 1e18)
+    | st.integers(0, 10**6).map(np.int32)
+)
+
+
+@st.composite
+def transaction_lists(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(TIMES)
+        rows.append(
+            TlsTransaction(
+                start=start,
+                end=start + draw(st.sampled_from((0, 0.5, 3))),
+                uplink_bytes=draw(BYTES),
+                downlink_bytes=draw(BYTES),
+                sni=draw(st.sampled_from(("a.example", "b.example"))),
+            )
+        )
+    return rows
+
+
 class TestBatchExport:
+    @settings(max_examples=200, deadline=None)
+    @given(transactions=transaction_lists())
+    def test_columns_equal_per_row_stores(self, transactions):
+        got = transactions_to_columns(transactions)
+        want = columns_per_row(transactions)
+        for g, w in zip(got[:4], want[:4]):
+            assert g.dtype == w.dtype == np.float64
+            assert g.flags.c_contiguous and g.shape == (len(transactions),)
+            assert g.tobytes() == w.tobytes()
+        assert got[4] == want[4]
+
     def test_transactions_to_columns(self):
         txns = [txn(0.0, 1.0, 5, 50, "a"), txn(2.0, 4.0, 7, 70, "b")]
         start, end, up, down, sni = transactions_to_columns(txns)
