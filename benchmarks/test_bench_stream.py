@@ -8,7 +8,10 @@ streams with deterministic evictions.  Every session is scored through
 a paper-sized (60-tree) hist-trained Random Forest, so the scoring
 floor exercises the flattened batched predictor
 (:class:`repro.ml.tree.FlatEnsemble`) end to end — the old per-row
-walk could not hold this floor.  The floors sit far below the
+walk could not hold this floor.  The workload is replayed ``ROUNDS``
+times, each through a fresh detector; the floors and the recorded
+numbers are the medians over the rounds (a single round spread from
+99k to 168k events/s on the container below).  The floors sit far below the
 throughput measured on a 2-vCPU development container (medians of
 eight runs: 152k events/s, 12.7k sessions/s scored through the model,
 p99 micro-batch 14.5 ms; single runs spread from 114k to 169k
@@ -17,6 +20,7 @@ O(n²) in a stream's row log, per-row prediction — not on
 machine-to-machine noise.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -31,6 +35,8 @@ MIN_EVENTS_PER_SEC = 8_000.0
 MIN_SESSIONS_PER_SEC = 800.0
 MAX_P99_BATCH_LATENCY_S = 0.4
 MICRO_BATCH = 256
+#: Replays of the workload; the floors gate their medians.
+ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -65,30 +71,39 @@ def test_bench_stream_throughput(benchmark, stream_workload, stream_model):
     events, expected = stream_workload
     assert len({key for key, _ in events}) >= 1000
 
-    t0 = time.perf_counter()
-    detector, verdicts, latencies = benchmark.pedantic(
-        _run_replay, args=(events, stream_model), rounds=1, iterations=1
-    )
-    wall = time.perf_counter() - t0
+    runs = []
 
+    def replay():
+        t0 = time.perf_counter()
+        result = _run_replay(events, stream_model)
+        runs.append((time.perf_counter() - t0, result))
+        return result
+
+    benchmark.pedantic(replay, rounds=ROUNDS, iterations=1)
+    assert len(runs) == ROUNDS
+    wall = statistics.median(w for w, _ in runs)
     events_per_sec = expected["events"] / wall
     sessions_per_sec = expected["sessions"] / wall
-    p99 = float(np.percentile(latencies, 99))
+    p99 = statistics.median(
+        float(np.percentile(latencies, 99)) for _, (_, _, latencies) in runs
+    )
+    benchmark.extra_info["rounds"] = ROUNDS
     benchmark.extra_info["events_per_sec"] = round(events_per_sec)
     benchmark.extra_info["sessions_per_sec"] = round(sessions_per_sec)
     benchmark.extra_info["p99_batch_latency_ms"] = round(p99 * 1e3, 2)
-    benchmark.extra_info["evictions"] = detector.stats()["evicted"]
+    benchmark.extra_info["evictions"] = runs[-1][1][0].stats()["evicted"]
 
-    # Counters reconcile exactly: nothing dropped, nothing double-counted.
-    stats = detector.stats()
-    assert stats["ingested"] == expected["events"]
-    assert stats["scored"] == len(verdicts) == expected["sessions"]
-    assert stats["evicted"] == expected["short_streams"]
-    assert stats["late_dropped"] == 0
-    assert stats["active"] == stats["pending"] == stats["queued"] == 0
-    # Every verdict carries a full feature vector and a model category.
-    assert all(v.features.shape == verdicts[0].features.shape for v in verdicts)
-    assert all(v.category is not None for v in verdicts)
+    for _, (detector, verdicts, _) in runs:
+        # Counters reconcile exactly: nothing dropped, nothing double-counted.
+        stats = detector.stats()
+        assert stats["ingested"] == expected["events"]
+        assert stats["scored"] == len(verdicts) == expected["sessions"]
+        assert stats["evicted"] == expected["short_streams"]
+        assert stats["late_dropped"] == 0
+        assert stats["active"] == stats["pending"] == stats["queued"] == 0
+        # Every verdict carries a full feature vector and a model category.
+        assert all(v.features.shape == verdicts[0].features.shape for v in verdicts)
+        assert all(v.category is not None for v in verdicts)
 
     # The service-level floors.
     assert events_per_sec >= MIN_EVENTS_PER_SEC, (

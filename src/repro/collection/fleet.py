@@ -35,6 +35,8 @@ counterpart for ``REPRO_JOBS=1`` and any other count.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 
 from repro import telemetry
@@ -46,7 +48,7 @@ from repro.features.tls_features import (
     extract_tls_table,
     feature_names,
 )
-from repro.parallel import parallel_map, resolve_jobs_for
+from repro.parallel import parallel_map, resolve_jobs
 
 __all__ = [
     "extract_tls_sharded",
@@ -140,8 +142,11 @@ def extract_tls_sharded(
 
 
 def _score_shard(task) -> np.ndarray:
-    """Worker: extract one shard's features and run the model on them."""
+    """Worker: extract one shard's features and run the model on them
+    (the model itself, or its pickle when it crossed to a worker)."""
     model, reader, intervals = task
+    if isinstance(model, bytes):
+        model = pickle.loads(model)
     X = _extract_shard((reader, intervals))
     return np.asarray(model.predict(X))
 
@@ -156,13 +161,21 @@ def score_sharded(
 
     Workers extract and predict; the coordinator concatenates in
     manifest order.  Models predict row-independently, so the result
-    equals predicting on the whole corpus's feature matrix.
+    equals predicting on the whole corpus's feature matrix.  A fan-out
+    pickles the model once and ships those bytes with every task; a
+    model that does not pickle is scored in this process.
     """
-    jobs = resolve_jobs_for(model, n_jobs)
+    jobs = resolve_jobs(n_jobs)
+    shipped = model
+    if jobs > 1 and dataset.n_shards > 1:
+        try:
+            shipped = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            jobs = 1
     with telemetry.span(
         "fleet.score", shards=dataset.n_shards, sessions=len(dataset)
     ):
-        tasks = [(model, reader, intervals) for reader in dataset.block_readers()]
+        tasks = [(shipped, reader, intervals) for reader in dataset.block_readers()]
         parts = parallel_map(_score_shard, tasks, n_jobs=jobs)
     if not parts:
         return np.empty(0, dtype=np.int64)

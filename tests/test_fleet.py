@@ -171,6 +171,37 @@ class TestScore:
             got = score_sharded(model, sharded, n_jobs=jobs)
             np.testing.assert_array_equal(got, expected)
 
+    def test_fan_out_pickles_the_model_once(self, monolithic, sharded, monkeypatch):
+        """Every task ships the one pickle, not the model: the model is
+        pickled once per fan-out, whatever the shard count."""
+        X, _ = extract_tls_matrix(monolithic)
+        y = monolithic.labels("combined")
+        model = RandomForestClassifier(n_estimators=8, random_state=0, n_jobs=1).fit(X, y)
+        expected = score_sharded(model, sharded, n_jobs=1)
+        pickled = []
+
+        def getstate(self):
+            pickled.append(type(self).__name__)
+            return self.__dict__
+
+        monkeypatch.setattr(RandomForestClassifier, "__getstate__", getstate, raising=False)
+        got = score_sharded(model, sharded, n_jobs=2)
+        assert sharded.n_shards > 2
+        assert pickled == ["RandomForestClassifier"]
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_unpicklable_model_is_scored_in_process(self, monolithic, sharded):
+        X, _ = extract_tls_matrix(monolithic)
+        y = monolithic.labels("combined")
+        forest = RandomForestClassifier(n_estimators=8, random_state=0, n_jobs=1).fit(X, y)
+
+        class Local:  # a local class does not pickle
+            predict = staticmethod(lambda X: forest.predict(X))
+
+        np.testing.assert_array_equal(
+            score_sharded(Local(), sharded, n_jobs=2), forest.predict(X)
+        )
+
 
 class TestExperimentsIntegration:
     def test_sharded_get_corpus_equals_monolithic(self, tmp_path):

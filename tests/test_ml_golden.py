@@ -10,7 +10,9 @@ a lone classifier and regressor.
 
 The digests were computed before the lockstep grower replaced the
 recursive one and must never be regenerated to make a change pass: a
-mismatch means the grower changed a tree.
+mismatch means the grower changed a tree.  The ten-class digest (the
+paper's forest and a ``max_features=None`` forest on ten classes) was
+computed before the class-major split search, under the same rule.
 
 The data are synthetic, drawn from a fixed ``numpy`` Generator.  The
 3-class set has a minority class of two rows, so some bootstraps miss
@@ -41,6 +43,9 @@ GOLDEN = {
     "lone_classifier": "8cdb8500e913953b9a780ae2",
     "lone_regressor": "d462bd91a7f2dc6c83ed071e",
     "coarse_regression": "a68bbee796e50a186a5109eb",
+    # Computed before the class-major split search replaced the
+    # class-minor one; numpy sums 8 or more classes pairwise.
+    "ten_class_forests": "720f3c09593b880a2d994413",
 }
 
 
@@ -128,7 +133,7 @@ def test_paper_forest(data, n_jobs):
     assert forest_digest(forest, query_rows()) == GOLDEN["paper_forest"]
 
 
-@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("n_jobs", [1, 2, 3, 4])
 def test_paper_forest_cross_val_predict(data, n_jobs):
     X, y = data
     forest = RandomForestClassifier(**PAPER_FOREST)
@@ -181,6 +186,31 @@ def coarse_digest(X, y):
     return d.add(model.predict_proba(np.floor(query_rows() * 2.0))).hexdigest()
 
 
+def ten_class_data(seed=2, n=400, n_classes=10):
+    """The continuous features, labelled by deciles of a noisy score."""
+    X, _ = continuous_data(seed=seed, n=n)
+    rng = np.random.default_rng(seed + 100)
+    score = X[:, 0] + 0.5 * np.log(X[:, 1]) - 0.2 * X[:, 2] + 0.1 * X[:, 3]
+    noisy = score + rng.normal(scale=0.3, size=n)
+    edges = np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1])
+    return X, np.searchsorted(edges, noisy)
+
+
+def ten_class_digest():
+    X, y = ten_class_data()
+    d = Digest()
+    for params in (PAPER_FOREST, dict(n_estimators=8, max_features=None, random_state=3)):
+        forest = RandomForestClassifier(n_jobs=1, **params).fit(X, y)
+        for tree in forest.trees_:
+            d.add_tree(tree)
+        d.add(forest.feature_importances_, forest.predict_proba(query_rows()))
+    return d.hexdigest()
+
+
+def test_ten_class_forests():
+    assert ten_class_digest() == GOLDEN["ten_class_forests"]
+
+
 def test_subtraction_forest(data):
     assert subtraction_forest_digest(*data) == GOLDEN["subtraction_forest"]
 
@@ -221,3 +251,4 @@ def test_grouping_keeps_the_digests(data, monkeypatch, step_cells, hist_cells, c
     assert lone_classifier_digest(X, y) == GOLDEN["lone_classifier"]
     assert lone_regressor_digest(X, y) == GOLDEN["lone_regressor"]
     assert coarse_digest(X, y) == GOLDEN["coarse_regression"]
+    assert ten_class_digest() == GOLDEN["ten_class_forests"]
