@@ -18,6 +18,7 @@ library would run::
     python -m repro cache    info|clear
     python -m repro config   show
     python -m repro trace    report|validate PATH
+    python -m repro trace    diff A.jsonl B.jsonl
 
 The data commands (``collect``, ``corpus``, ``train``, ``evaluate``,
 ``split``, ``stream``) are thin argparse layers over the
@@ -32,7 +33,8 @@ which ``cache info``/``cache clear`` manage.
 Every command honours the resolved :mod:`repro.config` (``config
 show`` prints it) and runs under a ``command`` telemetry span: pass
 ``--trace PATH`` (or set ``REPRO_TRACE``) to record a JSONL trace of
-the run, then inspect it with ``trace report``.
+the run, then inspect it with ``trace report`` (or compare two runs
+with ``trace diff A B``).
 """
 
 from __future__ import annotations
@@ -597,11 +599,17 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if (args.action == "diff") != (args.other is not None):
+        need = "two trace files" if args.action == "diff" else "one trace file"
+        print(f"error: 'trace {args.action}' takes {need}", file=sys.stderr)
+        return 2
     try:
         if args.action == "validate":
             events = telemetry.validate_trace(args.path)
             spans = sum(1 for e in events if e.get("type") == "span")
             print(f"{args.path}: valid trace ({spans} spans, {len(events)} records)")
+        elif args.action == "diff":
+            print(telemetry.render_diff(args.path, args.other))
         else:
             print(telemetry.render_report(args.path, top=args.top))
     except telemetry.TraceValidationError as exc:
@@ -798,9 +806,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("show",))
     p.set_defaults(func=_cmd_config)
 
-    p = sub.add_parser("trace", help="inspect a recorded telemetry trace")
-    p.add_argument("action", choices=("report", "validate"))
+    p = sub.add_parser("trace", help="inspect or compare recorded telemetry traces")
+    p.add_argument("action", choices=("report", "validate", "diff"))
     p.add_argument("path", help="JSONL trace file (from --trace or REPRO_TRACE)")
+    p.add_argument("other", nargs="?", default=None,
+                   help="diff: the second trace, compared against PATH")
     p.add_argument("--top", type=int, default=10,
                    help="hot paths to list in the report (default 10)")
     p.set_defaults(func=_cmd_trace)

@@ -24,7 +24,8 @@ Three task kinds, one shard each:
   ``cache_dir``) cannot desynchronize the cache, and per-stage counters
   reconcile exactly: ``hits + misses == n_shards``.
 * **score** — :func:`score_sharded`: extract + predict one shard per
-  task, predictions concatenated in manifest order.
+  task, predictions concatenated in manifest order; each worker loads
+  the fan-out's model once.
 * **flow** — :func:`~repro.netflow.features.extract_flow_matrix`:
   export and featurize one shard's transfer members per task.
 
@@ -35,6 +36,7 @@ counterpart for ``REPRO_JOBS=1`` and any other count.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -141,12 +143,29 @@ def extract_tls_sharded(
 # Scoring
 
 
+#: The model this scoring worker last loaded, under its pickle's
+#: digest: a worker loads each fan-out's model once, not once a shard.
+_LOADED: dict[str, object] = {}
+
+
+def _loaded_model(digest: str, blob: bytes):
+    """The model pickled as ``blob``, loaded once per worker process
+    (a new digest replaces the model held)."""
+    model = _LOADED.get(digest)
+    if model is None:
+        _LOADED.clear()
+        model = _LOADED[digest] = pickle.loads(blob)
+        telemetry.count("fleet.model_loads")
+    return model
+
+
 def _score_shard(task) -> np.ndarray:
     """Worker: extract one shard's features and run the model on them
-    (the model itself, or its pickle when it crossed to a worker)."""
+    (the model itself, or its ``(digest, pickle)`` when it crossed to a
+    worker)."""
     model, reader, intervals = task
-    if isinstance(model, bytes):
-        model = pickle.loads(model)
+    if isinstance(model, tuple):
+        model = _loaded_model(*model)
     X = _extract_shard((reader, intervals))
     return np.asarray(model.predict(X))
 
@@ -162,16 +181,20 @@ def score_sharded(
     Workers extract and predict; the coordinator concatenates in
     manifest order.  Models predict row-independently, so the result
     equals predicting on the whole corpus's feature matrix.  A fan-out
-    pickles the model once and ships those bytes with every task; a
-    model that does not pickle is scored in this process.
+    pickles the model once and ships those bytes, with their digest,
+    with every task; each worker loads them once (and builds the
+    model's prediction tables once).  A model that does not pickle is
+    scored in this process.
     """
     jobs = resolve_jobs(n_jobs)
     shipped = model
     if jobs > 1 and dataset.n_shards > 1:
         try:
-            shipped = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             jobs = 1
+        else:
+            shipped = (hashlib.sha256(blob).hexdigest(), blob)
     with telemetry.span(
         "fleet.score", shards=dataset.n_shards, sessions=len(dataset)
     ):

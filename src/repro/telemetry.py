@@ -44,7 +44,9 @@ Trace file schema (one JSON object per line), version 1:
 
 :func:`validate_trace` checks exactly this contract (CI runs it on
 the smoke trace artifact); :func:`render_report` turns a trace into
-the ``python -m repro trace report`` stage tree.
+the ``python -m repro trace report`` stage tree, and
+:func:`render_diff` sets two traces side by side, span path by span
+path (``python -m repro trace diff A B``).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
     "maybe_tracing",
     "observe",
     "read_trace",
+    "render_diff",
     "render_report",
     "span",
     "subtrace",
@@ -539,6 +542,80 @@ def _build_tree(events: list[dict[str, Any]]) -> tuple[dict[str, Any], _Node]:
     return meta, root
 
 
+def _number(value: float) -> int | float:
+    return int(value) if float(value).is_integer() else value
+
+
+def _self_wall(node: _Node) -> float:
+    """A cell's wall time minus its children's (clamped: worker children
+    overlap in wall time)."""
+    return max(node.wall - sum(child.wall for child in node.children.values()), 0.0)
+
+
+def _path_cells(events: list[dict[str, Any]]) -> dict[str, _Node]:
+    """Every cell of the report tree, by its path of labels from the
+    root (``a > b > c``)."""
+    _, root = _build_tree(events)
+    cells: dict[str, _Node] = {}
+
+    def walk(node: _Node, prefix: str) -> None:
+        for child in node.children.values():
+            path = prefix + child.label
+            cells[path] = child
+            walk(child, path + " > ")
+
+    walk(root, "")
+    return cells
+
+
+def render_diff(path_a: str | Path, path_b: str | Path) -> str:
+    """The ``trace diff``: for every span path of either trace, calls,
+    wall, CPU and self wall in A and in B with the change, the largest
+    wall change first; then every counter whose value differs."""
+    events_a, events_b = validate_trace(path_a), validate_trace(path_b)
+    cells_a, cells_b = _path_cells(events_a), _path_cells(events_b)
+    empty = _Node("")
+    rows = []
+    for path in cells_a.keys() | cells_b.keys():
+        a, b = cells_a.get(path, empty), cells_b.get(path, empty)
+        rows.append((path, a, b, b.wall - a.wall))
+    rows.sort(key=lambda row: (-abs(row[3]), row[0]))
+    width = max([len("span path")] + [len(row[0]) for row in rows]) + 2
+    lines = [
+        f"trace diff — A: {path_a}",
+        f"             B: {path_b}",
+        f"total wall: {events_a[0]['wall_s']:.3f}s → {events_b[0]['wall_s']:.3f}s",
+        "",
+        f"{'span path':<{width}}{'calls A/B':>11}{'wall A':>9}{'wall B':>9}{'change':>9}"
+        f"{'cpu A':>9}{'cpu B':>9}{'self A':>9}{'self B':>9}{'change':>9}",
+    ]
+    for path, a, b, change in rows:
+        self_a, self_b = _self_wall(a), _self_wall(b)
+        lines.append(
+            f"{path:<{width}}{f'{a.n}/{b.n}':>11}{a.wall:>9.3f}{b.wall:>9.3f}{change:>+9.3f}"
+            f"{a.cpu:>9.3f}{b.cpu:>9.3f}{self_a:>9.3f}{self_b:>9.3f}{self_b - self_a:>+9.3f}"
+        )
+
+    def counters(events):
+        return {e["name"]: e["value"] for e in events if e.get("type") == "counter"}
+
+    counters_a, counters_b = counters(events_a), counters(events_b)
+    differ = sorted(
+        name
+        for name in counters_a.keys() | counters_b.keys()
+        if counters_a.get(name, 0) != counters_b.get(name, 0)
+    )
+    if differ:
+        width = max(len(name) for name in differ) + 2
+        lines.append(f"\n{'counter':<{width}}{'A':>14}{'B':>14}{'change':>14}")
+        for name in differ:
+            a, b = counters_a.get(name, 0), counters_b.get(name, 0)
+            lines.append(f"{name:<{width}}{_number(a):>14}{_number(b):>14}{_number(b - a):>+14}")
+    else:
+        lines.append("\ncounters: no differences")
+    return "\n".join(lines)
+
+
 def render_report(path: str | Path, top: int = 10) -> str:
     """The human-readable ``trace report``: stage tree, cache, hot paths."""
     events = validate_trace(path)
@@ -563,12 +640,7 @@ def render_report(path: str | Path, top: int = 10) -> str:
                 f"{label:<58}{child.n:>6}{child.wall:>9.3f}s{child.cpu:>9.3f}s"
                 f"{100 * child.wall / total_wall:>5.1f}%"
             )
-            # Self time: this cell's wall minus its children's (clamped;
-            # worker children overlap in wall time).
-            self_wall = max(
-                child.wall - sum(g.wall for g in child.children.values()), 0.0
-            )
-            flat.append((self_wall, child))
+            flat.append((_self_wall(child), child))
             emit(child, depth + 1)
 
     emit(root, 0)
@@ -617,9 +689,7 @@ def render_report(path: str | Path, top: int = 10) -> str:
     if other:
         lines.append("\ncounters:")
         for name in sorted(other):
-            value = other[name]
-            shown = int(value) if float(value).is_integer() else value
-            lines.append(f"  {name:<40}{shown:>12}")
+            lines.append(f"  {name:<40}{_number(other[name]):>12}")
     hists = [e for e in events if e.get("type") == "hist"]
     if hists:
         lines.append("\nhistograms:")

@@ -8,7 +8,10 @@ out ``(cells, classes)``, a cumulative sum down the cell axis, and the
 Gini sums as ``np.sum(..., axis=1)`` over each cell's class row.  On
 the same node groups the two must pick the same ``(candidate,
 boundary)`` for every node and hand the same scores to
-``repro.ml.tree._first_min`` (``tests/test_ml_split_kernel.py``).
+``repro.ml.tree._first_min`` (``tests/test_ml_split_kernel.py``).  It
+keeps the class-minor node statistics too (leaf values and impurities
+from ``(nodes, classes)`` counts), which the class-major ``_stats``
+must equal byte for byte.
 
 :class:`ClassMinorSplits` is a mixin placed ahead of the production
 grower, so an oracle grower differs from a production one only in how
@@ -29,7 +32,7 @@ __all__ = ["ClassMinorGiniGrower", "ClassMinorSplits"]
 
 
 class ClassMinorSplits:
-    """Class-minor ``_best_rows``, ``_best`` and ``_score``."""
+    """Class-minor ``_stats``, ``_best_rows``, ``_best`` and ``_score``."""
 
     def _begin(self, members) -> None:
         super()._begin(members)
@@ -37,6 +40,19 @@ class ClassMinorSplits:
         # column offset baked in.
         off = np.arange(self.n_features, dtype=np.int32) * self.stride
         self.base = self.codes.astype(np.int32) * self.n_classes + self.labels[:, None] + off
+
+    def _stats(self, rows_list):
+        C = self.n_classes
+        sizes = np.array([r.shape[0] for r in rows_list])
+        slot = np.repeat(np.arange(sizes.shape[0]), sizes)
+        y = self.by[np.concatenate(rows_list)]
+        counts = np.bincount(slot * C + y, minlength=sizes.shape[0] * C).reshape(-1, C)
+        # The expressions of _node_impurity and _leaf_value, row-wise (a
+        # last-axis sum adds each row as the 1-D sum does).
+        p = counts / sizes[:, None]
+        impurity = 1.0 - np.sum(p * p, axis=1)
+        weights = counts.astype(np.float64)
+        return list(weights / weights.sum(axis=1, keepdims=True)), impurity.tolist()
 
     def _cells(self, rows_list, feats) -> np.ndarray:
         """Fused ``(node, candidate, bin, class)`` histogram cell of

@@ -190,6 +190,37 @@ class TestScore:
         assert pickled == ["RandomForestClassifier"]
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
+    def test_back_to_back_models_get_their_own_predictions(self, monolithic, sharded):
+        """Workers keep the model they loaded by its pickle's digest: a
+        second model through the same pool replaces it."""
+        X, _ = extract_tls_matrix(monolithic)
+        y = monolithic.labels("combined")
+        models = [
+            RandomForestClassifier(
+                n_estimators=4, max_depth=2, random_state=seed, n_jobs=1
+            ).fit(X, y)
+            for seed in (1, 2)
+        ]
+        expected = [model.predict(X) for model in models]
+        assert not np.array_equal(*expected)
+        for model, want in zip(models + models[:1], expected + expected[:1]):
+            np.testing.assert_array_equal(score_sharded(model, sharded, n_jobs=2), want)
+
+    def test_each_worker_loads_the_model_once(self, monolithic, tmp_path):
+        corpus = collect_corpus(
+            "svc1", 16, seed=SEED, n_jobs=1, out=tmp_path / "c.shards", shard_size=2
+        )
+        X, _ = extract_tls_matrix(monolithic)
+        model = RandomForestClassifier(
+            n_estimators=8, random_state=7, n_jobs=1
+        ).fit(X, monolithic.labels("combined"))
+        with telemetry.tracing() as tracer:
+            got = score_sharded(model, corpus, n_jobs=2)
+        assert corpus.n_shards == 8
+        assert 1 <= tracer.counters["fleet.model_loads"] <= 2
+        X_corpus, _ = extract_tls_matrix(corpus)
+        np.testing.assert_array_equal(got, model.predict(X_corpus))
+
     def test_unpicklable_model_is_scored_in_process(self, monolithic, sharded):
         X, _ = extract_tls_matrix(monolithic)
         y = monolithic.labels("combined")

@@ -14,8 +14,10 @@ same nodes and scores, byte for byte, on all three paths:
 Groups hold 1 to 300 rows per node, 1, 3, 6 or every candidate
 feature, features with fewer bins than the widest, ``min_samples_leaf``
 1, 2 or 5 and 1 to 16 classes: past 7 classes numpy's row sum is
-pairwise, and the kernel must follow it.  Whole forests grown with the
-oracle's split search must equal the production forests too.
+pairwise, and the kernel must follow it.  The class-major node
+statistics (``_stats``: leaf values and impurities) must equal the
+oracle's on the same groups.  Whole forests grown with the oracle's
+split search must equal the production forests too.
 
 Run from the repository root (``python -m pytest``): the oracle is
 imported as ``tests.split_oracle``.
@@ -171,6 +173,23 @@ def test_subtraction_best_equals_the_class_minor_oracle(data):
         return grower._best(hists, case["n"])
 
     _assert_same(case, best, mtry=None)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_node_stats_equal_the_class_minor_oracle(data):
+    """Leaf values and impurities of a node group, class-major against
+    the oracle's ``(nodes, classes)`` expressions, byte for byte."""
+    case = data.draw(node_groups("subtraction"))
+    args = (
+        case["codes"], case["widths"], case["labels"], case["brow"],
+        case["C"], case["min_leaf"], None,
+    )
+    got = _grower(_GiniGrower, *args)._stats(case["rows"])
+    want = _grower(ClassMinorGiniGrower, *args)._stats(case["rows"])
+    for a, b in zip(got, want):
+        a, b = np.array(a), np.array(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 8, 10, 16])

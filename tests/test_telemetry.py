@@ -275,6 +275,17 @@ class TestMlSpans:
         # grown (one node of every unfinished tree per step).
         batches = [sizes] if n_jobs == 1 else [sizes[:5], sizes[5:]]
         assert tracer.counters["ml.grow.steps"] == sum(map(max, batches))
+        # One draw per split candidate: every split node, and every leaf
+        # that was impure (so it held at least ``min_samples_split`` rows)
+        # but found no valid boundary.
+        candidates = sum(
+            np.count_nonzero(
+                (tree.feature_ >= 0) | (np.count_nonzero(tree.value_, axis=1) > 1)
+            )
+            for tree in forest.trees_
+        )
+        assert tracer.counters["ml.grow.draws"] == candidates
+        assert tracer.counters["ml.grow.draw_fallbacks"] == 0
         names = [e["name"] for e in tracer.events]
         assert names.count("ml.bin") == 1
         assert names.count("ml.grow") == len(batches)
@@ -322,6 +333,51 @@ class TestReport:
         assert "valid trace" in capsys.readouterr().out
         assert main(["trace", "report", str(path), "--top", "2"]) == 0
         assert "hot paths" in capsys.readouterr().out
+
+    def test_trace_diff_sets_span_paths_and_counters_side_by_side(self, tmp_path, capsys):
+        import time
+
+        from repro.cli import main
+
+        paths = []
+        for name, pause, shards in (("a", 0.01, 4), ("b", 0.06, 6)):
+            path = tmp_path / f"{name}.jsonl"
+            with tracing(path):
+                with span("experiment", name="fig5"):
+                    with span("cv", folds=5):
+                        time.sleep(pause)
+                    with span("score"):
+                        telemetry.count("fleet.model_loads", 2)
+                        telemetry.count("shards", shards)
+            paths.append(str(path))
+        assert main(["trace", "diff", *paths]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        # A span row: its path, then calls A/B and eight numbers.
+        spans = {
+            " ".join(row[:-9]): row[-9:] for row in lines if len(row) > 9 and "/" in row[-9]
+        }
+        assert list(spans)[-1] == "experiment[fig5] > score"  # largest change first
+        calls, wall_a, wall_b, change = spans["experiment[fig5] > cv"][:4]
+        assert calls == "1/1"
+        assert float(change) > 0.03
+        assert float(wall_b) - float(wall_a) == pytest.approx(float(change), abs=2e-3)
+        counters = {row[0]: row[1:] for row in lines if len(row) == 4}
+        assert counters["shards"] == ["4", "6", "+2"]
+        assert "fleet.model_loads" not in counters  # equal on both sides
+
+    def test_cli_trace_diff_rejects_garbage(self, tmp_path, capsys):
+        from repro.cli import main
+
+        good = self._sample_trace(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"type": "span"}\n')
+        assert main(["trace", "diff", str(good), str(bad)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert main(["trace", "diff", str(good)]) == 2
+        assert "two trace files" in capsys.readouterr().err
+        assert main(["trace", "report", str(good), str(good)]) == 2
+        assert "one trace file" in capsys.readouterr().err
 
     def test_cli_trace_rejects_garbage(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,11 +4,13 @@
 module keeps the exact splitter it is tested against — sort every
 candidate feature at every node and score every threshold in one
 cumulative-sum pass — as subclasses of the production trees.  They
-reuse the production node table, candidate-feature draw, criteria and
+reuse the production node table, candidate count, criteria and
 prediction, so an oracle tree differs from a production one only in
-how it picks splits.  On pre-binned data (every column has few enough
-distinct values that binning is lossless) the two growers must build
-identical node tables; ``tests/test_ml_hist.py`` holds that contract.
+how it picks splits.  It also keeps the per-node candidate-feature draw
+(one ``Generator.choice`` per split node) that the grower's bulk draws
+reproduce.  On pre-binned data (every column has few enough distinct
+values that binning is lossless) the two growers must build identical
+node tables; ``tests/test_ml_hist.py`` holds that contract.
 
 Ensembles are grown by the oracle inside :func:`exact_growth`, which
 swaps module globals of :mod:`repro.ml.forest` and
@@ -79,6 +81,17 @@ class _ExactGrowth:
         self._finalize_nodes()
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
+
+    def _candidate_features(
+        self, n_features: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """This node's candidate features: one ``Generator.choice`` per
+        split node, the stream the lockstep grower's bulk draws must
+        reproduce."""
+        mtry = self._n_candidate_features(n_features)
+        if mtry < n_features:
+            return rng.choice(n_features, size=mtry, replace=False)
+        return np.arange(n_features)
 
     def _best_split(
         self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator
