@@ -234,6 +234,8 @@ def collect_records(
             trace = collect_session(profile, catalog.sample(rng), rng, config=config)
             records.append(SessionRecord.from_trace(trace, profile))
         telemetry.count("collection.sessions", len(seeds))
+        # Simulated HTTP requests: the unit of the simulator's work.
+        telemetry.count("collection.requests", sum(r.n_http_transactions for r in records))
     return records
 
 

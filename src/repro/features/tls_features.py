@@ -28,8 +28,9 @@ Two extraction paths produce bit-identical output:
   sums of each of the ``k`` intervals are rows of one ``(2 + 2k, n)``
   stack, reduced by one ``np.add.reduceat``; the five per-transaction
   metrics are one ``(5, n)`` stack, sorted within sessions in one call;
-  IAT sorts the starts, then its own gaps, the same way.  The result
-  fills one preallocated matrix.  :func:`extract_tls_matrix` runs it
+  IAT sorts the starts (unless every session's starts already rise),
+  then its own gaps, the same way.  The result fills one preallocated
+  matrix.  :func:`extract_tls_matrix` runs it
   block by block over a corpus, and so do the stream's score batches,
   the flow features and the fleet scorer.
 
@@ -271,10 +272,15 @@ def extract_tls_table(
     # IAT: diffs of within-session sorted start times.  Sessions stay
     # contiguous in the sorted column, so the per-row diff is valid
     # everywhere except the first row of each session, which is dropped.
-    sorted_starts = segment_sort(starts, segment_ids)
-    diffs = sorted_starts[1:] - sorted_starts[:-1]
+    # Collected and streamed tables arrive start-ordered, and a session
+    # whose starts never decrease is its own stable sort (its -0.0 and
+    # 0.0 included), so only a table with an inversion is sorted.
     keep = np.ones(max(table.n_rows - 1, 0), dtype=bool)
     keep[lo[1:] - 1] = False
+    inverted = starts[1:] < starts[:-1]
+    inverted &= keep
+    sorted_starts = segment_sort(starts, segment_ids) if inverted.any() else starts
+    diffs = sorted_starts[1:] - sorted_starts[:-1]
     iat_counts = counts - 1
     iat_offsets = np.zeros(offsets.shape[0], dtype=np.int64)
     np.cumsum(iat_counts, out=iat_offsets[1:])

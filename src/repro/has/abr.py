@@ -20,11 +20,11 @@ application-design sensitivity study:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.has.video import QualityLadder
+from repro.record import record
 
 __all__ = [
     "AbrState",
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class AbrState:
     """Player state an ABR decision sees.
 

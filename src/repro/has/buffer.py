@@ -9,14 +9,14 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from repro.record import record
 
 __all__ = ["PlayEvent", "Stall", "PlaybackSchedule"]
 
 
-@dataclass(frozen=True)
+@record
 class PlayEvent:
     """One segment's playback interval."""
 
@@ -36,7 +36,7 @@ class PlayEvent:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+@record
 class Stall:
     """A re-buffering interval (playback started, then starved)."""
 
@@ -183,12 +183,12 @@ class PlaybackSchedule:
 
     def _clip(self, at: float) -> None:
         self.events = [
-            PlayEvent(e.start, min(e.end, at), e.quality)
+            e if e.end <= at else PlayEvent(e.start, at, e.quality)
             for e in self.events
             if e.start < at
         ]
         self.stalls = [
-            Stall(s.start, min(s.end, at)) for s in self.stalls if s.start < at
+            s if s.end <= at else Stall(s.start, at) for s in self.stalls if s.start < at
         ]
         if self._play_end > at:
             self._play_end = at

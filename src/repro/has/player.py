@@ -36,6 +36,7 @@ from repro.has.abr import AbrState
 from repro.has.video import Video
 from repro.net.link import Link
 from repro.net.tcp import TcpParams, Transfer
+from repro.record import record
 from repro.tlsproxy.connection import TlsConnectionPool
 from repro.tlsproxy.hosts import SessionHosts
 from repro.tlsproxy.proxy import TransparentProxy
@@ -89,7 +90,7 @@ class UserBehavior:
             raise ValueError("invalid seek range")
 
 
-@dataclass(frozen=True)
+@record
 class ConnectionMeta:
     """Compact connection metadata retained for packet synthesis."""
 

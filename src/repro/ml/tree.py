@@ -21,7 +21,9 @@ their candidate-feature histograms, split scores, row partitions and
 child impurities.  A tree still visits its nodes in the recursive
 order (left subtree first) and draws its candidate features from its
 own generator once per split node, so every tree is bit-identical to
-growing it alone.  A step's nodes are processed in groups of at most
+growing it alone; trees that share a caller's generator grow in
+successive batches, in list order (:func:`_generator_runs`).  A step's
+nodes are processed in groups of at most
 ``STEP_CELLS`` gathered cells; a node that big by itself takes the
 per-node path (outer-product gather, mask partition, per-feature
 regression histograms), so big nodes cost what they cost alone.
@@ -315,7 +317,8 @@ class _BaseTree:
         every tree, or (regression) one such row per tree; tree ``i``
         grows on the code rows ``samples[i]`` (all rows when ``samples``
         is None), in that order.  Each tree comes out exactly as if
-        grown alone.
+        grown alone, and trees that share a generator object as if
+        grown one after another, in list order.
         """
         codes = np.asarray(codes, dtype=np.uint8)
         if codes.ndim != 2:
@@ -388,19 +391,21 @@ class DecisionTreeClassifier(_BaseTree):
         if y.ndim != 1:
             raise ValueError("classification trees of a batch share one label row")
         # Each tree keeps the classes its own rows hold (a bootstrap may
-        # miss one); trees with one class set share a label encoding and
-        # grow in one lockstep batch.
-        batches: dict[bytes, list[int]] = {}
+        # miss one); trees of one run with one class set share a label
+        # encoding and grow in one lockstep batch.
         for i, tree in enumerate(trees):
             tree.classes_ = np.unique(y[rows[i]])
             tree._n_classes = tree.classes_.shape[0]
-            batches.setdefault(tree.classes_.tobytes(), []).append(i)
         grower = _GiniGrower(trees[0], codes, binner)
-        for members in batches.values():
-            classes = trees[members[0]].classes_
-            grower.n_classes = classes.shape[0]
-            grower.labels = np.searchsorted(classes, y).astype(np.int32)
-            grower.grow(trees, rows, members)
+        for run in _generator_runs(trees):
+            batches: dict[bytes, list[int]] = {}
+            for i in run:
+                batches.setdefault(trees[i].classes_.tobytes(), []).append(i)
+            for members in batches.values():
+                classes = trees[members[0]].classes_
+                grower.n_classes = classes.shape[0]
+                grower.labels = np.searchsorted(classes, y).astype(np.int32)
+                grower.grow(trees, rows, members)
         return grower
 
     # -- criterion ---------------------------------------------------------
@@ -447,7 +452,8 @@ class DecisionTreeRegressor(_BaseTree):
             (targets if targets.ndim == 1 else targets[i])[rows[i]]
             for i in range(len(trees))
         ]
-        grower.grow(trees, rows, list(range(len(trees))))
+        for run in _generator_runs(trees):
+            grower.grow(trees, rows, run)
         return grower
 
     # -- criterion ---------------------------------------------------------
@@ -478,6 +484,31 @@ class _Node:
         self.value = value
         self.impurity = impurity
         self.hist = hist  # carried full-width histogram (sibling subtraction)
+
+
+def _generator_runs(trees) -> list[list[int]]:
+    """The trees' indices cut into successive runs in which no two trees
+    share a generator.
+
+    A tree whose ``random_state`` is a ``Generator`` or ``BitGenerator``
+    draws from that caller-owned stream.  Trees grown in one lockstep
+    batch draw in step order, interleaved, so a tree whose stream a
+    tree before it in the run already draws from starts the next run:
+    the runs grow one after another, and each stream is drawn tree by
+    tree in list order, as if every tree were grown alone."""
+    runs: list[list[int]] = [[]]
+    streams: set[int] = set()
+    for i, tree in enumerate(trees):
+        stream = tree.random_state
+        if isinstance(stream, np.random.Generator):
+            stream = stream.bit_generator
+        if isinstance(stream, np.random.BitGenerator):
+            if id(stream) in streams:
+                runs.append([])
+                streams.clear()
+            streams.add(id(stream))
+        runs[-1].append(i)
+    return runs
 
 
 def _groups(cells: list[int], hist_cells: int) -> list[list[int]]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,8 @@ __all__ = [
 #: Bandwidth floor (bps).  Real cellular outages still trickle a little
 #: data; a hard zero would make transfer times unbounded.
 _MIN_BANDWIDTH_BPS = 8_000.0
+#: Bandwidth range (bps) of a 3G outage step: a trickle above the floor.
+_OUTAGE_BPS = (_MIN_BANDWIDTH_BPS, 6e4)
 
 
 class TraceFamily(str, enum.Enum):
@@ -207,6 +209,62 @@ def _ar1_series(
     return np.exp(log_mean + np.array(deviations))
 
 
+def _outage_walk(
+    rng: np.random.Generator, bw: np.ndarray, p_enter: float, p_leave: float
+) -> None:
+    """Write a two-state outage walk over ``bw``'s steps, drawing from
+    ``rng`` exactly what the per-step walk draws.
+
+    While the link is up, a step draws one ``random()`` and enters an
+    outage from the next step when it is below ``p_enter``.  While it
+    is out, a step's bandwidth is ``uniform(*_OUTAGE_BPS)`` and the
+    link is up again from the next step when the following ``random()``
+    is below ``p_leave``.  A step takes one double up and two out, so
+    the walk takes ``k <= 2n``.
+
+    All ``2n`` doubles are drawn at once and the walk is resolved by
+    searches: an up run ends at the next entry draw, an out run at the
+    next leave draw among its second doubles.  An outage value is ``low
+    + (high - low) * u``, numpy's ``uniform`` of the double ``u``.  The
+    generator is then put back and advanced by re-drawing the ``k``
+    doubles the walk took, which leaves any bit generator where the
+    per-step walk leaves it (the oracle ``tests/trace_oracle.py``).
+    """
+    n = bw.shape[0]
+    saved = rng.bit_generator.state
+    u = rng.random(2 * n)
+    enters = np.flatnonzero(u < p_enter).tolist()
+    # Leave draws by the parity of their position: an outage that
+    # starts at draw ``d`` tests draws d + 1, d + 3, ...
+    leave = u < p_leave
+    leaves = (
+        (2 * np.flatnonzero(leave[0::2])).tolist(),
+        (2 * np.flatnonzero(leave[1::2]) + 1).tolist(),
+    )
+    low, high = _OUTAGE_BPS
+    step = draw = 0
+    while step < n:
+        # Up from ``step``: the run ends with the step whose draw enters.
+        e = bisect_left(enters, draw)
+        if e == len(enters) or enters[e] - draw >= n - step:
+            draw += n - step
+            break
+        run = enters[e] - draw + 1
+        step += run
+        draw += run
+        # Out from ``step`` (no step is left if the last one entered).
+        out = n - step
+        parity = leaves[(draw + 1) % 2]
+        e = bisect_left(parity, draw + 1)
+        if e < len(parity):
+            out = min(out, (parity[e] - draw - 1) // 2 + 1)
+        bw[step:step + out] = low + (high - low) * u[draw:draw + 2 * out:2]
+        step += out
+        draw += 2 * out
+    rng.bit_generator.state = saved
+    rng.random(draw)
+
+
 def fcc_trace(
     rng: np.random.Generator,
     duration: float = 1300.0,
@@ -249,21 +307,9 @@ def hsdpa_trace(
         mean_bps = float(np.clip(mean_bps, 1.0e5, 8e6))
     n = max(2, int(np.ceil(duration / granularity)))
     bw = _ar1_series(rng, n, mean_bps, sigma=0.95, rho=0.99)
-    # Outages: a two-state process (tunnels, coverage holes) entered
-    # every couple of minutes, lasting ~10 s on average.  How many
-    # draws the walk makes depends on the draws, so it stays one call
-    # per step.
-    random, uniform = rng.random, rng.uniform
-    p_enter = granularity / 120.0  # outage every ~2 min
-    p_leave = granularity / 10.0  # mean outage ~10 s
-    in_outage = False
-    for i in range(n):
-        if in_outage:
-            bw[i] = uniform(_MIN_BANDWIDTH_BPS, 6e4)
-            if random() < p_leave:
-                in_outage = False
-        elif random() < p_enter:
-            in_outage = True
+    # Outages (tunnels, coverage holes): entered every ~2 min, lasting
+    # ~10 s on average.
+    _outage_walk(rng, bw, p_enter=granularity / 120.0, p_leave=granularity / 10.0)
     times = np.arange(n) * granularity
     return BandwidthTrace(
         times=times,

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+
+from repro.record import record
 
 __all__ = [
     "TransferSpec",
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class TransferSpec:
     """One transfer's summary as seen by the impairment pipeline.
 

@@ -23,12 +23,12 @@ demand by :mod:`repro.net.packets`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.net.impairments import TransferSpec
 from repro.net.link import Link
+from repro.record import record
 
 __all__ = ["TcpParams", "Transfer", "TcpConnection"]
 
@@ -39,7 +39,7 @@ _INITIAL_WINDOW_SEGMENTS = 10
 _ACK_RATIO = 2
 
 
-@dataclass(frozen=True)
+@record
 class TcpParams:
     """Per-connection path parameters.
 
@@ -72,7 +72,7 @@ class TcpParams:
             raise ValueError("tls_handshake_rtts must be non-negative")
 
 
-@dataclass(frozen=True)
+@record
 class Transfer:
     """One request/response exchange carried over a connection.
 

@@ -15,11 +15,12 @@ Two granularities of the same traffic:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
 
 import numpy as np
+
+from repro.record import record
 
 __all__ = [
     "ResourceType",
@@ -45,7 +46,7 @@ class ResourceType(str, enum.Enum):
     THUMBNAIL = "thumbnail"
 
 
-@dataclass(frozen=True)
+@record
 class HttpTransaction:
     """One HTTP request/response exchange.
 
@@ -87,7 +88,7 @@ class HttpTransaction:
 _NUMERIC_FIELDS = ("start", "end", "uplink_bytes", "downlink_bytes")
 
 
-@dataclass(frozen=True)
+@record
 class TlsTransaction:
     """One TLS transaction as exported by the transparent proxy.
 

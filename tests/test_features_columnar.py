@@ -8,6 +8,8 @@ grids, and the flow pipeline; and, by consequence, unchanged fig5 /
 table3 numbers whichever path produced the features.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from repro.collection.harness import collect_corpus
 from repro.collection.shards import save_sharded
 from repro.experiments import fig5, table3
 from repro.experiments.common import default_forest
+from repro.features import tls_features
 from repro.features.tls_features import (
     TEMPORAL_INTERVALS,
     extract_tls_features,
@@ -30,7 +33,7 @@ from repro.ml.model_selection import cross_val_predict, cross_validate
 from repro.netflow.exporter import ExporterConfig
 from repro.netflow.features import extract_flow_matrix
 from repro.tlsproxy.records import TlsTransaction
-from repro.tlsproxy.table import TransactionTable
+from repro.tlsproxy.table import TransactionTable, segment_sort
 from tests.flow_oracle import reference_flow_matrix
 from tests.scoring_oracle import loop_tls_table
 
@@ -89,9 +92,23 @@ class TestTlsGoldenEquivalence:
             extract_tls_matrix(table)
 
 
+#: Row orders within a session: as drawn (mostly unordered), by start
+#: (a stable sort, so equal starts keep their drawn order; collected and
+#: streamed tables arrive so) and shuffled.
+ORDERS = ("drawn", "sorted", "shuffled")
+
+
+def _in_order(draw, rows, order):
+    if order == "sorted":
+        return sorted(rows, key=lambda t: t.start)
+    if order == "shuffled":
+        return draw(st.permutations(rows))
+    return rows
+
+
 @st.composite
-def tls_sessions(draw):
-    """1-6 sessions of 1-40 transactions each.
+def tls_sessions(draw, order="drawn"):
+    """1-6 sessions of 1-40 transactions each, rows in ``order``.
 
     Starts sit on a coarse grid, so equal starts (zero inter-arrival
     times) are common; durations are zero, on the grid or arbitrary;
@@ -110,15 +127,14 @@ def tls_sessions(draw):
         downlinks = draw(
             st.lists(st.sampled_from((0, 1000, 1000, 73_411, 2_000_000)), min_size=n, max_size=n)
         )
-        sessions.append(
-            [
-                TlsTransaction(
-                    start=k * grid, end=k * grid + d, uplink_bytes=u,
-                    downlink_bytes=down, sni=f"host{s}.example",
-                )
-                for k, d, u, down in zip(starts, durations, uplinks, downlinks)
-            ]
-        )
+        rows = [
+            TlsTransaction(
+                start=k * grid, end=k * grid + d, uplink_bytes=u,
+                downlink_bytes=down, sni=f"host{s}.example",
+            )
+            for k, d, u, down in zip(starts, durations, uplinks, downlinks)
+        ]
+        sessions.append(_in_order(draw, rows, order))
     return sessions
 
 
@@ -135,10 +151,12 @@ GRIDS = (
 
 
 @st.composite
-def signed_zero_tables(draw):
-    """Tables whose starts, ends and byte counts mix ``-0.0`` and
-    ``0.0``: a record accepts ``-0.0`` everywhere ``0.0`` is accepted,
-    so a duration, a rate or an inter-arrival time can be ``-0.0``."""
+def signed_zero_sessions(draw, order="drawn"):
+    """Sessions whose starts, ends and byte counts mix ``-0.0`` and
+    ``0.0``, rows in ``order``: a record accepts ``-0.0`` everywhere
+    ``0.0`` is accepted, so a duration, a rate or an inter-arrival time
+    can be ``-0.0``, and a session sorted by start can hold both zeros
+    in either order."""
     sessions = []
     for _ in range(draw(st.integers(1, 5))):
         rows = []
@@ -155,8 +173,18 @@ def signed_zero_tables(draw):
                     sni="a.example",
                 )
             )
-        sessions.append(rows)
-    return TransactionTable.from_sessions(sessions)
+        sessions.append(_in_order(draw, rows, order))
+    return sessions
+
+
+def _extract_counting_start_sorts(table, intervals, sessions):
+    """``extract_tls_table``, checking that it sorted the starts for
+    IAT exactly when some session's starts fall somewhere."""
+    with mock.patch.object(tls_features, "segment_sort", wraps=segment_sort) as sort:
+        got = extract_tls_table(table, intervals)
+    rising = all(a.start <= b.start for s in sessions for a, b in zip(s, s[1:]))
+    assert sort.call_count == (0 if rising else 1)
+    return got
 
 
 class TestTlsKernelProperties:
@@ -165,19 +193,22 @@ class TestTlsKernelProperties:
     for byte."""
 
     @settings(max_examples=150, deadline=None)
-    @given(sessions=tls_sessions(), intervals=st.sampled_from(GRIDS))
-    def test_kernel_equals_stacked_reference(self, sessions, intervals):
+    @given(data=st.data(), order=st.sampled_from(ORDERS), intervals=st.sampled_from(GRIDS))
+    def test_kernel_equals_stacked_reference(self, data, order, intervals):
+        sessions = data.draw(tls_sessions(order))
         table = TransactionTable.from_sessions(sessions)
-        got = extract_tls_table(table, intervals)
+        got = _extract_counting_start_sorts(table, intervals, sessions)
         want = np.vstack([extract_tls_features(s, intervals) for s in sessions])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert got.tobytes() == loop_tls_table(table, intervals).tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(table=signed_zero_tables(), intervals=st.sampled_from(GRIDS))
-    def test_signed_zeros_read_as_the_loop_kernel_reads_them(self, table, intervals):
-        got = extract_tls_table(table, intervals)
+    @given(data=st.data(), order=st.sampled_from(ORDERS), intervals=st.sampled_from(GRIDS))
+    def test_signed_zeros_read_as_the_loop_kernel_reads_them(self, data, order, intervals):
+        sessions = data.draw(signed_zero_sessions(order))
+        table = TransactionTable.from_sessions(sessions)
+        got = _extract_counting_start_sorts(table, intervals, sessions)
         assert got.tobytes() == loop_tls_table(table, intervals).tobytes()
 
 

@@ -110,6 +110,19 @@ class TestCollect:
         )
         assert [s["attrs"]["sessions"] for s in spans] == [4, 4, 1]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_counts_every_simulated_request(self, jobs, tmp_path):
+        """One ``collection.requests`` count per chunk, merged from the
+        workers: the corpus's HTTP transactions, at any worker count."""
+        with telemetry.tracing() as tracer:
+            corpus = collect_corpus(
+                "svc1", 9, seed=SEED, n_jobs=jobs, out=tmp_path / "c.shards", shard_size=4
+            )
+        requests = int(corpus.column("n_http_transactions").sum())
+        assert requests > 0
+        assert tracer.counters["collection.requests"] == requests
+        assert tracer.counters["collection.sessions"] == 9
+
 
 class TestExtract:
     def test_matches_monolithic_and_reconciles_counters(

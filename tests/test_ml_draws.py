@@ -8,7 +8,8 @@ replace=False)`` call per candidate.  The draws, and the generator's
 state after each chunk, must be numpy's own, bit for bit, and the rare
 paths must grow the same trees: a chunk holding a rejected word, a
 failed probe, a population past Floyd's branch, a caller's generator
-and a tree that outruns its first chunk.
+(one generator shared by several trees of a batch, too) and a tree
+that outruns its first chunk.
 
 Run from the repository root (``python -m pytest``): the long-tree
 checks grow the exact oracle, imported as ``tests.tree_oracle``.
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.ml import tree as tree_module
+from repro.ml.binning import Binner
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from tests.test_ml_golden import GOLDEN, PAPER_FOREST, continuous_data, forest_digest, query_rows
@@ -227,6 +229,65 @@ def test_a_callers_generator_draws_sequentially(bit_generator):
     np.testing.assert_equal(ours.bit_generator.state, oracle.bit_generator.state)
     assert tracer.counters["ml.grow.draw_fallbacks"] == 1
     assert tracer.counters["ml.grow.draws"] > 0
+
+
+def _grown_alone(trees, codes, targets, binner, samples):
+    """``trees`` grown one after another, each in a batch of its own."""
+    for i, tree in enumerate(trees):
+        type(tree).fit_binned_batch([tree], codes, targets, binner, [samples[i]])
+    return trees
+
+
+@pytest.mark.parametrize("share", ["generator", "bit-generator"])
+@pytest.mark.parametrize("cls", [DecisionTreeClassifier, DecisionTreeRegressor])
+def test_trees_sharing_a_generator_grow_as_if_one_after_another(cls, share):
+    """Trees that draw from one caller-owned stream come out of one
+    batch as if grown alone in list order, the trees between them and
+    the stream's next draws included."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(200, 8))
+    y = (X[:, 0] + X[:, 1] > 0).astype(int) if cls is DecisionTreeClassifier else X[:, 0]
+    binner = Binner()
+    codes = binner.fit_transform(X)
+    samples = [rng.integers(0, 200, size=200) for _ in range(4)]
+
+    def trees():
+        generator = np.random.default_rng(11)
+        stream = generator if share == "generator" else generator.bit_generator
+        states = [stream, 5, stream, stream]
+        return generator, [cls(max_features=2, random_state=s) for s in states]
+
+    generator, batch = trees()
+    cls.fit_binned_batch(batch, codes, y, binner, samples)
+    ref_generator, alone = trees()
+    _grown_alone(alone, codes, y, binner, samples)
+    for a, b in zip(batch, alone):
+        assert_same_tree(a, b)
+    np.testing.assert_equal(generator.bit_generator.state, ref_generator.bit_generator.state)
+
+
+def test_shared_generator_order_holds_across_class_sets():
+    """A tree that misses a class grows in its own label batch; trees
+    on one stream still draw in list order across those batches."""
+    X, y = binned_data(seed=3, n=300)
+    binner = Binner()
+    codes = binner.fit_transform(X)
+    everything = np.arange(X.shape[0])
+    samples = [everything, np.flatnonzero(y != 2), everything]
+
+    def trees():
+        stream = np.random.default_rng(21)
+        return [
+            DecisionTreeClassifier(max_features=2, random_state=s)
+            for s in (7, stream, stream)
+        ]
+
+    batch = trees()
+    DecisionTreeClassifier.fit_binned_batch(batch, codes, y, binner, samples)
+    alone = _grown_alone(trees(), codes, y, binner, samples)
+    assert [t.classes_.tolist() for t in batch] == [[0, 1, 2], [0, 1], [0, 1, 2]]
+    for a, b in zip(batch, alone):
+        assert_same_tree(a, b)
 
 
 def _noisy_binned_data():

@@ -12,15 +12,21 @@ zero-length edge cases, and the efficiency-bound validation.
 Python-list copies) to the ``np.searchsorted`` implementations they
 replaced (``tests/trace_oracle.py``) with exact ``==`` on random
 traces, 1-interval ones and 8 kbps-120 Mbps bandwidths included, at
-interval starts, cycle wraps and cumulative-bit boundaries.  Run from
-the repository root (it imports ``tests.trace_oracle``).
+interval starts, cycle wraps and cumulative-bit boundaries.
+``TestOutageWalkOracle`` holds ``hsdpa_trace``'s bulk outage walk to
+the per-step walk it replaced: trace bytes, then the generator's next
+draws, on each of numpy's bit generators.  Run from the repository
+root (it imports ``tests.trace_oracle``).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net import bandwidth
 from repro.net.bandwidth import (
     BandwidthTrace,
     TraceFamily,
@@ -171,6 +177,93 @@ class TestAr1Oracle:
         assert got.tobytes() == want.tobytes()
         # Same draws: the next draw from both generators agrees.
         assert rng.random() == ref_rng.random()
+
+
+#: Every bit generator numpy ships: the bulk walk puts the generator
+#: back and re-draws, which must work without ``advance()``.
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+)
+
+
+def _assert_same_next_draws(rng, ref_rng):
+    """The two generators stand at the same place in their streams."""
+    assert rng.random() == ref_rng.random()
+    assert rng.integers(0, 2**40) == ref_rng.integers(0, 2**40)
+    assert rng.integers(0, 7, size=5).tolist() == ref_rng.integers(0, 7, size=5).tolist()
+    assert rng.normal() == ref_rng.normal()
+
+
+class TestOutageWalkOracle:
+    """``hsdpa_trace`` draws its outage walk in bulk; the per-step walk
+    it replaced (``tests/trace_oracle.py::outage_walk``) must give the
+    same trace bytes and leave the generator where it leaves it."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bit_generator=st.sampled_from(BIT_GENERATORS),
+        granularity=st.one_of(
+            st.sampled_from([0.1, 1.0, 10.0, 120.0, 200.0]), st.floats(0.1, 200.0)
+        ),
+        steps=st.integers(2, 1500),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hsdpa_trace_equals_the_per_step_walk(
+        self, seed, bit_generator, granularity, steps
+    ):
+        # Durations from one step (n = 2, the floor) up to ~1,500 steps.
+        duration = steps * granularity * 0.999
+        rng = np.random.Generator(bit_generator(seed))
+        ref_rng = np.random.Generator(bit_generator(seed))
+        got = bandwidth.hsdpa_trace(rng, duration=duration, granularity=granularity)
+        with mock.patch.object(bandwidth, "_outage_walk", trace_oracle.outage_walk):
+            want = bandwidth.hsdpa_trace(ref_rng, duration=duration, granularity=granularity)
+        assert got.bandwidth_bps.tobytes() == want.bandwidth_bps.tobytes()
+        assert got.times.tobytes() == want.times.tobytes()
+        assert (got.duration, got.name) == (want.duration, want.name)
+        _assert_same_next_draws(rng, ref_rng)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize(
+        "n, p_enter, p_leave, outage_steps",
+        [
+            # Up, entering at every up step, leaving at every out step:
+            # the last (odd-numbered) step enters, and no step is left.
+            (5, 1.0, 1.0, [1, 3]),
+            # Enters at the first step and never leaves.
+            (6, 1.0, 0.0, [1, 2, 3, 4, 5]),
+            # Never enters.
+            (7, 0.0, 1.0, []),
+            # Two steps, the shortest trace: enters, then one outage step.
+            (2, 1.0, 0.0, [1]),
+        ],
+        ids=["enters-on-the-last-step", "never-leaves", "never-enters", "two-steps"],
+    )
+    def test_crafted_walks_equal_the_per_step_walk(
+        self, bit_generator, n, p_enter, p_leave, outage_steps
+    ):
+        rng, ref_rng = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+        got, want = np.full(n, 1e6), np.full(n, 1e6)
+        bandwidth._outage_walk(rng, got, p_enter, p_leave)
+        trace_oracle.outage_walk(ref_rng, want, p_enter, p_leave)
+        assert got.tobytes() == want.tobytes()
+        assert np.flatnonzero(got < bandwidth._OUTAGE_BPS[1]).tolist() == outage_steps
+        _assert_same_next_draws(rng, ref_rng)
+
+    def test_a_walk_that_enters_on_its_last_step_at_the_paper_rates(self):
+        """At 200 s a step, every up step enters and every out step
+        leaves; three steps end on an entry, with no step left out."""
+        rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+        got = bandwidth.hsdpa_trace(rng, duration=500.0, granularity=200.0)
+        with mock.patch.object(bandwidth, "_outage_walk", trace_oracle.outage_walk):
+            want = bandwidth.hsdpa_trace(ref_rng, duration=500.0, granularity=200.0)
+        assert got.bandwidth_bps.tobytes() == want.bandwidth_bps.tobytes()
+        assert (got.bandwidth_bps < bandwidth._OUTAGE_BPS[1]).tolist() == [False, True, False]
+        _assert_same_next_draws(rng, ref_rng)
 
 
 @st.composite

@@ -7,16 +7,18 @@ replaced, reading the public arrays (``times``, ``bandwidth_bps`` and
 ``_cum_bits``) of the same trace, so property tests can compare the
 two with exact ``==`` on any trace and any valid query.  It also keeps
 the AR(1) recurrence over a numpy array that the trace generators'
-Python-float loop replaced (:func:`ar1_series`).
+Python-float loop replaced (:func:`ar1_series`), and the per-step 3G
+outage walk that :func:`repro.net.bandwidth._outage_walk` resolves from
+one bulk draw (:func:`outage_walk`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.net.bandwidth import BandwidthTrace
+from repro.net.bandwidth import _OUTAGE_BPS, BandwidthTrace
 
-__all__ = ["ar1_series", "bandwidth_at", "bits_between", "time_to_deliver"]
+__all__ = ["ar1_series", "bandwidth_at", "bits_between", "outage_walk", "time_to_deliver"]
 
 
 def bandwidth_at(trace: BandwidthTrace, t: float) -> float:
@@ -72,3 +74,22 @@ def ar1_series(
     for i in range(1, n):
         deviations[i] = rho * deviations[i - 1] + innovations[i]
     return np.exp(log_mean + deviations)
+
+
+def outage_walk(
+    rng: np.random.Generator, bw: np.ndarray, p_enter: float, p_leave: float
+) -> None:
+    """The two-state outage walk, one generator call per draw: up, a
+    step enters an outage from the next step when its ``random()`` is
+    below ``p_enter``; out, a step's bandwidth is ``uniform(low,
+    high)`` and the link is up from the next step when the following
+    ``random()`` is below ``p_leave``."""
+    random, uniform = rng.random, rng.uniform
+    in_outage = False
+    for i in range(bw.shape[0]):
+        if in_outage:
+            bw[i] = uniform(*_OUTAGE_BPS)
+            if random() < p_leave:
+                in_outage = False
+        elif random() < p_enter:
+            in_outage = True
